@@ -1545,7 +1545,7 @@ func BenchmarkTieredCompaction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		db.SetZonePruning(false)
+		db.InternalIndex().SetZonePruning(false)
 		off := query()
 		for i := range on {
 			if len(on[i]) != len(off[i]) {

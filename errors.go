@@ -3,6 +3,9 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"micronn/internal/ivf"
 )
 
 // Typed sentinel errors. Every error returned by DB and ShardedDB that a
@@ -32,62 +35,76 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 }
 
-// normalizeSearchRequest is the single defaulting-and-validation path for
-// single-vector queries: DB.Search, Snapshot.Search, ShardedDB.Search and
-// the sharded scatter path all normalize through here, so the defaulting
-// rules (K, NProbe, RerankFactor, exact-mode interactions) cannot drift
-// between entry points. It mutates req in place; validation failures
-// return ErrBadRequest or ErrDimMismatch. Idempotent, so layered entry
-// points may each call it.
-func normalizeSearchRequest(req *SearchRequest, dim, rerankDefault int, quantized bool) error {
-	if req.K < 0 {
-		return badRequestf("K %d must not be negative", req.K)
+// normalizeKnobs is the single validation-and-defaulting path for the knobs
+// every query kind shares — K, NProbe and RerankFactor — so their rules
+// cannot drift between Search, BatchSearch and HybridSearch. Under Exact it
+// zeroes NProbe and RerankFactor: the exhaustive path reads neither, and
+// zeroing them keeps the cache fingerprints of equal-by-behavior requests
+// identical.
+func normalizeKnobs(k, nprobe, rerank *int, exact bool, cfg ivf.Config) error {
+	if *k < 0 {
+		return badRequestf("K %d must not be negative", *k)
 	}
-	if req.NProbe < 0 {
-		return badRequestf("NProbe %d must not be negative", req.NProbe)
+	if *nprobe < 0 {
+		return badRequestf("NProbe %d must not be negative", *nprobe)
 	}
-	if req.RerankFactor < 0 {
-		return badRequestf("RerankFactor %d must not be negative", req.RerankFactor)
+	if *rerank < 0 {
+		return badRequestf("RerankFactor %d must not be negative", *rerank)
 	}
-	if len(req.Vector) != dim {
-		return fmt.Errorf("%w: query dimension %d, want %d", ErrDimMismatch, len(req.Vector), dim)
+	if *k == 0 {
+		*k = 10
 	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.Exact {
-		// The exhaustive path reads neither knob; zeroing them keeps
-		// cache fingerprints of equal-by-behavior requests identical.
-		req.NProbe = 0
-		req.RerankFactor = 0
+	switch {
+	case exact:
+		*nprobe, *rerank = 0, 0
 		return nil
+	case *nprobe == 0:
+		*nprobe = 8
 	}
-	if req.NProbe == 0 {
-		req.NProbe = 8
-	}
-	if !quantized {
-		req.RerankFactor = 0
-	} else if req.RerankFactor == 0 {
-		req.RerankFactor = rerankDefault
+	if cfg.Quantization == QuantNone {
+		*rerank = 0
+	} else if *rerank == 0 {
+		*rerank = cfg.RerankFactor
 	}
 	return nil
 }
 
-// normalizeHybridRequest is the defaulting-and-validation path for hybrid
-// (lexical + vector) queries, shared by DB.HybridSearch,
-// Snapshot.HybridSearch and the sharded router. The vector-leg knobs follow
-// normalizeSearchRequest's rules exactly; the lexical-leg knobs (TextCol,
-// FusionK, fusion weights) are canonicalized here so equal-by-behavior
-// requests produce identical cache fingerprints. Idempotent.
-func normalizeHybridRequest(req *HybridRequest, dim, rerankDefault int, quantized bool, ftsCols []string) error {
-	if req.K < 0 {
-		return badRequestf("K %d must not be negative", req.K)
+// normalizeSearchRequest validates and defaults a single-vector query
+// under the store configuration cfg, mutating req in place. Validation
+// failures return ErrBadRequest or ErrDimMismatch. Idempotent.
+func normalizeSearchRequest(req *SearchRequest, cfg ivf.Config) error {
+	if err := normalizeKnobs(&req.K, &req.NProbe, &req.RerankFactor, req.Exact, cfg); err != nil {
+		return err
 	}
-	if req.NProbe < 0 {
-		return badRequestf("NProbe %d must not be negative", req.NProbe)
+	if len(req.Vector) != cfg.Dim {
+		return fmt.Errorf("%w: query dimension %d, want %d", ErrDimMismatch, len(req.Vector), cfg.Dim)
 	}
-	if req.RerankFactor < 0 {
-		return badRequestf("RerankFactor %d must not be negative", req.RerankFactor)
+	return nil
+}
+
+// normalizeBatchSearchRequest is the batch analog of
+// normalizeSearchRequest.
+func normalizeBatchSearchRequest(req *BatchSearchRequest, cfg ivf.Config) error {
+	if err := normalizeKnobs(&req.K, &req.NProbe, &req.RerankFactor, false, cfg); err != nil {
+		return err
+	}
+	for i, q := range req.Vectors {
+		if len(q) != cfg.Dim {
+			return fmt.Errorf("%w: query %d: dimension %d, want %d", ErrDimMismatch, i, len(q), cfg.Dim)
+		}
+	}
+	return nil
+}
+
+// normalizeHybridRequest is the hybrid (lexical + vector) analog: the
+// vector-leg knobs follow normalizeSearchRequest's rules exactly, and the
+// lexical-leg knobs (TextCol, FusionK, fusion weights) are canonicalized
+// against ix's full-text columns so equal-by-behavior requests produce
+// identical cache fingerprints. Idempotent.
+func normalizeHybridRequest(req *HybridRequest, ix *ivf.Index) error {
+	cfg := ix.Config()
+	if err := normalizeKnobs(&req.K, &req.NProbe, &req.RerankFactor, req.Exact, cfg); err != nil {
+		return err
 	}
 	if req.FusionK < 0 {
 		return badRequestf("FusionK %d must not be negative", req.FusionK)
@@ -95,11 +112,8 @@ func normalizeHybridRequest(req *HybridRequest, dim, rerankDefault int, quantize
 	if req.VectorWeight < 0 || req.TextWeight < 0 {
 		return badRequestf("fusion weights must not be negative")
 	}
-	if len(req.Vector) != dim {
-		return fmt.Errorf("%w: query dimension %d, want %d", ErrDimMismatch, len(req.Vector), dim)
-	}
-	if req.K == 0 {
-		req.K = 10
+	if len(req.Vector) != cfg.Dim {
+		return fmt.Errorf("%w: query dimension %d, want %d", ErrDimMismatch, len(req.Vector), cfg.Dim)
 	}
 	if req.Text == "" {
 		// Pure vector query: zero every lexical knob so the request is
@@ -108,115 +122,28 @@ func normalizeHybridRequest(req *HybridRequest, dim, rerankDefault int, quantize
 		req.FusionK = 0
 		req.Weighted = false
 		req.VectorWeight, req.TextWeight = 0, 0
-	} else {
-		if req.TextCol == "" {
-			switch len(ftsCols) {
-			case 1:
-				req.TextCol = ftsCols[0]
-			case 0:
-				return badRequestf("hybrid text search requires a FullText attribute")
-			default:
-				return badRequestf("TextCol required: store has %d full-text attributes", len(ftsCols))
-			}
-		} else {
-			ok := false
-			for _, c := range ftsCols {
-				if c == req.TextCol {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return badRequestf("TextCol %q has no full-text index", req.TextCol)
-			}
-		}
-		if req.FusionK == 0 {
-			req.FusionK = defaultFusionK
-		}
-		if req.Weighted {
-			if req.VectorWeight == 0 && req.TextWeight == 0 {
-				req.VectorWeight, req.TextWeight = 0.5, 0.5
-			}
-		} else {
-			req.VectorWeight, req.TextWeight = 0, 0
-		}
-	}
-	if req.Exact {
-		req.NProbe = 0
-		req.RerankFactor = 0
 		return nil
 	}
-	if req.NProbe == 0 {
-		req.NProbe = 8
-	}
-	if !quantized {
-		req.RerankFactor = 0
-	} else if req.RerankFactor == 0 {
-		req.RerankFactor = rerankDefault
-	}
-	return nil
-}
-
-// normalizeBatchSearchRequest is the batch analog of
-// normalizeSearchRequest, applied by DB.BatchSearch, Snapshot.BatchSearch
-// and the sharded batch path.
-func normalizeBatchSearchRequest(req *BatchSearchRequest, dim, rerankDefault int, quantized bool) error {
-	if req.K < 0 {
-		return badRequestf("K %d must not be negative", req.K)
-	}
-	if req.NProbe < 0 {
-		return badRequestf("NProbe %d must not be negative", req.NProbe)
-	}
-	if req.RerankFactor < 0 {
-		return badRequestf("RerankFactor %d must not be negative", req.RerankFactor)
-	}
-	for i, q := range req.Vectors {
-		if len(q) != dim {
-			return fmt.Errorf("%w: query %d: dimension %d, want %d", ErrDimMismatch, i, len(q), dim)
+	if req.TextCol == "" {
+		ftsCols := ix.FullTextColumns()
+		switch len(ftsCols) {
+		case 1:
+			req.TextCol = ftsCols[0]
+		case 0:
+			return badRequestf("hybrid text search requires a FullText attribute")
+		default:
+			return badRequestf("TextCol required: store has %d full-text attributes", len(ftsCols))
 		}
+	} else if !slices.Contains(ix.FullTextColumns(), req.TextCol) {
+		return badRequestf("TextCol %q has no full-text index", req.TextCol)
 	}
-	if req.K == 0 {
-		req.K = 10
+	if req.FusionK == 0 {
+		req.FusionK = defaultFusionK
 	}
-	if req.NProbe == 0 {
-		req.NProbe = 8
-	}
-	if !quantized {
-		req.RerankFactor = 0
-	} else if req.RerankFactor == 0 {
-		req.RerankFactor = rerankDefault
+	if !req.Weighted {
+		req.VectorWeight, req.TextWeight = 0, 0
+	} else if req.VectorWeight == 0 && req.TextWeight == 0 {
+		req.VectorWeight, req.TextWeight = 0.5, 0.5
 	}
 	return nil
-}
-
-// normalizeSearch applies the shared normalization under this store's
-// configuration.
-func (db *DB) normalizeSearch(req *SearchRequest) error {
-	cfg := db.ix.Config()
-	return normalizeSearchRequest(req, cfg.Dim, cfg.RerankFactor, cfg.Quantization != QuantNone)
-}
-
-func (db *DB) normalizeBatchSearch(req *BatchSearchRequest) error {
-	cfg := db.ix.Config()
-	return normalizeBatchSearchRequest(req, cfg.Dim, cfg.RerankFactor, cfg.Quantization != QuantNone)
-}
-
-func (db *DB) normalizeHybrid(req *HybridRequest) error {
-	cfg := db.ix.Config()
-	return normalizeHybridRequest(req, cfg.Dim, cfg.RerankFactor, cfg.Quantization != QuantNone, db.ix.FullTextColumns())
-}
-
-// normalizeSearch applies the shared normalization under the shard set's
-// (identical) configuration — the same code path as a single store, so
-// sharded defaulting can never drift.
-func (s *ShardedDB) normalizeSearch(req *SearchRequest) error {
-	return s.shards[0].normalizeSearch(req)
-}
-
-func (s *ShardedDB) normalizeBatchSearch(req *BatchSearchRequest) error {
-	return s.shards[0].normalizeBatchSearch(req)
-}
-
-func (s *ShardedDB) normalizeHybrid(req *HybridRequest) error {
-	return s.shards[0].normalizeHybrid(req)
 }

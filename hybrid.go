@@ -174,88 +174,56 @@ func fuseHybrid(req HybridRequest, vec []Result, lex []ivf.LexicalDoc) []HybridR
 	return cands
 }
 
-// hybridAt runs the fused query at rt's snapshot (the uncached single-store
-// core): both legs read the same pinned state, so a concurrent writer can
-// never skew one leg against the other.
-func (db *DB) hybridAt(rt *storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
-	vecResp, err := db.searchAt(rt, req.vectorRequest())
-	if err != nil {
-		return nil, err
-	}
-	toks := token.Unique(req.Text)
-	gs, err := db.ix.LexicalStats(rt, req.TextCol, toks)
-	if err != nil {
-		return nil, err
-	}
-	lex, err := db.ix.LexicalSearch(rt, req.TextCol, req.Vector, toks, gs, req.K)
-	if err != nil {
-		return nil, err
-	}
-	return &HybridResponse{
-		Results: fuseHybrid(req, vecResp.Results, lex),
-		Plan:    vecResp.Plan,
-	}, nil
-}
-
 // HybridSearch runs a fused lexical + vector query (see the package doc's
-// "Hybrid search" section). With empty Text it is equivalent to Search.
-func (db *DB) HybridSearch(req HybridRequest) (*HybridResponse, error) {
-	if err := db.checkOpen(); err != nil {
+// "Hybrid search" section). With empty Text it is equivalent to Search. On
+// N > 1 shards both legs scatter and BM25 statistics are aggregated across
+// the shard set before any shard scores, so the lexical ranking — and
+// therefore the fused ranking — is identical to a single store holding the
+// same corpus.
+func (r *router) HybridSearch(req HybridRequest) (*HybridResponse, error) {
+	rts, err := r.pin()
+	if err != nil {
 		return nil, err
 	}
-	if err := db.normalizeHybrid(&req); err != nil {
+	defer closeReads(rts)
+	return r.hybridSearch(rts, true, req)
+}
+
+func (r *router) hybridSearch(rts []*storage.ReadTxn, live bool, req HybridRequest) (*HybridResponse, error) {
+	if err := normalizeHybridRequest(&req, r.shards[0].ix); err != nil {
 		return nil, err
 	}
-	db.hybridSearches.Add(1)
+	r.hybridSearches.Add(1)
 	if req.Text == "" {
-		resp, err := db.Search(req.vectorRequest())
+		resp, err := r.search(rts, live, req.vectorRequest())
 		if err != nil {
 			return nil, err
 		}
 		return hybridFromSearch(resp), nil
 	}
-	if db.cache == nil || req.NoCache {
-		var resp *HybridResponse
-		err := db.store.View(func(rt *storage.ReadTxn) error {
-			var herr error
-			resp, herr = db.hybridAt(rt, req)
-			return herr
-		})
-		return resp, err
-	}
-	return cachedQuery(db, db.hybridCacheKey(req), cloneHybridResponse, hybridResponseSize,
-		func(resp *HybridResponse) rescache.PutPolicy { return hybridPutPolicy(len(req.Filters), resp) },
-		func(rt *storage.ReadTxn) (*HybridResponse, error) { return db.hybridAt(rt, req) })
+	// Hybrid entries cache the fused response only: a stale entry
+	// recomputes both legs in full.
+	return query(r, rts, live, request[shardOut, *HybridResponse]{
+		key:     func() rescache.Key { return hybridKey(req) },
+		filters: len(req.Filters),
+		noCache: req.NoCache,
+		run: func([]*shardOut) ([]shardOut, *HybridResponse, error) {
+			resp, err := r.hybridCompute(rts, req)
+			return nil, resp, err
+		},
+	})
 }
 
-// HybridSearch runs the fused query against the pinned state (same
-// semantics as DB.HybridSearch, never cached — snapshots answer from their
-// own horizon).
-func (s *Snapshot) HybridSearch(req HybridRequest) (*HybridResponse, error) {
-	if err := s.db.normalizeHybrid(&req); err != nil {
-		return nil, err
-	}
-	s.db.hybridSearches.Add(1)
-	if req.Text == "" {
-		resp, err := s.db.searchAt(s.rt, req.vectorRequest())
-		if err != nil {
-			return nil, err
-		}
-		return hybridFromSearch(resp), nil
-	}
-	return s.db.hybridAt(s.rt, req)
-}
-
-// hybridCacheKey fingerprints the request in canonical form: the vector-leg
-// knobs canonicalize exactly like searchCacheKey, and the lexical/fusion
-// parameters join the fingerprint (rescache tokenizes Text, so queries
-// equal after tokenization share one entry).
-func (db *DB) hybridCacheKey(req HybridRequest) rescache.Key {
+// hybridKey fingerprints a normalized request in canonical form: the
+// vector-leg knobs canonicalize exactly like searchKey, and the
+// lexical/fusion parameters join the fingerprint (rescache tokenizes Text,
+// so queries equal after tokenization share one entry).
+func hybridKey(req HybridRequest) rescache.Key {
 	return rescache.KeyOf(rescache.Request{
 		Kind:         rescache.KindHybrid,
 		K:            req.K,
-		NProbe:       db.canonNProbe(req.NProbe, req.Exact),
-		RerankFactor: db.canonRerank(req.RerankFactor, req.Exact),
+		NProbe:       req.NProbe,
+		RerankFactor: req.RerankFactor,
 		Plan:         canonPlan(req.Plan, req.Filters),
 		Exact:        req.Exact,
 		Vectors:      [][]float32{req.Vector},
@@ -269,11 +237,11 @@ func (db *DB) hybridCacheKey(req HybridRequest) rescache.Key {
 	})
 }
 
-func cloneHybridResponse(r *HybridResponse) *HybridResponse {
+func (r *HybridResponse) clone() *HybridResponse {
 	return &HybridResponse{Results: append([]HybridResult(nil), r.Results...), Plan: r.Plan}
 }
 
-func hybridResponseSize(r *HybridResponse) int64 {
+func (r *HybridResponse) cacheSize() int64 {
 	n := int64(96)
 	for _, res := range r.Results {
 		n += 64 + int64(len(res.ID))
@@ -281,111 +249,7 @@ func hybridResponseSize(r *HybridResponse) int64 {
 	return n
 }
 
-// hybridPutPolicy classifies a hybrid response for cache admission (same
-// rules as plain searches).
-func hybridPutPolicy(nFilters int, resp *HybridResponse) rescache.PutPolicy {
-	return rescache.PutPolicy{
-		FilterHeavy: nFilters >= filterHeavyFilters,
-		Negative:    len(resp.Results) == 0,
-	}
-}
-
-// --- sharded ---
-
-// HybridSearch scatters both legs to every shard and fuses globally (same
-// semantics as DB.HybridSearch). BM25 statistics are aggregated across the
-// shard set before any shard scores, so the lexical ranking — and therefore
-// the fused ranking — is identical to a single store holding the same
-// corpus.
-func (s *ShardedDB) HybridSearch(req HybridRequest) (*HybridResponse, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := s.normalizeHybrid(&req); err != nil {
-		return nil, err
-	}
-	s.hybridSearches.Add(1)
-	if req.Text == "" {
-		resp, err := s.Search(req.vectorRequest())
-		if err != nil {
-			return nil, err
-		}
-		return hybridFromSearch(resp), nil
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	defer closeReads(rts)
-	if s.cache == nil || req.NoCache {
-		return s.hybridCompute(rts, req)
-	}
-	key := s.shards[0].hybridCacheKey(req)
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	if v, _, out := s.cache.Get(key, gens); out == rescache.Hit {
-		return cloneHybridResponse(v.(*HybridResponse)), nil
-	}
-	return cachedShardedQuery(s, key, gens, cloneHybridResponse, func() (*HybridResponse, []int64, error) {
-		return s.cachedHybridOn(rts, req, key, gens, false, true)
-	})
-}
-
-// hybridOn is the pinned-transaction entry point shared with
-// ShardedSnapshot.HybridSearch: consult the cache against the pinned
-// horizons (store=false — snapshot generations must not displace live
-// entries), recompute on miss.
-func (s *ShardedDB) hybridOn(rts []*storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
-	if err := s.normalizeHybrid(&req); err != nil {
-		return nil, err
-	}
-	if req.Text == "" {
-		resp, err := s.searchOn(rts, req.vectorRequest())
-		if err != nil {
-			return nil, err
-		}
-		return hybridFromSearch(resp), nil
-	}
-	if s.cache == nil || req.NoCache {
-		return s.hybridCompute(rts, req)
-	}
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := s.cachedHybridOn(rts, req, s.shards[0].hybridCacheKey(req), gens, true, false)
-	if err != nil {
-		return nil, err
-	}
-	return cloneHybridResponse(resp), nil
-}
-
-// cachedHybridOn validates, serves or recomputes a hybrid query at rts'
-// snapshots (the hybrid analog of cachedSearchOn). Hybrid entries cache the
-// merged response only — a stale entry recomputes both legs in full.
-func (s *ShardedDB) cachedHybridOn(rts []*storage.ReadTxn, req HybridRequest, key rescache.Key, gens []int64, counted, store bool) (*HybridResponse, []int64, error) {
-	var v any
-	var out rescache.Outcome
-	if counted {
-		v, _, out = s.cache.Get(key, gens)
-	} else {
-		v, _, out = s.cache.Lookup(key, gens)
-	}
-	if out == rescache.Hit {
-		return v.(*HybridResponse), gens, nil
-	}
-	resp, err := s.hybridCompute(rts, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store {
-		s.cache.PutWithPolicy(key, gens, resp, hybridResponseSize(resp),
-			hybridPutPolicy(len(req.Filters), resp))
-	}
-	return resp, gens, nil
-}
+func (r *HybridResponse) empty() bool { return len(r.Results) == 0 }
 
 // hybridCompute runs both legs across the shard set at the pinned
 // transactions. The lexical leg is two-phase: (1) every shard reports its
@@ -394,19 +258,19 @@ func (s *ShardedDB) cachedHybridOn(rts []*storage.ReadTxn, req HybridRequest, ke
 // global statistics and returns its top K, which the router merges. Phase 2
 // scoring with global figures is what makes per-shard scores — not just
 // ranks — comparable, so the merged ranking equals a single store's.
-func (s *ShardedDB) hybridCompute(rts []*storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
-	outs, err := s.searchScatter(rts, req.vectorRequest(), nil)
+func (r *router) hybridCompute(rts []*storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
+	outs, err := r.searchScatter(rts, req.vectorRequest(), nil)
 	if err != nil {
 		return nil, err
 	}
-	vecResp, err := s.searchMerge(rts, req.vectorRequest(), outs)
+	vecResp, err := r.searchMerge(rts, req.vectorRequest(), outs)
 	if err != nil {
 		return nil, err
 	}
 
 	toks := token.Unique(req.Text)
-	perStats := make([]fts.BM25Stats, len(s.shards))
-	err = s.scatter(func(i int, sh *DB) error {
+	perStats := make([]fts.BM25Stats, len(r.shards))
+	err = r.scatter(func(i int, sh *DB) error {
 		st, serr := sh.ix.LexicalStats(rts[i], req.TextCol, toks)
 		perStats[i] = st
 		return serr
@@ -419,8 +283,8 @@ func (s *ShardedDB) hybridCompute(rts []*storage.ReadTxn, req HybridRequest) (*H
 		global.Merge(st)
 	}
 
-	perLex := make([][]ivf.LexicalDoc, len(s.shards))
-	err = s.scatter(func(i int, sh *DB) error {
+	perLex := make([][]ivf.LexicalDoc, len(r.shards))
+	err = r.scatter(func(i int, sh *DB) error {
 		docs, serr := sh.ix.LexicalSearch(rts[i], req.TextCol, req.Vector, toks, global, req.K)
 		perLex[i] = docs
 		return serr
@@ -461,10 +325,4 @@ func sortLexical(docs []ivf.LexicalDoc) {
 		}
 		return docs[i].AssetID < docs[j].AssetID
 	})
-}
-
-// HybridSearch runs the fused query against the pinned shard snapshots.
-func (s *ShardedSnapshot) HybridSearch(req HybridRequest) (*HybridResponse, error) {
-	s.db.hybridSearches.Add(1)
-	return s.db.hybridOn(s.rts, req)
 }

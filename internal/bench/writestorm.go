@@ -612,7 +612,7 @@ func WriteStorm(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	pruneDB.SetZonePruning(false)
+	pruneDB.InternalIndex().SetZonePruning(false)
 	offIDs, err := pruneQueries()
 	if err != nil {
 		return err

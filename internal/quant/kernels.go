@@ -36,7 +36,8 @@ import (
 
 // Query is the per-query state for asymmetric distance computation against
 // quantized codes. Build one with Codebook.NewQuery and reuse it for a
-// whole scan.
+// whole scan. A Query is immutable after construction — every table is
+// built by NewQuery — so the scan workers of one search may share it.
 type Query struct {
 	metric vec.Metric
 
@@ -64,9 +65,8 @@ type Query struct {
 	normLut []float32
 
 	// sq8LUT is the SQ8 L2 scan table — dim rows of 256 entries where
-	// sq8LUT[d*256+c] = c*(quad[d]*c - lin[d]) — built lazily by the first
-	// large DistancesMany call, where its O(dim*256) construction cost
-	// amortizes across the scan.
+	// sq8LUT[d*256+c] = c*(quad[d]*c - lin[d]), built by NewQuery.
+	// DistancesMany reads it for large scans.
 	sq8LUT []float32
 }
 
@@ -113,6 +113,16 @@ func (cb *Codebook) NewQuery(metric vec.Metric, q []float32) *Query {
 	}
 	if qq.sq4 {
 		qq.buildLUTs(dim)
+	} else if metric == vec.L2 {
+		qq.sq8LUT = make([]float32, dim*256)
+		for d := 0; d < dim; d++ {
+			l, q := qq.lin[d], qq.quad[d]
+			row := qq.sq8LUT[d*256 : (d+1)*256]
+			for c := 0; c < 256; c++ {
+				x := float32(c)
+				row[c] = x * (q*x - l)
+			}
+		}
 	}
 	return qq
 }
@@ -209,22 +219,11 @@ func (qq *Query) finishCosine(dot, nv2 float32) float32 {
 func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 	cs := qq.codeSize
 	if qq.metric == vec.L2 && !qq.sq4 {
-		// Above this row count the one-time O(dim*256) table build beats
-		// re-evaluating the polynomial per byte; small scans stay on the
-		// blocked polynomial kernel.
+		// From this row count one table load per byte beats re-evaluating
+		// the polynomial; small scans stay on the blocked polynomial
+		// kernel.
 		const lutThreshold = 32
-		if qq.sq8LUT == nil && n >= lutThreshold {
-			qq.sq8LUT = make([]float32, cs*256)
-			for d := 0; d < cs; d++ {
-				l, q := qq.lin[d], qq.quad[d]
-				row := qq.sq8LUT[d*256 : (d+1)*256]
-				for c := 0; c < 256; c++ {
-					x := float32(c)
-					row[c] = x * (q*x - l)
-				}
-			}
-		}
-		if qq.sq8LUT != nil {
+		if n >= lutThreshold {
 			// Rows are independent, so interleaving two per pass doubles
 			// the in-flight table loads and hides their latency (the
 			// dim*256 table outgrows L1 at typical dims).

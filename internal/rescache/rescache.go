@@ -379,7 +379,7 @@ func (c *Cache) Stats() Stats {
 // newer generation (e.g. its own committed write) must not serve it
 // blindly. Callers receiving shared=true therefore re-validate the
 // value's recorded generations against their own and recompute on
-// mismatch; the micronn layer encodes that protocol in cachedQuery. For
+// mismatch; the micronn layer encodes that protocol in query. For
 // the same reason, snapshot reads pinned to an older horizon never join a
 // flight at all and rely on generation validation alone.
 func (c *Cache) Do(key Key, compute func() (any, error)) (val any, shared bool, err error) {

@@ -46,9 +46,9 @@
 // Every actionable failure wraps one of four sentinels — ErrNotFound,
 // ErrClosed, ErrDimMismatch, ErrBadRequest — so callers branch with
 // errors.Is rather than matching message text. Request validation runs
-// through one shared normalization path for every entry point (DB,
-// Snapshot, ShardedDB, cached or not), so defaulting of K, NProbe and
-// RerankFactor cannot drift between them.
+// through the one query pipeline every entry point shares (DB, ShardedDB,
+// Snapshot, cached or not), so defaulting of K, NProbe and RerankFactor
+// cannot drift between them.
 //
 // # Maintenance
 //
@@ -134,11 +134,14 @@
 // filter order, duplicates, NaN payloads and signed zeros cannot split
 // semantically equal queries), concurrent identical misses are deduplicated
 // by a singleflight so the scan runs once, and memory is bounded by
-// ResultCacheOptions.MaxEntries and MaxBytes (LRU eviction). On a sharded
-// database validation is per shard: a query whose generations all match is
-// answered without touching any shard, and when only some shards changed,
-// the cached per-shard candidates are reused and only the changed shards
-// are re-scanned. SearchRequest.NoCache bypasses the cache per query;
+// ResultCacheOptions.MaxEntries and MaxBytes (LRU eviction). One cache
+// protocol serves every query kind and topology, with validation per
+// shard: a query whose generations all match is answered without touching
+// any shard, and on a sharded database, when only some shards changed, the
+// cached per-shard candidates are reused and only the changed shards are
+// re-scanned. Snapshots consult the cache at their pinned generations but
+// never store into it, so an old horizon cannot displace entries live
+// traffic needs. SearchRequest.NoCache bypasses the cache per query;
 // Stats.Cache reports hits, misses, invalidations and bytes; DropCaches
 // clears cached results along with the other caches. The cache is
 // process-local and never persisted, so crash recovery cannot resurrect a
@@ -150,14 +153,21 @@
 // stores under one directory — each shard has its own page file, WAL, IVF
 // index, SQ8 codebook and background maintainer, and a manifest pins the
 // shard count and hash seed so every reopen routes identically (topology
-// mismatches fail fast). Point operations touch exactly one shard; Search
-// and BatchSearch scatter to every shard in parallel, spread the NProbe
-// budget over the shard set, and merge the per-shard candidates — on a
-// quantized database the pooled top RerankFactor*K candidates are reranked
-// exactly on their owning shards, so recall matches a single store. Stats,
-// Maintain and Snapshot aggregate across shards; Close drains every
-// shard's maintainer. Batched writes commit one transaction per shard
-// (atomic per shard, not across shards).
+// mismatches fail fast). Point operations touch exactly one shard.
+//
+// Every query kind is written once, as a router pipeline over N >= 1
+// shards: normalize the request, fingerprint it for the cache, execute per
+// shard, merge. DB is the one-shard case — the scatter runs inline, ivf
+// returns final exact results and the merge has nothing to rerank — and a
+// Snapshot pins one read transaction per shard, so single-store, sharded
+// and snapshot reads share one code path. On N > 1 shards Search and
+// BatchSearch scatter to every shard in parallel, spread the NProbe budget
+// over the shard set, and merge the per-shard candidates — on a quantized
+// database the pooled top RerankFactor*K candidates are reranked exactly
+// on their owning shards, so recall matches a single store. Stats and
+// Maintain aggregate across shards; Close drains every shard's maintainer.
+// Batched writes commit one transaction per shard (atomic per shard, not
+// across shards).
 //
 //	sdb, err := micronn.OpenSharded("photos.d", micronn.Options{Dim: 128, Shards: 4})
 //
@@ -205,9 +215,7 @@
 // entirely, and the tombstone set is loaded only when a scanned run
 // carries deletes, bounded to the scanned runs' vid range. Blooms have no
 // false negatives, so pruned results are byte-identical to unpruned ones
-// (Options.DisableZonePruning and DB.SetZonePruning exist for A/B
-// verification; Stats.Ingest.ZonePruneChecks/ZonePrunedRuns count the
-// effect).
+// (Stats.Ingest.ZonePruneChecks/ZonePrunedRuns count the effect).
 //
 // Flush backpressure bounds the unmerged total — past
 // Options.MaxUnmergedItems the committer kicks a background compaction,
@@ -265,7 +273,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"micronn/internal/btree"
@@ -521,12 +528,6 @@ type Options struct {
 	// the merge; 1 restores the PR 8 one-run-per-step policy (the
 	// write-amplification control arm in the benches).
 	MaxCompactRuns int
-	// DisableZonePruning turns off per-run zone/Bloom pruning at search
-	// time: every search then scans every live run and loads the full
-	// tombstone set, exactly as before zone metadata existed. Pruning
-	// never changes results (Blooms have no false negatives), so this
-	// exists for A/B benches and the byte-identical property tests.
-	DisableZonePruning bool
 	// Seed makes index construction deterministic.
 	Seed int64
 	// Shards is the shard count for OpenSharded (create time only): items
@@ -580,36 +581,18 @@ func (o ResultCacheOptions) resolve() *rescache.Cache {
 // for cache admission (see ResultCacheOptions.AdmissionTTL).
 const filterHeavyFilters = 2
 
-// searchPutPolicy classifies a search response for cache admission.
-func searchPutPolicy(nFilters int, resp *SearchResponse) rescache.PutPolicy {
-	return rescache.PutPolicy{
-		FilterHeavy: nFilters >= filterHeavyFilters,
-		Negative:    len(resp.Results) == 0,
-	}
-}
-
-// batchPutPolicy classifies a batch response: negative only when every
-// query came back empty (batches carry no filters, so never filter-heavy).
-func batchPutPolicy(resp *BatchSearchResponse) rescache.PutPolicy {
-	for _, rs := range resp.Results {
-		if len(rs) > 0 {
-			return rescache.PutPolicy{}
-		}
-	}
-	return rescache.PutPolicy{Negative: true}
-}
-
 // DB is an embedded MicroNN database. All methods are safe for concurrent
 // use: reads run against consistent snapshots, writes are serialized.
+// Queries, snapshots and Get come from the embedded router, of which a DB
+// is the one-shard case.
 type DB struct {
+	// router lists this DB as its only shard and holds the result cache
+	// (nil when disabled), the closed flag and the HybridSearch counter.
+	router
 	store *storage.Store
 	rdb   *reldb.DB
 	ix    *ivf.Index
 	opts  Options
-
-	// closed flips once at Close; public methods fail with ErrClosed
-	// afterwards instead of touching a closed store.
-	closed atomic.Bool
 
 	// opMu fences Close against multi-transaction operations. Maintain
 	// holds the read side for a pass (re-checking closed between steps, so
@@ -619,12 +602,6 @@ type DB struct {
 	// split, which spans a read and a write transaction the storage layer
 	// cannot fence as one unit — always completes against a live store.
 	opMu sync.RWMutex
-
-	// cache is the generation-versioned result cache (nil when disabled).
-	cache *rescache.Cache
-
-	// hybridSearches counts HybridSearch calls (surfaced via Stats).
-	hybridSearches atomic.Uint64
 
 	// ing is the LSM ingest committer (nil unless Options.LSMIngest).
 	ing *ingester
@@ -759,8 +736,9 @@ func Open(path string, opts Options) (*DB, error) {
 	if opts.FlushThreshold == 0 {
 		opts.FlushThreshold = ix.Config().TargetPartitionSize
 	}
-	ix.SetZonePruning(!opts.DisableZonePruning)
-	db := &DB{store: store, rdb: rdb, ix: ix, opts: opts, cache: opts.ResultCache.resolve()}
+	db := &DB{store: store, rdb: rdb, ix: ix, opts: opts}
+	db.shards = []*DB{db}
+	db.cache = opts.ResultCache.resolve()
 	if opts.LSMIngest {
 		db.ing = newIngester(db)
 		go db.ing.run()
@@ -799,14 +777,6 @@ func (db *DB) Close() error {
 	return db.store.Close()
 }
 
-// checkOpen guards public entry points against use after Close.
-func (db *DB) checkOpen() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
-
 // stopMaintainer stops the background maintainer and waits for its current
 // pass to finish. Idempotent; a no-op when AutoMaintain is off.
 func (db *DB) stopMaintainer() {
@@ -839,9 +809,6 @@ func (db *DB) maintainLoop(interval time.Duration) {
 		}
 	}
 }
-
-// Dim returns the configured vector dimensionality.
-func (db *DB) Dim() int { return db.ix.Config().Dim }
 
 // Upsert inserts or replaces one item (keyed by Item.ID).
 func (db *DB) Upsert(item Item) error {
@@ -911,23 +878,9 @@ func (db *DB) DeleteBatch(ids []string) error {
 	})
 }
 
-// Get returns the stored item.
-func (db *DB) Get(id string) (*Item, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	var item *Item
-	err := db.store.View(func(rt *storage.ReadTxn) error {
-		var err error
-		item, err = getItem(db.ix, rt, id)
-		return err
-	})
-	return item, err
-}
-
 // getItem fetches one item at txn's snapshot, translating the index's
-// not-found error and converting attributes — shared by DB.Get,
-// Snapshot.Get and ShardedSnapshot.Get.
+// not-found error and converting attributes — shared by Get and
+// Snapshot.Get.
 func getItem(ix *ivf.Index, txn btree.ReadTxn, id string) (*Item, error) {
 	v, attrs, err := ix.GetVector(txn, id)
 	if errors.Is(err, ivf.ErrNotFound) {
@@ -993,30 +946,6 @@ func valueToAny(v reldb.Value) any {
 		return v.Bts
 	default:
 		return nil
-	}
-}
-
-// Checkpoint folds the write-ahead log into the main file (also done
-// automatically as the WAL grows and at Close).
-func (db *DB) Checkpoint() error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	err := db.store.Checkpoint()
-	if errors.Is(err, storage.ErrBusy) {
-		return nil // readers pinned; the next opportunity will fold it
-	}
-	return err
-}
-
-// DropCaches empties the buffer pool, the in-memory centroid cache and the
-// query result cache, simulating a cold start (used by benchmarks — a cold
-// run must pay the scan, not replay a cached response).
-func (db *DB) DropCaches() {
-	db.store.DropCaches()
-	db.ix.DropCaches()
-	if db.cache != nil {
-		db.cache.Clear()
 	}
 }
 
@@ -1127,179 +1056,24 @@ type SearchResponse struct {
 	Plan    PlanInfo
 }
 
-// searchAt runs the query at rt's snapshot (the uncached core).
-func (db *DB) searchAt(rt *storage.ReadTxn, req SearchRequest) (*SearchResponse, error) {
-	res, info, err := db.ix.Search(rt, req.Vector, ivf.SearchOptions{
-		K: req.K, NProbe: req.NProbe, Filters: req.Filters,
-		Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
-	})
-	if err != nil {
-		if errors.Is(err, ivf.ErrDimMismatch) {
-			return nil, fmt.Errorf("%w: %v", ErrDimMismatch, err)
-		}
-		return nil, err
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ID: r.AssetID, Distance: r.Distance}
-	}
-	return &SearchResponse{Results: out, Plan: *info}, nil
-}
-
-// Search runs a K-nearest-neighbour query. With the result cache enabled a
-// repeat of a semantically identical query is served from the cache as
-// long as the store's data generation has not moved — the response is then
-// byte-identical to re-running the search.
-func (db *DB) Search(req SearchRequest) (*SearchResponse, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := db.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	if db.cache == nil || req.NoCache {
-		var resp *SearchResponse
-		err := db.store.View(func(rt *storage.ReadTxn) error {
-			var serr error
-			resp, serr = db.searchAt(rt, req)
-			return serr
-		})
-		return resp, err
-	}
-	return cachedQuery(db, db.searchCacheKey(req), cloneSearchResponse, searchResponseSize,
-		func(resp *SearchResponse) rescache.PutPolicy { return searchPutPolicy(len(req.Filters), resp) },
-		func(rt *storage.ReadTxn) (*SearchResponse, error) { return db.searchAt(rt, req) })
-}
-
-// flightResult carries a singleflight computation's response together with
-// the generations its snapshot observed, so joiners can revalidate.
-type flightResult[T any] struct {
-	resp T
-	gens []int64
-}
-
-// cachedQuery runs the cached-query protocol for a single-store query:
-//
-//  1. Fast path: a counted lookup at a fresh snapshot's generation serves
-//     a valid entry without entering the flight (concurrent hits never
-//     serialize).
-//  2. Miss or stale: concurrent identical computations coalesce in a
-//     singleflight. The leader re-validates at its own snapshot (another
-//     flight may have just filled the entry), computes, and stores the
-//     response stamped with the generation it was computed at — never a
-//     newer counter.
-//  3. A caller that merely JOINED a flight re-validates the shared result:
-//     the flight's snapshot may predate the caller's (the caller could
-//     already have observed a later write, e.g. its own), so the shared
-//     response is served only when its generations equal the ones the
-//     caller read itself; otherwise the caller recomputes at a fresh
-//     snapshot. This preserves read-your-writes under coalescing.
-//
-// run executes the query at a pinned snapshot; clone copies the shared
-// cached value before handing it to the caller; size feeds the byte
-// budget.
-func cachedQuery[T any](db *DB, key rescache.Key, clone func(T) T, size func(T) int64, pol func(T) rescache.PutPolicy, run func(*storage.ReadTxn) (T, error)) (T, error) {
-	var zero T
-	readGen := func() ([]int64, error) {
-		rt, err := db.store.BeginRead()
-		if err != nil {
-			return nil, err
-		}
-		defer rt.Close()
-		gen, err := db.ix.DataGeneration(rt)
-		if err != nil {
-			return nil, err
-		}
-		return []int64{gen}, nil
-	}
-	compute := func() (T, []int64, error) {
-		rt, err := db.store.BeginRead()
-		if err != nil {
-			return zero, nil, err
-		}
-		defer rt.Close()
-		gen, err := db.ix.DataGeneration(rt)
-		if err != nil {
-			return zero, nil, err
-		}
-		gens := []int64{gen}
-		if v, _, out := db.cache.Lookup(key, gens); out == rescache.Hit {
-			return v.(T), gens, nil
-		}
-		resp, err := run(rt)
-		if err != nil {
-			return zero, nil, err
-		}
-		db.cache.PutWithPolicy(key, gens, resp, size(resp), pol(resp))
-		return resp, gens, nil
-	}
-
-	gens, err := readGen()
-	if err != nil {
-		return zero, err
-	}
-	if v, _, out := db.cache.Get(key, gens); out == rescache.Hit {
-		return clone(v.(T)), nil
-	}
-	v, shared, err := db.cache.Do(key, func() (any, error) {
-		resp, fgens, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return flightResult[T]{resp: resp, gens: fgens}, nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	fr := v.(flightResult[T])
-	if shared && !rescache.GensEqual(fr.gens, gens) {
-		resp, _, err := compute()
-		if err != nil {
-			return zero, err
-		}
-		return clone(resp), nil
-	}
-	return clone(fr.resp), nil
-}
-
-// searchCacheKey fingerprints req in canonical form. Database-insensitive
-// knobs are normalized here so equal-by-behavior requests collide: the
-// engine's K/NProbe defaults are applied, NProbe and RerankFactor are
-// zeroed under Exact (the exhaustive path reads neither), RerankFactor is
-// zeroed on unquantized stores (it is ignored there) and resolved to the
-// configured default on quantized ones, and the plan override is zeroed
-// for filterless queries (there is no pre/post choice without filters).
-func (db *DB) searchCacheKey(req SearchRequest) rescache.Key {
+// searchKey fingerprints a normalized request in canonical form. The
+// normalization already applied the K/NProbe defaults, zeroed NProbe and
+// RerankFactor under Exact (the exhaustive path reads neither) and
+// RerankFactor on unquantized stores (it is ignored there), and resolved
+// RerankFactor to the configured default on quantized ones; the plan
+// override is zeroed here for filterless queries (there is no pre/post
+// choice without filters). Equal-by-behavior requests therefore collide.
+func searchKey(req SearchRequest) rescache.Key {
 	return rescache.KeyOf(rescache.Request{
 		Kind:         rescache.KindSearch,
 		K:            req.K,
-		NProbe:       db.canonNProbe(req.NProbe, req.Exact),
-		RerankFactor: db.canonRerank(req.RerankFactor, req.Exact),
+		NProbe:       req.NProbe,
+		RerankFactor: req.RerankFactor,
 		Plan:         canonPlan(req.Plan, req.Filters),
 		Exact:        req.Exact,
 		Vectors:      [][]float32{req.Vector},
 		Filters:      req.Filters,
 	})
-}
-
-func (db *DB) canonNProbe(nprobe int, exact bool) int {
-	if exact {
-		return 0
-	}
-	if nprobe <= 0 {
-		return 8
-	}
-	return nprobe
-}
-
-func (db *DB) canonRerank(rr int, exact bool) int {
-	if exact || db.ix.Config().Quantization == QuantNone {
-		return 0
-	}
-	if rr <= 0 {
-		return db.ix.Config().RerankFactor
-	}
-	return rr
 }
 
 func canonPlan(p PlanType, filters []Filter) int {
@@ -1309,23 +1083,11 @@ func canonPlan(p PlanType, filters []Filter) int {
 	return int(p)
 }
 
-// cloneSearchResponse copies a cached response before handing it to a
-// caller: cached values are shared, and callers own what they receive.
-func cloneSearchResponse(r *SearchResponse) *SearchResponse {
+func (r *SearchResponse) clone() *SearchResponse {
 	return &SearchResponse{Results: append([]Result(nil), r.Results...), Plan: r.Plan}
 }
 
-func cloneBatchSearchResponse(r *BatchSearchResponse) *BatchSearchResponse {
-	out := &BatchSearchResponse{Results: make([][]Result, len(r.Results)), Info: r.Info}
-	for i, rs := range r.Results {
-		out.Results[i] = append([]Result(nil), rs...)
-	}
-	return out
-}
-
-// searchResponseSize estimates a response's memory footprint for the
-// cache's byte budget.
-func searchResponseSize(r *SearchResponse) int64 {
+func (r *SearchResponse) cacheSize() int64 {
 	n := int64(96)
 	for _, res := range r.Results {
 		n += 24 + int64(len(res.ID))
@@ -1333,16 +1095,7 @@ func searchResponseSize(r *SearchResponse) int64 {
 	return n
 }
 
-func batchSearchResponseSize(r *BatchSearchResponse) int64 {
-	n := int64(96)
-	for _, rs := range r.Results {
-		n += 24
-		for _, res := range rs {
-			n += 24 + int64(len(res.ID))
-		}
-	}
-	return n
-}
+func (r *SearchResponse) empty() bool { return len(r.Results) == 0 }
 
 // BatchSearchRequest parameterizes BatchSearch.
 type BatchSearchRequest struct {
@@ -1369,70 +1122,45 @@ type BatchSearchResponse struct {
 	Info    BatchInfo
 }
 
-// batchSearchAt runs the batch at rt's snapshot (the uncached core).
-func (db *DB) batchSearchAt(rt *storage.ReadTxn, queries *vec.Matrix, req BatchSearchRequest) (*BatchSearchResponse, error) {
-	res, info, err := db.ix.BatchSearch(rt, queries, ivf.BatchOptions{K: req.K, NProbe: req.NProbe, RerankFactor: req.RerankFactor})
-	if err != nil {
-		if errors.Is(err, ivf.ErrDimMismatch) {
-			return nil, fmt.Errorf("%w: %v", ErrDimMismatch, err)
-		}
-		return nil, err
-	}
-	out := make([][]Result, len(res))
-	for qi, rs := range res {
-		out[qi] = make([]Result, len(rs))
-		for i, r := range rs {
-			out[qi][i] = Result{ID: r.AssetID, Distance: r.Distance}
-		}
-	}
-	return &BatchSearchResponse{Results: out, Info: *info}, nil
-}
-
-// BatchSearch executes many queries with multi-query optimization: each
-// needed IVF partition is scanned once and shared across all queries that
-// probe it, which cuts amortized per-query latency substantially for large
-// batches (paper §3.4). With the result cache enabled, a repeated
-// identical batch (same vectors in the same order) is served whole from
-// the cache while the data generation holds.
-func (db *DB) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := db.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	if len(req.Vectors) == 0 {
-		return &BatchSearchResponse{}, nil
-	}
-	dim := db.ix.Config().Dim
-	queries := vec.NewMatrix(len(req.Vectors), dim)
-	for i, q := range req.Vectors {
-		queries.SetRow(i, q)
-	}
-	if db.cache == nil || req.NoCache {
-		var resp *BatchSearchResponse
-		err := db.store.View(func(rt *storage.ReadTxn) error {
-			var berr error
-			resp, berr = db.batchSearchAt(rt, queries, req)
-			return berr
-		})
-		return resp, err
-	}
-	return cachedQuery(db, db.batchCacheKey(req), cloneBatchSearchResponse, batchSearchResponseSize,
-		batchPutPolicy,
-		func(rt *storage.ReadTxn) (*BatchSearchResponse, error) { return db.batchSearchAt(rt, queries, req) })
-}
-
-// batchCacheKey fingerprints a batch request (vector order preserved —
-// results are positional).
-func (db *DB) batchCacheKey(req BatchSearchRequest) rescache.Key {
+// batchKey fingerprints a normalized batch request (vector order
+// preserved — results are positional).
+func batchKey(req BatchSearchRequest) rescache.Key {
 	return rescache.KeyOf(rescache.Request{
 		Kind:         rescache.KindBatch,
 		K:            req.K,
-		NProbe:       db.canonNProbe(req.NProbe, false),
-		RerankFactor: db.canonRerank(req.RerankFactor, false),
+		NProbe:       req.NProbe,
+		RerankFactor: req.RerankFactor,
 		Vectors:      req.Vectors,
 	})
+}
+
+func (r *BatchSearchResponse) clone() *BatchSearchResponse {
+	out := &BatchSearchResponse{Results: make([][]Result, len(r.Results)), Info: r.Info}
+	for i, rs := range r.Results {
+		out.Results[i] = append([]Result(nil), rs...)
+	}
+	return out
+}
+
+func (r *BatchSearchResponse) cacheSize() int64 {
+	n := int64(96)
+	for _, rs := range r.Results {
+		n += 24
+		for _, res := range rs {
+			n += 24 + int64(len(res.ID))
+		}
+	}
+	return n
+}
+
+// empty reports a negative batch: every query came back empty.
+func (r *BatchSearchResponse) empty() bool {
+	for _, rs := range r.Results {
+		if len(rs) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // --- maintenance ---
@@ -1773,24 +1501,6 @@ func (db *DB) compactTwoPhase(runIDs []int64) (*ivf.MaintenanceStats, error) {
 	return ms, err
 }
 
-// SetZonePruning toggles per-run zone/Bloom pruning at search time (on by
-// default unless Options.DisableZonePruning was set). Pruning never changes
-// results — Blooms have no false negatives — so this is an A/B switch for
-// benches and correctness tests, safe to flip on a live database.
-func (db *DB) SetZonePruning(enabled bool) {
-	db.ix.SetZonePruning(enabled)
-}
-
-// Analyze refreshes the attribute statistics used by the hybrid optimizer.
-func (db *DB) Analyze() error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	return db.store.Update(func(wt *storage.WriteTxn) error {
-		return db.ix.AnalyzeAttributes(wt)
-	})
-}
-
 // --- stats ---
 
 // Stats reports database and index health.
@@ -1918,9 +1628,29 @@ func cacheStatsOf(c *rescache.Cache) CacheStats {
 	}
 }
 
-// ResultCacheStats returns the result cache counters (zeros when the cache
-// is disabled).
-func (db *DB) ResultCacheStats() CacheStats { return cacheStatsOf(db.cache) }
+// indexStats reads the index-derived statistics at rt's snapshot — the one
+// source for DB.Stats and Snapshot.Stats.
+func indexStats(ix *ivf.Index, rt *storage.ReadTxn) (Stats, error) {
+	var out Stats
+	st, err := ix.Stats(rt)
+	if err != nil {
+		return out, err
+	}
+	out.NumVectors = st.NumVectors
+	out.DeltaCount = st.DeltaCount
+	out.NumPartitions = st.NumPartitions
+	out.AvgPartitionSize = st.AvgPartitionSize
+	out.Ingest.RunCount = st.RunCount
+	out.Ingest.RunRows = st.RunRows
+	out.Ingest.TombstoneRows = st.DeadRows
+	out.Ingest.UnmergedItems = st.DeltaCount + st.RunRows
+	out.SmallestPartition, out.LargestPartition, err = ix.PartitionSizeBounds(rt)
+	if err != nil {
+		return out, err
+	}
+	out.NeedsRebuild, err = ix.NeedsRebuild(rt)
+	return out, err
+}
 
 // Stats returns a consistent snapshot of operational statistics.
 func (db *DB) Stats() (Stats, error) {
@@ -1929,23 +1659,8 @@ func (db *DB) Stats() (Stats, error) {
 		return out, err
 	}
 	err := db.store.View(func(rt *storage.ReadTxn) error {
-		st, err := db.ix.Stats(rt)
-		if err != nil {
-			return err
-		}
-		out.NumVectors = st.NumVectors
-		out.DeltaCount = st.DeltaCount
-		out.NumPartitions = st.NumPartitions
-		out.AvgPartitionSize = st.AvgPartitionSize
-		out.Ingest.RunCount = st.RunCount
-		out.Ingest.RunRows = st.RunRows
-		out.Ingest.TombstoneRows = st.DeadRows
-		out.Ingest.UnmergedItems = st.DeltaCount + st.RunRows
-		out.SmallestPartition, out.LargestPartition, err = db.ix.PartitionSizeBounds(rt)
-		if err != nil {
-			return err
-		}
-		out.NeedsRebuild, err = db.ix.NeedsRebuild(rt)
+		var err error
+		out, err = indexStats(db.ix, rt)
 		return err
 	})
 	if err != nil {

@@ -476,64 +476,79 @@ func TestShardedCachePartialReuse(t *testing.T) {
 // TestShardedSnapshotDoesNotPolluteCache: a long-lived snapshot pinned to
 // an old horizon may read through the cache but must never store entries —
 // an entry stamped with old generations would displace the entry live
-// traffic still needs.
+// traffic still needs. Runs on a single store and on a sharded one.
 func TestShardedSnapshotDoesNotPolluteCache(t *testing.T) {
 	dim := shardTestDim
-	sdb := openShardedTest(t, filepath.Join(t.TempDir(), "snappollute.d"), Options{
-		Dim: dim, Shards: 2, TargetPartitionSize: 24, Seed: 13,
+	opts := Options{
+		Dim: dim, TargetPartitionSize: 24, Seed: 13,
 		ResultCache: ResultCacheOptions{Enabled: true},
-	})
+	}
 	vecs := clusteredVecs(21, 150, dim, 4)
 	items := make([]Item, 150)
 	for i := range items {
 		items[i] = Item{ID: fmt.Sprintf("s%04d", i), Vector: vecs[i]}
 	}
-	if err := sdb.UpsertBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sdb.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pin an old horizon, then advance the live database.
-	snap, err := sdb.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	if err := sdb.Upsert(Item{ID: "newer", Vector: vecs[1]}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Live search caches an entry at the current generations.
 	q := clusteredVecs(22, 1, dim, 4)[0]
 	req := SearchRequest{Vector: q, K: 10, NProbe: 8}
-	if _, err := sdb.Search(req); err != nil {
-		t.Fatal(err)
-	}
-	// The old-horizon snapshot runs the same query: it must compute (its
-	// generations don't match the entry) without overwriting the entry.
-	snapResp, err := snap.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The live repeat must still be a full hit on the live entry.
-	hitsBefore := sdb.ResultCacheStats().Hits
-	liveResp, err := sdb.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := sdb.ResultCacheStats(); cs.Hits != hitsBefore+1 {
-		t.Fatalf("live repeat after snapshot search did not hit (snapshot polluted the cache): %+v", cs)
-	}
-	// And the snapshot's answer reflects its own horizon, not the cache's:
-	// "newer" was upserted after the snapshot was pinned.
-	for _, r := range snapResp.Results {
-		if r.ID == "newer" {
-			t.Fatal("snapshot search observed a post-snapshot write")
+
+	// A single DB is the router's one-shard case: the contract is the same.
+	check := func(t *testing.T, sdb interface {
+		Store
+		ResultCacheStats() CacheStats
+	}) {
+		if err := sdb.UpsertBatch(items); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := sdb.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Pin an old horizon, then advance the live database.
+		snap, err := sdb.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		if err := sdb.Upsert(Item{ID: "newer", Vector: vecs[1]}); err != nil {
+			t.Fatal(err)
+		}
+
+		// Live search caches an entry at the current generations.
+		if _, err := sdb.Search(req); err != nil {
+			t.Fatal(err)
+		}
+		// The old-horizon snapshot runs the same query: it must compute (its
+		// generations don't match the entry) without overwriting the entry.
+		snapResp, err := snap.Search(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The live repeat must still be a full hit on the live entry.
+		hitsBefore := sdb.ResultCacheStats().Hits
+		liveResp, err := sdb.Search(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs := sdb.ResultCacheStats(); cs.Hits != hitsBefore+1 {
+			t.Fatalf("live repeat after snapshot search did not hit (snapshot polluted the cache): %+v", cs)
+		}
+		// And the snapshot's answer reflects its own horizon, not the cache's:
+		// "newer" was upserted after the snapshot was pinned.
+		for _, r := range snapResp.Results {
+			if r.ID == "newer" {
+				t.Fatal("snapshot search observed a post-snapshot write")
+			}
+		}
+		_ = liveResp
 	}
-	_ = liveResp
+	t.Run("single", func(t *testing.T) {
+		check(t, openTest(t, opts))
+	})
+	t.Run("shards2", func(t *testing.T) {
+		o := opts
+		o.Shards = 2
+		check(t, openShardedTest(t, filepath.Join(t.TempDir(), "snappollute.d"), o))
+	})
 }
 
 // TestDropCachesClearsResultCache is the regression test for the

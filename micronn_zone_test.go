@@ -19,7 +19,6 @@ type zoneStore interface {
 	Get(string) (*Item, error)
 	Search(SearchRequest) (*SearchResponse, error)
 	Rebuild() (*MaintenanceReport, error)
-	SetZonePruning(bool)
 	Stats() (Stats, error)
 	Close() error
 }
@@ -194,13 +193,19 @@ func TestZonePruningEquivalence(t *testing.T) {
 					return resps, items, errs
 				}
 
-				db.SetZonePruning(true)
+				// Pruning is switched per shard at the ivf level.
+				setPruning := func(on bool) {
+					for _, sh := range perShard {
+						sh.InternalIndex().SetZonePruning(on)
+					}
+				}
+				setPruning(true)
 				onResps, onItems, onErrs := run()
 				stOn, err := db.Stats()
 				if err != nil {
 					t.Fatal(err)
 				}
-				db.SetZonePruning(false)
+				setPruning(false)
 				offResps, offItems, offErrs := run()
 
 				for i := range queries {

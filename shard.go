@@ -16,10 +16,11 @@ import (
 	"micronn/internal/vec"
 )
 
-// Store is the method set shared by DB and ShardedDB — everything except
-// the snapshot constructors, whose concrete snapshot types differ. Code
-// that should run identically against a single store and a sharded one
-// (the CLI, benchmarks, examples) programs against this interface.
+// Store is the method set shared by DB and ShardedDB. Both embed the same
+// query router (a DB is its one-shard case), so queries, snapshots and the
+// result cache behave identically on either; code that should run against
+// a single store and a sharded one alike (the CLI, benchmarks, examples)
+// programs against this interface.
 type Store interface {
 	Close() error
 	Dim() int
@@ -31,6 +32,7 @@ type Store interface {
 	Search(SearchRequest) (*SearchResponse, error)
 	HybridSearch(HybridRequest) (*HybridResponse, error)
 	BatchSearch(BatchSearchRequest) (*BatchSearchResponse, error)
+	Snapshot() (*Snapshot, error)
 	Rebuild() (*MaintenanceReport, error)
 	FlushDelta() (*MaintenanceReport, error)
 	Maintain() (*MaintenanceReport, error)
@@ -45,6 +47,734 @@ var (
 	_ Store = (*DB)(nil)
 	_ Store = (*ShardedDB)(nil)
 )
+
+// router is the query front end that DB and ShardedDB share: each query
+// kind is written once, as a pipeline over the router's N >= 1 shards —
+// normalize, cache key, per-shard execute, merge — behind one result-cache
+// protocol (query). A DB is the one-shard case: its router lists the DB
+// itself, the scatter runs inline without goroutines, ivf returns final
+// exact results (no CandidatesOnly), so the merge has nothing to rerank
+// and a single store does the same index work per query as a direct ivf
+// call. Both types embed a router, which supplies their query
+// methods, Snapshot, Get, and the whole-set operations that do not differ
+// between them.
+type router struct {
+	shards []*DB
+	// seed is the id hash seed (the manifest's on a sharded database).
+	seed uint64
+
+	// cache is the result cache (nil when disabled). One cache serves the
+	// whole router; entries record one data generation per shard, and on
+	// N > 1 shards the per-shard candidate sets too, so a lookup whose
+	// generations partially match reuses the unchanged shards' candidates
+	// and re-scans only the shards that moved.
+	cache *rescache.Cache
+
+	// closed flips once at Close; public methods fail with ErrClosed
+	// afterwards instead of touching a closed store.
+	closed atomic.Bool
+
+	// hybridSearches counts HybridSearch calls through this router (shards
+	// under a sharded router are never bumped, so sums do not double-count).
+	hybridSearches atomic.Uint64
+}
+
+// checkOpen guards public entry points against use after Close.
+func (r *router) checkOpen() error {
+	if r.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
+// Dim returns the configured vector dimensionality.
+func (r *router) Dim() int { return r.shards[0].ix.Config().Dim }
+
+// shardOf routes an id to its shard (see shardIndex).
+func (r *router) shardOf(id string) int {
+	return shardIndex(r.seed, id, len(r.shards))
+}
+
+// scatter runs fn once per shard — concurrently on N > 1 shards, inline on
+// one — and returns the first error.
+func (r *router) scatter(fn func(i int, sh *DB) error) error {
+	return r.scatterCancel(func(i int, sh *DB, _ <-chan struct{}) error { return fn(i, sh) })
+}
+
+// scatterCancel is scatter for the search paths: the first shard to fail
+// closes the shared cancel channel, so still-running sibling scans abandon
+// their remaining partitions instead of completing work whose result the
+// gather will discard. fn forwards cancel into its scan's SearchOptions/
+// BatchOptions; a sibling reaped this way reports ivf.ErrCanceled, which
+// is an echo of the original failure, never the returned error. A single
+// shard has no siblings: it runs inline with a nil channel.
+func (r *router) scatterCancel(fn func(i int, sh *DB, cancel <-chan struct{}) error) error {
+	if len(r.shards) == 1 {
+		return fn(0, r.shards[0], nil)
+	}
+	cancel := make(chan struct{})
+	var once sync.Once
+	errs := make([]error, len(r.shards))
+	var wg sync.WaitGroup
+	for i, sh := range r.shards {
+		wg.Add(1)
+		go func(i int, sh *DB) {
+			defer wg.Done()
+			err := fn(i, sh, cancel)
+			errs[i] = err
+			if err != nil && !errors.Is(err, ivf.ErrCanceled) {
+				once.Do(func() { close(cancel) })
+			}
+		}(i, sh)
+	}
+	wg.Wait()
+	var echo error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, ivf.ErrCanceled) {
+			return err
+		}
+		echo = err
+	}
+	return echo
+}
+
+// pin opens one read transaction per shard for a live query. Each pins its
+// own shard's commit horizon; see ShardedDB for the cross-shard contract.
+func (r *router) pin() ([]*storage.ReadTxn, error) {
+	if err := r.checkOpen(); err != nil {
+		return nil, err
+	}
+	rts := make([]*storage.ReadTxn, len(r.shards))
+	for i, sh := range r.shards {
+		rt, err := sh.store.BeginRead()
+		if err != nil {
+			closeReads(rts[:i])
+			return nil, err
+		}
+		rts[i] = rt
+	}
+	return rts, nil
+}
+
+func closeReads(rts []*storage.ReadTxn) {
+	for _, rt := range rts {
+		if rt != nil {
+			rt.Close()
+		}
+	}
+}
+
+// readGens reads each shard's data generation at its pinned snapshot.
+func (r *router) readGens(rts []*storage.ReadTxn) ([]int64, error) {
+	gens := make([]int64, len(r.shards))
+	for i, sh := range r.shards {
+		g, err := sh.ix.DataGeneration(rts[i])
+		if err != nil {
+			return nil, err
+		}
+		gens[i] = g
+	}
+	return gens, nil
+}
+
+// --- the result-cache protocol ---
+
+// response is what the cache protocol needs from a query kind's response.
+type response[R any] interface {
+	// clone copies a shared cached response before it is handed out:
+	// cached values are shared, and callers own what they receive.
+	clone() R
+	// cacheSize estimates the footprint for the cache's byte budget.
+	cacheSize() int64
+	// empty reports a negative response, cached past the doorkeeper.
+	empty() bool
+}
+
+// shardOutput is one shard's pre-merge contribution to a query.
+type shardOutput interface{ cacheSize() int64 }
+
+// request is one query's pass through the cache protocol.
+type request[O shardOutput, R response[R]] struct {
+	// key fingerprints the normalized request (computed only when the
+	// cache is consulted).
+	key func() rescache.Key
+	// filters is the request's filter count, for the admission policy.
+	filters int
+	noCache bool
+	// run scatters and merges at the pinned transactions. reuse, when
+	// non-nil, supplies cached outputs for shards whose data generation
+	// has not moved; those shards are not scanned. Kinds without reusable
+	// per-shard outputs return nil outs.
+	run func(reuse []*O) (outs []O, resp R, err error)
+}
+
+// cacheEntry is one cached response plus, on N > 1 shards, the per-shard
+// outputs it was merged from, for partial reuse. A single shard can never
+// be partially reused, so its entries hold the response alone.
+type cacheEntry[O, R any] struct {
+	outs []O
+	resp R
+}
+
+// flightResult carries a singleflight computation's response together with
+// the generations its snapshot observed, so joiners can revalidate.
+type flightResult[R any] struct {
+	resp R
+	gens []int64
+}
+
+// query runs q through the result-cache protocol at the pinned per-shard
+// transactions rts. A live query (live = true):
+//
+//  1. Fast path: a counted lookup at rts' generations serves a valid entry
+//     without entering the flight, so concurrent hits never serialize.
+//  2. Miss or stale: concurrent identical queries coalesce in a
+//     singleflight. The leader looks up again (another flight may have
+//     just filled the entry), reuses a stale entry's unchanged shards,
+//     computes, and stores the response stamped with the generations it
+//     was computed at — never a newer counter.
+//  3. A caller that merely JOINED a flight serves the shared response only
+//     when its generations equal the ones the caller read itself, and
+//     otherwise recomputes at its own transactions: a flight started
+//     before this caller's write committed must not answer for it
+//     (read-your-writes under coalescing).
+//
+// A pinned snapshot (live = false) consults the cache at its own
+// generations — a hit or partial reuse is exact there too — but never
+// stores: an entry stamped with an old horizon would displace entries the
+// live traffic still needs.
+func query[O shardOutput, R response[R]](r *router, rts []*storage.ReadTxn, live bool, q request[O, R]) (R, error) {
+	var zero R
+	if r.cache == nil || q.noCache {
+		_, resp, err := q.run(nil)
+		return resp, err
+	}
+	gens, err := r.readGens(rts)
+	if err != nil {
+		return zero, err
+	}
+	key := q.key()
+	// resolve serves a looked-up entry or computes (and, live, stores) the
+	// response; it returns the shared value, which callers clone.
+	resolve := func(v any, stored []int64, out rescache.Outcome) (R, error) {
+		if out == rescache.Hit {
+			return v.(*cacheEntry[O, R]).resp, nil
+		}
+		var reuse []*O
+		if out == rescache.Stale {
+			reuse = reusableOuts(v.(*cacheEntry[O, R]).outs, stored, gens, r.cache)
+		}
+		outs, resp, err := q.run(reuse)
+		if err != nil || !live {
+			return resp, err
+		}
+		e := &cacheEntry[O, R]{resp: resp}
+		size := resp.cacheSize()
+		if len(r.shards) > 1 {
+			e.outs = outs
+			for _, o := range outs {
+				size += o.cacheSize()
+			}
+		}
+		r.cache.PutWithPolicy(key, gens, e, size, rescache.PutPolicy{
+			FilterHeavy: q.filters >= filterHeavyFilters,
+			Negative:    resp.empty(),
+		})
+		return resp, nil
+	}
+	if v, stored, out := r.cache.Get(key, gens); out == rescache.Hit || !live {
+		resp, err := resolve(v, stored, out)
+		if err != nil {
+			return zero, err
+		}
+		return resp.clone(), nil
+	}
+	lead := func() (R, error) { return resolve(r.cache.Lookup(key, gens)) }
+	v, shared, err := r.cache.Do(key, func() (any, error) {
+		resp, err := lead()
+		if err != nil {
+			return nil, err
+		}
+		return flightResult[R]{resp: resp, gens: gens}, nil
+	})
+	if err != nil {
+		return zero, err
+	}
+	fr := v.(flightResult[R])
+	if shared && !rescache.GensEqual(fr.gens, gens) {
+		if fr.resp, err = lead(); err != nil {
+			return zero, err
+		}
+	}
+	return fr.resp.clone(), nil
+}
+
+// reusableOuts maps a stale entry's per-shard outputs onto the current
+// generations: position i is reusable iff shard i's generation did not
+// move. Returns nil when nothing is reusable (or the shapes disagree, e.g.
+// a single-shard entry, which keeps no outputs).
+func reusableOuts[T any](outs []T, stored, gens []int64, c *rescache.Cache) []*T {
+	if len(stored) != len(gens) || len(outs) != len(gens) {
+		return nil
+	}
+	reuse := make([]*T, len(gens))
+	skipped := 0
+	for i := range gens {
+		if stored[i] == gens[i] {
+			reuse[i] = &outs[i]
+			skipped++
+		}
+	}
+	if skipped == 0 {
+		return nil
+	}
+	c.NoteSkipped(skipped)
+	return reuse
+}
+
+// ResultCacheStats returns the result cache counters (zeros when the cache
+// is disabled).
+func (r *router) ResultCacheStats() CacheStats { return cacheStatsOf(r.cache) }
+
+// --- search and batch search ---
+
+// shardCand tags a per-shard candidate with its source shard: vector ids
+// are only unique within a shard, so the merge orders ties by (distance,
+// shard, vid) to stay deterministic.
+type shardCand struct {
+	topk.Result
+	shard int
+}
+
+func sortShardCands(cs []shardCand) {
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].Distance != cs[j].Distance {
+			return cs[i].Distance < cs[j].Distance
+		}
+		if cs[i].shard != cs[j].shard {
+			return cs[i].shard < cs[j].shard
+		}
+		return cs[i].VectorID < cs[j].VectorID
+	})
+}
+
+// perShardProbe spreads the query's probe budget across the shards: each
+// shard holds ~1/N of the data in proportionally fewer partitions, so
+// probing ceil(NProbe/N) per shard scans about the same number of vectors
+// as a single store probing NProbe.
+func (r *router) perShardProbe(nprobe int) int {
+	return (nprobe + len(r.shards) - 1) / len(r.shards)
+}
+
+// Search runs a K-nearest-neighbour query. On N > 1 shards it scatters to
+// every shard in parallel and merges the per-shard candidates; on a
+// quantized database the pooled top RerankFactor*K are reranked exactly on
+// their owning shards before the final top-K cut. With the result cache
+// enabled a repeat of a semantically identical query is served from the
+// cache while the data generations hold — the response is then
+// byte-identical to re-running the search — and a repeat where only some
+// shards changed re-scans just those shards.
+func (r *router) Search(req SearchRequest) (*SearchResponse, error) {
+	rts, err := r.pin()
+	if err != nil {
+		return nil, err
+	}
+	defer closeReads(rts)
+	return r.search(rts, true, req)
+}
+
+func (r *router) search(rts []*storage.ReadTxn, live bool, req SearchRequest) (*SearchResponse, error) {
+	if err := normalizeSearchRequest(&req, r.shards[0].ix.Config()); err != nil {
+		return nil, err
+	}
+	return query(r, rts, live, request[shardOut, *SearchResponse]{
+		key:     func() rescache.Key { return searchKey(req) },
+		filters: len(req.Filters),
+		noCache: req.NoCache,
+		run: func(reuse []*shardOut) ([]shardOut, *SearchResponse, error) {
+			outs, err := r.searchScatter(rts, req, reuse)
+			if err != nil {
+				return nil, nil, err
+			}
+			resp, err := r.searchMerge(rts, req, outs)
+			return outs, resp, err
+		},
+	})
+}
+
+// shardOut is one shard's scan contribution to a search: the (possibly
+// approximate) candidate set and its execution info, immutable once
+// produced.
+type shardOut struct {
+	res  []topk.Result
+	info *ivf.PlanInfo
+}
+
+func (o shardOut) cacheSize() int64 { return 96 + candsSize(o.res) }
+
+// candsSize estimates the footprint of one candidate slice.
+func candsSize(rs []topk.Result) int64 {
+	n := int64(24)
+	for _, r := range rs {
+		n += 40 + int64(len(r.AssetID))
+	}
+	return n
+}
+
+// searchScatter runs the per-shard scans, reusing cached outputs where
+// reuse supplies them.
+func (r *router) searchScatter(rts []*storage.ReadTxn, req SearchRequest, reuse []*shardOut) ([]shardOut, error) {
+	sopts := ivf.SearchOptions{
+		K: req.K, NProbe: r.perShardProbe(req.NProbe), Filters: req.Filters,
+		Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
+		CandidatesOnly: len(r.shards) > 1,
+	}
+	outs := make([]shardOut, len(r.shards))
+	err := r.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
+		if reuse != nil && reuse[i] != nil {
+			outs[i] = *reuse[i]
+			return nil
+		}
+		so := sopts
+		so.Cancel = cancel
+		res, info, err := sh.ix.Search(rts[i], req.Vector, so)
+		if err != nil {
+			return err
+		}
+		outs[i] = shardOut{res: res, info: info}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// searchMerge pools the per-shard candidates into the final response. It
+// never mutates outs — cached candidate sets flow through here on every
+// partial reuse.
+func (r *router) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []shardOut) (*SearchResponse, error) {
+	// Gather: shards on exact paths (float32 scans, pre-filter plans,
+	// Exact queries) contribute final results directly; shards that
+	// returned approximate candidates feed the global rerank pool.
+	var exact, approx []shardCand
+	agg := *outs[0].info
+	agg.CandidatesApprox = false
+	for i, o := range outs {
+		if i > 0 {
+			agg.PartitionsScanned += o.info.PartitionsScanned
+			agg.VectorsScanned += o.info.VectorsScanned
+			agg.RowsFiltered += o.info.RowsFiltered
+			agg.BytesScanned += o.info.BytesScanned
+			agg.Reranked += o.info.Reranked
+		}
+		for _, res := range o.res {
+			if o.info.CandidatesApprox {
+				approx = append(approx, shardCand{Result: res, shard: i})
+			} else {
+				exact = append(exact, shardCand{Result: res, shard: i})
+			}
+		}
+	}
+
+	if len(approx) > 0 {
+		// Pool the approximate candidates, cut to the single-store rerank
+		// budget, and rerank each survivor on the shard whose raw store
+		// holds its exact vector.
+		sortShardCands(approx)
+		if budget := req.K * max(req.RerankFactor, 1); len(approx) > budget {
+			approx = approx[:budget]
+		}
+		groups := make([][]topk.Result, len(r.shards))
+		for _, c := range approx {
+			groups[c.shard] = append(groups[c.shard], c.Result)
+		}
+		reranked := make([][]topk.Result, len(r.shards))
+		var mu sync.Mutex
+		err := r.scatter(func(i int, sh *DB) error {
+			if len(groups[i]) == 0 {
+				return nil
+			}
+			res, rb, err := sh.ix.RerankCandidates(rts[i], req.Vector, groups[i], len(groups[i]))
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			agg.Reranked += len(groups[i])
+			agg.BytesScanned += rb
+			mu.Unlock()
+			reranked[i] = res
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, res := range reranked {
+			for _, c := range res {
+				exact = append(exact, shardCand{Result: c, shard: i})
+			}
+		}
+	}
+
+	sortShardCands(exact)
+	if len(exact) > req.K {
+		exact = exact[:req.K]
+	}
+	out := make([]Result, len(exact))
+	for i, c := range exact {
+		out[i] = Result{ID: c.AssetID, Distance: c.Distance}
+	}
+	return &SearchResponse{Results: out, Plan: agg}, nil
+}
+
+// BatchSearch executes many queries with multi-query optimization: each
+// needed IVF partition is scanned once and shared across all queries that
+// probe it, which cuts amortized per-query latency substantially for large
+// batches (paper §3.4). On N > 1 shards every shard runs the whole batch,
+// so the sharing is preserved within each shard, and the per-query
+// candidates merge exactly as in Search. Caching follows Search too: a
+// repeated identical batch (same vectors in the same order) is served
+// whole while the data generations hold.
+func (r *router) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
+	rts, err := r.pin()
+	if err != nil {
+		return nil, err
+	}
+	defer closeReads(rts)
+	return r.batchSearch(rts, true, req)
+}
+
+func (r *router) batchSearch(rts []*storage.ReadTxn, live bool, req BatchSearchRequest) (*BatchSearchResponse, error) {
+	cfg := r.shards[0].ix.Config()
+	if err := normalizeBatchSearchRequest(&req, cfg); err != nil {
+		return nil, err
+	}
+	if len(req.Vectors) == 0 {
+		return &BatchSearchResponse{}, nil
+	}
+	queries := vec.NewMatrix(len(req.Vectors), cfg.Dim)
+	for i, q := range req.Vectors {
+		queries.SetRow(i, q)
+	}
+	return query(r, rts, live, request[batchShardOut, *BatchSearchResponse]{
+		key:     func() rescache.Key { return batchKey(req) },
+		noCache: req.NoCache,
+		run: func(reuse []*batchShardOut) ([]batchShardOut, *BatchSearchResponse, error) {
+			outs, err := r.batchScatter(rts, req, queries, reuse)
+			if err != nil {
+				return nil, nil, err
+			}
+			resp, err := r.batchMerge(rts, req, queries, outs)
+			return outs, resp, err
+		},
+	})
+}
+
+// batchShardOut is one shard's contribution to a batch: per-query
+// candidate sets plus execution info, immutable once produced.
+type batchShardOut struct {
+	res  [][]topk.Result
+	info *ivf.BatchInfo
+}
+
+func (o batchShardOut) cacheSize() int64 {
+	n := int64(96)
+	for _, rs := range o.res {
+		n += candsSize(rs)
+	}
+	return n
+}
+
+// batchScatter runs the per-shard batch scans, reusing cached outputs for
+// shards whose generation has not moved.
+func (r *router) batchScatter(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, reuse []*batchShardOut) ([]batchShardOut, error) {
+	bopts := ivf.BatchOptions{
+		K: req.K, NProbe: r.perShardProbe(req.NProbe),
+		RerankFactor: req.RerankFactor, CandidatesOnly: len(r.shards) > 1,
+	}
+	outs := make([]batchShardOut, len(r.shards))
+	err := r.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
+		if reuse != nil && reuse[i] != nil {
+			outs[i] = *reuse[i]
+			return nil
+		}
+		bo := bopts
+		bo.Cancel = cancel
+		res, info, err := sh.ix.BatchSearch(rts[i], queries, bo)
+		if err != nil {
+			return err
+		}
+		outs[i] = batchShardOut{res: res, info: info}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// batchMerge pools the per-shard per-query candidates into the final
+// response; it never mutates outs.
+func (r *router) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, outs []batchShardOut) (*BatchSearchResponse, error) {
+	nq := queries.Rows
+	agg := *outs[0].info
+	agg.CandidatesApprox = false
+	for _, o := range outs[1:] {
+		agg.PartitionScans += o.info.PartitionScans
+		agg.QueryPartitionPairs += o.info.QueryPartitionPairs
+		agg.VectorsScanned += o.info.VectorsScanned
+		agg.DistancePairs += o.info.DistancePairs
+		agg.BytesScanned += o.info.BytesScanned
+		agg.Reranked += o.info.Reranked
+	}
+	// Gather per query, separating shards that returned final exact results
+	// from shards that returned approximate SQ8 candidates (same contract
+	// as searchMerge: only approximate candidates owe a rerank). Approximate
+	// pools are cut to the single-store rerank budget before grouping back
+	// onto their owning shards. groups[shard][query] keeps order intact.
+	merged := make([][]shardCand, nq)
+	groups := make([]map[int][]topk.Result, len(r.shards))
+	for i := range groups {
+		groups[i] = make(map[int][]topk.Result)
+	}
+	anyApprox := false
+	for qi := 0; qi < nq; qi++ {
+		var exact, approx []shardCand
+		for i, o := range outs {
+			for _, res := range o.res[qi] {
+				c := shardCand{Result: res, shard: i}
+				if o.info.CandidatesApprox {
+					approx = append(approx, c)
+				} else {
+					exact = append(exact, c)
+				}
+			}
+		}
+		merged[qi] = exact
+		if len(approx) > 0 {
+			anyApprox = true
+			sortShardCands(approx)
+			if budget := req.K * max(req.RerankFactor, 1); len(approx) > budget {
+				approx = approx[:budget]
+			}
+			for _, c := range approx {
+				groups[c.shard][qi] = append(groups[c.shard][qi], c.Result)
+			}
+		}
+	}
+
+	if anyApprox {
+		reranked := make([]map[int][]topk.Result, len(r.shards))
+		var mu sync.Mutex
+		err := r.scatter(func(i int, sh *DB) error {
+			if len(groups[i]) == 0 {
+				return nil
+			}
+			out := make(map[int][]topk.Result, len(groups[i]))
+			var rerankedN, bytesRead int64
+			for qi, cands := range groups[i] {
+				res, rb, err := sh.ix.RerankCandidates(rts[i], queries.Row(qi), cands, len(cands))
+				if err != nil {
+					return err
+				}
+				rerankedN += int64(len(cands))
+				bytesRead += rb
+				out[qi] = res
+			}
+			mu.Lock()
+			agg.Reranked += rerankedN
+			agg.BytesScanned += bytesRead
+			mu.Unlock()
+			reranked[i] = out
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for qi := 0; qi < nq; qi++ {
+			for i, byQuery := range reranked {
+				if byQuery == nil {
+					continue
+				}
+				for _, res := range byQuery[qi] {
+					merged[qi] = append(merged[qi], shardCand{Result: res, shard: i})
+				}
+			}
+		}
+	}
+
+	out := make([][]Result, nq)
+	for qi, pool := range merged {
+		sortShardCands(pool)
+		if len(pool) > req.K {
+			pool = pool[:req.K]
+		}
+		out[qi] = make([]Result, len(pool))
+		for i, c := range pool {
+			out[qi][i] = Result{ID: c.AssetID, Distance: c.Distance}
+		}
+	}
+	return &BatchSearchResponse{Results: out, Info: agg}, nil
+}
+
+// Get returns the stored item from its hash-designated shard.
+func (r *router) Get(id string) (*Item, error) {
+	if err := r.checkOpen(); err != nil {
+		return nil, err
+	}
+	sh := r.shards[r.shardOf(id)]
+	var item *Item
+	err := sh.store.View(func(rt *storage.ReadTxn) error {
+		var err error
+		item, err = getItem(sh.ix, rt, id)
+		return err
+	})
+	return item, err
+}
+
+// Analyze refreshes every shard's attribute statistics, used by the hybrid
+// optimizer.
+func (r *router) Analyze() error {
+	if err := r.checkOpen(); err != nil {
+		return err
+	}
+	return r.scatter(func(_ int, sh *DB) error {
+		return sh.store.Update(func(wt *storage.WriteTxn) error {
+			return sh.ix.AnalyzeAttributes(wt)
+		})
+	})
+}
+
+// Checkpoint folds every shard's write-ahead log into its main file (also
+// done automatically as the WAL grows and at Close).
+func (r *router) Checkpoint() error {
+	if err := r.checkOpen(); err != nil {
+		return err
+	}
+	return r.scatter(func(_ int, sh *DB) error {
+		if err := sh.store.Checkpoint(); !errors.Is(err, storage.ErrBusy) {
+			return err
+		}
+		return nil // readers pinned; the next opportunity will fold it
+	})
+}
+
+// DropCaches empties the result cache and every shard's buffer pool and
+// in-memory centroid cache, simulating a cold start (used by benchmarks —
+// a cold run must pay the scan, not replay a cached response).
+func (r *router) DropCaches() {
+	if r.cache != nil {
+		r.cache.Clear()
+	}
+	_ = r.scatter(func(_ int, sh *DB) error { // cannot fail
+		sh.store.DropCaches()
+		sh.ix.DropCaches()
+		return nil
+	})
+}
 
 // ShardedDB is a MicroNN database hash-partitioned across N fully
 // independent stores. Each shard is a complete single-store database — its
@@ -64,31 +794,21 @@ var (
 // owning shards — recall therefore matches the single-store rerank contract
 // rather than compounding per-shard approximations.
 //
+// Queries run through the same router pipeline as a single DB (a DB is its
+// one-shard case), so caching and snapshot semantics are identical.
+//
 // Cross-shard guarantees are deliberately weaker than within a shard:
 // UpsertBatch/DeleteBatch commit one transaction per shard (atomic per
 // shard, not across shards), and a Snapshot pins each shard's own commit
 // horizon (consistent per shard, concurrent cross-shard writes may straddle
 // the horizons). All methods are safe for concurrent use.
 type ShardedDB struct {
+	// router serves the queries, with one result cache whose entries
+	// validate per shard, and counts router-level HybridSearch calls
+	// (Stats overlays them on the aggregated shard stats).
+	router
 	dir      string
 	manifest storage.Manifest
-	shards   []*DB
-
-	// closed flips once in Close; every later operation observes it and
-	// returns ErrClosed (the same contract as DB.closed).
-	closed atomic.Bool
-
-	// cache is the router-level result cache (nil when disabled). One
-	// cache serves the whole database; entries record one data generation
-	// per shard plus the per-shard candidate sets, so a lookup whose
-	// generations partially match can reuse the unchanged shards'
-	// candidates and re-scan only the shards that moved.
-	cache *rescache.Cache
-
-	// hybridSearches counts router-level HybridSearch calls; ShardedDB.Stats
-	// overlays it on the aggregated shard stats (shards are not bumped, so
-	// the total is not double-counted).
-	hybridSearches atomic.Uint64
 }
 
 // OpenSharded opens or creates a sharded database in dir. On creation
@@ -176,7 +896,10 @@ func OpenSharded(dir string, opts Options) (*ShardedDB, error) {
 		}
 	}
 
-	sdb := &ShardedDB{dir: dir, manifest: m, shards: make([]*DB, m.Shards), cache: opts.ResultCache.resolve()}
+	sdb := &ShardedDB{dir: dir, manifest: m}
+	sdb.shards = make([]*DB, m.Shards)
+	sdb.seed = m.HashSeed
+	sdb.cache = opts.ResultCache.resolve()
 	for i := range sdb.shards {
 		db, err := Open(storage.ShardDBPath(dir, i), shOpts)
 		if err != nil {
@@ -231,10 +954,6 @@ func shardIndex(seed uint64, id string, n int) int {
 	return int(h % uint64(n))
 }
 
-func (s *ShardedDB) shardOf(id string) int {
-	return shardIndex(s.manifest.HashSeed, id, len(s.shards))
-}
-
 // Shards returns the shard count.
 func (s *ShardedDB) Shards() int { return len(s.shards) }
 
@@ -244,9 +963,6 @@ func (s *ShardedDB) Shard(i int) *DB { return s.shards[i] }
 
 // Manifest returns the pinned topology.
 func (s *ShardedDB) Manifest() storage.Manifest { return s.manifest }
-
-// Dim returns the configured vector dimensionality.
-func (s *ShardedDB) Dim() int { return s.shards[0].Dim() }
 
 // Close drains every shard's background maintainer in parallel, then
 // checkpoints and closes each shard. All shards are closed even if some
@@ -268,70 +984,6 @@ func (s *ShardedDB) Close() error {
 	return errors.Join(errs...)
 }
 
-// checkOpen returns ErrClosed once Close has been called.
-func (s *ShardedDB) checkOpen() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
-
-// scatter runs fn once per shard concurrently and returns the first error.
-func (s *ShardedDB) scatter(fn func(i int, sh *DB) error) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DB) {
-			defer wg.Done()
-			errs[i] = fn(i, sh)
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterCancel is scatter for the search paths: the first shard to fail
-// closes the shared cancel channel, so still-running sibling scans abandon
-// their remaining partitions instead of completing work whose result the
-// gather will discard. fn forwards cancel into its scan's SearchOptions/
-// BatchOptions; a sibling reaped this way reports ivf.ErrCanceled, which
-// is an echo of the original failure, never the returned error.
-func (s *ShardedDB) scatterCancel(fn func(i int, sh *DB, cancel <-chan struct{}) error) error {
-	cancel := make(chan struct{})
-	var once sync.Once
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DB) {
-			defer wg.Done()
-			err := fn(i, sh, cancel)
-			errs[i] = err
-			if err != nil && !errors.Is(err, ivf.ErrCanceled) {
-				once.Do(func() { close(cancel) })
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-	var echo error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ivf.ErrCanceled) {
-			return err
-		}
-		echo = err
-	}
-	return echo
-}
-
 // --- point operations: route by hash ---
 
 // Upsert inserts or replaces one item on its hash-designated shard.
@@ -343,9 +995,6 @@ func (s *ShardedDB) Upsert(item Item) error {
 // shard, in parallel. Atomicity is per shard: a failure on one shard does
 // not roll back sub-batches already committed on others.
 func (s *ShardedDB) UpsertBatch(items []Item) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].UpsertBatch(items)
-	}
 	groups := make([][]Item, len(s.shards))
 	for _, item := range items {
 		i := s.shardOf(item.ID)
@@ -367,9 +1016,6 @@ func (s *ShardedDB) Delete(id string) error {
 // DeleteBatch groups ids by shard and commits one transaction per shard, in
 // parallel; absent ids are ignored. Atomicity is per shard.
 func (s *ShardedDB) DeleteBatch(ids []string) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].DeleteBatch(ids)
-	}
 	groups := make([][]string, len(s.shards))
 	for _, id := range ids {
 		i := s.shardOf(id)
@@ -382,673 +1028,6 @@ func (s *ShardedDB) DeleteBatch(ids []string) error {
 		return sh.DeleteBatch(groups[i])
 	})
 }
-
-// Get returns the stored item from its hash-designated shard.
-func (s *ShardedDB) Get(id string) (*Item, error) {
-	return s.shards[s.shardOf(id)].Get(id)
-}
-
-// --- scatter-gather search ---
-
-// shardCand tags a per-shard candidate with its source shard: vector ids
-// are only unique within a shard, so the merge orders ties by (distance,
-// shard, vid) to stay deterministic.
-type shardCand struct {
-	topk.Result
-	shard int
-}
-
-func sortShardCands(cs []shardCand) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Distance != cs[j].Distance {
-			return cs[i].Distance < cs[j].Distance
-		}
-		if cs[i].shard != cs[j].shard {
-			return cs[i].shard < cs[j].shard
-		}
-		return cs[i].VectorID < cs[j].VectorID
-	})
-}
-
-// perShardProbe spreads the query's probe budget across the shards: each
-// shard holds ~1/N of the data in proportionally fewer partitions, so
-// probing ceil(NProbe/N) per shard scans about the same number of vectors
-// as a single store probing NProbe.
-func (s *ShardedDB) perShardProbe(nprobe int) int {
-	if nprobe <= 0 {
-		nprobe = 8
-	}
-	per := (nprobe + len(s.shards) - 1) / len(s.shards)
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// rerankBudget resolves the global rerank multiplier times K.
-func (s *ShardedDB) rerankBudget(k, override int) int {
-	rr := override
-	if rr <= 0 {
-		rr = s.shards[0].ix.Config().RerankFactor
-	}
-	if rr < 1 {
-		rr = 1
-	}
-	return k * rr
-}
-
-// Search scatters the query to every shard in parallel and merges the
-// per-shard results (same semantics as DB.Search). On a quantized database
-// the shards return approximate candidates; the pooled top RerankFactor*K
-// are reranked exactly on their owning shards before the final top-K cut.
-// With the result cache enabled, a repeat whose per-shard data generations
-// all still match is served without touching any shard, and a repeat where
-// only some shards changed re-scans just those shards, merging their fresh
-// candidates with the cached ones.
-func (s *ShardedDB) Search(req SearchRequest) (*SearchResponse, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := s.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	defer closeReads(rts)
-	if s.cache == nil || req.NoCache {
-		return s.searchOn(rts, req)
-	}
-	key := s.shards[0].searchCacheKey(req)
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path: a fully valid entry serves without entering the flight.
-	if v, _, out := s.cache.Get(key, gens); out == rescache.Hit {
-		return cloneSearchResponse(v.(*shardSearchEntry).resp), nil
-	}
-	// Miss or stale: concurrent identical live queries coalesce into one
-	// scatter; a joiner revalidates the shared result against its own
-	// pinned generations (read-your-writes — see cachedShardedQuery).
-	return cachedShardedQuery(s, key, gens, cloneSearchResponse, func() (*SearchResponse, []int64, error) {
-		return s.cachedSearchOn(rts, req, key, gens, false, true)
-	})
-}
-
-// cachedShardedQuery is the singleflight half of the sharded cached-query
-// protocol (the counterpart of the single-store cachedQuery, for callers
-// that hold pinned per-shard read transactions): the leader computes at
-// its own snapshots; a joiner serves the shared response only when its
-// recorded generations equal the ones the joiner read from its OWN pinned
-// transactions, and otherwise recomputes there — a flight started before
-// this caller's write committed must not answer for it. compute closes
-// over the caller's transactions, so it is always safe to re-run locally.
-func cachedShardedQuery[T any](s *ShardedDB, key rescache.Key, gens []int64, clone func(T) T, compute func() (T, []int64, error)) (T, error) {
-	var zero T
-	v, shared, err := s.cache.Do(key, func() (any, error) {
-		resp, fgens, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return flightResult[T]{resp: resp, gens: fgens}, nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	fr := v.(flightResult[T])
-	if shared && !rescache.GensEqual(fr.gens, gens) {
-		resp, _, err := compute()
-		if err != nil {
-			return zero, err
-		}
-		return clone(resp), nil
-	}
-	return clone(fr.resp), nil
-}
-
-// readGens reads each shard's data generation at its pinned snapshot.
-func (s *ShardedDB) readGens(rts []*storage.ReadTxn) ([]int64, error) {
-	gens := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		g, err := sh.ix.DataGeneration(rts[i])
-		if err != nil {
-			return nil, err
-		}
-		gens[i] = g
-	}
-	return gens, nil
-}
-
-// beginReads opens one read transaction per shard. Each pins its own
-// shard's commit horizon; see the type comment for the cross-shard
-// consistency contract.
-func (s *ShardedDB) beginReads() ([]*storage.ReadTxn, error) {
-	rts := make([]*storage.ReadTxn, len(s.shards))
-	for i, sh := range s.shards {
-		rt, err := sh.store.BeginRead()
-		if err != nil {
-			closeReads(rts[:i])
-			return nil, err
-		}
-		rts[i] = rt
-	}
-	return rts, nil
-}
-
-func closeReads(rts []*storage.ReadTxn) {
-	for _, rt := range rts {
-		if rt != nil {
-			rt.Close()
-		}
-	}
-}
-
-// shardOut is one shard's scan contribution to a scatter-gather search:
-// the (possibly approximate) candidate set and its execution info. Cached
-// entries retain these per shard so a later query can reuse the unchanged
-// shards' candidates; both fields are treated as immutable once produced.
-type shardOut struct {
-	res  []topk.Result
-	info *ivf.PlanInfo
-}
-
-// shardSearchEntry is the cached form of one scatter-gather search: the
-// per-shard pre-merge candidates for partial reuse plus the merged
-// response served verbatim on a full generation match.
-type shardSearchEntry struct {
-	outs []shardOut
-	resp *SearchResponse
-}
-
-// searchOn is the scatter-gather core, running against pinned per-shard
-// read transactions (shared by Search and ShardedSnapshot.Search). The
-// result cache, when enabled, is consulted against the generations visible
-// at exactly these transactions — so snapshot searches can only be served
-// entries matching their pinned horizon.
-func (s *ShardedDB) searchOn(rts []*storage.ReadTxn, req SearchRequest) (*SearchResponse, error) {
-	if err := s.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	if s.cache == nil || req.NoCache {
-		outs, err := s.searchScatter(rts, req, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.searchMerge(rts, req, outs)
-	}
-	// Snapshot path (live searches go through ShardedDB.Search): consult
-	// the cache against the pinned horizons but store=false — an entry
-	// stamped with an old snapshot's generations would displace entries
-	// the live traffic still needs.
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := s.cachedSearchOn(rts, req, s.shards[0].searchCacheKey(req), gens, true, false)
-	if err != nil {
-		return nil, err
-	}
-	return cloneSearchResponse(resp), nil
-}
-
-// cachedSearchOn validates, serves or recomputes a search at rts'
-// snapshots, whose per-shard data generations the caller read as gens. It
-// returns the shared (cached) response plus the generations it answers
-// for — callers clone before handing the response out. counted controls
-// stats accounting (the singleflight path passes false; its caller already
-// recorded the first outcome). store=false consults the cache without
-// writing it (snapshot searches).
-func (s *ShardedDB) cachedSearchOn(rts []*storage.ReadTxn, req SearchRequest, key rescache.Key, gens []int64, counted, store bool) (*SearchResponse, []int64, error) {
-	var v any
-	var stored []int64
-	var out rescache.Outcome
-	if counted {
-		v, stored, out = s.cache.Get(key, gens)
-	} else {
-		v, stored, out = s.cache.Lookup(key, gens)
-	}
-	if out == rescache.Hit {
-		return v.(*shardSearchEntry).resp, gens, nil
-	}
-	var reuse []*shardOut
-	if out == rescache.Stale {
-		reuse = reusableOuts(v.(*shardSearchEntry).outs, stored, gens, s.cache)
-	}
-	outs, err := s.searchScatter(rts, req, reuse)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := s.searchMerge(rts, req, outs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store {
-		entry := &shardSearchEntry{outs: outs, resp: resp}
-		s.cache.PutWithPolicy(key, gens, entry, shardSearchEntrySize(entry),
-			searchPutPolicy(len(req.Filters), resp))
-	}
-	return resp, gens, nil
-}
-
-// reusableOuts maps a stale entry's per-shard outputs onto the current
-// generations: position i is reusable iff shard i's generation did not
-// move. Returns nil when nothing is reusable (or the shapes disagree, e.g.
-// an entry recorded under a different topology).
-func reusableOuts[T any](outs []T, stored, gens []int64, c *rescache.Cache) []*T {
-	if len(stored) != len(gens) || len(outs) != len(gens) {
-		return nil
-	}
-	reuse := make([]*T, len(gens))
-	skipped := 0
-	for i := range gens {
-		if stored[i] == gens[i] {
-			reuse[i] = &outs[i]
-			skipped++
-		}
-	}
-	if skipped == 0 {
-		return nil
-	}
-	c.NoteSkipped(skipped)
-	return reuse
-}
-
-// searchScatter runs the per-shard scans. reuse, when non-nil, supplies
-// cached outputs for shards whose data generation has not moved — those
-// shards are not scanned.
-func (s *ShardedDB) searchScatter(rts []*storage.ReadTxn, req SearchRequest, reuse []*shardOut) ([]shardOut, error) {
-	sopts := ivf.SearchOptions{
-		K: req.K, NProbe: s.perShardProbe(req.NProbe), Filters: req.Filters,
-		Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
-		CandidatesOnly: true,
-	}
-	outs := make([]shardOut, len(s.shards))
-	err := s.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
-		if reuse != nil && reuse[i] != nil {
-			outs[i] = *reuse[i]
-			return nil
-		}
-		so := sopts
-		so.Cancel = cancel
-		res, info, err := sh.ix.Search(rts[i], req.Vector, so)
-		if err != nil {
-			return err
-		}
-		outs[i] = shardOut{res: res, info: info}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// searchMerge pools the per-shard candidates into the final response (the
-// gather half of searchOn). It never mutates outs — cached candidate sets
-// flow through here on every partial reuse.
-func (s *ShardedDB) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []shardOut) (*SearchResponse, error) {
-	// Gather: shards on exact paths (float32 scans, pre-filter plans,
-	// Exact queries) contribute final results directly; shards that
-	// returned approximate SQ8 candidates feed the global rerank pool.
-	var exact, approx []shardCand
-	info := outs[0].info
-	agg := *info
-	agg.CandidatesApprox = false
-	for i, o := range outs {
-		if i > 0 {
-			agg.PartitionsScanned += o.info.PartitionsScanned
-			agg.VectorsScanned += o.info.VectorsScanned
-			agg.RowsFiltered += o.info.RowsFiltered
-			agg.BytesScanned += o.info.BytesScanned
-			agg.Reranked += o.info.Reranked
-		}
-		for _, r := range o.res {
-			if o.info.CandidatesApprox {
-				approx = append(approx, shardCand{Result: r, shard: i})
-			} else {
-				exact = append(exact, shardCand{Result: r, shard: i})
-			}
-		}
-	}
-
-	if len(approx) > 0 {
-		// Pool the approximate candidates, cut to the single-store rerank
-		// budget, and rerank each survivor on the shard whose raw store
-		// holds its exact vector.
-		sortShardCands(approx)
-		if budget := s.rerankBudget(req.K, req.RerankFactor); len(approx) > budget {
-			approx = approx[:budget]
-		}
-		groups := make([][]topk.Result, len(s.shards))
-		for _, c := range approx {
-			groups[c.shard] = append(groups[c.shard], c.Result)
-		}
-		reranked := make([][]topk.Result, len(s.shards))
-		var mu sync.Mutex
-		err := s.scatter(func(i int, sh *DB) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			res, rb, err := sh.ix.RerankCandidates(rts[i], req.Vector, groups[i], len(groups[i]))
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			agg.Reranked += len(groups[i])
-			agg.BytesScanned += rb
-			mu.Unlock()
-			reranked[i] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range reranked {
-			for _, r := range res {
-				exact = append(exact, shardCand{Result: r, shard: i})
-			}
-		}
-	}
-
-	sortShardCands(exact)
-	if len(exact) > req.K {
-		exact = exact[:req.K]
-	}
-	out := make([]Result, len(exact))
-	for i, c := range exact {
-		out[i] = Result{ID: c.AssetID, Distance: c.Distance}
-	}
-	return &SearchResponse{Results: out, Plan: agg}, nil
-}
-
-// batchShardOut is one shard's contribution to a scatter-gather batch:
-// per-query candidate sets plus execution info, immutable once produced
-// (cached entries retain them for partial reuse exactly like shardOut).
-type batchShardOut struct {
-	res  [][]topk.Result
-	info *ivf.BatchInfo
-}
-
-// shardBatchEntry is the cached form of one scatter-gather batch search.
-type shardBatchEntry struct {
-	outs []batchShardOut
-	resp *BatchSearchResponse
-}
-
-// BatchSearch scatters the whole batch to every shard — each shard runs its
-// own multi-query-optimized BatchSearch over the full query set, so the MQO
-// partition-scan sharing is preserved within every shard — then merges the
-// per-shard per-query candidates exactly like Search does. Caching follows
-// Search too: a repeated identical batch serves from the cache on a full
-// per-shard generation match and re-scans only the changed shards on a
-// partial one.
-func (s *ShardedDB) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := s.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	defer closeReads(rts)
-	if s.cache == nil || req.NoCache || len(req.Vectors) == 0 {
-		return s.batchSearchOn(rts, req)
-	}
-	queries := s.batchMatrix(req)
-	key := s.shards[0].batchCacheKey(req)
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	if v, _, out := s.cache.Get(key, gens); out == rescache.Hit {
-		return cloneBatchSearchResponse(v.(*shardBatchEntry).resp), nil
-	}
-	return cachedShardedQuery(s, key, gens, cloneBatchSearchResponse, func() (*BatchSearchResponse, []int64, error) {
-		return s.cachedBatchSearchOn(rts, req, queries, key, gens, false, true)
-	})
-}
-
-// batchMatrix packs the batch into a query matrix. Dimensions were already
-// validated by the shared normalization path.
-func (s *ShardedDB) batchMatrix(req BatchSearchRequest) *vec.Matrix {
-	queries := vec.NewMatrix(len(req.Vectors), s.Dim())
-	for i, q := range req.Vectors {
-		queries.SetRow(i, q)
-	}
-	return queries
-}
-
-func (s *ShardedDB) batchSearchOn(rts []*storage.ReadTxn, req BatchSearchRequest) (*BatchSearchResponse, error) {
-	if err := s.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	if len(req.Vectors) == 0 {
-		return &BatchSearchResponse{}, nil
-	}
-	queries := s.batchMatrix(req)
-	if s.cache == nil || req.NoCache {
-		outs, err := s.batchScatter(rts, req, queries, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.batchMerge(rts, req, queries, outs)
-	}
-	// Snapshot path: consult but never store (see searchOn).
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := s.cachedBatchSearchOn(rts, req, queries, s.shards[0].batchCacheKey(req), gens, true, false)
-	if err != nil {
-		return nil, err
-	}
-	return cloneBatchSearchResponse(resp), nil
-}
-
-// cachedBatchSearchOn is cachedSearchOn for batches: it returns the shared
-// cached response plus the generations it answers for; callers clone.
-func (s *ShardedDB) cachedBatchSearchOn(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, key rescache.Key, gens []int64, counted, store bool) (*BatchSearchResponse, []int64, error) {
-	var v any
-	var stored []int64
-	var out rescache.Outcome
-	if counted {
-		v, stored, out = s.cache.Get(key, gens)
-	} else {
-		v, stored, out = s.cache.Lookup(key, gens)
-	}
-	if out == rescache.Hit {
-		return v.(*shardBatchEntry).resp, gens, nil
-	}
-	var reuse []*batchShardOut
-	if out == rescache.Stale {
-		reuse = reusableOuts(v.(*shardBatchEntry).outs, stored, gens, s.cache)
-	}
-	outs, err := s.batchScatter(rts, req, queries, reuse)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := s.batchMerge(rts, req, queries, outs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store {
-		entry := &shardBatchEntry{outs: outs, resp: resp}
-		s.cache.PutWithPolicy(key, gens, entry, shardBatchEntrySize(entry), batchPutPolicy(resp))
-	}
-	return resp, gens, nil
-}
-
-// batchScatter runs the per-shard batch scans, reusing cached outputs for
-// shards whose generation has not moved.
-func (s *ShardedDB) batchScatter(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, reuse []*batchShardOut) ([]batchShardOut, error) {
-	bopts := ivf.BatchOptions{
-		K: req.K, NProbe: s.perShardProbe(req.NProbe),
-		RerankFactor: req.RerankFactor, CandidatesOnly: true,
-	}
-	outs := make([]batchShardOut, len(s.shards))
-	err := s.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
-		if reuse != nil && reuse[i] != nil {
-			outs[i] = *reuse[i]
-			return nil
-		}
-		bo := bopts
-		bo.Cancel = cancel
-		res, info, err := sh.ix.BatchSearch(rts[i], queries, bo)
-		if err != nil {
-			return err
-		}
-		outs[i] = batchShardOut{res: res, info: info}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// batchMerge pools the per-shard per-query candidates into the final
-// response; it never mutates outs.
-func (s *ShardedDB) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, outs []batchShardOut) (*BatchSearchResponse, error) {
-	nq := queries.Rows
-	agg := *outs[0].info
-	agg.CandidatesApprox = false
-	for _, o := range outs[1:] {
-		agg.PartitionScans += o.info.PartitionScans
-		agg.QueryPartitionPairs += o.info.QueryPartitionPairs
-		agg.VectorsScanned += o.info.VectorsScanned
-		agg.DistancePairs += o.info.DistancePairs
-		agg.BytesScanned += o.info.BytesScanned
-		agg.Reranked += o.info.Reranked
-	}
-
-	// Gather per query, separating shards that returned final exact results
-	// from shards that returned approximate SQ8 candidates (same contract
-	// as searchOn: only approximate candidates owe a rerank). Approximate
-	// pools are cut to the single-store rerank budget before grouping back
-	// onto their owning shards. groups[shard][query] keeps order intact.
-	merged := make([][]shardCand, nq)
-	groups := make([]map[int][]topk.Result, len(s.shards))
-	for i := range groups {
-		groups[i] = make(map[int][]topk.Result)
-	}
-	anyApprox := false
-	for qi := 0; qi < nq; qi++ {
-		var exact, approx []shardCand
-		for i, o := range outs {
-			for _, r := range o.res[qi] {
-				c := shardCand{Result: r, shard: i}
-				if o.info.CandidatesApprox {
-					approx = append(approx, c)
-				} else {
-					exact = append(exact, c)
-				}
-			}
-		}
-		merged[qi] = exact
-		if len(approx) > 0 {
-			anyApprox = true
-			sortShardCands(approx)
-			if budget := s.rerankBudget(req.K, req.RerankFactor); len(approx) > budget {
-				approx = approx[:budget]
-			}
-			for _, c := range approx {
-				groups[c.shard][qi] = append(groups[c.shard][qi], c.Result)
-			}
-		}
-	}
-
-	if anyApprox {
-		reranked := make([]map[int][]topk.Result, len(s.shards))
-		var mu sync.Mutex
-		err := s.scatter(func(i int, sh *DB) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			out := make(map[int][]topk.Result, len(groups[i]))
-			var rerankedN, bytesRead int64
-			for qi, cands := range groups[i] {
-				res, rb, err := sh.ix.RerankCandidates(rts[i], queries.Row(qi), cands, len(cands))
-				if err != nil {
-					return err
-				}
-				rerankedN += int64(len(cands))
-				bytesRead += rb
-				out[qi] = res
-			}
-			mu.Lock()
-			agg.Reranked += rerankedN
-			agg.BytesScanned += bytesRead
-			mu.Unlock()
-			reranked[i] = out
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for qi := 0; qi < nq; qi++ {
-			for i, byQuery := range reranked {
-				if byQuery == nil {
-					continue
-				}
-				for _, r := range byQuery[qi] {
-					merged[qi] = append(merged[qi], shardCand{Result: r, shard: i})
-				}
-			}
-		}
-	}
-
-	out := make([][]Result, nq)
-	for qi, pool := range merged {
-		sortShardCands(pool)
-		if len(pool) > req.K {
-			pool = pool[:req.K]
-		}
-		out[qi] = make([]Result, len(pool))
-		for i, c := range pool {
-			out[qi][i] = Result{ID: c.AssetID, Distance: c.Distance}
-		}
-	}
-	return &BatchSearchResponse{Results: out, Info: agg}, nil
-}
-
-// --- cache entry sizing ---
-
-// candsSize estimates the footprint of one candidate slice.
-func candsSize(rs []topk.Result) int64 {
-	n := int64(24)
-	for _, r := range rs {
-		n += 40 + int64(len(r.AssetID))
-	}
-	return n
-}
-
-func shardSearchEntrySize(e *shardSearchEntry) int64 {
-	n := searchResponseSize(e.resp)
-	for _, o := range e.outs {
-		n += 96 + candsSize(o.res)
-	}
-	return n
-}
-
-func shardBatchEntrySize(e *shardBatchEntry) int64 {
-	n := batchSearchResponseSize(e.resp)
-	for _, o := range e.outs {
-		n += 96
-		for _, rs := range o.res {
-			n += candsSize(rs)
-		}
-	}
-	return n
-}
-
-// ResultCacheStats returns the router-level result cache counters (zeros
-// when the cache is disabled).
-func (s *ShardedDB) ResultCacheStats() CacheStats { return cacheStatsOf(s.cache) }
 
 // --- maintenance and stats: aggregate over the shard set ---
 
@@ -1123,37 +1102,6 @@ func (s *ShardedDB) Maintain() (*MaintenanceReport, error) {
 		return nil, err
 	}
 	return mergeReports(reps), nil
-}
-
-// Analyze refreshes every shard's attribute statistics.
-func (s *ShardedDB) Analyze() error {
-	return s.scatter(func(i int, sh *DB) error { return sh.Analyze() })
-}
-
-// Checkpoint folds every shard's WAL into its main file.
-func (s *ShardedDB) Checkpoint() error {
-	return s.scatter(func(i int, sh *DB) error { return sh.Checkpoint() })
-}
-
-// DropCaches empties every shard's buffer pool and in-memory centroid
-// cache in parallel, plus the router-level result cache, simulating the
-// paper's ColdStart scenario across the whole database — the cold-start
-// legs of the bench scenarios drive sharded databases through this exactly
-// like single stores, and a cold query must pay the scatter, not replay a
-// cached response.
-func (s *ShardedDB) DropCaches() {
-	if s.cache != nil {
-		s.cache.Clear()
-	}
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *DB) {
-			defer wg.Done()
-			sh.DropCaches()
-		}(sh)
-	}
-	wg.Wait()
 }
 
 // AggregateStats folds per-shard stats into whole-database numbers: counts,
@@ -1236,14 +1184,6 @@ func AggregateStats(per []Stats) Stats {
 	return out
 }
 
-// SetZonePruning toggles per-run zone/Bloom pruning on every shard (see
-// DB.SetZonePruning).
-func (s *ShardedDB) SetZonePruning(enabled bool) {
-	for _, sh := range s.shards {
-		sh.SetZonePruning(enabled)
-	}
-}
-
 // ShardStats returns each shard's stats, indexed by shard.
 func (s *ShardedDB) ShardStats() ([]Stats, error) {
 	per := make([]Stats, len(s.shards))
@@ -1317,66 +1257,4 @@ func (s *ShardedDB) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// --- snapshots ---
-
-// ShardedSnapshot is a read-only view pinning one read transaction per
-// shard. Each shard's view is a consistent commit horizon; the horizons are
-// captured shard by shard, so a cross-shard write racing Snapshot may be
-// visible on one shard and not another (per-shard consistency, as
-// documented on ShardedDB). Close releases every pinned transaction.
-type ShardedSnapshot struct {
-	db  *ShardedDB
-	rts []*storage.ReadTxn
-}
-
-// Snapshot opens a read view across all shards. Callers must Close it.
-func (s *ShardedDB) Snapshot() (*ShardedSnapshot, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSnapshot{db: s, rts: rts}, nil
-}
-
-// Close releases the snapshot. Idempotent.
-func (s *ShardedSnapshot) Close() {
-	closeReads(s.rts)
-}
-
-// Search runs a query against the pinned per-shard state.
-func (s *ShardedSnapshot) Search(req SearchRequest) (*SearchResponse, error) {
-	return s.db.searchOn(s.rts, req)
-}
-
-// BatchSearch runs a query batch against the pinned per-shard state.
-func (s *ShardedSnapshot) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
-	return s.db.batchSearchOn(s.rts, req)
-}
-
-// Get returns the item as of its shard's pinned horizon.
-func (s *ShardedSnapshot) Get(id string) (*Item, error) {
-	i := s.db.shardOf(id)
-	return getItem(s.db.shards[i].ix, s.rts[i], id)
-}
-
-// Stats aggregates index counters as of the pinned horizons.
-func (s *ShardedSnapshot) Stats() (Stats, error) {
-	per := make([]Stats, len(s.db.shards))
-	for i, sh := range s.db.shards {
-		st, err := sh.ix.Stats(s.rts[i])
-		if err != nil {
-			return Stats{}, err
-		}
-		per[i] = Stats{
-			NumVectors:    st.NumVectors,
-			DeltaCount:    st.DeltaCount,
-			NumPartitions: st.NumPartitions,
-		}
-	}
-	return AggregateStats(per), nil
 }

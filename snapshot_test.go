@@ -3,6 +3,8 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -103,5 +105,75 @@ func TestSnapshotGetMissing(t *testing.T) {
 	defer snap.Close()
 	if _, err := snap.Get("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(missing) = %v", err)
+	}
+}
+
+// TestSnapshotStatsAvgPartitionSize: sealed-run rows are not partition
+// rows, so with a sealed run present a snapshot reports the same
+// AvgPartitionSize as the live Stats, on a single store and a sharded one.
+func TestSnapshotStatsAvgPartitionSize(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			opts := Options{
+				Dim: 8, TargetPartitionSize: 10, Seed: 5,
+				// Bounds the test never reaches: no background seal or
+				// compaction runs, so the run is sealed below, synchronously.
+				LSMIngest: true, MemtableMaxItems: 1 << 20,
+				MaxUnmergedItems: 1 << 20, HardLimitItems: 1 << 20,
+			}
+			var db Store
+			var perShard []*DB
+			if shards == 1 {
+				d := openTest(t, opts)
+				db, perShard = d, []*DB{d}
+			} else {
+				opts.Shards = shards
+				s := openShardedTest(t, filepath.Join(t.TempDir(), "avg.d"), opts)
+				db = s
+				for i := 0; i < s.Shards(); i++ {
+					perShard = append(perShard, s.Shard(i))
+				}
+			}
+			rng := rand.New(rand.NewSource(3))
+			items := make([]Item, 200)
+			for i := range items {
+				items[i] = Item{ID: fmt.Sprintf("b%03d", i), Vector: lsmVec(rng, 8)}
+			}
+			if err := db.UpsertBatch(items); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				if err := db.Upsert(Item{ID: fmt.Sprintf("r%03d", i), Vector: lsmVec(rng, 8)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			zoneSealAll(t, perShard)
+
+			live, err := db.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.NumPartitions == 0 || live.Ingest.RunRows == 0 {
+				t.Fatalf("want partitions and a sealed run: %d partitions, %+v", live.NumPartitions, live.Ingest)
+			}
+			snap, err := db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			st, err := snap.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ingest.RunRows != live.Ingest.RunRows {
+				t.Fatalf("snapshot RunRows = %d, live %d", st.Ingest.RunRows, live.Ingest.RunRows)
+			}
+			if st.AvgPartitionSize != live.AvgPartitionSize {
+				t.Fatalf("snapshot AvgPartitionSize = %v, live %v", st.AvgPartitionSize, live.AvgPartitionSize)
+			}
+		})
 	}
 }
