@@ -99,8 +99,10 @@ func (c *Cursor) skipEmpty() error {
 // Valid reports whether the cursor points at a cell.
 func (c *Cursor) Valid() bool { return c.valid }
 
-// Key returns the current key. The slice aliases page memory; copy it if it
-// must outlive the cursor position.
+// Key returns the current key. The slice aliases page memory: it is a
+// read-only borrowed view, valid only until the cursor moves, because the
+// storage layer guarantees page bytes (pool buffer or mmap) only while they
+// are being read. Copy it if it must outlive the cursor position.
 func (c *Cursor) Key() ([]byte, error) {
 	if !c.valid {
 		return nil, fmt.Errorf("btree: cursor not valid")
@@ -108,8 +110,10 @@ func (c *Cursor) Key() ([]byte, error) {
 	return c.page.key(c.idx)
 }
 
-// Value returns the current value. Inline values alias page memory;
-// overflow values are freshly allocated.
+// Value returns the current value. Inline values alias page memory under
+// the same borrowed-view contract as Key: valid only until the cursor
+// moves, read-only, copied by any caller that keeps them. Overflow values
+// are freshly allocated, but callers must not rely on the difference.
 func (c *Cursor) Value() ([]byte, error) {
 	if !c.valid {
 		return nil, fmt.Errorf("btree: cursor not valid")

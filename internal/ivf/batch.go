@@ -263,12 +263,12 @@ type partWork struct {
 // one kernel call, amortizing the scan over every query in the group. On
 // quantized partitions the tile holds SQ8 codes and each interested query's
 // asymmetric kernel runs over it — the tile is still read once and shared.
+// Rows are read in place from the leaf pages, as in scanWorker.
 func (ix *Index) batchWorker(txn btree.ReadTxn, work <-chan partWork, cancel <-chan struct{}, queries *vec.Matrix, qqs []*quant.Query, cb *quant.Codebook, dead map[int64]bool, heaps []*topk.Heap, heapMus []sync.Mutex) (scanned, pairs, bytesRead int64, err error) {
 	dim := ix.cfg.Dim
-	tile := vec.NewMatrix(scanBatch, dim)
-	codes := make([]byte, 0, scanBatch*dim)
-	vidsB := make([]int64, 0, scanBatch)
-	assetsB := make([]string, 0, scanBatch)
+	// Not from scanPool: a batch amortizes one allocation over all its
+	// queries, and pooling would keep these buffers live between batches.
+	buf := ix.newScanBuffers()
 
 	for w := range work {
 		if chanClosed(cancel) {
@@ -290,47 +290,41 @@ func (ix *Index) batchWorker(txn btree.ReadTxn, work <-chan partWork, cancel <-c
 		dists := make([]float32, len(w.queries)*scanBatch)
 
 		flush := func() {
-			n := len(vidsB)
+			n := len(buf.vids)
 			if n == 0 {
 				return
 			}
 			if quantized {
 				for i, qi := range w.queries {
-					qqs[qi].DistancesMany(codes, n, dists[i*n:(i+1)*n])
+					qqs[qi].DistancesMany(buf.codes, n, dists[i*n:(i+1)*n])
 				}
 			} else {
-				sub := &vec.Matrix{Data: tile.Data[:n*dim], Rows: n, Dim: dim}
+				sub := &vec.Matrix{Data: buf.batch.Data[:n*dim], Rows: n, Dim: dim}
 				vec.DistancesManyToMany(ix.cfg.Metric, qm, sub, l2Only(ix.cfg.Metric, qNorms), nil, dists[:len(w.queries)*n])
 			}
 			for i, qi := range w.queries {
-				row := dists[i*n : (i+1)*n]
-				h := &heaps[qi]
+				h := heaps[qi]
 				heapMus[qi].Lock()
-				for j := 0; j < n; j++ {
-					(*h).Push(topk.Result{AssetID: assetsB[j], VectorID: vidsB[j], Distance: row[j]})
+				for j, d := range dists[i*n : (i+1)*n] {
+					if h.Accepts(d) {
+						h.Push(topk.Result{AssetID: buf.assetID(j), VectorID: buf.vids[j], Distance: d})
+					}
 				}
 				heapMus[qi].Unlock()
 			}
 			scanned += int64(n)
 			pairs += int64(len(w.queries) * n)
-			codes = codes[:0]
-			vidsB = vidsB[:0]
-			assetsB = assetsB[:0]
+			buf.reset()
 		}
 
-		perr := ix.vectors.Scan(txn, []reldb.Value{reldb.I(w.part)}, func(row reldb.Row) error {
-			if w.part < 0 && dead[row[1].Int] {
-				return nil // tombstoned run row
+		perr := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(w.part)}, func(key, val []byte) error {
+			r, live, err := readRowView(w.part, dead, key, val)
+			if err != nil || !live {
+				return err
 			}
-			bytesRead += int64(len(row[3].Bts))
-			if quantized {
-				codes = append(codes, row[3].Bts...)
-			} else {
-				tile.AppendRowBlob(len(vidsB), row[3].Bts)
-			}
-			vidsB = append(vidsB, row[1].Int)
-			assetsB = append(assetsB, row[2].Str)
-			if len(vidsB) == scanBatch {
+			bytesRead += int64(len(r.payload))
+			buf.add(r, quantized)
+			if len(buf.vids) == scanBatch {
 				flush()
 			}
 			return nil

@@ -273,34 +273,113 @@ func (ix *Index) getProbeScratch(n int) *probeScratch {
 	return ps
 }
 
-// scanBuffers is the per-worker scratch for partition scans. codes holds
-// the gathered SQ8 codes when the scanned partition is quantized.
+// scanBuffers is the per-worker scratch for partition scans: one batch of
+// rows copied out of borrowed leaf pages. codes holds the gathered SQ8/SQ4
+// codes when the scanned partition is quantized, batch the float32 rows
+// otherwise. assets holds the batch's asset ids back to back and
+// assetEnds[i] ends row i's; ids caches the strings made from them, so
+// only rows a heap accepts cost an allocation.
 type scanBuffers struct {
-	batch  *vec.Matrix
-	codes  []byte
-	vids   []int64
-	assets []string
-	dists  []float32
+	batch     *vec.Matrix
+	codes     []byte
+	vids      []int64
+	assets    []byte
+	assetEnds []int
+	ids       []string
+	dists     []float32
 }
 
 func (ix *Index) getScanBuffers() *scanBuffers {
 	if b, ok := ix.scanPool.Get().(*scanBuffers); ok {
 		return b
 	}
+	return ix.newScanBuffers()
+}
+
+func (ix *Index) newScanBuffers() *scanBuffers {
 	return &scanBuffers{
-		batch:  vec.NewMatrix(scanBatch, ix.cfg.Dim),
-		codes:  make([]byte, 0, scanBatch*ix.cfg.Dim),
-		vids:   make([]int64, 0, scanBatch),
-		assets: make([]string, 0, scanBatch),
-		dists:  make([]float32, scanBatch),
+		batch:     vec.NewMatrix(scanBatch, ix.cfg.Dim),
+		codes:     make([]byte, 0, scanBatch*ix.cfg.Dim),
+		vids:      make([]int64, 0, scanBatch),
+		assetEnds: make([]int, 0, scanBatch),
+		ids:       make([]string, scanBatch),
+		dists:     make([]float32, scanBatch),
 	}
 }
 
 func (ix *Index) putScanBuffers(b *scanBuffers) {
+	b.reset()
+	ix.scanPool.Put(b)
+}
+
+// add copies one borrowed row into the batch, so nothing references page
+// memory once the scan callback returns.
+func (b *scanBuffers) add(r rowView, quantized bool) {
+	if quantized {
+		b.codes = append(b.codes, r.payload...)
+	} else {
+		b.batch.AppendRowBlob(len(b.vids), r.payload)
+	}
+	b.vids = append(b.vids, r.vid)
+	b.assets = append(b.assets, r.asset...)
+	b.assetEnds = append(b.assetEnds, len(b.assets))
+}
+
+// assetID returns row i's asset id, allocating it on first use.
+func (b *scanBuffers) assetID(i int) string {
+	if b.ids[i] == "" {
+		start := 0
+		if i > 0 {
+			start = b.assetEnds[i-1]
+		}
+		b.ids[i] = string(b.assets[start:b.assetEnds[i]])
+	}
+	return b.ids[i]
+}
+
+// reset empties the batch.
+func (b *scanBuffers) reset() {
+	clear(b.ids[:len(b.vids)])
 	b.codes = b.codes[:0]
 	b.vids = b.vids[:0]
 	b.assets = b.assets[:0]
-	ix.scanPool.Put(b)
+	b.assetEnds = b.assetEnds[:0]
+}
+
+// rowView is one vectors-table row read in place from a leaf page: asset
+// and payload alias the page and are valid only during the ScanBorrowed
+// callback that produced them.
+type rowView struct {
+	vid            int64
+	asset, payload []byte
+}
+
+// readRowView parses a borrowed (part, vid) -> (asset, payload) row. live
+// is false for a tombstoned run row (part < 0 with vid in dead). It fails
+// wherever decoding the row with Table.Scan would.
+func readRowView(part int64, dead map[int64]bool, key, val []byte) (r rowView, live bool, err error) {
+	_, rest, err := reldb.KeyInt(key)
+	if err != nil {
+		return r, false, err
+	}
+	if r.vid, _, err = reldb.KeyInt(rest); err != nil {
+		return r, false, err
+	}
+	if r.asset, r.payload, err = vectorValue(val); err != nil {
+		return r, false, err
+	}
+	return r, !(part < 0 && dead[r.vid]), nil
+}
+
+// vectorValue splits a borrowed vectors-table value into its asset id and
+// payload, both aliasing val.
+func vectorValue(val []byte) (asset, payload []byte, err error) {
+	asset, rest, err := reldb.RowBytes(val)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload, _, err = reldb.RowBytes(rest)
+	return asset, payload, err
 }
 
 // centroidSet is the decoded centroid table: partition ids, centroid
@@ -998,4 +1077,37 @@ func (ix *Index) rawVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
 		return nil, err
 	}
 	return row[1].Bts, nil
+}
+
+// readRawVector decodes vid's exact float32 vector from the raw store into
+// x straight from the page, without building a row, and returns the blob's
+// byte length. Write paths that hold the blob across later writes keep the
+// copying rawVector instead: a write can rewrite the page under a borrowed
+// view.
+func (ix *Index) readRawVector(txn btree.ReadTxn, vid int64, x []float32) (int, error) {
+	val, err := ix.rawvecs.GetBorrowed(txn, reldb.I(vid))
+	if err != nil {
+		return 0, err
+	}
+	blob, _, err := reldb.RowBytes(val)
+	if err != nil {
+		return 0, err
+	}
+	vec.FromBlob(x, blob)
+	return len(blob), nil
+}
+
+// readPartitionVector is readRawVector for the float32 payload of vid's row
+// in partition part (an unquantized index has no raw store).
+func (ix *Index) readPartitionVector(txn btree.ReadTxn, part, vid int64, x []float32) (int, error) {
+	val, err := ix.vectors.GetBorrowed(txn, reldb.I(part), reldb.I(vid))
+	if err != nil {
+		return 0, err
+	}
+	_, blob, err := vectorValue(val)
+	if err != nil {
+		return 0, err
+	}
+	vec.FromBlob(x, blob)
+	return len(blob), nil
 }

@@ -116,25 +116,18 @@ func (ix *Index) ExactDistance(txn btree.ReadTxn, q []float32, vid int64) (float
 	if len(q) != ix.cfg.Dim {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), ix.cfg.Dim)
 	}
-	var blob []byte
-	if ix.rawvecs != nil {
-		b, err := ix.rawVector(txn, vid)
-		if err != nil {
-			return 0, err
-		}
-		blob = b
-	} else {
-		vrow, err := ix.vids.Get(txn, reldb.I(vid))
-		if err != nil {
-			return 0, err
-		}
-		row, err := ix.vectors.Get(txn, reldb.I(vrow[1].Int), reldb.I(vid))
-		if err != nil {
-			return 0, err
-		}
-		blob = row[3].Bts
-	}
 	x := make([]float32, ix.cfg.Dim)
-	vec.FromBlob(x, blob)
+	var err error
+	if ix.rawvecs != nil {
+		_, err = ix.readRawVector(txn, vid, x)
+	} else {
+		var vrow reldb.Row
+		if vrow, err = ix.vids.Get(txn, reldb.I(vid)); err == nil {
+			_, err = ix.readPartitionVector(txn, vrow[1].Int, vid, x)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
 	return vec.Distance(ix.cfg.Metric, q, x), nil
 }

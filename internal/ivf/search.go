@@ -493,18 +493,20 @@ func (ix *Index) rerankExact(txn btree.ReadTxn, q []float32, cands []topk.Result
 	x := make([]float32, ix.cfg.Dim)
 	var bytesRead int64
 	for _, c := range cands {
-		blob, err := ix.rawVector(txn, c.VectorID)
+		n, err := ix.readRawVector(txn, c.VectorID, x)
 		if err != nil {
 			return nil, 0, err
 		}
-		bytesRead += int64(len(blob))
-		vec.FromBlob(x, blob)
+		bytesRead += int64(n)
 		heap.Push(topk.Result{AssetID: c.AssetID, VectorID: c.VectorID, Distance: vec.Distance(ix.cfg.Metric, q, x)})
 	}
 	return heap.Results(), bytesRead, nil
 }
 
-// scanWorker drains partitions from partCh into its private heap.
+// scanWorker drains partitions from partCh into its private heap. Rows
+// are read in place from the leaf pages (ScanBorrowed); each one's payload
+// and asset id bytes are copied into buf during the callback, and an asset
+// id string is made only for a row the heap accepts.
 func (ix *Index) scanWorker(txn btree.ReadTxn, partCh <-chan int64, ctx *scanCtx, heap *topk.Heap) (scanned, filtered, bytesRead int64, err error) {
 	buf := ix.getScanBuffers()
 	defer ix.putScanBuffers(buf)
@@ -522,13 +524,13 @@ func (ix *Index) scanWorker(txn btree.ReadTxn, partCh <-chan int64, ctx *scanCtx
 			sub := &vec.Matrix{Data: buf.batch.Data[:n*dim], Rows: n, Dim: dim}
 			vec.DistancesOneToMany(ix.cfg.Metric, ctx.q, sub, nil, buf.dists[:n])
 		}
-		for i := 0; i < n; i++ {
-			heap.Push(topk.Result{AssetID: buf.assets[i], VectorID: buf.vids[i], Distance: buf.dists[i]})
+		for i, d := range buf.dists[:n] {
+			if heap.Accepts(d) {
+				heap.Push(topk.Result{AssetID: buf.assetID(i), VectorID: buf.vids[i], Distance: d})
+			}
 		}
 		scanned += int64(n)
-		buf.codes = buf.codes[:0]
-		buf.vids = buf.vids[:0]
-		buf.assets = buf.assets[:0]
+		buf.reset()
 	}
 
 	for part := range partCh {
@@ -540,13 +542,13 @@ func (ix *Index) scanWorker(txn btree.ReadTxn, partCh <-chan int64, ctx *scanCtx
 			flush() // mode switch: don't mix codes and floats in one batch
 			quantized = isQuant
 		}
-		perr := ix.vectors.Scan(txn, []reldb.Value{reldb.I(part)}, func(row reldb.Row) error {
-			vid := row[1].Int
-			if part < 0 && ctx.dead[vid] {
-				return nil // tombstoned run row
+		perr := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(part)}, func(key, val []byte) error {
+			r, live, err := readRowView(part, ctx.dead, key, val)
+			if err != nil || !live {
+				return err
 			}
 			if len(ctx.filters) > 0 {
-				ok, ferr := ix.evalFilters(txn, vid, ctx.filters, ctx.ms)
+				ok, ferr := ix.evalFilters(txn, r.vid, ctx.filters, ctx.ms)
 				if ferr != nil {
 					return ferr
 				}
@@ -555,14 +557,8 @@ func (ix *Index) scanWorker(txn btree.ReadTxn, partCh <-chan int64, ctx *scanCtx
 					return nil
 				}
 			}
-			bytesRead += int64(len(row[3].Bts))
-			if isQuant {
-				buf.codes = append(buf.codes, row[3].Bts...)
-			} else {
-				buf.batch.AppendRowBlob(len(buf.vids), row[3].Bts)
-			}
-			buf.vids = append(buf.vids, vid)
-			buf.assets = append(buf.assets, row[2].Str)
+			bytesRead += int64(len(r.payload))
+			buf.add(r, isQuant)
 			if len(buf.vids) == scanBatch {
 				flush()
 			}
@@ -753,23 +749,19 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 			return err
 		}
 		part, asset := vrow[1].Int, vrow[2].Str
-		var blob []byte
+		var n int
 		if ix.rawvecs != nil {
 			// Pre-filter plans promise 100% recall over the filtered set,
 			// so a quantized index reads exact vectors from the raw store.
-			if blob, err = ix.rawVector(txn, vid); err != nil {
-				return err
-			}
+			n, err = ix.readRawVector(txn, vid, x)
 		} else {
-			row, gerr := ix.vectors.Get(txn, reldb.I(part), reldb.I(vid))
-			if gerr != nil {
-				return gerr
-			}
-			blob = row[3].Bts
+			n, err = ix.readPartitionVector(txn, part, vid, x)
 		}
-		vec.FromBlob(x, blob)
+		if err != nil {
+			return err
+		}
 		info.VectorsScanned++
-		info.BytesScanned += int64(len(blob))
+		info.BytesScanned += int64(n)
 		heap.Push(topk.Result{AssetID: asset, VectorID: vid, Distance: vec.Distance(ix.cfg.Metric, q, x)})
 		return nil
 	}

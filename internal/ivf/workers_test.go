@@ -81,3 +81,50 @@ func TestSearchWorkersMatchSingleWorker(t *testing.T) {
 		})
 	}
 }
+
+// TestSearchAllocsIndependentOfRowsScanned: partition scans read rows in
+// place from the leaf pages, so a search's allocations must not grow with
+// the rows it scans. Widening nprobe from 8 to 32 roughly quadruples the
+// scanned rows; the extra allocations (per-partition cursors, asset ids of
+// heap survivors) must stay under one per ten extra rows. Decoding a row
+// per scanned vector costs about five.
+func TestSearchAllocsIndependentOfRowsScanned(t *testing.T) {
+	const dim, n, k = 16, 6000, 10
+	data := clusteredData(23, n, dim, 40)
+	q := data.Row(7)
+	for _, qt := range []quant.Type{quant.None, quant.SQ8} {
+		t.Run(qt.String(), func(t *testing.T) {
+			env := newEnv(t, Config{Dim: dim, TargetPartitionSize: 150, Seed: 5, Quantization: qt, Workers: 1})
+			env.upsertAll(t, data, nil)
+			env.rebuild(t)
+
+			// measure returns the allocations and rows scanned of one
+			// search at nprobe.
+			measure := func(nprobe int) (allocs float64, rows int64) {
+				err := env.store.View(func(rt *storage.ReadTxn) error {
+					var serr error
+					allocs = testing.AllocsPerRun(20, func() {
+						var info *PlanInfo
+						if _, info, serr = env.ix.Search(rt, q, SearchOptions{K: k, NProbe: nprobe}); serr == nil {
+							rows = info.VectorsScanned
+						}
+					})
+					return serr
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return allocs, rows
+			}
+			aLo, rLo := measure(8)
+			aHi, rHi := measure(32)
+			t.Logf("nprobe 8: %.0f allocs, %d rows; nprobe 32: %.0f allocs, %d rows", aLo, rLo, aHi, rHi)
+			if rHi-rLo < 1000 {
+				t.Fatalf("nprobe 32 scanned only %d more rows than nprobe 8; the test needs a wider gap", rHi-rLo)
+			}
+			if extra, budget := aHi-aLo, float64(rHi-rLo)/10; extra >= budget {
+				t.Fatalf("%.0f extra allocations for %d extra rows scanned, want fewer than %.0f", extra, rHi-rLo, budget)
+			}
+		})
+	}
+}

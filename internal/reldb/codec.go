@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Key encoding. Composite keys are the concatenation of self-delimiting,
@@ -87,11 +88,11 @@ func DecodeKeyValue(b []byte) (Value, []byte, error) {
 	case tagNull:
 		return Null(), b, nil
 	case tagInt:
-		if len(b) < 8 {
-			return Value{}, nil, fmt.Errorf("reldb: truncated int key")
+		v, rest, err := keyInt(b)
+		if err != nil {
+			return Value{}, nil, err
 		}
-		u := binary.BigEndian.Uint64(b) ^ (1 << 63)
-		return I(int64(u)), b[8:], nil
+		return I(v), rest, nil
 	case tagFloat:
 		if len(b) < 8 {
 			return Value{}, nil, fmt.Errorf("reldb: truncated float key")
@@ -136,6 +137,27 @@ func DecodeKeyValue(b []byte) (Value, []byte, error) {
 	default:
 		return Value{}, nil, fmt.Errorf("reldb: unknown key tag 0x%02x", tag)
 	}
+}
+
+// KeyInt reads one int64 key column from b without allocating, returning
+// the value and the remaining bytes. It fails on every input DecodeKeyValue
+// rejects and on a column of any other type.
+func KeyInt(b []byte) (int64, []byte, error) {
+	if len(b) == 0 {
+		return 0, nil, fmt.Errorf("reldb: empty key")
+	}
+	if b[0] != tagInt {
+		return 0, nil, fmt.Errorf("reldb: key tag 0x%02x is not int64", b[0])
+	}
+	return keyInt(b[1:])
+}
+
+// keyInt decodes an int64 key payload (the bytes after the tag).
+func keyInt(b []byte) (int64, []byte, error) {
+	if len(b) < 8 {
+		return 0, nil, fmt.Errorf("reldb: truncated int key")
+	}
+	return int64(binary.BigEndian.Uint64(b) ^ (1 << 63)), b[8:], nil
 }
 
 // DecodeKey decodes n key columns.
@@ -208,22 +230,48 @@ func DecodeRowValue(b []byte) (Value, []byte, error) {
 		}
 		return F(math.Float64frombits(binary.LittleEndian.Uint64(b))), b[8:], nil
 	case TypeText:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b[sz:])) < n {
-			return Value{}, nil, fmt.Errorf("reldb: truncated text")
+		p, rest, err := rowPayload(b, typ)
+		if err != nil {
+			return Value{}, nil, err
 		}
-		return S(string(b[sz : sz+int(n)])), b[sz+int(n):], nil
+		return S(string(p)), rest, nil
 	case TypeBlob:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b[sz:])) < n {
-			return Value{}, nil, fmt.Errorf("reldb: truncated blob")
+		p, rest, err := rowPayload(b, typ)
+		if err != nil {
+			return Value{}, nil, err
 		}
-		out := make([]byte, n)
-		copy(out, b[sz:sz+int(n)])
-		return B(out), b[sz+int(n):], nil
+		return B(append([]byte{}, p...)), rest, nil
 	default:
 		return Value{}, nil, fmt.Errorf("reldb: unknown row type %d", typ)
 	}
+}
+
+// RowBytes reads one text or blob value column from b without allocating,
+// returning its payload and the remaining bytes. The payload aliases b; a
+// NULL column reads as a nil payload. It fails on every input
+// DecodeRowValue rejects and on an int64 or float64 column.
+func RowBytes(b []byte) ([]byte, []byte, error) {
+	if len(b) == 0 {
+		return nil, nil, fmt.Errorf("reldb: empty row data")
+	}
+	switch typ := ColType(b[0]); typ {
+	case TypeNull:
+		return nil, b[1:], nil
+	case TypeText, TypeBlob:
+		return rowPayload(b[1:], typ)
+	default:
+		return nil, nil, fmt.Errorf("reldb: row type %d is not text or blob", typ)
+	}
+}
+
+// rowPayload splits a length-prefixed text or blob payload (the bytes
+// after the type tag) from the rest of the row.
+func rowPayload(b []byte, typ ColType) ([]byte, []byte, error) {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || uint64(len(b[sz:])) < n {
+		return nil, nil, fmt.Errorf("reldb: truncated %s", strings.ToLower(typ.String()))
+	}
+	return b[sz : sz+int(n)], b[sz+int(n):], nil
 }
 
 // DecodeRow decodes n values.

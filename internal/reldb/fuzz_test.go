@@ -13,7 +13,9 @@ import (
 // (the property the clustered tables and secondary indexes stand on).
 // Backward: the decoders must reject or decode arbitrary bytes without
 // panicking, because they read pages straight from disk and a torn write or
-// bit rot must surface as an error, not a crash.
+// bit rot must surface as an error, not a crash. Both directions also run
+// the allocation-free field readers KeyInt and RowBytes, which must agree
+// with DecodeKeyValue and DecodeRowValue column by column.
 func FuzzReldbCodec(f *testing.F) {
 	f.Add([]byte{}, int64(0), 0.0, "")
 	f.Add([]byte{0x00, 0xFF, 0x00, 0x01}, int64(-1), -0.0, "a\x00b")
@@ -76,6 +78,10 @@ func FuzzReldbCodec(f *testing.F) {
 				t.Fatalf("DecodeRow returned %d columns, want %d", len(r), n)
 			}
 		}
+		checkKeyInt(t, key)
+		checkRowBytes(t, enc)
+		checkKeyInt(t, data)
+		checkRowBytes(t, data)
 		rest := data
 		for len(rest) > 0 {
 			_, next, err := DecodeKeyValue(rest)
@@ -99,6 +105,60 @@ func FuzzReldbCodec(f *testing.F) {
 			rest = next
 		}
 	})
+}
+
+// checkKeyInt walks b column by column with DecodeKeyValue and checks that
+// KeyInt reads every int64 column to the same value and remainder, and
+// fails on every other column and wherever DecodeKeyValue fails.
+func checkKeyInt(t *testing.T, b []byte) {
+	t.Helper()
+	for {
+		v, rest, err := DecodeKeyValue(b)
+		got, grest, gerr := KeyInt(b)
+		if err == nil && v.Type == TypeInt64 {
+			if gerr != nil || got != v.Int || len(grest) != len(rest) {
+				t.Fatalf("KeyInt(%x) = %d, %d left, %v; DecodeKeyValue = %d, %d left", b, got, len(grest), gerr, v.Int, len(rest))
+			}
+		} else if gerr == nil {
+			t.Fatalf("KeyInt(%x) succeeded; DecodeKeyValue = %v, %v", b, v, err)
+		}
+		if err != nil || len(rest) == 0 {
+			return
+		}
+		b = rest
+	}
+}
+
+// checkRowBytes is checkKeyInt for RowBytes and DecodeRowValue: text and
+// blob columns read as their payload, NULL as nil, other types fail.
+func checkRowBytes(t *testing.T, b []byte) {
+	t.Helper()
+	for {
+		v, rest, err := DecodeRowValue(b)
+		got, grest, gerr := RowBytes(b)
+		var want []byte
+		ok := err == nil
+		switch v.Type {
+		case TypeText:
+			want = []byte(v.Str)
+		case TypeBlob:
+			want = v.Bts
+		case TypeNull:
+		default:
+			ok = false
+		}
+		if ok {
+			if gerr != nil || !bytes.Equal(got, want) || (got == nil) != (v.Type == TypeNull) || len(grest) != len(rest) {
+				t.Fatalf("RowBytes(%x) = %x, %d left, %v; DecodeRowValue = %v, %d left", b, got, len(grest), gerr, v, len(rest))
+			}
+		} else if gerr == nil {
+			t.Fatalf("RowBytes(%x) succeeded; DecodeRowValue = %v, %v", b, v, err)
+		}
+		if err != nil || len(rest) == 0 {
+			return
+		}
+		b = rest
+	}
 }
 
 // valueEqual compares decoded values, treating NaN floats as equal to

@@ -62,19 +62,44 @@ func (t *Table) Put(wt *storage.WriteTxn, row Row) error {
 
 // Get fetches the row with the given key column values.
 func (t *Table) Get(txn btree.ReadTxn, keyVals ...Value) (Row, error) {
-	s := t.meta.schema
-	if len(keyVals) != len(s.Key) {
-		return nil, fmt.Errorf("reldb: table %s key needs %d values, got %d", s.Name, len(s.Key), len(keyVals))
+	if err := t.checkKey(keyVals); err != nil {
+		return nil, err
 	}
 	return t.getByEncodedKey(txn, EncodeKey(nil, keyVals...))
 }
 
-func (t *Table) getByEncodedKey(txn btree.ReadTxn, key []byte) (Row, error) {
+// GetBorrowed is Get without the decode: it returns the row's encoded value
+// columns, to be read with RowBytes or DecodeRow. The bytes may alias page
+// memory (see btree.Tree.Get): read them before the next call on txn and
+// keep none of them. In a write transaction a later write can rewrite the
+// page under them, so write paths use Get.
+func (t *Table) GetBorrowed(txn btree.ReadTxn, keyVals ...Value) ([]byte, error) {
+	if err := t.checkKey(keyVals); err != nil {
+		return nil, err
+	}
+	var kb [32]byte
+	return t.getRaw(txn, EncodeKey(kb[:0], keyVals...))
+}
+
+// checkKey rejects a key with the wrong number of columns.
+func (t *Table) checkKey(keyVals []Value) error {
+	if s := t.meta.schema; len(keyVals) != len(s.Key) {
+		return fmt.Errorf("reldb: table %s key needs %d values, got %d", s.Name, len(s.Key), len(keyVals))
+	}
+	return nil
+}
+
+func (t *Table) getRaw(txn btree.ReadTxn, key []byte) ([]byte, error) {
 	val, err := t.tree.Get(txn, key)
+	if errors.Is(err, btree.ErrNotFound) {
+		return nil, ErrNotFound
+	}
+	return val, err
+}
+
+func (t *Table) getByEncodedKey(txn btree.ReadTxn, key []byte) (Row, error) {
+	val, err := t.getRaw(txn, key)
 	if err != nil {
-		if errors.Is(err, btree.ErrNotFound) {
-			return nil, ErrNotFound
-		}
 		return nil, err
 	}
 	return t.decodeFull(key, val)
@@ -96,9 +121,8 @@ func (t *Table) decodeFull(key, val []byte) (Row, error) {
 // Delete removes the row with the given key column values, returning
 // ErrNotFound if absent.
 func (t *Table) Delete(wt *storage.WriteTxn, keyVals ...Value) error {
-	s := t.meta.schema
-	if len(keyVals) != len(s.Key) {
-		return fmt.Errorf("reldb: table %s key needs %d values, got %d", s.Name, len(s.Key), len(keyVals))
+	if err := t.checkKey(keyVals); err != nil {
+		return err
 	}
 	key := EncodeKey(nil, keyVals...)
 	if len(t.meta.indexes) > 0 {
@@ -125,11 +149,7 @@ func (t *Table) Delete(wt *storage.WriteTxn, keyVals ...Value) error {
 // scans the whole table) in primary-key order. fn returning ErrStopScan
 // ends the scan early without error.
 func (t *Table) Scan(txn btree.ReadTxn, prefix []Value, fn func(Row) error) error {
-	var pfx []byte
-	if len(prefix) > 0 {
-		pfx = EncodeKey(nil, prefix...)
-	}
-	return t.scanRaw(txn, pfx, func(k, v []byte) error {
+	return t.ScanBorrowed(txn, prefix, func(k, v []byte) error {
 		row, err := t.decodeFull(k, v)
 		if err != nil {
 			return err
@@ -141,13 +161,23 @@ func (t *Table) Scan(txn btree.ReadTxn, prefix []Value, fn func(Row) error) erro
 // ErrStopScan stops a scan early; Scan returns nil in that case.
 var ErrStopScan = errors.New("reldb: stop scan")
 
-func (t *Table) scanRaw(txn btree.ReadTxn, prefix []byte, fn func(k, v []byte) error) error {
+// ScanBorrowed is Scan without the decode: fn receives each row's encoded
+// key and value columns, to be read with KeyInt and RowBytes (or DecodeKey
+// and DecodeRow). Both slices may alias page memory (see btree.Cursor.Key
+// and Value) and are valid only during fn: fn must copy every byte it keeps
+// before returning. fn returning ErrStopScan ends the scan early without
+// error.
+func (t *Table) ScanBorrowed(txn btree.ReadTxn, prefix []Value, fn func(key, val []byte) error) error {
+	var pfx []byte
+	if len(prefix) > 0 {
+		pfx = EncodeKey(nil, prefix...)
+	}
 	var c *btree.Cursor
 	var err error
-	if len(prefix) == 0 {
+	if len(pfx) == 0 {
 		c, err = t.tree.First(txn)
 	} else {
-		c, err = t.tree.Seek(txn, prefix)
+		c, err = t.tree.Seek(txn, pfx)
 	}
 	if err != nil {
 		return err
@@ -157,7 +187,7 @@ func (t *Table) scanRaw(txn btree.ReadTxn, prefix []byte, fn func(k, v []byte) e
 		if err != nil {
 			return err
 		}
-		if len(prefix) > 0 && !bytes.HasPrefix(k, prefix) {
+		if len(pfx) > 0 && !bytes.HasPrefix(k, pfx) {
 			return nil
 		}
 		v, err := c.Value()

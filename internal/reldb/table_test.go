@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -563,6 +564,140 @@ func TestManyRowsAcrossTransactions(t *testing.T) {
 		}
 		if hits != want {
 			t.Errorf("loc3 hits = %d, want %d", hits, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanBorrowedMatchesScan: the borrowed iterator and the field readers
+// see exactly what Scan decodes. Each borrowed (key, val) pair, re-decoded
+// inside the callback, must equal Scan's row, over inline and overflow
+// values, text holding 0x00, prefix boundaries and an early ErrStopScan;
+// KeyInt/RowBytes must read the same fields and GetBorrowed the same value
+// bytes.
+func TestScanBorrowedMatchesScan(t *testing.T) {
+	db := testDB(t)
+	schema := &Schema{
+		Name: "mixed",
+		Key:  []Column{{Name: "part", Type: TypeInt64}, {Name: "name", Type: TypeText}},
+		Cols: []Column{{Name: "note", Type: TypeText}, {Name: "data", Type: TypeBlob}},
+	}
+	names := []string{"", "a", "a\x00", "a\x00b", "ab", "b\x00\x00", "\x00"}
+	err := db.Store().Update(func(wt *storage.WriteTxn) error {
+		if err := db.CreateTable(wt, schema); err != nil {
+			return err
+		}
+		tbl, err := db.Table("mixed")
+		if err != nil {
+			return err
+		}
+		for part := int64(-1); part < 4; part++ {
+			for i, name := range names {
+				data := []byte{byte(part), byte(i), 0x00}
+				if i%3 == 0 {
+					data = make([]byte, 3*storage.DefaultPageSize+i) // overflow
+					for j := range data {
+						data[j] = byte(j * (i + 1))
+					}
+				}
+				note := S(fmt.Sprintf("n\x00%d", i))
+				if i == 4 {
+					note = Null()
+				}
+				if err := tbl.Put(wt, Row{I(part), S(name), note, B(data)}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("mixed")
+
+	cases := []struct {
+		name   string
+		prefix []Value
+		stopAt int // stop with ErrStopScan after this many rows; 0 = never
+		rows   int // rows Scan must yield
+	}{
+		{"all", nil, 0, 5 * len(names)},
+		{"part", []Value{I(2)}, 0, len(names)},
+		{"negative part", []Value{I(-1)}, 0, len(names)},
+		{"text prefix", []Value{I(1), S("a")}, 0, 1},
+		{"text prefix with 0x00", []Value{I(3), S("a\x00")}, 0, 1},
+		{"empty prefix match", []Value{I(9)}, 0, 0},
+		{"stop", nil, 9, 9},
+		{"stop in prefix", []Value{I(0)}, 2, 2},
+	}
+	err = db.Store().View(func(rt *storage.ReadTxn) error {
+		for _, tc := range cases {
+			var want []Row
+			err := tbl.Scan(rt, tc.prefix, func(row Row) error {
+				want = append(want, row)
+				if len(want) == tc.stopAt {
+					return ErrStopScan
+				}
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("%s: Scan: %w", tc.name, err)
+			}
+			if len(want) != tc.rows {
+				t.Errorf("%s: Scan saw %d rows, want %d", tc.name, len(want), tc.rows)
+			}
+			var got []Row
+			err = tbl.ScanBorrowed(rt, tc.prefix, func(key, val []byte) error {
+				k, err := DecodeKey(key, 2)
+				if err != nil {
+					return err
+				}
+				v, err := DecodeRow(val, 2)
+				if err != nil {
+					return err
+				}
+				row := append(k, v...)
+				got = append(got, row)
+
+				part, _, err := KeyInt(key)
+				if err != nil || part != row[0].Int {
+					t.Errorf("%s: KeyInt = %d, %v; want %d", tc.name, part, err, row[0].Int)
+				}
+				note, rest, err := RowBytes(val)
+				if err != nil || string(note) != row[2].Str {
+					t.Errorf("%s: RowBytes(note) = %q, %v; want %q", tc.name, note, err, row[2].Str)
+				}
+				data, rest, err := RowBytes(rest)
+				if err != nil || !bytes.Equal(data, row[3].Bts) || len(rest) != 0 {
+					t.Errorf("%s: RowBytes(data) = %d bytes, %v, %d left; want %d bytes", tc.name, len(data), err, len(rest), len(row[3].Bts))
+				}
+				pointVal, err := tbl.GetBorrowed(rt, row[0], row[1])
+				if err != nil || !bytes.Equal(pointVal, val) {
+					t.Errorf("%s: GetBorrowed(%v) differs from the scanned value (%v)", tc.name, row[:2], err)
+				}
+				if len(got) == tc.stopAt {
+					return ErrStopScan
+				}
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("%s: ScanBorrowed: %w", tc.name, err)
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s: ScanBorrowed saw %d rows, Scan %d", tc.name, len(got), len(want))
+				continue
+			}
+			for i := range want {
+				for c := range want[i] {
+					if !valueEqual(got[i][c], want[i][c]) {
+						t.Errorf("%s: row %d column %d: borrowed %v, Scan %v", tc.name, i, c, got[i][c], want[i][c])
+					}
+				}
+			}
 		}
 		return nil
 	})

@@ -31,6 +31,7 @@ func crashLSM(t *testing.T, db *DB) {
 // across the crash, a writer that got an error left no trace, and a
 // multi-item batch is all-or-nothing — never torn down the middle.
 func TestLSMGroupCommitCrash(t *testing.T) {
+	skipIfEphemeralBackend(t)
 	opts := Options{
 		Dim: 8, Seed: 1,
 		LSMIngest:        true,
@@ -153,6 +154,7 @@ func idVec(id string) []float32 {
 // must leave either the full delta or the full run — the 30 rows are
 // always all present, never split or duplicated across a torn seal.
 func TestLSMSealCrash(t *testing.T) {
+	skipIfEphemeralBackend(t)
 	opts := Options{
 		Dim: 8, Seed: 2,
 		LSMIngest:        true,
@@ -237,6 +239,7 @@ func TestLSMSealCrash(t *testing.T) {
 // invariant battery (which audits the per-run zone metadata) and answer
 // exact searches with the newest-wins contract preserved.
 func TestLSMCompactRunsCrash(t *testing.T) {
+	skipIfEphemeralBackend(t)
 	opts := Options{
 		Dim: 8, Seed: 3,
 		LSMIngest:        true,
