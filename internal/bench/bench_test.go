@@ -202,8 +202,8 @@ func TestConcurrencyRunnerSmoke(t *testing.T) {
 
 // TestShardsRunnerSmoke runs the sharding scenario at tiny scale and
 // asserts the acceptance criteria it prints: recall@10 parity within 1
-// point of the single store at every shard count (the p99 criterion is
-// judged only on multi-core hosts, where the scatter can actually overlap).
+// point of the single store at every shard count (the 4-shard p99 is a
+// reported NOTE, not a verdict).
 func TestShardsRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner")
@@ -253,8 +253,8 @@ func TestBackendsRunnerSmoke(t *testing.T) {
 // TestWriteStormRunnerSmoke runs the write-storm scenario at tiny scale
 // and asserts the acceptance criteria it prints: the committer actually
 // grouped concurrent writers, recall@10 holds through the storms, and (on
-// hosts with spare cores) grouped throughput and storm-window p99 meet
-// their bounds.
+// hosts with at least four cores) storm-window p99 meets its bound. The
+// grouped-to-single-writer throughput ratio is a reported NOTE.
 func TestWriteStormRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner")

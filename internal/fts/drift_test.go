@@ -163,7 +163,7 @@ func TestStatDriftRoundTripZero(t *testing.T) {
 func TestStatDriftRandomized(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "drift.db")
-	s, err := storage.Open(path, storage.Options{Sync: storage.SyncOff, CheckpointFrames: -1})
+	s, err := storage.Open(path, storage.Options{Backend: storage.BackendFile, Sync: storage.SyncOff, CheckpointFrames: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestStatDriftRandomized(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := storage.Open(path, storage.Options{Sync: storage.SyncOff, CheckpointFrames: -1})
+	s2, err := storage.Open(path, storage.Options{Backend: storage.BackendFile, Sync: storage.SyncOff, CheckpointFrames: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
