@@ -1189,10 +1189,10 @@ func BenchmarkCachedSearch(b *testing.B) {
 	b.ReportMetric(recall/measured, "recall@10")
 }
 
-// BenchmarkGroupCommitIngest measures the LSM ingest path for the BENCH
+// BenchmarkGroupCommitIngest measures the write path for the BENCH
 // trajectory: single-writer vs 8-writer group-committed insert throughput,
 // then the search tail idle vs during a saturating insert storm absorbed by
-// the memtable. On multi-core hosts the grouped rate should clear 3x the
+// the delta store. On multi-core hosts the 8-writer rate should clear the
 // single-writer rate (writers amortize the writer gate and WAL commit);
 // storm-p99-ms should stay near idle-p99-ms at unchanged recall@10.
 func BenchmarkGroupCommitIngest(b *testing.B) {
@@ -1206,11 +1206,10 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 	bootstrap := n / 2
 	const stormN = 800
 	row := func(i int) []float32 { return ds.Train.Row(i % n) }
-	mk := func(name string, lsm bool) *micronn.DB {
+	mk := func(name string) *micronn.DB {
 		db, err := micronn.Open(filepath.Join(b.TempDir(), name+".mnn"), micronn.Options{
 			Dim: spec.Dim, Metric: spec.Metric, Seed: spec.Seed,
 			TargetPartitionSize: 100,
-			LSMIngest:           lsm, MemtableMaxItems: 512,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -1243,8 +1242,8 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 
 	var singleRate, groupedRate, avgGroup, idleP99, stormP99, recall, writeAmp float64
 	for iter := 0; iter < b.N; iter++ {
-		// Single-writer baseline: one goroutine, one txn per insert.
-		db := mk(fmt.Sprintf("gci-single%d", iter), false)
+		// Single-writer baseline: one goroutine, one group per insert.
+		db := mk(fmt.Sprintf("gci-single%d", iter))
 		start := time.Now()
 		for i := 0; i < stormN; i++ {
 			if err := db.Upsert(micronn.Item{ID: fmt.Sprintf("s%d", i), Vector: row(i)}); err != nil {
@@ -1257,8 +1256,8 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 		// Grouped: 8 writers race into the committer. Maintenance row
 		// writes are measured from here to the quiesced end of the iter:
 		// divided by the rows ingested they are the write-amplification
-		// factor the tiered compaction policy keeps flat.
-		db = mk(fmt.Sprintf("gci-grouped%d", iter), true)
+		// factor.
+		db = mk(fmt.Sprintf("gci-grouped%d", iter))
 		st0, err := db.Stats()
 		if err != nil {
 			b.Fatal(err)
@@ -1373,213 +1372,6 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 	b.ReportMetric(stormP99/float64(b.N), "storm-p99-ms")
 	b.ReportMetric(recall/float64(b.N), "recall@10")
 	b.ReportMetric(writeAmp/float64(b.N), "write-amp-rows/row")
-}
-
-// BenchmarkTieredCompaction compares LSM maintenance write amplification
-// between the tiered compaction policy (whole tiers merged in one pass,
-// the PR 9 default) and the oldest-run-only policy it replaced, over an
-// identical saturating ingest with an identical maintenance cadence. It
-// also measures run-zone pruning: sealed waves carry disjoint indexed
-// attribute values, so a filtered search skips the non-matching runs via
-// their attribute Blooms — pruned-runs must be > 0 at prune-divergences 0
-// (results byte-identical with pruning on and off).
-func BenchmarkTieredCompaction(b *testing.B) {
-	spec, err := workload.ByName("InternalA")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec = spec.Scaled(benchScale)
-	ds := spec.Generate()
-	n := ds.Train.Rows
-	bootstrap := n / 2
-	row := func(i int) []float32 { return ds.Train.Row(i % n) }
-	const ingestN = 2048
-
-	ampRun := func(name string, maxCompact int) (float64, int64) {
-		db, err := micronn.Open(filepath.Join(b.TempDir(), name+".mnn"), micronn.Options{
-			Dim: spec.Dim, Metric: spec.Metric, Seed: spec.Seed,
-			TargetPartitionSize: 100,
-			LSMIngest:           true, MemtableMaxItems: 256,
-			MaxCompactRuns:   maxCompact,
-			MaxUnmergedItems: 1 << 20, // cadence below is the only maintenance
-			// No splits: partition rebalancing noise would swamp the
-			// compaction-policy difference this benchmark isolates.
-			MaxPartitionSize: 1 << 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		items := make([]micronn.Item, 0, bootstrap)
-		for i := 0; i < bootstrap; i++ {
-			items = append(items, micronn.Item{ID: workload.AssetID(i), Vector: ds.Train.Row(i)})
-		}
-		if err := db.UpsertBatch(items); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Rebuild(); err != nil {
-			b.Fatal(err)
-		}
-		base, err := db.Stats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Memtable-sized waves, each awaited until the async sealer turns it
-		// into a run: both variants drain the identical run set, so the
-		// comparison isolates the compaction policy, not seal timing.
-		const waveSize = 256
-		for wave := 0; wave < ingestN/waveSize; wave++ {
-			items := make([]micronn.Item, 0, waveSize)
-			for i := 0; i < waveSize; i++ {
-				items = append(items, micronn.Item{
-					ID: fmt.Sprintf("amp-%s-%d", name, wave*waveSize+i), Vector: row(wave*waveSize + i),
-				})
-			}
-			if err := db.UpsertBatch(items); err != nil {
-				b.Fatal(err)
-			}
-			for deadline := time.Now().Add(5 * time.Second); ; {
-				st, err := db.Stats()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Ingest.RunCount >= int64(wave+1) || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			st, err := db.Stats()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Ingest.RunCount == 0 {
-				break
-			}
-			if _, err := db.Maintain(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := db.FlushDelta(); err != nil {
-			b.Fatal(err)
-		}
-		end, err := db.Stats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(end.PagesWritten-base.PagesWritten)/float64(ingestN), name[:6]+"-pages/row")
-		return float64(end.Maintenance.RowChanges-base.Maintenance.RowChanges) / float64(ingestN),
-			end.Maintenance.Compactions - base.Maintenance.Compactions
-	}
-
-	pruneRun := func() (pruned int64, divergences int) {
-		db, err := micronn.Open(filepath.Join(b.TempDir(), "prune.mnn"), micronn.Options{
-			Dim: spec.Dim, Metric: spec.Metric, Seed: spec.Seed,
-			TargetPartitionSize: 100,
-			LSMIngest:           true, MemtableMaxItems: 256,
-			MaxUnmergedItems: 1 << 20,
-			Attributes:       []micronn.AttributeDef{{Name: "wave", Type: micronn.AttrText, Indexed: true}},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		items := make([]micronn.Item, 0, bootstrap)
-		for i := 0; i < bootstrap; i++ {
-			items = append(items, micronn.Item{
-				ID: workload.AssetID(i), Vector: ds.Train.Row(i),
-				Attributes: map[string]any{"wave": "base"},
-			})
-		}
-		if err := db.UpsertBatch(items); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Rebuild(); err != nil {
-			b.Fatal(err)
-		}
-		for w, tag := range []string{"alpha", "beta", "gamma"} {
-			wave := make([]micronn.Item, 0, 256)
-			for i := 0; i < 256; i++ {
-				wave = append(wave, micronn.Item{
-					ID: fmt.Sprintf("pr-%s-%d", tag, i), Vector: row(bootstrap + w*256 + i),
-					Attributes: map[string]any{"wave": tag},
-				})
-			}
-			if err := db.UpsertBatch(wave); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Seals are asynchronous; wait for at least two waves to become runs.
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			st, err := db.Stats()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Ingest.RunCount >= 2 || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		query := func() [][]string {
-			var out [][]string
-			for i := 0; i < 25; i++ {
-				resp, err := db.Search(micronn.SearchRequest{
-					Vector: ds.Queries.Row(i % ds.Queries.Rows), K: 10,
-					Filters: []micronn.Filter{micronn.Eq("wave", "alpha")},
-					Plan:    micronn.PlanPostFilter, NoCache: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ids := make([]string, len(resp.Results))
-				for j, r := range resp.Results {
-					ids[j] = r.ID
-				}
-				out = append(out, ids)
-			}
-			return out
-		}
-		on := query()
-		st, err := db.Stats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		db.InternalIndex().SetZonePruning(false)
-		off := query()
-		for i := range on {
-			if len(on[i]) != len(off[i]) {
-				divergences++
-				continue
-			}
-			for j := range on[i] {
-				if on[i][j] != off[i][j] {
-					divergences++
-					break
-				}
-			}
-		}
-		return st.Ingest.ZonePrunedRuns, divergences
-	}
-
-	var tiered, oldest, tieredMerges, oldestMerges, pruned, diverged float64
-	for iter := 0; iter < b.N; iter++ {
-		tAmp, tM := ampRun(fmt.Sprintf("tiered%d", iter), 0)
-		oAmp, oM := ampRun(fmt.Sprintf("oldest%d", iter), 1)
-		p, d := pruneRun()
-		tiered += tAmp
-		oldest += oAmp
-		tieredMerges += float64(tM)
-		oldestMerges += float64(oM)
-		pruned += float64(p)
-		diverged += float64(d)
-	}
-	b.ReportMetric(tiered/float64(b.N), "tiered-write-amp")
-	b.ReportMetric(oldest/float64(b.N), "oldest-write-amp")
-	b.ReportMetric(tieredMerges/float64(b.N), "tiered-merges")
-	b.ReportMetric(oldestMerges/float64(b.N), "oldest-merges")
-	b.ReportMetric(pruned/float64(b.N), "pruned-runs")
-	b.ReportMetric(diverged/float64(b.N), "prune-divergences")
 }
 
 // --- Hybrid search: BM25 lexical leg fused with the vector leg ---

@@ -41,6 +41,7 @@ const (
 	exitBadRequest  = 4 // micronn.ErrBadRequest
 	exitDimMismatch = 5 // micronn.ErrDimMismatch
 	exitClosed      = 6 // micronn.ErrClosed
+	exitFormat      = 7 // micronn.ErrUnsupportedFormat
 )
 
 // exitCode translates a command error into the process exit code.
@@ -54,6 +55,8 @@ func exitCode(err error) int {
 		return exitDimMismatch
 	case errors.Is(err, micronn.ErrClosed):
 		return exitClosed
+	case errors.Is(err, micronn.ErrUnsupportedFormat):
+		return exitFormat
 	}
 	return exitErr
 }
@@ -114,9 +117,7 @@ func usage() {
 commands:
   create  -dim N [-metric L2|cosine|dot] [-partition-size N]
           [-quant none|sq8|sq4] [-clip P] [-shards N] [-backend file|mmap|memory]
-  load    [-n N] [-seed N] [-lsm]   load N random vectors (ids vNNNNNNNN);
-                                    -lsm routes writes through the memtable
-                                    group-commit path
+  load    [-n N] [-seed N]          load N random vectors (ids vNNNNNNNN)
   rebuild                           full index rebuild
   flush                             incremental delta flush
   maintain [-flush-threshold N] [-min N] [-max N] [-watch D]
@@ -135,7 +136,7 @@ commands:
   stats
 
 exit codes: 1 error, 2 usage, 3 not found, 4 bad request, 5 dimension
-mismatch, 6 database closed`)
+mismatch, 6 database closed, 7 unsupported store format`)
 }
 
 func cmdCreate(path string, args []string) error {
@@ -207,11 +208,10 @@ func cmdLoad(path string, args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	n := fs.Int("n", 10000, "number of random vectors")
 	seed := fs.Int64("seed", 1, "random seed")
-	lsm := fs.Bool("lsm", false, "route writes through the LSM memtable / group-commit path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	d, err := openDB(path, micronn.Options{LSMIngest: *lsm})
+	d, err := openDB(path, micronn.Options{})
 	if err != nil {
 		return err
 	}
@@ -295,8 +295,8 @@ func cmdMaintain(path string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("maintain: %s (%d steps: %d compact, %d flush, %d split, %d merge, %d rebuild), %d rows changed, %v; %d partitions sized [%d, %d]\n",
-			rep.Action, rep.Steps, rep.Compactions, rep.Flushes, rep.Splits, rep.Merges, rep.Rebuilds,
+		fmt.Printf("maintain: %s (%d steps: %d flush, %d split, %d merge, %d rebuild), %d rows changed, %v; %d partitions sized [%d, %d]\n",
+			rep.Action, rep.Steps, rep.Flushes, rep.Splits, rep.Merges, rep.Rebuilds,
 			rep.RowChanges, rep.Duration.Round(time.Millisecond),
 			st.NumPartitions, st.SmallestPartition, st.LargestPartition)
 		if *watch <= 0 {
@@ -477,28 +477,9 @@ func cmdStats(path string) error {
 	} else {
 		fmt.Printf("result cache:     disabled\n")
 	}
-	if in := st.Ingest; in.Enabled {
-		avgGroup := 0.0
-		if in.GroupCommits > 0 {
-			avgGroup = float64(in.GroupedOps) / float64(in.GroupCommits)
-		}
-		fmt.Printf("lsm ingest:       %d ops in %d group commits (avg %.1f, max %d), %d seals (%d rows)\n",
-			in.GroupedOps, in.GroupCommits, avgGroup, in.MaxGroupSize, in.Seals, in.SealedRows)
-		if in.SealFailures > 0 {
-			fmt.Printf("  seal failures:  %d (last: %s)\n", in.SealFailures, in.LastSealError)
-		}
-		fmt.Printf("  sorted runs:    %d runs, %d live rows, %d tombstones, %d unmerged\n",
-			in.RunCount, in.RunRows, in.TombstoneRows, in.UnmergedItems)
-		fmt.Printf("  backpressure:   %d triggers, %d hard-limit waits (%.1f ms total)\n",
-			in.BackpressureTriggers, in.BackpressureWaits, float64(in.BackpressureWaitNs)/1e6)
-	}
-	if in := st.Ingest; in.ZonePruneChecks > 0 {
-		fmt.Printf("zone pruning:     %d run scans skipped across %d checks\n",
-			in.ZonePrunedRuns, in.ZonePruneChecks)
-	}
 	if m := st.Maintenance; m.Passes > 0 {
-		fmt.Printf("maintenance:      %d passes (%d flush, %d split, %d merge, %d compact, %d rebuild), %d stale retries, %d errors, %d row changes\n",
-			m.Passes, m.Flushes, m.Splits, m.Merges, m.Compactions, m.Rebuilds, m.StaleRetries, m.Errors, m.RowChanges)
+		fmt.Printf("maintenance:      %d passes (%d flush, %d split, %d merge, %d rebuild), %d stale retries, %d errors, %d row changes\n",
+			m.Passes, m.Flushes, m.Splits, m.Merges, m.Rebuilds, m.StaleRetries, m.Errors, m.RowChanges)
 	}
 	fmt.Printf("writer gate:      %d waits (%.1f ms total)\n",
 		st.GateWaits, float64(st.GateWaitNs)/1e6)

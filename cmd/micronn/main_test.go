@@ -154,6 +154,7 @@ func TestExitCodes(t *testing.T) {
 		{micronn.ErrBadRequest, exitBadRequest},
 		{micronn.ErrDimMismatch, exitDimMismatch},
 		{micronn.ErrClosed, exitClosed},
+		{micronn.ErrUnsupportedFormat, exitFormat},
 		{fmt.Errorf("wrapped: %w", micronn.ErrNotFound), exitNotFound},
 		{fmt.Errorf("vector has dim 2, index has 4: %w", micronn.ErrDimMismatch), exitDimMismatch},
 		{errors.New("plain failure"), exitErr},

@@ -28,6 +28,11 @@ var (
 	// touching the store: negative K/NProbe/RerankFactor, an invalid
 	// option value at Open, and similar caller mistakes.
 	ErrBadRequest = errors.New("micronn: bad request")
+	// ErrUnsupportedFormat is returned by Open and OpenSharded for a store
+	// written in a pre-release on-disk format this version no longer reads
+	// (for example one whose state lists sealed sorted runs). The store is
+	// left unmodified.
+	ErrUnsupportedFormat = errors.New("micronn: unsupported store format")
 )
 
 // badRequestf builds an ErrBadRequest-wrapped validation error.

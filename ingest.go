@@ -5,29 +5,23 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"micronn/internal/ivf"
 	"micronn/internal/reldb"
 	"micronn/internal/storage"
 )
 
-// This file is the LSM-shaped ingest path (Options.LSMIngest): a memtable of
-// enqueued write operations in front of the WAL'd delta store, drained by a
-// dedicated committer goroutine that batches every writer accumulated while
-// the previous transaction held the single-writer gate into ONE storage
-// transaction — the group commit. Callers block until their group's commit
-// and receive its error, so the durability contract is unchanged (an Upsert
-// that returned nil is on disk exactly as before); what changes is cost:
-// one gate acquisition, one WAL append/sync and one data-generation bump are
-// amortized over the whole group instead of paid per point write.
-//
-// After each group the committer seals the delta store into an immutable
-// sorted run (ivf.SealDelta) once it exceeds the memtable bounds, and
-// applies backpressure when unmerged rows (delta + runs) outrun compaction:
-// past MaxUnmergedItems it kicks a background Maintain (single-flight);
-// past HardLimitItems it additionally holds the ingest pipeline briefly so
-// compaction can catch up, bounding worst-case search cost.
+// This file is the write path: every Upsert, UpsertBatch, Delete and
+// DeleteBatch enqueues its operation and blocks while a dedicated committer
+// goroutine batches every writer accumulated while the previous transaction
+// held the single-writer gate into ONE storage transaction — the group
+// commit — writing into the WAL'd delta store. Callers receive their
+// group's commit error, so an Upsert that returned nil is on disk exactly
+// as a per-call transaction would have left it; what group commit changes
+// is cost: one gate acquisition, one WAL append/sync and one
+// data-generation bump are amortized over the whole group instead of paid
+// per point write. The delta is bounded by maintenance (Maintain's flush
+// past Options.FlushThreshold, or AutoMaintain), not by the committer.
 
 // ingestOp is one writer's enqueued unit of work: either an upsert batch
 // (items + pre-converted attributes, index-aligned) or a delete batch.
@@ -41,23 +35,14 @@ type ingestOp struct {
 	errc   chan error
 }
 
-// ingester owns the memtable and the committer goroutine.
+// ingester owns the pending queue and the committer goroutine.
 type ingester struct {
 	db *DB
 
-	// sealItems is the delta-store row count that triggers a seal — the
-	// min of Options.MemtableMaxItems and MemtableMaxBytes expressed in
-	// rows at this dimensionality.
-	sealItems int64
-	// maxUnmerged / hardLimit are the backpressure thresholds in unmerged
-	// rows (delta + live run rows).
-	maxUnmerged int64
-	hardLimit   int64
-
-	// declared holds the schema's attribute names for enqueue-time
-	// validation (the committer must not discover per-writer mistakes
-	// mid-group).
-	declared map[string]bool
+	// declared maps the schema's attribute names to their column types for
+	// enqueue-time validation (the committer must not discover per-writer
+	// mistakes mid-group, where they would fail every writer in it).
+	declared map[string]reldb.ColType
 
 	mu      sync.Mutex
 	pending []*ingestOp
@@ -71,77 +56,19 @@ type ingester struct {
 	groupCommits atomic.Uint64
 	groupedOps   atomic.Uint64
 	maxGroup     atomic.Int64
-	seals        atomic.Uint64
-	sealedRows   atomic.Int64
-	bpTriggers   atomic.Uint64
-	bpWaits      atomic.Uint64
-	bpWaitNs     atomic.Int64
-
-	// Single-flight background compaction.
-	bgActive atomic.Bool
-	bgWG     sync.WaitGroup
-
-	// Single-flight background seal (see triggerSeal). sealFailures and
-	// lastSealErr surface a persistently failing seal: durability is safe
-	// regardless (it lives in the group commit), but unmerged rows would
-	// pile up silently.
-	sealActive   atomic.Bool
-	sealWG       sync.WaitGroup
-	sealFailures atomic.Uint64
-	sealErrMu    sync.Mutex
-	lastSealErr  string
 }
 
-// ingestDefaults (see Options).
-const (
-	defaultMemtableMaxItems = 4096
-	defaultMemtableMaxBytes = 4 << 20
-)
-
 func newIngester(db *DB) *ingester {
-	opts := db.opts
-	items := int64(opts.MemtableMaxItems)
-	if items <= 0 {
-		items = defaultMemtableMaxItems
-	}
-	bytes := opts.MemtableMaxBytes
-	if bytes <= 0 {
-		bytes = defaultMemtableMaxBytes
-	}
-	// The delta store keeps float32 vectors regardless of quantization, so
-	// rows-per-byte-budget is bytes / (4*Dim).
-	if rowBytes := int64(4 * db.ix.Config().Dim); rowBytes > 0 {
-		if byRows := bytes / rowBytes; byRows < items {
-			items = byRows
-		}
-	}
-	if items < 1 {
-		items = 1
-	}
-	maxUnmerged := int64(opts.MaxUnmergedItems)
-	if maxUnmerged <= 0 {
-		maxUnmerged = 4 * items
-	}
-	hard := int64(opts.HardLimitItems)
-	if hard <= 0 {
-		hard = 2 * maxUnmerged
-	}
-	if hard < maxUnmerged {
-		hard = maxUnmerged
-	}
-	declared := make(map[string]bool, len(db.ix.Config().Attributes))
+	declared := make(map[string]reldb.ColType, len(db.ix.Config().Attributes))
 	for _, a := range db.ix.Config().Attributes {
-		declared[a.Name] = true
+		declared[a.Name] = a.Type
 	}
 	return &ingester{
-		db:          db,
-		sealItems:   items,
-		maxUnmerged: maxUnmerged,
-		hardLimit:   hard,
-		declared:    declared,
-		wake:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		db:       db,
+		declared: declared,
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -157,9 +84,13 @@ func (g *ingester) upsert(items []Item) error {
 		if err != nil {
 			return err
 		}
-		for name := range a {
-			if !g.declared[name] {
-				return fmt.Errorf("ivf: undeclared attribute %q", name)
+		for name, v := range a {
+			typ, ok := g.declared[name]
+			if !ok {
+				return badRequestf("undeclared attribute %q", name)
+			}
+			if !v.IsNull() && v.Type != typ {
+				return badRequestf("attribute %q: want %v, got %v", name, typ, v.Type)
 			}
 		}
 		attrs[i] = a
@@ -188,9 +119,9 @@ func (g *ingester) enqueue(op *ingestOp) error {
 	return <-op.errc
 }
 
-// run is the committer goroutine: it drains the memtable into group
-// commits until shutdown, then commits whatever is still queued (writers
-// blocked in enqueue at Close time still get a real answer).
+// run is the committer goroutine: it drains the queue into group commits
+// until shutdown, then commits whatever is still queued (writers blocked in
+// enqueue at Close time still get a real answer).
 func (g *ingester) run() {
 	defer close(g.done)
 	for {
@@ -213,7 +144,6 @@ func (g *ingester) run() {
 					break
 				}
 				g.commitGroup(batch)
-				g.afterGroup()
 			}
 		}
 	}
@@ -271,182 +201,28 @@ func (g *ingester) commitGroup(batch []*ingestOp) {
 	}
 }
 
-// unmerged reads the delta and unmerged row counts at a fresh snapshot.
-func (g *ingester) unmerged() (delta, unmerged int64, err error) {
-	err = g.db.store.View(func(rt *storage.ReadTxn) error {
-		st, e := g.db.ix.Stats(rt)
-		if e != nil {
-			return e
-		}
-		delta = st.DeltaCount
-		unmerged = st.DeltaCount + st.RunRows
-		return nil
-	})
-	return delta, unmerged, err
-}
-
-// afterGroup runs the between-groups policy: hand the delta to the
-// background sealer past the memtable bounds, and apply flush backpressure
-// when unmerged rows outrun compaction.
-func (g *ingester) afterGroup() {
-	delta, unmerged, err := g.unmerged()
-	if err != nil {
-		return
-	}
-	if g.db.ix.SupportsRuns() && delta >= g.sealItems {
-		g.triggerSeal()
-	}
-	if unmerged < g.maxUnmerged {
-		return
-	}
-	g.triggerMaintain()
-	if unmerged < g.hardLimit {
-		return
-	}
-	// Hard limit: hold the pipeline (writers queue in the memtable behind
-	// this) until compaction makes headway or a short deadline passes —
-	// ingest slows instead of letting search cost grow without bound.
-	g.bpWaits.Add(1)
-	start := time.Now()
-	const hardWait = 250 * time.Millisecond
-	for time.Since(start) < hardWait {
-		select {
-		case <-g.stop:
-			g.bpWaitNs.Add(int64(time.Since(start)))
-			return
-		case <-time.After(5 * time.Millisecond):
-		}
-		_, u, err := g.unmerged()
-		if err != nil || u < g.hardLimit {
-			break
-		}
-		g.triggerMaintain()
-	}
-	g.bpWaitNs.Add(int64(time.Since(start)))
-}
-
-// triggerSeal seals the delta into a sorted run on a background goroutine,
-// single-flight, so no group commit ever waits behind the seal
-// transaction. The crash contract is unchanged: durability lives in the
-// group txn, and the seal runs in its own transaction — after a crash the
-// rows are in the delta XOR the run, never torn. Failures are counted and
-// the error retained (durability is unaffected, but a seal that fails
-// forever must be observable); the next trigger retries.
-func (g *ingester) triggerSeal() {
-	if !g.sealActive.CompareAndSwap(false, true) {
-		return
-	}
-	g.sealWG.Add(1)
-	go func() {
-		defer g.sealWG.Done()
-		defer g.sealActive.Store(false)
-		var sealed int64
-		err := g.db.store.Update(func(wt *storage.WriteTxn) error {
-			var e error
-			sealed, e = g.db.ix.SealDelta(wt)
-			return e
-		})
-		if err != nil {
-			if !errors.Is(err, ErrClosed) && !errors.Is(err, storage.ErrClosed) {
-				g.sealFailures.Add(1)
-				g.sealErrMu.Lock()
-				g.lastSealErr = err.Error()
-				g.sealErrMu.Unlock()
-			}
-			return
-		}
-		if sealed > 0 {
-			g.seals.Add(1)
-			g.sealedRows.Add(sealed)
-		}
-	}()
-}
-
-// triggerMaintain starts one background maintenance pass unless one started
-// here is already running (single-flight; the AutoMaintain loop, if any,
-// runs independently).
-func (g *ingester) triggerMaintain() {
-	if !g.bgActive.CompareAndSwap(false, true) {
-		return
-	}
-	g.bpTriggers.Add(1)
-	g.bgWG.Add(1)
-	go func() {
-		defer g.bgWG.Done()
-		defer g.bgActive.Store(false)
-		if _, err := g.db.Maintain(); err != nil && !errors.Is(err, ErrClosed) {
-			g.db.maintMu.Lock()
-			g.db.maintTotals.Errors++
-			g.db.maintMu.Unlock()
-		}
-	}()
-}
-
-// shutdown stops the committer (draining queued writers with a final group
-// commit) and waits for any background seal or compaction it started — the
-// store must not close under an in-flight seal transaction.
+// shutdown stops the committer, draining queued writers with a final group
+// commit.
 func (g *ingester) shutdown() {
 	close(g.stop)
 	<-g.done
-	g.sealWG.Wait()
-	g.bgWG.Wait()
 }
 
-// IngestStats reports the LSM ingest path. The run/tombstone counts are
-// filled from the index whether or not the path is enabled (runs can exist
-// from a previous open); the group-commit and backpressure counters are
-// cumulative for this handle.
+// IngestStats reports the group committer, cumulative for this handle.
 type IngestStats struct {
-	// Enabled is true when writes flow through the group committer.
-	Enabled bool
 	// GroupCommits counts committed groups; GroupedOps the writer calls
 	// they carried. GroupedOps/GroupCommits is the achieved batching
 	// factor; MaxGroupSize the largest single group.
 	GroupCommits uint64
 	GroupedOps   uint64
 	MaxGroupSize int64
-	// Seals counts delta-to-run seals; SealedRows the rows they moved.
-	// Seals run on a background goroutine (single-flight); SealFailures
-	// counts failed seal transactions and LastSealError keeps the most
-	// recent failure's message — durability is unaffected (it lives in the
-	// group commit), but a persistently failing seal stalls run formation.
-	Seals         uint64
-	SealedRows    int64
-	SealFailures  uint64
-	LastSealError string
-	// RunCount / RunRows are the live immutable sorted runs awaiting
-	// compaction; TombstoneRows counts deletes shadowing run rows.
-	RunCount      int64
-	RunRows       int64
-	TombstoneRows int64
-	// UnmergedItems is delta + run rows — the backpressure signal
-	// compared against Options.MaxUnmergedItems.
-	UnmergedItems int64
-	// BackpressureTriggers counts background compactions kicked by the
-	// soft limit; BackpressureWaits/WaitNs the hard-limit pipeline holds.
-	BackpressureTriggers uint64
-	BackpressureWaits    uint64
-	BackpressureWaitNs   int64
-	// ZonePruneChecks counts searches' per-run zone/Bloom prune decisions;
-	// ZonePrunedRuns how many run scans they skipped (see internal/ivf
-	// zone.go). Filled from the index whether or not LSM ingest is enabled.
-	ZonePruneChecks int64
-	ZonePrunedRuns  int64
 }
 
-// counters snapshots the ingester-side counters into st.
-func (g *ingester) counters(st *IngestStats) {
-	st.Enabled = true
-	st.GroupCommits = g.groupCommits.Load()
-	st.GroupedOps = g.groupedOps.Load()
-	st.MaxGroupSize = g.maxGroup.Load()
-	st.Seals = g.seals.Load()
-	st.SealedRows = g.sealedRows.Load()
-	st.SealFailures = g.sealFailures.Load()
-	g.sealErrMu.Lock()
-	st.LastSealError = g.lastSealErr
-	g.sealErrMu.Unlock()
-	st.BackpressureTriggers = g.bpTriggers.Load()
-	st.BackpressureWaits = g.bpWaits.Load()
-	st.BackpressureWaitNs = g.bpWaitNs.Load()
+// counters snapshots the ingester-side counters.
+func (g *ingester) counters() IngestStats {
+	return IngestStats{
+		GroupCommits: g.groupCommits.Load(),
+		GroupedOps:   g.groupedOps.Load(),
+		MaxGroupSize: g.maxGroup.Load(),
+	}
 }

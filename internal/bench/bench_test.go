@@ -176,9 +176,8 @@ func TestMaintenanceRunnerSmoke(t *testing.T) {
 
 // TestConcurrencyRunnerSmoke runs the concurrency scenario at tiny scale
 // and asserts the acceptance criteria it prints: the measured window
-// overlaps real splits and recall@10 holds steady (the p99 criterion is
-// judged only on hosts with enough cores that the k-means split work does
-// not starve the searcher of CPU time).
+// overlaps real splits and recall@10 holds steady (the p99 ratio is a
+// reported NOTE).
 func TestConcurrencyRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner")
@@ -252,9 +251,9 @@ func TestBackendsRunnerSmoke(t *testing.T) {
 
 // TestWriteStormRunnerSmoke runs the write-storm scenario at tiny scale
 // and asserts the acceptance criteria it prints: the committer actually
-// grouped concurrent writers, recall@10 holds through the storms, and (on
-// hosts with at least four cores) storm-window p99 meets its bound. The
-// grouped-to-single-writer throughput ratio is a reported NOTE.
+// grouped concurrent writers and recall@10 holds through the storms. The
+// 8-writer-to-single-writer throughput ratio and the storm-window p99 are
+// reported NOTEs.
 func TestWriteStormRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner")
@@ -266,7 +265,7 @@ func TestWriteStormRunnerSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"single-writer", "ungrouped", "grouped", "10x storm", "100x storm"} {
+	for _, want := range []string{"single-writer", "grouped", "10x storm", "100x storm"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("write-storm output missing %s:\n%s", want, s)
 		}

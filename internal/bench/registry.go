@@ -33,7 +33,7 @@ var Experiments = []Experiment{
 	{Name: "shards", Desc: "Sharding: scatter-gather search p50/p99, scanned bytes and recall at 1/2/4/8 shards under concurrent upserts", Run: Shards, Alias: []string{"sharding"}},
 	{Name: "backends", Desc: "Backends: cold-start and hot search p50/p99 across file, read-mmap and memory page stores", Run: Backends, Alias: []string{"backend"}},
 	{Name: "cache", Desc: "Result cache: Zipfian hot-query p50/p99 and hit ratio, cached vs uncached, with invalidation under upserts", Run: ResultCache, Alias: []string{"rescache"}},
-	{Name: "updates", Desc: "Updates: write-storm — group-commit insert throughput vs single-writer, search p50/p99 and recall@10 at 10x/100x insert rates, grouped vs ungrouped", Run: WriteStorm, Alias: []string{"writestorm", "storm"}},
+	{Name: "updates", Desc: "Updates: write-storm — group-commit insert throughput vs single-writer, search p50/p99 and recall@10 at 10x/100x insert rates", Run: WriteStorm, Alias: []string{"writestorm", "storm"}},
 	{Name: "hybrid", Desc: "Hybrid fusion: BM25+vector RRF recall@10 and p50/p99 vs single legs; sharded rankings identical to single-store", Run: HybridFusion, Alias: []string{"fusion"}},
 }
 

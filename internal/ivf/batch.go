@@ -92,27 +92,6 @@ func (ix *Index) BatchSearch(txn btree.ReadTxn, queries *vec.Matrix, opts BatchO
 			groups[p] = append(groups[p], qi)
 		}
 	}
-	// Like the delta, every unmerged sorted run is scanned by every query —
-	// MQO makes that one shared scan per run. Tombstoned run rows are
-	// skipped via the dead set.
-	st, err := ix.getState(txn)
-	if err != nil {
-		return nil, nil, err
-	}
-	runParts, dead, err := ix.runScanSet(txn, &st, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(runParts) > 0 {
-		all := make([]int, nq)
-		for qi := range all {
-			all[qi] = qi
-		}
-		for _, p := range runParts {
-			groups[p] = all
-			info.QueryPartitionPairs += nq
-		}
-	}
 	info.PartitionScans = len(groups)
 
 	// On a quantized index each query carries precomputed asymmetric-
@@ -171,7 +150,7 @@ func (ix *Index) BatchSearch(txn btree.ReadTxn, queries *vec.Matrix, opts BatchO
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scanned, pairs, bytesRead, err := ix.batchWorker(txn, work, opts.Cancel, queries, qqs, cb, dead, heaps, heapMus)
+			scanned, pairs, bytesRead, err := ix.batchWorker(txn, work, opts.Cancel, queries, qqs, cb, heaps, heapMus)
 			statMu.Lock()
 			info.VectorsScanned += scanned
 			info.DistancePairs += pairs
@@ -264,7 +243,7 @@ type partWork struct {
 // quantized partitions the tile holds SQ8 codes and each interested query's
 // asymmetric kernel runs over it — the tile is still read once and shared.
 // Rows are read in place from the leaf pages, as in scanWorker.
-func (ix *Index) batchWorker(txn btree.ReadTxn, work <-chan partWork, cancel <-chan struct{}, queries *vec.Matrix, qqs []*quant.Query, cb *quant.Codebook, dead map[int64]bool, heaps []*topk.Heap, heapMus []sync.Mutex) (scanned, pairs, bytesRead int64, err error) {
+func (ix *Index) batchWorker(txn btree.ReadTxn, work <-chan partWork, cancel <-chan struct{}, queries *vec.Matrix, qqs []*quant.Query, cb *quant.Codebook, heaps []*topk.Heap, heapMus []sync.Mutex) (scanned, pairs, bytesRead int64, err error) {
 	dim := ix.cfg.Dim
 	// Not from scanPool: a batch amortizes one allocation over all its
 	// queries, and pooling would keep these buffers live between batches.
@@ -318,8 +297,8 @@ func (ix *Index) batchWorker(txn btree.ReadTxn, work <-chan partWork, cancel <-c
 		}
 
 		perr := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(w.part)}, func(key, val []byte) error {
-			r, live, err := readRowView(w.part, dead, key, val)
-			if err != nil || !live {
+			r, err := readRowView(key, val)
+			if err != nil {
 				return err
 			}
 			bytesRead += int64(len(r.payload))

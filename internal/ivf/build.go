@@ -129,14 +129,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		return nil, err
 	}
 
-	// Physically purge tombstoned run rows first: the rewrite pass below
-	// must see exactly the live rows the state counts. Live run rows need
-	// no special handling — they are ordinary vector rows at negative
-	// partition ids, and the rewrite moves them like any other row.
-	if err := ix.purgeTombstones(wt, ms); err != nil {
-		return nil, err
-	}
-
 	keys, err := ix.collectKeys(wt, nil)
 	if err != nil {
 		return nil, err
@@ -156,10 +148,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		}
 		st.DeltaCount, st.NumPartitions, st.AvgSizeAtBuild = 0, 0, 0
 		st.NextPartID = 1
-		if err := ix.clearRunZones(wt, st.Runs); err != nil {
-			return nil, err
-		}
-		st.Runs = nil // purged above; NextRunID advances monotonically
 		st.Generation++
 		st.DataGen++
 		if err := ix.putState(wt, st); err != nil {
@@ -287,10 +275,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	st.NumPartitions = int64(k)
 	st.AvgSizeAtBuild = float64(len(keys)) / float64(k)
 	st.NextPartID = int64(k) + 1
-	if err := ix.clearRunZones(wt, st.Runs); err != nil {
-		return nil, err
-	}
-	st.Runs = nil // rewrite absorbed every run row; NextRunID keeps advancing
 	st.Generation++
 	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
@@ -326,7 +310,7 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(deltaKeys) == 0 && len(st.Runs) == 0 {
+	if len(deltaKeys) == 0 {
 		ms.Duration = time.Since(start)
 		return ms, nil
 	}
@@ -408,26 +392,6 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		if err := wt.SpillIfNeeded(); err != nil {
 			return nil, err
 		}
-	}
-
-	// Fold any unmerged sorted runs with the same private centroid state, so
-	// the running-mean updates compose across the delta and the runs. Run
-	// payloads already match the live codebook (see runs.go), so their rows
-	// move byte-identically; tombstoned rows are physically purged here.
-	if len(st.Runs) > 0 {
-		dead, err := ix.deadVids(wt)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range st.Runs {
-			if err := ix.foldRunRows(wt, -r.ID, dead, cents, cs.ids, counts, touched, ms); err != nil {
-				return nil, err
-			}
-		}
-		if err := ix.clearRunZones(wt, st.Runs); err != nil {
-			return nil, err
-		}
-		st.Runs = nil
 	}
 
 	// Persist only the touched centroids: I/O stays proportional to the

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"micronn/internal/btree"
 	"micronn/internal/fts"
@@ -42,12 +41,6 @@ const (
 	// needed for reranking, point lookups and retraining live here, keyed
 	// by vid.
 	tblRawVecs = "rawvecs"
-	// tblTombs records deletions against immutable sorted runs (see
-	// runs.go): run rows are never rewritten in place, so deleting a
-	// run-resident asset leaves the vectors row and writes a tombstone
-	// (vid -> owning run partition) that searches skip and compaction
-	// folds. Absent in databases created before runs existed.
-	tblTombs = "tombstones"
 )
 
 // metaCodebook is the meta-table key holding the serialized SQ8 codebook.
@@ -58,6 +51,9 @@ var (
 	ErrNotFound    = errors.New("ivf: asset not found")
 	ErrDimMismatch = errors.New("ivf: vector dimensionality mismatch")
 	ErrNoFilter    = errors.New("ivf: filter references unknown attribute")
+	// ErrLegacyFormat is returned by Open for a store written in a
+	// pre-release format this version no longer reads.
+	ErrLegacyFormat = errors.New("ivf: unsupported pre-release store format")
 )
 
 // AttributeDef declares a filterable attribute (paper §3.5: clients define
@@ -172,34 +168,13 @@ type state struct {
 	// the result cache existed; they simply start counting at their next
 	// write.
 	DataGen int64 `json:"data_gen,omitempty"`
-	// Runs lists the live immutable sorted runs (LSM ingest, see runs.go),
-	// oldest first. Each run's rows live in the vectors table at the
-	// negative partition id -Run.ID. Empty in databases that never sealed
-	// a run.
-	Runs []runInfo `json:"runs,omitempty"`
-	// NextRunID is the next unused run id (run ids start at 1 and are
-	// never reused, so a compacted run's negative partition id can never
-	// be confused with a later run's).
-	NextRunID int64 `json:"next_run_id,omitempty"`
 }
 
-// runLiveRows totals the live (non-tombstoned) rows across all runs.
-func (st *state) runLiveRows() int64 {
-	var n int64
-	for _, r := range st.Runs {
-		n += r.Rows
-	}
-	return n
-}
-
-// runIdx finds the run with the given id, or -1.
-func (st *state) runIdx(id int64) int {
-	for i := range st.Runs {
-		if st.Runs[i].ID == id {
-			return i
-		}
-	}
-	return -1
+// legacyState is the part of a pre-release state row that this format
+// cannot honor: sealed sorted runs, whose rows (live and tombstoned) lived
+// at negative partition ids that no scan reads any more.
+type legacyState struct {
+	Runs []json.RawMessage `json:"runs"`
 }
 
 // Index is the disk-resident IVF index.
@@ -214,7 +189,6 @@ type Index struct {
 	attrs     *reldb.Table
 	meta      *reldb.Table
 	rawvecs   *reldb.Table // nil unless quantization is enabled
-	tombs     *reldb.Table // nil in databases created before runs existed
 
 	attrIndexes map[string]*reldb.Index // attribute name -> secondary index
 	ftsIndexes  map[string]*fts.Index   // attribute name -> fts index
@@ -244,15 +218,6 @@ type Index struct {
 	// locks is the partition-granular lock manager and version table
 	// backing two-phase maintenance (see locks.go and maintain.go).
 	locks partLocks
-
-	// Per-run zone metadata cache and prune controls (see zone.go). The
-	// cache is sound without generation keying: a run and its zone row are
-	// created and deleted in the same transaction.
-	zoneMu     sync.Mutex
-	zoneCache  map[int64]*runZone
-	pruneOff   atomic.Bool
-	zoneChecks atomic.Int64
-	zonePruned atomic.Int64
 }
 
 // probeScratch is the centroid-distance scratch used by probeSet.
@@ -354,21 +319,18 @@ type rowView struct {
 	asset, payload []byte
 }
 
-// readRowView parses a borrowed (part, vid) -> (asset, payload) row. live
-// is false for a tombstoned run row (part < 0 with vid in dead). It fails
-// wherever decoding the row with Table.Scan would.
-func readRowView(part int64, dead map[int64]bool, key, val []byte) (r rowView, live bool, err error) {
+// readRowView parses a borrowed (part, vid) -> (asset, payload) row. It
+// fails wherever decoding the row with Table.Scan would.
+func readRowView(key, val []byte) (r rowView, err error) {
 	_, rest, err := reldb.KeyInt(key)
 	if err != nil {
-		return r, false, err
+		return r, err
 	}
 	if r.vid, _, err = reldb.KeyInt(rest); err != nil {
-		return r, false, err
+		return r, err
 	}
-	if r.asset, r.payload, err = vectorValue(val); err != nil {
-		return r, false, err
-	}
-	return r, !(part < 0 && dead[r.vid]), nil
+	r.asset, r.payload, err = vectorValue(val)
+	return r, err
 }
 
 // vectorValue splits a borrowed vectors-table value into its asset id and
@@ -466,11 +428,6 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 			Key:  []reldb.Column{{Name: "key", Type: reldb.TypeText}},
 			Cols: []reldb.Column{{Name: "value", Type: reldb.TypeBlob}},
 		},
-		{
-			Name: tblTombs,
-			Key:  []reldb.Column{{Name: "vid", Type: reldb.TypeInt64}},
-			Cols: []reldb.Column{{Name: "part", Type: reldb.TypeInt64}},
-		},
 	}
 	if cfg.Quantization != quant.None {
 		schemas = append(schemas, &reldb.Schema{
@@ -531,7 +488,31 @@ func Open(db *reldb.DB) (*Index, error) {
 		return nil, fmt.Errorf("ivf: load config: %w", err)
 	}
 	cfg.fillDefaults()
-	return open(db, cfg)
+	ix, err := open(db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.Store().View(ix.checkFormat); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// checkFormat refuses a state row that lists sealed runs or tombstoned
+// run rows: silently dropping them would lose the run-resident vectors.
+func (ix *Index) checkFormat(rt *storage.ReadTxn) error {
+	row, err := ix.meta.Get(rt, reldb.S("state"))
+	if err != nil {
+		return fmt.Errorf("ivf: load state: %w", err)
+	}
+	var legacy legacyState
+	if err := json.Unmarshal(row[1].Bts, &legacy); err != nil {
+		return err
+	}
+	if n := len(legacy.Runs); n > 0 {
+		return fmt.Errorf("%w: state lists %d sealed runs; open and maintain it with the release that wrote it", ErrLegacyFormat, n)
+	}
+	return nil
 }
 
 func open(db *reldb.DB, cfg Config) (*Index, error) {
@@ -563,13 +544,6 @@ func open(db *reldb.DB, cfg Config) (*Index, error) {
 	}
 	if cfg.Quantization != quant.None {
 		if ix.rawvecs, err = db.Table(tblRawVecs); err != nil {
-			return nil, err
-		}
-	}
-	if db.HasTable(tblTombs) {
-		// Databases created before runs existed lack the table; they can
-		// never hold runs (sealing requires it), so nil is safe.
-		if ix.tombs, err = db.Table(tblTombs); err != nil {
 			return nil, err
 		}
 	}
@@ -635,7 +609,7 @@ type Stats struct {
 	DeltaCount    int64
 	NumPartitions int64
 	// AvgPartitionSize is vectors-per-partition over the IVF partitions
-	// (excluding the delta and the unmerged runs).
+	// (excluding the delta).
 	AvgPartitionSize float64
 	// AvgSizeAtBuild is the average partition size right after the last
 	// full build; the monitor compares growth against it.
@@ -644,13 +618,6 @@ type Stats struct {
 	// DataGen is the data-generation counter backing the result cache
 	// (see state.DataGen).
 	DataGen int64
-	// RunCount / RunRows / DeadRows describe the unmerged immutable runs:
-	// how many there are, their live rows (counted in NumVectors, not yet
-	// in any IVF partition) and their tombstoned rows still awaiting
-	// compaction (counted nowhere).
-	RunCount int64
-	RunRows  int64
-	DeadRows int64
 }
 
 // Stats reads the monitor counters at the transaction's snapshot.
@@ -666,14 +633,9 @@ func (ix *Index) Stats(txn btree.ReadTxn) (Stats, error) {
 		AvgSizeAtBuild: st.AvgSizeAtBuild,
 		Generation:     st.Generation,
 		DataGen:        st.DataGen,
-		RunCount:       int64(len(st.Runs)),
-		RunRows:        st.runLiveRows(),
-	}
-	for _, r := range st.Runs {
-		s.DeadRows += r.Dead
 	}
 	if st.NumPartitions > 0 {
-		s.AvgPartitionSize = float64(st.NumVectors-st.DeltaCount-s.RunRows) / float64(st.NumPartitions)
+		s.AvgPartitionSize = float64(st.NumVectors-st.DeltaCount) / float64(st.NumPartitions)
 	}
 	return s, nil
 }
@@ -719,7 +681,7 @@ func (ix *Index) NeedsRebuild(txn btree.ReadTxn) (bool, error) {
 	if st.AvgSizeAtBuild == 0 {
 		return false, nil
 	}
-	avg := float64(st.NumVectors-st.DeltaCount-st.runLiveRows()) / float64(st.NumPartitions)
+	avg := float64(st.NumVectors-st.DeltaCount) / float64(st.NumPartitions)
 	return avg > st.AvgSizeAtBuild*(1+ix.cfg.RebuildGrowthThreshold), nil
 }
 
@@ -830,24 +792,8 @@ func (ix *Index) removeAsset(wt *storage.WriteTxn, asset string, st *state) (int
 		return DeltaPartition, false, err
 	}
 	part, vid := row[1].Int, row[2].Int
-
-	if part < 0 {
-		// The asset lives in an immutable run: leave the vectors row in
-		// place and write a tombstone instead. Searches skip tombstoned
-		// vids; compaction physically deletes the row and the tombstone.
-		// All side rows (assets/vids/rawvecs/attrs/fts) are cleaned
-		// eagerly below, exactly like a normal delete.
-		if err := ix.tombs.Put(wt, reldb.Row{reldb.I(vid), reldb.I(part)}); err != nil {
-			return part, false, err
-		}
-		if i := st.runIdx(-part); i >= 0 {
-			st.Runs[i].Rows--
-			st.Runs[i].Dead++
-		}
-	} else {
-		if err := ix.vectors.Delete(wt, reldb.I(part), reldb.I(vid)); err != nil {
-			return part, false, err
-		}
+	if err := ix.vectors.Delete(wt, reldb.I(part), reldb.I(vid)); err != nil {
+		return part, false, err
 	}
 	if part > 0 {
 		// Keep the per-partition count exact: the maintenance planner
@@ -1023,7 +969,6 @@ func (ix *Index) DropCaches() {
 	ix.statsCache = nil
 	ix.statsGen = -1
 	ix.statsMu.Unlock()
-	ix.dropZoneCache()
 }
 
 // codebookEntry caches the decoded SQ8 codebook for one index generation.

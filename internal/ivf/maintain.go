@@ -40,9 +40,6 @@ const (
 	ActionNone MaintenanceAction = "none"
 	// ActionRebuild is the initial full build of a never-built index.
 	ActionRebuild MaintenanceAction = "rebuild"
-	// ActionCompact folds one immutable sorted run into the IVF partitions,
-	// physically purging its tombstones (LSM ingest, see runs.go).
-	ActionCompact MaintenanceAction = "compact"
 	// ActionFlush folds the delta-store into the IVF partitions.
 	ActionFlush MaintenanceAction = "flush"
 	// ActionSplit re-clusters one oversized partition into 2+ partitions.
@@ -65,9 +62,6 @@ type MaintenancePolicy struct {
 	// MaxPartitionSize splits partitions larger than this
 	// (default: 2*TargetPartitionSize).
 	MaxPartitionSize int
-	// MaxCompactRuns caps how many sorted runs one ActionCompact step may
-	// merge (default 8). 1 restores the one-run-per-step policy.
-	MaxCompactRuns int
 }
 
 func (ix *Index) fillPolicy(p MaintenancePolicy) MaintenancePolicy {
@@ -91,32 +85,18 @@ func (ix *Index) fillPolicy(p MaintenancePolicy) MaintenancePolicy {
 	if p.MinPartitionSize < 1 {
 		p.MinPartitionSize = 1
 	}
-	if p.MaxCompactRuns <= 0 {
-		p.MaxCompactRuns = defaultMaxCompactRuns
-	}
 	return p
 }
-
-// defaultMaxCompactRuns bounds a single tiered merge: enough to collapse a
-// storm's worth of runs in one pass, small enough that the apply step stays
-// a short transaction.
-const defaultMaxCompactRuns = 8
 
 // MaintenancePlan is the index monitor's decision: the single next step
 // that moves the index toward the policy bounds, or ActionNone.
 type MaintenancePlan struct {
 	Action MaintenanceAction
-	// Partition is the split/merge target; for ActionCompact it names the
-	// first run's vectors-table partition (-run id), kept for display and
-	// for older callers.
+	// Partition is the split/merge target.
 	Partition int64
 	// Size is the row count that triggered the step: the delta backlog for
-	// a flush, the target partition's size for a split or merge, the
-	// combined row count of the selected tier for a compact.
+	// a flush, the target partition's size for a split or merge.
 	Size int64
-	// Runs lists the run ids an ActionCompact step merges (a size tier,
-	// oldest first — see planCompaction).
-	Runs []int64
 }
 
 // PlanMaintenance inspects the index at txn's snapshot and returns the next
@@ -135,20 +115,6 @@ func (ix *Index) PlanMaintenance(txn btree.ReadTxn, pol MaintenancePolicy) (*Mai
 			return &MaintenancePlan{Action: ActionRebuild, Size: st.NumVectors}, nil
 		}
 		return &MaintenancePlan{Action: ActionNone}, nil
-	}
-	if len(st.Runs) > 0 {
-		// Compact runs before anything else: runs are scanned by every
-		// search, so draining them beats growing the backlog. planCompaction
-		// picks a whole size tier so one step folds several runs in one
-		// merge. Partition is the first run's vectors-table partition id.
-		runs := planCompaction(&st, pol.MaxCompactRuns)
-		var size int64
-		for _, id := range runs {
-			if i := st.runIdx(id); i >= 0 {
-				size += st.Runs[i].Rows + st.Runs[i].Dead
-			}
-		}
-		return &MaintenancePlan{Action: ActionCompact, Partition: -runs[0], Size: size, Runs: runs}, nil
 	}
 	if st.DeltaCount >= int64(pol.FlushThreshold) {
 		return &MaintenancePlan{Action: ActionFlush, Size: st.DeltaCount}, nil
@@ -177,50 +143,6 @@ func (ix *Index) PlanMaintenance(txn btree.ReadTxn, pol MaintenancePolicy) (*Mai
 	return &MaintenancePlan{Action: ActionNone}, nil
 }
 
-// tierOf buckets a run by size: tier t holds runs of [4^t, 4^(t+1)) rows
-// (tombstoned rows included — they occupy the run until compaction).
-func tierOf(rows int64) int {
-	t := 0
-	for rows >= 4 {
-		rows /= 4
-		t++
-	}
-	return t
-}
-
-// planCompaction picks the runs one ActionCompact step merges: a size
-// tier, in the LSM sense. Runs are bucketed by tierOf; the tier with the
-// most runs wins (ties to the smaller tier, where merging is cheapest),
-// and its oldest maxRuns members form the merge. When no tier has two
-// runs, the oldest run alone is compacted — the planner always drains, so
-// "Maintain leaves no runs behind" still holds; tiering only changes how
-// many runs each transaction folds. Never returns an empty slice (callers
-// guard len(st.Runs) > 0).
-func planCompaction(st *state, maxRuns int) []int64 {
-	if maxRuns < 1 {
-		maxRuns = 1
-	}
-	tiers := make(map[int][]int64)
-	for _, r := range st.Runs {
-		t := tierOf(r.Rows + r.Dead)
-		tiers[t] = append(tiers[t], r.ID) // st.Runs is oldest-first
-	}
-	best, bestN := -1, 1
-	for t, ids := range tiers {
-		if len(ids) > bestN || (len(ids) == bestN && best >= 0 && t < best) {
-			best, bestN = t, len(ids)
-		}
-	}
-	if best < 0 {
-		return []int64{st.Runs[0].ID}
-	}
-	ids := tiers[best]
-	if len(ids) > maxRuns {
-		ids = ids[:maxRuns]
-	}
-	return ids
-}
-
 // MaintainStep plans and executes at most one maintenance step inside wt.
 // Decision and action share the transaction, so the state the planner read
 // cannot change before the step runs (the decide-then-act race a
@@ -235,8 +157,6 @@ func (ix *Index) MaintainStep(wt *storage.WriteTxn, pol MaintenancePolicy) (*Mai
 	switch plan.Action {
 	case ActionRebuild:
 		ms, err = ix.Rebuild(wt)
-	case ActionCompact:
-		ms, err = ix.CompactRuns(wt, plan.Runs)
 	case ActionFlush:
 		ms, err = ix.FlushDelta(wt)
 	case ActionSplit:
@@ -822,46 +742,16 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		}
 	}
 
-	// Tombstones mark run rows as logically deleted: the vector row remains
-	// (runs are immutable) but every side row is gone and the state no longer
-	// counts it. Consumed during the vector scan; leftovers are orphans.
-	tombSet := make(map[int64]int64) // vid -> run partition
-	if ix.tombs != nil {
-		err = ix.tombs.Scan(txn, nil, func(row reldb.Row) error {
-			if row[1].Int >= 0 {
-				return fmt.Errorf("ivf: invariant: tombstone for vid %d names non-run partition %d", row[0].Int, row[1].Int)
-			}
-			tombSet[row[0].Int] = row[1].Int
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	runLive := make(map[int64]int64)
-	runDead := make(map[int64]int64)
-
 	err = ix.vectors.Scan(txn, nil, func(row reldb.Row) error {
 		part, vid, asset := row[0].Int, row[1].Int, row[2].Str
 		if part < 0 {
-			if tp, dead := tombSet[vid]; dead {
-				if tp != part {
-					return fmt.Errorf("ivf: invariant: tombstone for vid %d names run %d, row lives in %d", vid, tp, part)
-				}
-				delete(tombSet, vid)
-				runDead[part]++
-				// Dead rows are invisible: no side rows, no state counts.
-				return nil
-			}
-			runLive[part]++
+			return fmt.Errorf("ivf: invariant: vid %d stored in negative partition %d", vid, part)
 		}
 		if _, dup := seen[vid]; dup {
 			return fmt.Errorf("ivf: invariant: vid %d stored in two partitions", vid)
 		}
 		seen[vid] = loc{part, asset}
-		if part >= 0 {
-			partSizes[part]++
-		}
+		partSizes[part]++
 		total++
 		if part == DeltaPartition {
 			delta++
@@ -887,64 +777,6 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	if delta != st.DeltaCount {
 		return fmt.Errorf("ivf: invariant: %d delta rows, state says %d", delta, st.DeltaCount)
 	}
-	for vid, part := range tombSet {
-		return fmt.Errorf("ivf: invariant: tombstone for vid %d (run %d) has no vector row", vid, part)
-	}
-	for _, r := range st.Runs {
-		if runLive[-r.ID] != r.Rows || runDead[-r.ID] != r.Dead {
-			return fmt.Errorf("ivf: invariant: run %d holds %d live / %d dead rows, state says %d / %d",
-				r.ID, runLive[-r.ID], runDead[-r.ID], r.Rows, r.Dead)
-		}
-		delete(runLive, -r.ID)
-		delete(runDead, -r.ID)
-	}
-	for part := range runLive {
-		return fmt.Errorf("ivf: invariant: partition %d holds rows but names no live run", part)
-	}
-	for part := range runDead {
-		return fmt.Errorf("ivf: invariant: partition %d holds tombstoned rows but names no live run", part)
-	}
-
-	// Zone audit: every row of a zoned run must fall inside the zone's vid
-	// range and hit its vid Bloom (Blooms have no false negatives — a miss
-	// would make pruning drop real rows). Runs sealed before zones existed
-	// have no zone row and are exempt; zone rows must never outlive their
-	// run.
-	liveRuns := make(map[int64]bool, len(st.Runs))
-	for _, r := range st.Runs {
-		liveRuns[r.ID] = true
-		z, err := ix.runZoneFor(txn, r.ID)
-		if err != nil {
-			return err
-		}
-		if z == nil {
-			continue
-		}
-		err = ix.vectors.ScanKeys(txn, []reldb.Value{reldb.I(-r.ID)}, func(key reldb.Row) error {
-			vid := key[1].Int
-			if vid < z.MinVID || vid > z.MaxVID {
-				return fmt.Errorf("ivf: invariant: run %d row vid %d outside zone range [%d,%d]", r.ID, vid, z.MinVID, z.MaxVID)
-			}
-			if !z.VIDs.mayContain(hashVid(vid)) {
-				return fmt.Errorf("ivf: invariant: run %d row vid %d missing from zone vid Bloom", r.ID, vid)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	err = ix.meta.ScanKeys(txn, nil, func(key reldb.Row) error {
-		var id int64
-		if n, _ := fmt.Sscanf(key[0].Str, "runzone:%d", &id); n == 1 && !liveRuns[id] {
-			return fmt.Errorf("ivf: invariant: zone row for run %d outlives the run", id)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
 	// The vid and asset mappings must mirror the vector rows exactly.
 	var vidRows int64
 	err = ix.vids.Scan(txn, nil, func(row reldb.Row) error {

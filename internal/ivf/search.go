@@ -214,9 +214,6 @@ type scanCtx struct {
 	cb      *quant.Codebook // non-nil when partitions hold SQ8 codes
 	qq      *quant.Query    // asymmetric-distance state (approximate scans)
 	cancel  <-chan struct{} // closed to abandon the search (ErrCanceled)
-	// dead is the tombstone set (vids of logically deleted run rows), loaded
-	// only when some probed run carries tombstones; workers skip these rows.
-	dead map[int64]bool
 }
 
 // matchSet holds the MATCH queries of one search compiled once (query
@@ -321,25 +318,6 @@ func (ix *Index) scanPartitions(txn btree.ReadTxn, parts []int64, q []float32, o
 		ctx.qq = cb.NewQuery(ix.cfg.Metric, q)
 		heapK = k * ix.rerankFactor(opts.RerankFactor)
 	}
-
-	// Every search scans the unmerged sorted runs in addition to the probed
-	// partitions (like the delta, they hold rows no partition covers yet).
-	// Appending here covers every caller — exact, probe-set and post-filter
-	// paths alike. Run rows are encoded like partition rows, so the workers'
-	// quantized-scan mode applies to them unchanged. runScanSet consults the
-	// per-run zone metadata (zone.go): runs whose attribute Blooms rule out
-	// an equality filter group are skipped, and the tombstone load is
-	// bounded to the scanned runs' vid range.
-	st, err := ix.getState(txn)
-	if err != nil {
-		return nil, err
-	}
-	runParts, dead, err := ix.runScanSet(txn, &st, opts.Filters)
-	if err != nil {
-		return nil, err
-	}
-	parts = append(parts, runParts...)
-	ctx.dead = dead
 
 	info.PartitionsScanned += len(parts)
 	workers := ix.cfg.Workers
@@ -543,8 +521,8 @@ func (ix *Index) scanWorker(txn btree.ReadTxn, partCh <-chan int64, ctx *scanCtx
 			quantized = isQuant
 		}
 		perr := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(part)}, func(key, val []byte) error {
-			r, live, err := readRowView(part, ctx.dead, key, val)
-			if err != nil || !live {
+			r, err := readRowView(key, val)
+			if err != nil {
 				return err
 			}
 			if len(ctx.filters) > 0 {

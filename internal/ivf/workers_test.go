@@ -1,11 +1,14 @@
 package ivf
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"micronn/internal/quant"
+	"micronn/internal/reldb"
+	"micronn/internal/stats"
 	"micronn/internal/storage"
 	"micronn/internal/vec"
 )
@@ -16,7 +19,11 @@ import (
 // so a table filled lazily on that state would let one worker score rows
 // against another's half-written entries and evict true neighbours. The
 // approximate candidate sets are compared too: the exact rerank can hide a
-// misscored candidate that still survives the cut.
+// misscored candidate that still survives the cut. Filtered searches cover
+// the rest of the state workers share: a selective predicate (pre-filter
+// plan), a broad one (post-filter plan, evaluated row by row in every
+// worker) and a MATCH predicate post-filtered through the compiled
+// matchSet.
 func TestSearchWorkersMatchSingleWorker(t *testing.T) {
 	const dim, n, k, nprobe, repeats = 32, 3000, 10, 16, 8
 	data := clusteredData(5, n, dim, 30)
@@ -30,9 +37,29 @@ func TestSearchWorkersMatchSingleWorker(t *testing.T) {
 	}
 	for _, qt := range []quant.Type{quant.None, quant.SQ8, quant.SQ4} {
 		t.Run(qt.String(), func(t *testing.T) {
-			env := newEnv(t, Config{Dim: dim, TargetPartitionSize: 50, Seed: 3, Quantization: qt})
-			env.upsertAll(t, data, nil)
+			env := newEnv(t, Config{
+				Dim: dim, TargetPartitionSize: 50, Seed: 3, Quantization: qt,
+				Attributes: []AttributeDef{
+					{Name: "cat", Type: reldb.TypeInt64, Indexed: true},
+					{Name: "tags", Type: reldb.TypeText, FullText: true},
+				},
+			})
+			env.upsertAll(t, data, func(i int) map[string]reldb.Value {
+				return map[string]reldb.Value{
+					"cat":  reldb.I(int64(i % 100)),
+					"tags": reldb.S(fmt.Sprintf("t%d common%d", i%7, i%2)),
+				}
+			})
 			env.rebuild(t)
+			filtered := []struct {
+				filters []stats.Filter
+				plan    PlanType // forced when set; otherwise asserted
+				want    PlanType
+			}{
+				{filters: stats.And(reldb.Predicate{Column: "cat", Op: reldb.OpEq, Value: reldb.I(3)}), want: PlanPreFilter},
+				{filters: stats.And(reldb.Predicate{Column: "cat", Op: reldb.OpLt, Value: reldb.I(90)}), want: PlanPostFilter},
+				{filters: stats.And(reldb.Predicate{Column: "tags", Op: reldb.OpMatch, Value: reldb.S("common1 t3")}), plan: PlanPostFilter, want: PlanPostFilter},
+			}
 
 			// run searches every query at the given worker count, returning
 			// the final results, the approximate candidates and the batch
@@ -53,6 +80,18 @@ func TestSearchWorkersMatchSingleWorker(t *testing.T) {
 							} else {
 								f = append(f, res)
 							}
+						}
+					}
+					for _, fc := range filtered {
+						for qi := 0; qi < queries.Rows; qi++ {
+							res, info, err := env.ix.Search(rt, queries.Row(qi), SearchOptions{K: k, NProbe: nprobe, Filters: fc.filters, Plan: fc.plan})
+							if err != nil {
+								return err
+							}
+							if info.Plan != fc.want || len(res) == 0 {
+								t.Fatalf("filtered search ran plan %v with %d results, want plan %v and some results", info.Plan, len(res), fc.want)
+							}
+							f = append(f, res)
 						}
 					}
 					res, _, err := env.ix.BatchSearch(rt, queries, BatchOptions{K: k, NProbe: nprobe})

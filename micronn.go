@@ -173,56 +173,26 @@
 //
 // # Ingest path
 //
-// With Options.LSMIngest the write path is LSM-shaped. Upsert, UpsertBatch,
-// Delete and DeleteBatch enqueue onto an in-memory memtable under a short
+// Every write is group-committed into the WAL'd delta store. Upsert,
+// UpsertBatch, Delete and DeleteBatch enqueue their operation under a short
 // mutex and return after a group commit: a dedicated committer goroutine
 // batches every writer that accumulated while the previous transaction held
 // the single-writer gate into one storage transaction, so the gate wait,
 // the WAL append and the data-generation bump are paid once per group
 // instead of once per call. Each waiter receives its group's commit error —
-// a call that returned nil is durable exactly as before — and a strict
-// Delete of an absent id fails only that caller, never its group.
+// a call that returned nil is durable exactly as a transaction of its own
+// would be — and a batch stays atomic within its group. Requests are
+// validated before they are enqueued (dimension, attribute names and value
+// types), so one caller's mistake fails only that caller, and a strict
+// Delete of an absent id fails only its caller, never its group.
 //
-// When the WAL'd delta store exceeds Options.MemtableMaxItems or
-// MemtableMaxBytes, the committer hands the delta to a single-flight
-// background sealer that moves it into an immutable sorted run: id-ordered
-// rows moved out of the delta in one transaction of its own, quantized
-// with the current codebook when one is trained. Because the seal runs off
-// the group-commit path, no writer's latency ever includes the seal
-// transaction, and the crash contract is unchanged — durability lives in
-// the group commit, and a crash mid-seal leaves the rows in the delta XOR
-// the run, never torn. Seal failures are counted (Stats.Ingest.SealFailures,
-// LastSealError) rather than silently retried. Searches read the delta,
-// the runs and the IVF partitions under one snapshot with newest-wins
-// shadowing (deletes of run-resident rows leave tombstones folded out at
-// compaction).
-//
-// Compaction policy: Maintain groups the live runs into size tiers
-// (tier t holds runs of [4^t, 4^(t+1)) rows) and folds the fullest tier —
-// up to Options.MaxCompactRuns runs — in one merge via the same two-phase
-// prepare path as splits, so compaction never stalls point writes. Merging
-// a whole tier at once writes each touched destination partition, each
-// centroid row and the state row once per merge instead of once per run,
-// which is what keeps write amplification (Stats.Maintenance.RowChanges /
-// rows ingested, or physically Stats.PagesWritten) flat under sustained
-// storms. MaxCompactRuns: 1 restores the one-run-per-step policy.
-//
-// Zone metadata: sealing also persists, in the same transaction, a small
-// per-run zone summary — the run's vid range plus Bloom filters over its
-// vids and its indexed attribute values. Searches consult the zones
-// instead of paying for runs that cannot matter: a filtered search whose
-// equality predicates miss a run's attribute Bloom skips that run
-// entirely, and the tombstone set is loaded only when a scanned run
-// carries deletes, bounded to the scanned runs' vid range. Blooms have no
-// false negatives, so pruned results are byte-identical to unpruned ones
-// (Stats.Ingest.ZonePruneChecks/ZonePrunedRuns count the effect).
-//
-// Flush backpressure bounds the unmerged total — past
-// Options.MaxUnmergedItems the committer kicks a background compaction,
-// and past HardLimitItems it briefly holds the pipeline so compaction
-// catches up. Stats.Ingest reports group sizes, seals, unmerged rows and
-// backpressure; the MICRONN_TEST_INGEST=lsm environment variable
-// force-enables the path for the CI matrix leg.
+// Searches scan the delta exhaustively beside the probed partitions; the
+// delta is bounded by maintenance, not by the committer: Maintain flushes
+// it into the IVF partitions once it holds Options.FlushThreshold vectors,
+// and Options.AutoMaintain runs that policy in the background.
+// Stats.Ingest reports the achieved group sizes. Stores written by an
+// earlier pre-release format whose state lists sealed sorted runs or
+// tombstoned rows are refused at Open with ErrUnsupportedFormat.
 //
 // # Hybrid search
 //
@@ -297,13 +267,6 @@ const EnvCacheVar = "MICRONN_TEST_CACHE"
 // whole suite can re-run quantized (the CI quantization leg, mirroring
 // MICRONN_TEST_BACKEND). It never affects reopening an existing database.
 const EnvQuantVar = "MICRONN_TEST_QUANT"
-
-// EnvIngestVar is an environment variable for the test matrix: setting it
-// to "lsm" force-enables the LSM ingest path (Options.LSMIngest) in every
-// Open and OpenSharded that did not enable it, so the whole suite can
-// re-run with group-committed writes and sealed runs (the CI ingest leg,
-// mirroring MICRONN_TEST_BACKEND).
-const EnvIngestVar = "MICRONN_TEST_INGEST"
 
 // Metric is the vector distance metric.
 type Metric = vec.Metric
@@ -501,33 +464,6 @@ type Options struct {
 	// section for the exactness contract). On a sharded database one
 	// cache serves the whole router with per-shard validation.
 	ResultCache ResultCacheOptions
-	// LSMIngest enables the LSM-shaped ingest path (see the package
-	// documentation's "Ingest path" section): writes enqueue onto a
-	// memtable and return after a group commit, the delta store seals
-	// into immutable sorted runs past the memtable bounds, and
-	// maintenance compacts the runs back into the IVF partitions. The
-	// MICRONN_TEST_INGEST=lsm environment variable force-enables it.
-	LSMIngest bool
-	// MemtableMaxItems is the delta-store row count that triggers a seal
-	// into a sorted run (0 = 4096). Only meaningful with LSMIngest.
-	MemtableMaxItems int
-	// MemtableMaxBytes bounds the delta store by approximate vector bytes
-	// instead (0 = 4 MiB); the lower of the two bounds wins.
-	MemtableMaxBytes int64
-	// MaxUnmergedItems is the flush-backpressure soft limit: once
-	// delta + run rows exceed it, the committer triggers a background
-	// compaction (0 = 4x the memtable row bound).
-	MaxUnmergedItems int
-	// HardLimitItems is the backpressure hard limit: past it the
-	// committer briefly holds the ingest pipeline while compaction
-	// catches up (0 = 2x MaxUnmergedItems).
-	HardLimitItems int
-	// MaxCompactRuns caps how many sorted runs one maintenance compaction
-	// step merges (0 = 8). Maintenance groups runs into size tiers and
-	// folds a whole tier per step, writing each touched partition once for
-	// the merge; 1 restores the PR 8 one-run-per-step policy (the
-	// write-amplification control arm in the benches).
-	MaxCompactRuns int
 	// Seed makes index construction deterministic.
 	Seed int64
 	// Shards is the shard count for OpenSharded (create time only): items
@@ -603,7 +539,7 @@ type DB struct {
 	// cannot fence as one unit — always completes against a live store.
 	opMu sync.RWMutex
 
-	// ing is the LSM ingest committer (nil unless Options.LSMIngest).
+	// ing is the group committer every write goes through.
 	ing *ingester
 
 	// Background maintainer lifecycle (nil channels when AutoMaintain is
@@ -644,9 +580,6 @@ func Open(path string, opts Options) (*DB, error) {
 	}
 	if opts.ClipPercentile >= 0.5 {
 		return nil, badRequestf("ClipPercentile %v out of range [0, 0.5)", opts.ClipPercentile)
-	}
-	if !opts.LSMIngest && os.Getenv(EnvIngestVar) == "lsm" {
-		opts.LSMIngest = true
 	}
 	if opts.Quantization == QuantNone {
 		if name := os.Getenv(EnvQuantVar); name != "" {
@@ -691,6 +624,9 @@ func Open(path string, opts Options) (*DB, error) {
 	var ix *ivf.Index
 	if rdb.HasTable("meta") {
 		ix, err = ivf.Open(rdb)
+		if errors.Is(err, ivf.ErrLegacyFormat) {
+			err = fmt.Errorf("%w: %w", ErrUnsupportedFormat, err)
+		}
 		if err == nil {
 			// RerankFactor is a search-time default, not part of the
 			// on-disk format: honor the caller's value on reopen too.
@@ -739,10 +675,8 @@ func Open(path string, opts Options) (*DB, error) {
 	db := &DB{store: store, rdb: rdb, ix: ix, opts: opts}
 	db.shards = []*DB{db}
 	db.cache = opts.ResultCache.resolve()
-	if opts.LSMIngest {
-		db.ing = newIngester(db)
-		go db.ing.run()
-	}
+	db.ing = newIngester(db)
+	go db.ing.run()
 	if opts.AutoMaintain {
 		interval := opts.MaintainInterval
 		if interval <= 0 {
@@ -762,12 +696,10 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	// Stop the ingest committer first: it drains queued writers with a
-	// final group commit (they get real answers, not ErrClosed) and waits
-	// for any background compaction it kicked, all against a live store.
-	if db.ing != nil {
-		db.ing.shutdown()
-	}
+	// Stop the group committer first: it drains queued writers with a
+	// final group commit (they get real answers, not ErrClosed) against a
+	// live store.
+	db.ing.shutdown()
 	db.stopMaintainer()
 	// A manual Maintain pass may still be in flight; it observes closed at
 	// its next step boundary and returns ErrClosed. Wait for it here so the
@@ -815,32 +747,14 @@ func (db *DB) Upsert(item Item) error {
 	return db.UpsertBatch([]Item{item})
 }
 
-// UpsertBatch inserts or replaces items in one atomic transaction. Under
-// Options.LSMIngest the batch rides a group commit shared with concurrent
-// writers; the batch itself stays atomic either way.
+// UpsertBatch inserts or replaces items atomically. The batch rides a
+// group commit shared with concurrent writers (see the package
+// documentation's "Ingest path" section).
 func (db *DB) UpsertBatch(items []Item) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
-	if db.ing != nil {
-		return db.ing.upsert(items)
-	}
-	err := db.store.Update(func(wt *storage.WriteTxn) error {
-		for _, item := range items {
-			attrs, err := convertAttrs(item.Attributes)
-			if err != nil {
-				return err
-			}
-			if err := db.ix.Upsert(wt, item.ID, item.Vector, attrs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if errors.Is(err, ivf.ErrDimMismatch) {
-		return fmt.Errorf("%w: %v", ErrDimMismatch, err)
-	}
-	return err
+	return db.ing.upsert(items)
 }
 
 // Delete removes the item with the given id.
@@ -848,16 +762,7 @@ func (db *DB) Delete(id string) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
-	if db.ing != nil {
-		return db.ing.delete([]string{id}, true)
-	}
-	err := db.store.Update(func(wt *storage.WriteTxn) error {
-		return db.ix.Delete(wt, id)
-	})
-	if errors.Is(err, ivf.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
+	return db.ing.delete([]string{id}, true)
 }
 
 // DeleteBatch removes several items atomically; absent ids are ignored.
@@ -865,17 +770,7 @@ func (db *DB) DeleteBatch(ids []string) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
-	if db.ing != nil {
-		return db.ing.delete(ids, false)
-	}
-	return db.store.Update(func(wt *storage.WriteTxn) error {
-		for _, id := range ids {
-			if err := db.ix.Delete(wt, id); err != nil && !errors.Is(err, ivf.ErrNotFound) {
-				return err
-			}
-		}
-		return nil
-	})
+	return db.ing.delete(ids, false)
 }
 
 // getItem fetches one item at txn's snapshot, translating the index's
@@ -904,7 +799,7 @@ func convertAttrs(in map[string]any) (map[string]reldb.Value, error) {
 	for k, v := range in {
 		val, err := anyToValue(v)
 		if err != nil {
-			return nil, fmt.Errorf("micronn: attribute %q: %w", k, err)
+			return nil, badRequestf("attribute %q: %v", k, err)
 		}
 		out[k] = val
 	}
@@ -1175,9 +1070,8 @@ type MaintenanceReport struct {
 	// Steps is the number of maintenance steps executed, each in its own
 	// short write transaction.
 	Steps int
-	// Rebuilds/Flushes/Splits/Merges/Compactions break the steps down by
-	// kind.
-	Rebuilds, Flushes, Splits, Merges, Compactions int
+	// Rebuilds/Flushes/Splits/Merges break the steps down by kind.
+	Rebuilds, Flushes, Splits, Merges int
 	// Duration of the maintenance work.
 	Duration time.Duration
 	// RowChanges is the number of database row writes performed — the
@@ -1213,8 +1107,6 @@ func (r *MaintenanceReport) count(a ivf.MaintenanceAction) {
 		r.Splits++
 	case ivf.ActionMerge:
 		r.Merges++
-	case ivf.ActionCompact:
-		r.Compactions++
 	}
 }
 
@@ -1242,17 +1134,15 @@ func (r *MaintenanceReport) absorb(plan *ivf.MaintenancePlan, ms *ivf.Maintenanc
 type MaintenanceTotals struct {
 	// Passes counts completed maintenance passes (Maintain calls).
 	Passes int64
-	// Rebuilds/Flushes/Splits/Merges/Compactions count executed steps by
-	// kind (Compactions are sorted-run folds under LSM ingest).
-	Rebuilds, Flushes, Splits, Merges, Compactions int64
-	// StaleRetries counts two-phase maintenance plans (splits, run
-	// compactions) invalidated by a concurrent commit and retried — the
-	// price of keeping the writer gate open through the expensive half.
+	// Rebuilds/Flushes/Splits/Merges count executed steps by kind.
+	Rebuilds, Flushes, Splits, Merges int64
+	// StaleRetries counts two-phase splits invalidated by a concurrent
+	// commit and retried — the price of keeping the writer gate open
+	// through the expensive half.
 	StaleRetries int64
 	// RowChanges is the cumulative count of row writes/deletes maintenance
 	// performed. Divided by the rows ingested over the same span it is the
-	// maintenance write-amplification factor — the number the tiered
-	// compaction policy exists to keep flat under sustained ingest.
+	// maintenance write-amplification factor.
 	RowChanges int64
 	// Errors counts background passes that failed.
 	Errors int64
@@ -1277,8 +1167,6 @@ func (db *DB) recordStep(a ivf.MaintenanceAction, ms *ivf.MaintenanceStats) {
 		db.maintTotals.Splits++
 	case ivf.ActionMerge:
 		db.maintTotals.Merges++
-	case ivf.ActionCompact:
-		db.maintTotals.Compactions++
 	}
 }
 
@@ -1358,7 +1246,6 @@ func (db *DB) maintPolicy() ivf.MaintenancePolicy {
 		FlushThreshold:   db.opts.FlushThreshold,
 		MinPartitionSize: db.opts.MinPartitionSize,
 		MaxPartitionSize: db.opts.MaxPartitionSize,
-		MaxCompactRuns:   db.opts.MaxCompactRuns,
 	}
 }
 
@@ -1419,19 +1306,6 @@ func (db *DB) Maintain() (*MaintenanceReport, error) {
 			rep.absorb(preview, ms)
 			continue
 		}
-		if preview.Action == ivf.ActionCompact {
-			// Run compaction mirrors the split: the merge's assignment
-			// work runs against a pinned snapshot under the runs' own
-			// locks, with only the apply step inside the writer gate.
-			// preview.Runs is the whole size tier the planner selected.
-			ms, err := db.compactTwoPhase(preview.Runs)
-			if err != nil {
-				return nil, err
-			}
-			db.recordStep(ivf.ActionCompact, ms)
-			rep.absorb(preview, ms)
-			continue
-		}
 		var plan *ivf.MaintenancePlan
 		var ms *ivf.MaintenanceStats
 		err = db.store.Update(func(wt *storage.WriteTxn) error {
@@ -1477,30 +1351,6 @@ func (db *DB) splitTwoPhase(part int64) (*ivf.MaintenanceStats, error) {
 	return ms, err
 }
 
-// compactTwoPhase folds a tier of sorted runs into the partitions with the
-// same prepare/validate/apply protocol (and the same stale-plan fallback)
-// as splitTwoPhase.
-func (db *DB) compactTwoPhase(runIDs []int64) (*ivf.MaintenanceStats, error) {
-	const staleRetries = 3
-	for attempt := 0; attempt < staleRetries; attempt++ {
-		ms, err := db.ix.CompactRunsTwoPhase(runIDs)
-		if err == nil {
-			return ms, nil
-		}
-		if !errors.Is(err, ivf.ErrPlanStale) {
-			return nil, err
-		}
-		db.recordStaleRetry()
-	}
-	var ms *ivf.MaintenanceStats
-	err := db.store.Update(func(wt *storage.WriteTxn) error {
-		var serr error
-		ms, serr = db.ix.CompactRuns(wt, runIDs)
-		return serr
-	})
-	return ms, err
-}
-
 // --- stats ---
 
 // Stats reports database and index health.
@@ -1527,9 +1377,7 @@ type Stats struct {
 	NeedsRebuild bool
 	// Maintenance accumulates the maintenance work done on this handle.
 	Maintenance MaintenanceTotals
-	// Ingest reports the LSM ingest path: group-commit batching, sealed
-	// sorted runs, tombstones and flush backpressure. The run counts are
-	// filled even when the path is disabled.
+	// Ingest reports the group committer's batching.
 	Ingest IngestStats
 	// GateWaits counts write transactions that queued behind the
 	// single-writer gate; GateWaitNs is their total queued time. Group
@@ -1640,10 +1488,6 @@ func indexStats(ix *ivf.Index, rt *storage.ReadTxn) (Stats, error) {
 	out.DeltaCount = st.DeltaCount
 	out.NumPartitions = st.NumPartitions
 	out.AvgPartitionSize = st.AvgPartitionSize
-	out.Ingest.RunCount = st.RunCount
-	out.Ingest.RunRows = st.RunRows
-	out.Ingest.TombstoneRows = st.DeadRows
-	out.Ingest.UnmergedItems = st.DeltaCount + st.RunRows
 	out.SmallestPartition, out.LargestPartition, err = ix.PartitionSizeBounds(rt)
 	if err != nil {
 		return out, err
@@ -1672,12 +1516,7 @@ func (db *DB) Stats() (Stats, error) {
 		out.LastMaintainAction = db.lastMaint.Action
 	}
 	db.maintMu.Unlock()
-	if db.ing != nil {
-		db.ing.counters(&out.Ingest)
-	}
-	// Zone-prune counters live on the index, not the ingester: pruning
-	// works on reopened stores whether or not LSM ingest is enabled.
-	out.Ingest.ZonePruneChecks, out.Ingest.ZonePrunedRuns = db.ix.ZonePruneCounters()
+	out.Ingest = db.ing.counters()
 	cfg := db.ix.Config()
 	out.Quantization = cfg.Quantization
 	out.ClipPercentile = cfg.ClipPercentile

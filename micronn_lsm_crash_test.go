@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"micronn/internal/storage"
 )
 
-// crashLSM simulates a power cut on an LSM-ingest database: the committer
-// is drained so every in-flight writer holds a definitive answer, then the
+// crashLSM simulates a power cut on a database: the group committer is
+// drained so every in-flight writer holds a definitive answer, then the
 // store is dropped without a checkpoint — recovery must come entirely from
 // pages + WAL.
 func crashLSM(t *testing.T, db *DB) {
@@ -32,11 +30,7 @@ func crashLSM(t *testing.T, db *DB) {
 // multi-item batch is all-or-nothing — never torn down the middle.
 func TestLSMGroupCommitCrash(t *testing.T) {
 	skipIfEphemeralBackend(t)
-	opts := Options{
-		Dim: 8, Seed: 1,
-		LSMIngest:        true,
-		MemtableMaxItems: 1 << 20, // no seal txns during the failpoint window
-	}
+	opts := Options{Dim: 8, Seed: 1}
 	sawFailure := false
 	for n := 1; n <= 8; n++ {
 		t.Run(fmt.Sprintf("fail%d", n), func(t *testing.T) {
@@ -149,25 +143,43 @@ func idVec(id string) []float32 {
 	return lsmVec(rand.New(rand.NewSource(h)), 8)
 }
 
-// TestLSMSealCrash kills the WAL mid-run-flush: the delta is sealed into a
-// sorted run in its own transaction, and a crash inside that transaction
-// must leave either the full delta or the full run — the 30 rows are
-// always all present, never split or duplicated across a torn seal.
+// buildCrashBase opens a fresh database at path, loads base rows through
+// the group committer and builds the index, so later rows land in the
+// delta store beside real partitions.
+func buildCrashBase(t *testing.T, path string, opts Options, base int) *DB {
+	t.Helper()
+	db, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Item, base)
+	for i := range batch {
+		id := fmt.Sprintf("base%d", i)
+		batch[i] = Item{ID: id, Vector: idVec(id)}
+	}
+	if err := db.UpsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestLSMSealCrash kills the WAL mid-flush of the delta store, the step that
+// seals group-committed rows into the IVF partitions: a crash inside that
+// transaction must leave either the full delta or the fully flushed
+// partitions — the 30 rows are always all present, never split or
+// duplicated across a torn flush.
 func TestLSMSealCrash(t *testing.T) {
 	skipIfEphemeralBackend(t)
-	opts := Options{
-		Dim: 8, Seed: 2,
-		LSMIngest:        true,
-		MemtableMaxItems: 1 << 20, // seal manually, under the failpoint
-	}
-	const rows = 30
+	opts := Options{Dim: 8, Seed: 2}
+	const base, rows = 48, 30
+	sawFailure := false
 	for n := 1; n <= 10; n++ {
 		t.Run(fmt.Sprintf("fail%d", n), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "seal.mnn")
-			db, err := Open(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := buildCrashBase(t, path, opts, base)
 			batch := make([]Item, rows)
 			for i := range batch {
 				id := fmt.Sprintf("r%d", i)
@@ -178,137 +190,9 @@ func TestLSMSealCrash(t *testing.T) {
 			}
 
 			db.store.SetWALFailpoint(n)
-			sealErr := db.store.Update(func(wt *storage.WriteTxn) error {
-				_, e := db.ix.SealDelta(wt)
-				return e
-			})
+			_, flushErr := db.FlushDelta()
 			db.store.SetWALFailpoint(-1)
-
-			crashLSM(t, db)
-
-			db2, err := Open(path, opts)
-			if err != nil {
-				t.Fatalf("reopen after crash: %v", err)
-			}
-			defer db2.Close()
-			checkSingleInvariants(t, db2)
-
-			st, err := db2.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.NumVectors != rows {
-				t.Fatalf("NumVectors = %d after crash, want %d (sealErr=%v)", st.NumVectors, rows, sealErr)
-			}
-			switch {
-			case st.DeltaCount == rows && st.Ingest.RunRows == 0:
-				// Seal never committed: delta intact.
-			case st.DeltaCount == 0 && st.Ingest.RunRows == rows:
-				// Seal committed atomically: run holds everything.
-			default:
-				t.Fatalf("torn seal: delta=%d runRows=%d (sealErr=%v)", st.DeltaCount, st.Ingest.RunRows, sealErr)
-			}
-			for i := 0; i < rows; i++ {
-				id := fmt.Sprintf("r%d", i)
-				if _, err := db2.Get(id); err != nil {
-					t.Fatalf("row %s unreachable after seal crash: %v", id, err)
-				}
-			}
-			// The surviving state must also still be searchable and
-			// maintainable: drain everything into partitions.
-			if _, err := db2.Rebuild(); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := db2.Search(SearchRequest{Vector: idVec("r7"), K: 1, Exact: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Results) != 1 || resp.Results[0].ID != "r7" {
-				t.Fatalf("post-recovery search returned %+v", resp.Results)
-			}
-		})
-	}
-}
-
-// TestLSMCompactRunsCrash kills the WAL mid-multi-run-compaction. Three
-// sealed runs (plus tombstones and a delta shadow over run rows) are merged
-// by one CompactRuns transaction under a failpoint sweep; after the crash
-// and reopen every source run must be either fully folded into the
-// partitions or fully intact — the merge is a single transaction, so a torn
-// state (some runs gone, some left) is a bug. Recovered state must pass the
-// invariant battery (which audits the per-run zone metadata) and answer
-// exact searches with the newest-wins contract preserved.
-func TestLSMCompactRunsCrash(t *testing.T) {
-	skipIfEphemeralBackend(t)
-	opts := Options{
-		Dim: 8, Seed: 3,
-		LSMIngest:        true,
-		MemtableMaxItems: 1 << 20, // seal manually, compact under the failpoint
-	}
-	const base = 48
-	const perRun = 10
-	sawFailure := false
-	for n := 1; n <= 10; n++ {
-		t.Run(fmt.Sprintf("fail%d", n), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "compact.mnn")
-			db, err := Open(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := make([]Item, base)
-			for i := range batch {
-				id := fmt.Sprintf("base%d", i)
-				batch[i] = Item{ID: id, Vector: idVec(id)}
-			}
-			if err := db.UpsertBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.Rebuild(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Three sealed runs with ids 1, 2, 3 (fresh store, ids are
-			// assigned sequentially from 1).
-			for s := 0; s < 3; s++ {
-				runBatch := make([]Item, perRun)
-				for i := range runBatch {
-					id := fmt.Sprintf("run%d_%d", s, i)
-					runBatch[i] = Item{ID: id, Vector: idVec(id)}
-				}
-				if err := db.UpsertBatch(runBatch); err != nil {
-					t.Fatal(err)
-				}
-				if err := db.store.Update(func(wt *storage.WriteTxn) error {
-					sealed, e := db.ix.SealDelta(wt)
-					if e == nil && sealed != perRun {
-						e = fmt.Errorf("sealed %d rows, want %d", sealed, perRun)
-					}
-					return e
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Tombstones over run-resident rows plus a delta shadow: the
-			// compaction must purge the dead rows and must not disturb the
-			// newer delta version.
-			if err := db.Delete("run0_0"); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Delete("run1_5"); err != nil {
-				t.Fatal(err)
-			}
-			shadow := idVec("run2_3-v2")
-			if err := db.Upsert(Item{ID: "run2_3", Vector: shadow}); err != nil {
-				t.Fatal(err)
-			}
-
-			db.store.SetWALFailpoint(n)
-			compactErr := db.store.Update(func(wt *storage.WriteTxn) error {
-				_, e := db.ix.CompactRuns(wt, []int64{1, 2, 3})
-				return e
-			})
-			db.store.SetWALFailpoint(-1)
-			if compactErr != nil {
+			if flushErr != nil {
 				sawFailure = true
 			}
 
@@ -325,20 +209,121 @@ func TestLSMCompactRunsCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const live = base + 3*perRun - 2
-			if st.NumVectors != live {
-				t.Fatalf("NumVectors = %d after crash, want %d (compactErr=%v)", st.NumVectors, live, compactErr)
+			if st.NumVectors != base+rows {
+				t.Fatalf("NumVectors = %d after crash, want %d (flushErr=%v)", st.NumVectors, base+rows, flushErr)
 			}
-			// Two deletes and one shadow upsert each killed a run row, so
-			// the intact runs hold 3*perRun-3 live rows.
-			switch {
-			case st.Ingest.RunCount == 3 && st.Ingest.RunRows == 3*perRun-3:
-				// Compaction never committed: every run fully intact.
-			case st.Ingest.RunCount == 0 && st.Ingest.RunRows == 0:
-				// Compaction committed atomically: every run fully folded.
+			switch st.DeltaCount {
+			case rows:
+				// Flush never committed: delta intact.
+			case 0:
+				// Flush committed atomically: partitions hold everything.
 			default:
-				t.Fatalf("torn compaction: runs=%d runRows=%d (compactErr=%v)",
-					st.Ingest.RunCount, st.Ingest.RunRows, compactErr)
+				t.Fatalf("torn flush: delta=%d (flushErr=%v)", st.DeltaCount, flushErr)
+			}
+			for i := 0; i < rows; i++ {
+				id := fmt.Sprintf("r%d", i)
+				if _, err := db2.Get(id); err != nil {
+					t.Fatalf("row %s unreachable after flush crash: %v", id, err)
+				}
+			}
+			// The surviving state must also still be searchable and
+			// maintainable: drain everything into partitions.
+			if _, err := db2.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := db2.Search(SearchRequest{Vector: idVec("r7"), K: 1, Exact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) != 1 || resp.Results[0].ID != "r7" {
+				t.Fatalf("post-recovery search returned %+v", resp.Results)
+			}
+		})
+	}
+	if !sawFailure {
+		t.Fatal("failpoint sweep never injected a failure — battery exercised nothing")
+	}
+}
+
+// TestLSMCompactRunsCrash kills the WAL mid-Maintain while the pass folds a
+// delta of three write waves into the partitions. Before the failpoint,
+// deletes removed partition-resident rows and an upsert shadowed one, so
+// the delta holds its newest version. After the crash and reopen the flush
+// is either fully committed or fully absent, deleted rows stay deleted and
+// the shadowed row serves its newest vector. Recovered state must pass the
+// invariant battery and answer exact searches.
+func TestLSMCompactRunsCrash(t *testing.T) {
+	skipIfEphemeralBackend(t)
+	opts := Options{Dim: 8, Seed: 3, FlushThreshold: 1}
+	const base = 48
+	const perWave = 10
+	sawFailure := false
+	for n := 1; n <= 10; n++ {
+		t.Run(fmt.Sprintf("fail%d", n), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "compact.mnn")
+			db := buildCrashBase(t, path, opts, base)
+
+			// Three waves, the first flushed into the partitions so the
+			// deletes and the shadow below hit partition-resident rows;
+			// the other two stay in the delta for the crashed pass.
+			for s := 0; s < 3; s++ {
+				wave := make([]Item, perWave)
+				for i := range wave {
+					id := fmt.Sprintf("run%d_%d", s, i)
+					wave[i] = Item{ID: id, Vector: idVec(id)}
+				}
+				if err := db.UpsertBatch(wave); err != nil {
+					t.Fatal(err)
+				}
+				if s == 0 {
+					if _, err := db.FlushDelta(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := db.Delete("run0_0"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Delete("run1_5"); err != nil {
+				t.Fatal(err)
+			}
+			shadow := idVec("run0_3-v2")
+			if err := db.Upsert(Item{ID: "run0_3", Vector: shadow}); err != nil {
+				t.Fatal(err)
+			}
+			const pending = 2*perWave - 1 + 1 // waves 1-2 less run1_5, plus the shadow
+
+			db.store.SetWALFailpoint(n)
+			_, maintErr := db.Maintain()
+			db.store.SetWALFailpoint(-1)
+			if maintErr != nil {
+				sawFailure = true
+			}
+
+			crashLSM(t, db)
+
+			db2, err := Open(path, opts)
+			if err != nil {
+				t.Fatalf("reopen after crash: %v", err)
+			}
+			defer db2.Close()
+			checkSingleInvariants(t, db2)
+
+			st, err := db2.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const live = base + 3*perWave - 2
+			if st.NumVectors != live {
+				t.Fatalf("NumVectors = %d after crash, want %d (maintErr=%v)", st.NumVectors, live, maintErr)
+			}
+			switch st.DeltaCount {
+			case pending:
+				// The flush never committed: the delta is fully intact.
+			case 0:
+				// The flush committed atomically: every row folded.
+			default:
+				t.Fatalf("torn flush: delta=%d, want %d or 0 (maintErr=%v)", st.DeltaCount, pending, maintErr)
 			}
 
 			for i := 0; i < base; i++ {
@@ -347,7 +332,7 @@ func TestLSMCompactRunsCrash(t *testing.T) {
 				}
 			}
 			for s := 0; s < 3; s++ {
-				for i := 0; i < perRun; i++ {
+				for i := 0; i < perWave; i++ {
 					id := fmt.Sprintf("run%d_%d", s, i)
 					item, err := db2.Get(id)
 					switch id {
@@ -355,7 +340,7 @@ func TestLSMCompactRunsCrash(t *testing.T) {
 						if !errors.Is(err, ErrNotFound) {
 							t.Fatalf("deleted %s resurfaced: item=%v err=%v", id, item, err)
 						}
-					case "run2_3":
+					case "run0_3":
 						if err != nil {
 							t.Fatalf("shadowed %s lost: %v", id, err)
 						}
@@ -366,7 +351,7 @@ func TestLSMCompactRunsCrash(t *testing.T) {
 						}
 					default:
 						if err != nil {
-							t.Fatalf("run row %s unreachable: %v", id, err)
+							t.Fatalf("row %s unreachable: %v", id, err)
 						}
 					}
 				}

@@ -35,7 +35,6 @@ func checkSingleInvariants(t *testing.T, db *DB) {
 func TestLSMGroupCommitVisibility(t *testing.T) {
 	db, err := Open("", Options{
 		Dim: 8, Backend: BackendMemory, Seed: 1,
-		LSMIngest: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +63,6 @@ func TestLSMGroupCommitVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Ingest.Enabled {
-		t.Fatal("Ingest.Enabled = false, want true")
-	}
 	if st.NumVectors != writers*perWriter {
 		t.Fatalf("NumVectors = %d, want %d", st.NumVectors, writers*perWriter)
 	}
@@ -89,268 +85,8 @@ func TestLSMGroupCommitVisibility(t *testing.T) {
 	checkSingleInvariants(t, db)
 }
 
-// waitSeal polls until the background sealer (ingest.go triggerSeal) has
-// produced at least one live run. Seals run off the group-commit path, so
-// tests that need run-resident rows must wait for one.
-func waitSeal(t *testing.T, db *DB) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := db.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Ingest.Seals > 0 && st.Ingest.RunCount > 0 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("background seal never produced a run")
-}
-
-// TestLSMSealAndShadowing fills the memtable past its bound so the delta
-// seals into a sorted run, then checks newest-wins shadowing: an update of
-// a run-resident id serves the new vector, a delete tombstones it, and a
-// Rebuild absorbs runs and tombstones entirely.
-func TestLSMSealAndShadowing(t *testing.T) {
-	db, err := Open("", Options{
-		Dim: 8, Backend: BackendMemory, Seed: 2,
-		LSMIngest: true, MemtableMaxItems: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	vecs := make(map[string][]float32)
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("v%d", i)
-		vecs[id] = lsmVec(rng, 8)
-		if err := db.Upsert(Item{ID: id, Vector: vecs[id]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitSeal(t, db) // seals are asynchronous
-	st, err := db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.Seals == 0 || st.Ingest.RunCount == 0 {
-		t.Fatalf("Seals = %d RunCount = %d, want both > 0 after 40 upserts at bound 16", st.Ingest.Seals, st.Ingest.RunCount)
-	}
-	if st.Ingest.UnmergedItems != st.DeltaCount+st.Ingest.RunRows {
-		t.Fatalf("UnmergedItems = %d, want delta %d + runs %d", st.Ingest.UnmergedItems, st.DeltaCount, st.Ingest.RunRows)
-	}
-
-	// v0..v15 were sealed into the first run. Update one, delete another.
-	newV3 := lsmVec(rng, 8)
-	if err := db.Upsert(Item{ID: "v3", Vector: newV3}); err != nil {
-		t.Fatal(err)
-	}
-	vecs["v3"] = newV3
-	if err := db.Delete("v5"); err != nil {
-		t.Fatal(err)
-	}
-	delete(vecs, "v5")
-	if err := db.Delete("v5"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second delete = %v, want ErrNotFound", err)
-	}
-
-	st, err = db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.TombstoneRows == 0 {
-		t.Fatalf("TombstoneRows = 0, want > 0 after shadowing run rows")
-	}
-
-	got, err := db.Get("v3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range newV3 {
-		if got.Vector[i] != newV3[i] {
-			t.Fatalf("Get(v3) returned stale vector (dim %d: %v != %v)", i, got.Vector[i], newV3[i])
-		}
-	}
-	if _, err := db.Get("v5"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(v5) = %v, want ErrNotFound", err)
-	}
-
-	// Exact search must honor the shadowing too: v3's new vector wins, v5
-	// never appears.
-	for id, v := range vecs {
-		resp, err := db.Search(SearchRequest{Vector: v, K: 1, Exact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Results) != 1 || resp.Results[0].ID != id {
-			t.Fatalf("exact search for %s returned %+v", id, resp.Results)
-		}
-	}
-	resp, err := db.Search(SearchRequest{Vector: newV3, K: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range resp.Results {
-		if r.ID == "v5" {
-			t.Fatal("deleted run row v5 surfaced in search")
-		}
-	}
-	checkSingleInvariants(t, db)
-
-	// Rebuild absorbs every run and tombstone.
-	if _, err := db.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.RunCount != 0 || st.Ingest.TombstoneRows != 0 {
-		t.Fatalf("after rebuild: RunCount = %d TombstoneRows = %d, want 0/0", st.Ingest.RunCount, st.Ingest.TombstoneRows)
-	}
-	if st.NumVectors != int64(len(vecs)) {
-		t.Fatalf("after rebuild: NumVectors = %d, want %d", st.NumVectors, len(vecs))
-	}
-	for id, v := range vecs {
-		resp, err := db.Search(SearchRequest{Vector: v, K: 1, Exact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Results) != 1 || resp.Results[0].ID != id {
-			t.Fatalf("post-rebuild exact search for %s returned %+v", id, resp.Results)
-		}
-	}
-	checkSingleInvariants(t, db)
-}
-
-// TestLSMCompactViaMaintain checks the incremental path: a sealed run on a
-// built index is folded back into the partitions by Maintain (the compact
-// action), leaving no runs and no tombstones.
-func TestLSMCompactViaMaintain(t *testing.T) {
-	db, err := Open("", Options{
-		Dim: 8, Backend: BackendMemory, Seed: 3,
-		TargetPartitionSize: 32,
-		LSMIngest:           true, MemtableMaxItems: 16,
-		FlushThreshold: 1 << 30, // isolate the compact step from delta flushes
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	rng := rand.New(rand.NewSource(11))
-	ids := make(map[string][]float32)
-	batch := make([]Item, 0, 200)
-	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("base%d", i)
-		ids[id] = lsmVec(rng, 8)
-		batch = append(batch, Item{ID: id, Vector: ids[id]})
-	}
-	if err := db.UpsertBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stream past the memtable bound so at least one run seals, deleting a
-	// few run residents along the way.
-	for i := 0; i < 48; i++ {
-		id := fmt.Sprintf("new%d", i)
-		ids[id] = lsmVec(rng, 8)
-		if err := db.Upsert(Item{ID: id, Vector: ids[id]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitSeal(t, db) // seals are asynchronous; the deletes below must hit run rows
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("new%d", i)
-		if err := db.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		delete(ids, id)
-	}
-	st, err := db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.RunCount == 0 {
-		t.Fatalf("RunCount = 0, want sealed runs before compaction (seals=%d)", st.Ingest.Seals)
-	}
-
-	if _, err := db.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.RunCount != 0 {
-		t.Fatalf("RunCount = %d after Maintain, want 0", st.Ingest.RunCount)
-	}
-	if st.Maintenance.Compactions == 0 {
-		t.Fatal("Maintenance.Compactions = 0, want > 0")
-	}
-	for id, v := range ids {
-		resp, err := db.Search(SearchRequest{Vector: v, K: 1, Exact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Results) != 1 || resp.Results[0].ID != id {
-			t.Fatalf("post-compact exact search for %s returned %+v", id, resp.Results)
-		}
-	}
-	checkSingleInvariants(t, db)
-}
-
-// TestLSMBackpressure checks the flush-backpressure satellite: once
-// unmerged rows exceed MaxUnmergedItems, writers trigger background
-// compaction, and Stats reports the trigger.
-func TestLSMBackpressure(t *testing.T) {
-	db, err := Open("", Options{
-		Dim: 4, Backend: BackendMemory, Seed: 4,
-		TargetPartitionSize: 32,
-		LSMIngest:           true,
-		MemtableMaxItems:    4,
-		MaxUnmergedItems:    8,
-		HardLimitItems:      12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	rng := rand.New(rand.NewSource(5))
-	seed := make([]Item, 0, 64)
-	for i := 0; i < 64; i++ {
-		seed = append(seed, Item{ID: fmt.Sprintf("s%d", i), Vector: lsmVec(rng, 4)})
-	}
-	if err := db.UpsertBatch(seed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if err := db.Upsert(Item{ID: fmt.Sprintf("p%d", i), Vector: lsmVec(rng, 4)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := db.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingest.BackpressureTriggers == 0 {
-		t.Fatalf("BackpressureTriggers = 0 after a 64-row storm over limit 8 (unmerged=%d)", st.Ingest.UnmergedItems)
-	}
-	checkSingleInvariants(t, db)
-}
-
 // TestLSMHammer races group-committed writers against searches and
-// maintenance (compaction included) across the quantization and shard
+// maintenance (delta flushes and splits) across the quantization and shard
 // matrix. Run with -race in CI; the final state is reconciled against a
 // per-writer mirror and the invariant battery.
 func TestLSMHammer(t *testing.T) {
@@ -371,7 +107,6 @@ func TestLSMHammer(t *testing.T) {
 				Dim: 8, Backend: BackendMemory, Seed: 9,
 				TargetPartitionSize: 32,
 				Quantization:        tc.quant,
-				LSMIngest:           true, MemtableMaxItems: 16,
 			}
 			var db Store
 			var sdb *ShardedDB
@@ -390,7 +125,7 @@ func TestLSMHammer(t *testing.T) {
 			}
 			defer db.Close()
 
-			// Build a base index so compaction and rerank paths are live.
+			// Build a base index so the flush and rerank paths are live.
 			rng := rand.New(rand.NewSource(13))
 			base := make([]Item, 0, 128)
 			for i := 0; i < 128; i++ {
@@ -427,7 +162,7 @@ func TestLSMHammer(t *testing.T) {
 					}
 				}(s)
 			}
-			// Maintainer: keeps compacting while writers seal runs.
+			// Maintainer: keeps flushing the delta while writers fill it.
 			auxWG.Add(1)
 			go func() {
 				defer auxWG.Done()

@@ -1050,7 +1050,6 @@ func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
 		out.Flushes += rep.Flushes
 		out.Splits += rep.Splits
 		out.Merges += rep.Merges
-		out.Compactions += rep.Compactions
 		out.Duration += rep.Duration
 		out.RowChanges += rep.RowChanges
 		out.VectorsAssigned += rep.VectorsAssigned
@@ -1128,31 +1127,14 @@ func AggregateStats(per []Stats) Stats {
 		out.Maintenance.Flushes += st.Maintenance.Flushes
 		out.Maintenance.Splits += st.Maintenance.Splits
 		out.Maintenance.Merges += st.Maintenance.Merges
-		out.Maintenance.Compactions += st.Maintenance.Compactions
 		out.Maintenance.StaleRetries += st.Maintenance.StaleRetries
 		out.Maintenance.RowChanges += st.Maintenance.RowChanges
 		out.Maintenance.Errors += st.Maintenance.Errors
-		out.Ingest.Enabled = out.Ingest.Enabled || st.Ingest.Enabled
 		out.Ingest.GroupCommits += st.Ingest.GroupCommits
 		out.Ingest.GroupedOps += st.Ingest.GroupedOps
 		if st.Ingest.MaxGroupSize > out.Ingest.MaxGroupSize {
 			out.Ingest.MaxGroupSize = st.Ingest.MaxGroupSize
 		}
-		out.Ingest.Seals += st.Ingest.Seals
-		out.Ingest.SealedRows += st.Ingest.SealedRows
-		out.Ingest.SealFailures += st.Ingest.SealFailures
-		if out.Ingest.LastSealError == "" {
-			out.Ingest.LastSealError = st.Ingest.LastSealError
-		}
-		out.Ingest.RunCount += st.Ingest.RunCount
-		out.Ingest.RunRows += st.Ingest.RunRows
-		out.Ingest.TombstoneRows += st.Ingest.TombstoneRows
-		out.Ingest.UnmergedItems += st.Ingest.UnmergedItems
-		out.Ingest.BackpressureTriggers += st.Ingest.BackpressureTriggers
-		out.Ingest.BackpressureWaits += st.Ingest.BackpressureWaits
-		out.Ingest.BackpressureWaitNs += st.Ingest.BackpressureWaitNs
-		out.Ingest.ZonePruneChecks += st.Ingest.ZonePruneChecks
-		out.Ingest.ZonePrunedRuns += st.Ingest.ZonePrunedRuns
 		out.GateWaits += st.GateWaits
 		out.GateWaitNs += st.GateWaitNs
 		if st.LastMaintainAction != "" {
@@ -1179,7 +1161,7 @@ func AggregateStats(per []Stats) Stats {
 		out.HybridSearches += st.HybridSearches
 	}
 	if out.NumPartitions > 0 {
-		out.AvgPartitionSize = float64(out.NumVectors-out.DeltaCount-out.Ingest.RunRows) / float64(out.NumPartitions)
+		out.AvgPartitionSize = float64(out.NumVectors-out.DeltaCount) / float64(out.NumPartitions)
 	}
 	return out
 }

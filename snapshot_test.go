@@ -108,31 +108,19 @@ func TestSnapshotGetMissing(t *testing.T) {
 	}
 }
 
-// TestSnapshotStatsAvgPartitionSize: sealed-run rows are not partition
-// rows, so with a sealed run present a snapshot reports the same
-// AvgPartitionSize as the live Stats, on a single store and a sharded one.
+// TestSnapshotStatsAvgPartitionSize: delta rows are not partition rows, so
+// with a non-empty delta a snapshot reports the same AvgPartitionSize as
+// the live Stats, on a single store and a sharded one.
 func TestSnapshotStatsAvgPartitionSize(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			opts := Options{
-				Dim: 8, TargetPartitionSize: 10, Seed: 5,
-				// Bounds the test never reaches: no background seal or
-				// compaction runs, so the run is sealed below, synchronously.
-				LSMIngest: true, MemtableMaxItems: 1 << 20,
-				MaxUnmergedItems: 1 << 20, HardLimitItems: 1 << 20,
-			}
+			opts := Options{Dim: 8, TargetPartitionSize: 10, Seed: 5}
 			var db Store
-			var perShard []*DB
 			if shards == 1 {
-				d := openTest(t, opts)
-				db, perShard = d, []*DB{d}
+				db = openTest(t, opts)
 			} else {
 				opts.Shards = shards
-				s := openShardedTest(t, filepath.Join(t.TempDir(), "avg.d"), opts)
-				db = s
-				for i := 0; i < s.Shards(); i++ {
-					perShard = append(perShard, s.Shard(i))
-				}
+				db = openShardedTest(t, filepath.Join(t.TempDir(), "avg.d"), opts)
 			}
 			rng := rand.New(rand.NewSource(3))
 			items := make([]Item, 200)
@@ -150,14 +138,13 @@ func TestSnapshotStatsAvgPartitionSize(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			zoneSealAll(t, perShard)
 
 			live, err := db.Stats()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if live.NumPartitions == 0 || live.Ingest.RunRows == 0 {
-				t.Fatalf("want partitions and a sealed run: %d partitions, %+v", live.NumPartitions, live.Ingest)
+			if live.NumPartitions == 0 || live.DeltaCount != 60 {
+				t.Fatalf("want partitions and 60 delta rows: %d partitions, %d delta", live.NumPartitions, live.DeltaCount)
 			}
 			snap, err := db.Snapshot()
 			if err != nil {
@@ -168,8 +155,8 @@ func TestSnapshotStatsAvgPartitionSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Ingest.RunRows != live.Ingest.RunRows {
-				t.Fatalf("snapshot RunRows = %d, live %d", st.Ingest.RunRows, live.Ingest.RunRows)
+			if st.DeltaCount != live.DeltaCount {
+				t.Fatalf("snapshot DeltaCount = %d, live %d", st.DeltaCount, live.DeltaCount)
 			}
 			if st.AvgPartitionSize != live.AvgPartitionSize {
 				t.Fatalf("snapshot AvgPartitionSize = %v, live %v", st.AvgPartitionSize, live.AvgPartitionSize)
