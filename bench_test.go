@@ -1,8 +1,11 @@
-// Benchmarks mapping to the paper's tables and figures (see DESIGN.md §4
-// for the experiment index). Each BenchmarkFigN exercises the code path
-// behind that figure with a small, fixed workload so `go test -bench=.`
-// stays fast; the full parameter sweeps with printed tables live in
-// cmd/micronn-bench.
+// Benchmarks mapping to the paper's tables and figures (the experiment
+// index is the internal/bench registry: `micronn-bench -list`). Each
+// BenchmarkFigN exercises the code path behind that figure with a small,
+// fixed workload so `go test -bench=.` stays fast; the full parameter
+// sweeps with printed tables live in cmd/micronn-bench. The benchmarks
+// after the figures report the system's own timings (search during splits,
+// sharding, backends, result cache, group commit, hybrid fusion) as custom
+// metrics; their correctness verdicts are ordinary tests.
 package micronn_test
 
 import (
@@ -467,8 +470,8 @@ func BenchmarkAblationBalancePenalty(b *testing.B) {
 // With partition-granular write locking each split transaction excludes
 // searches only from the partitions it rewrites — never from the whole
 // store — so split-p99-ms should track idle-p99-ms. One iteration runs
-// both measurement windows on a fresh database and reports the percentiles
-// as custom metrics for the BENCH_* trajectory.
+// both measurement windows on a fresh database and reports idle and
+// during-split p50/p99 as custom metrics.
 func BenchmarkSearchDuringSplits(b *testing.B) {
 	spec, err := workload.ByName("InternalA")
 	if err != nil {
@@ -749,9 +752,8 @@ func BenchmarkQuantFloat32Search(b *testing.B) { benchScanBytes(b, micronn.Quant
 // BenchmarkMaintenanceEpoch is one epoch of the streaming-update loop:
 // insert a batch, run incremental maintenance (flush + splits/merges, never
 // a full rebuild on a built index), then measure search latency and
-// recall@10 on the maintained index. Reported metrics feed the BENCH_*
-// trajectory: search-p99-ms, recall@10 and the per-epoch maintenance row
-// writes.
+// recall@10 on the maintained index. It reports search-p99-ms, recall@10
+// and the per-epoch maintenance row writes.
 func BenchmarkMaintenanceEpoch(b *testing.B) {
 	spec, err := workload.ByName("InternalA")
 	if err != nil {
@@ -841,9 +843,8 @@ func BenchmarkMaintenanceEpoch(b *testing.B) {
 // goroutine streams batches with auto-maintain running while the measured
 // loop times queries and sums scanned bytes; recall@10 is then measured
 // against exact search on the quiesced final state (measuring it mid-storm
-// would compare against a moving ground truth). Reported metrics feed the
-// BENCH_* trajectory per variant: search-p99-ms, recall@10 and
-// scan-bytes/op.
+// would compare against a moving ground truth). It reports, per variant,
+// search-p99-ms, recall@10 and scan-bytes/op.
 func benchShardedSearch(b *testing.B, shards int) {
 	spec, err := workload.ByName("InternalA")
 	if err != nil {
@@ -969,9 +970,7 @@ func benchShardedSearch(b *testing.B, shards int) {
 
 // benchBackendSearch measures hot and cold search on one page-store
 // backend under a tight 1 MiB pool budget (so the read path dominates),
-// reporting hot p50, cold p50 and recall@10 for the BENCH trajectory. The
-// `backends` scenario in cmd/micronn-bench prints the full comparison
-// table with verdicts.
+// reporting hot p50, cold p50 and recall@10.
 func benchBackendSearch(b *testing.B, kind micronn.Backend) {
 	if kind == micronn.BackendMmap && !storage.MmapSupported() {
 		b.Skip("mmap backend not supported on this platform")
@@ -1055,8 +1054,9 @@ func benchBackendSearch(b *testing.B, kind micronn.Backend) {
 }
 
 // BenchmarkBackendSearch compares the page-store backends on the hot and
-// cold search path (the acceptance trajectory for the multi-backend PR:
-// mmap must at least match file on hot p50 at identical recall).
+// cold search path: mmap's hot-p50-ms against file's shows what skipping
+// the pread path saves (a reported timing, never a test verdict).
+// Identical results across backends is TestBackendsReturnIdenticalResults.
 func BenchmarkBackendSearch(b *testing.B) {
 	b.Run("file", func(b *testing.B) { benchBackendSearch(b, micronn.BackendFile) })
 	b.Run("mmap", func(b *testing.B) { benchBackendSearch(b, micronn.BackendMmap) })
@@ -1064,8 +1064,9 @@ func BenchmarkBackendSearch(b *testing.B) {
 }
 
 // BenchmarkShardedSearch runs the sustained-upsert search workload on the
-// single-store baseline and at 1/2/4 shards (the `shards` scenario in
-// cmd/micronn-bench sweeps further and prints verdicts).
+// single-store baseline and at 1/2/4 shards, reporting each variant's
+// search p99, recall@10 and scanned bytes. Recall parity with the single
+// store is asserted by TestShardedEquivalence.
 func BenchmarkShardedSearch(b *testing.B) {
 	b.Run("single", func(b *testing.B) { benchShardedSearch(b, 0) })
 	b.Run("shards=1", func(b *testing.B) { benchShardedSearch(b, 1) })
@@ -1077,14 +1078,12 @@ func BenchmarkShardedSearch(b *testing.B) {
 
 // BenchmarkCachedSearch drives a Zipfian repeated-query stream (the
 // type-ahead / repeated-RAG shape the result cache targets) through one
-// database twice — cache bypassed, then cache on — and reports both p50s,
-// the hit ratio and recall@10 for the BENCH trajectory (the acceptance
-// criterion for the result-cache PR: cached hot p50 at least 5x below
-// uncached at identical recall, since a hit replays the scan's own
-// results). Interleaved upserts keep ~1 in 30 lookups honestly
-// invalidated, so the hit ratio reported is earned under updates, not on a
-// frozen store. The `cache` scenario in cmd/micronn-bench prints the full
-// phase table with verdicts.
+// database twice — cache bypassed, then cache on — and reports both p50s
+// (cached should sit well below uncached: a hit replays the scan's own
+// results), the hit ratio and recall@10. Interleaved upserts keep ~1 in 30
+// lookups honestly invalidated, so the hit ratio reported is earned under
+// updates, not on a frozen store. The read-only hit ratio is asserted by
+// TestResultCacheZipfHitRatio, byte-identity by TestCacheStalenessOracle.
 func BenchmarkCachedSearch(b *testing.B) {
 	spec, err := workload.ByName("SIFT")
 	if err != nil {
@@ -1189,12 +1188,14 @@ func BenchmarkCachedSearch(b *testing.B) {
 	b.ReportMetric(recall/measured, "recall@10")
 }
 
-// BenchmarkGroupCommitIngest measures the write path for the BENCH
-// trajectory: single-writer vs 8-writer group-committed insert throughput,
-// then the search tail idle vs during a saturating insert storm absorbed by
-// the delta store. On multi-core hosts the 8-writer rate should clear the
+// BenchmarkGroupCommitIngest measures the write path: single-writer vs
+// 8-writer group-committed insert throughput, the average group size, then
+// the search tail idle vs during a saturating insert storm absorbed by the
+// delta store. On multi-core hosts the 8-writer rate should clear the
 // single-writer rate (writers amortize the writer gate and WAL commit);
 // storm-p99-ms should stay near idle-p99-ms at unchanged recall@10.
+// Batching and recall under the storm are asserted by
+// TestLSMGroupCommitVisibility and TestLSMRecallUnderInsertStorm.
 func BenchmarkGroupCommitIngest(b *testing.B) {
 	spec, err := workload.ByName("InternalA")
 	if err != nil {
@@ -1378,7 +1379,8 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 
 // BenchmarkHybridSearch times the fused query path on a tagged corpus,
 // alongside the pure vector leg on the same store for the overhead
-// comparison.
+// comparison. Fused recall against the single legs is asserted by
+// TestHybridFusedRecallBeatsSingleLegs.
 func BenchmarkHybridSearch(b *testing.B) {
 	fd := workload.GenerateFiltered(workload.FilteredSpec{
 		Dim: 48, NumVectors: 4000, NumQueries: 64, Seed: 21,

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"micronn/internal/workload"
 )
 
 // hybridVocab is a small tag vocabulary with a skewed frequency profile so
@@ -207,6 +209,86 @@ func TestHybridShardedEqualsSingle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHybridFusedRecallBeatsSingleLegs scores three ways of answering a
+// tagged query on a 4,000-vector corpus against the exact fused ranking
+// (an exhaustive vector leg under the same reciprocal-rank fusion):
+// vector-only ANN, lexical-only BM25 (weighted fusion with VectorWeight 0)
+// and fused RRF of both approximate legs. Fusion must recover at least as
+// much of the exact fused top-10 as the better single leg.
+func TestHybridFusedRecallBeatsSingleLegs(t *testing.T) {
+	const dim, n, numQueries, k, nprobe = 48, 4000, 50, 10, 16
+	fd := workload.GenerateFiltered(workload.FilteredSpec{Dim: dim, NumVectors: n, NumQueries: numQueries, Seed: 9})
+	opts := hybridTestOpts(dim)
+	opts.Metric = Cosine
+	db := openTest(t, opts)
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{ID: fmt.Sprintf("v%05d", i), Vector: fd.Train.Row(i), Attributes: map[string]any{"tags": fd.Tags[i]}}
+	}
+	if err := db.UpsertBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+
+	modes := []struct {
+		name string
+		req  func(qi int) HybridRequest
+	}{
+		{"vector-only", func(qi int) HybridRequest {
+			return HybridRequest{Vector: fd.Queries.Row(qi), K: k, NProbe: nprobe}
+		}},
+		{"lexical-only", func(qi int) HybridRequest {
+			return HybridRequest{Vector: fd.Queries.Row(qi), Text: fd.QueryTags[qi], K: k, NProbe: nprobe,
+				Weighted: true, VectorWeight: 0, TextWeight: 1}
+		}},
+		{"fused-rrf", func(qi int) HybridRequest {
+			return HybridRequest{Vector: fd.Queries.Row(qi), Text: fd.QueryTags[qi], K: k, NProbe: nprobe}
+		}},
+	}
+	recalls := make([]float64, len(modes))
+	scored := 0
+	for qi := 0; qi < numQueries; qi++ {
+		exact, err := db.HybridSearch(HybridRequest{Vector: fd.Queries.Row(qi), Text: fd.QueryTags[qi], K: k, Exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exact.Results) == 0 {
+			continue
+		}
+		want := make(map[string]bool, len(exact.Results))
+		for _, r := range exact.Results {
+			want[r.ID] = true
+		}
+		scored++
+		for mi, m := range modes {
+			resp, err := db.HybridSearch(m.req(qi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := 0
+			for _, r := range resp.Results {
+				if want[r.ID] {
+					hits++
+				}
+			}
+			recalls[mi] += float64(hits) / float64(len(exact.Results))
+		}
+	}
+	if scored == 0 {
+		t.Fatal("no query has an exact fused ranking to score against")
+	}
+	for mi := range recalls {
+		recalls[mi] /= float64(scored)
+	}
+	vector, lexical, fused := recalls[0], recalls[1], recalls[2]
+	t.Logf("recall@10 over %d queries: vector-only %.3f, lexical-only %.3f, fused-rrf %.3f", scored, vector, lexical, fused)
+	if best := max(vector, lexical); fused < best {
+		t.Errorf("fused recall@10 %.3f below the better single leg %.3f", fused, best)
 	}
 }
 

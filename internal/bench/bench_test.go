@@ -48,12 +48,33 @@ func TestTable2ListsAllDatasets(t *testing.T) {
 	}
 }
 
+// TestLookupAndRegistry pins the registry: exactly the paper's
+// reproductions plus the quantization, kernel and maintenance experiments,
+// each runnable, each name and alias resolving to its own entry and none
+// shadowing another's.
 func TestLookupAndRegistry(t *testing.T) {
+	want := []string{"table1", "table2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "headline",
+		"ablation-balance", "ablation-clustering", "quant", "kernels", "maintenance"}
+	var names []string
+	owner := make(map[string]string) // name or alias -> experiment
 	for _, e := range Experiments {
-		got, err := Lookup(e.Name)
-		if err != nil || got.Name != e.Name {
-			t.Errorf("Lookup(%s) = %v, %v", e.Name, got.Name, err)
+		names = append(names, e.Name)
+		if e.Run == nil {
+			t.Errorf("experiment %s has no Run", e.Name)
 		}
+		for _, key := range append([]string{e.Name}, e.Alias...) {
+			if prev, dup := owner[key]; dup {
+				t.Errorf("%q of experiment %s shadows experiment %s", key, e.Name, prev)
+			}
+			owner[key] = e.Name
+			got, err := Lookup(key)
+			if err != nil || got.Name != e.Name {
+				t.Errorf("Lookup(%s) = %v, %v; want %s", key, got.Name, err, e.Name)
+			}
+		}
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("registry = %v, want %v", names, want)
 	}
 	if e, err := Lookup("fig5"); err != nil || e.Name != "fig4" {
 		t.Errorf("alias fig5 -> %v, %v", e.Name, err)
@@ -171,107 +192,6 @@ func TestMaintenanceRunnerSmoke(t *testing.T) {
 	}
 	if strings.Contains(s, "VIOLATION") {
 		t.Errorf("maintenance scenario reported a violation:\n%s", s)
-	}
-}
-
-// TestConcurrencyRunnerSmoke runs the concurrency scenario at tiny scale
-// and asserts the acceptance criteria it prints: the measured window
-// overlaps real splits and recall@10 holds steady (the p99 ratio is a
-// reported NOTE).
-func TestConcurrencyRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	cfg := tinyConfig(t, &out)
-	cfg.Scale = 0.002 // enough stream volume to force splits
-	if err := Concurrency(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"idle", "during-splits", "splits"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("concurrency output missing %s:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "VIOLATION") {
-		t.Errorf("concurrency scenario reported a violation:\n%s", s)
-	}
-}
-
-// TestShardsRunnerSmoke runs the sharding scenario at tiny scale and
-// asserts the acceptance criteria it prints: recall@10 parity within 1
-// point of the single store at every shard count (the 4-shard p99 is a
-// reported NOTE, not a verdict).
-func TestShardsRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	cfg := tinyConfig(t, &out)
-	cfg.Scale = 0.002
-	cfg.QuerySample = 10
-	if err := Shards(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"single-store", "1-shard", "2-shard", "4-shard", "8-shard"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("shards output missing %s:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "VIOLATION") {
-		t.Errorf("shards scenario reported a violation:\n%s", s)
-	}
-}
-
-// TestBackendsRunnerSmoke runs the backends scenario and asserts the
-// acceptance criteria it prints: recall parity across engines and
-// read-mmap at least matching the file backend on hot p50.
-func TestBackendsRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	cfg := tinyConfig(t, &out)
-	cfg.QuerySample = 15
-	if err := Backends(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"file", "memory", "Hot p50"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("backends output missing %s:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "VIOLATION") {
-		t.Errorf("backends scenario reported a violation:\n%s", s)
-	}
-}
-
-// TestWriteStormRunnerSmoke runs the write-storm scenario at tiny scale
-// and asserts the acceptance criteria it prints: the committer actually
-// grouped concurrent writers and recall@10 holds through the storms. The
-// 8-writer-to-single-writer throughput ratio and the storm-window p99 are
-// reported NOTEs.
-func TestWriteStormRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	cfg := tinyConfig(t, &out)
-	cfg.Scale = 0.002
-	if err := WriteStorm(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"single-writer", "grouped", "10x storm", "100x storm"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("write-storm output missing %s:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "VIOLATION") {
-		t.Errorf("write-storm scenario reported a violation:\n%s", s)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package bench implements the experiment harness that regenerates every
 // table and figure of the paper's evaluation (§4). Each experiment is a
-// named runner producing aligned text tables; cmd/micronn-bench exposes
-// them on the command line and bench_test.go wraps them as testing.B
-// benchmarks. Datasets are synthetic (see internal/workload) and scaled by
-// Config.Scale; EXPERIMENTS.md records paper-vs-measured shapes.
+// named runner producing aligned text tables, listed in the Experiments
+// registry (`micronn-bench -list`); cmd/micronn-bench runs them from the
+// command line. Datasets are synthetic (see internal/workload) and scaled
+// by Config.Scale.
 package bench
 
 import (

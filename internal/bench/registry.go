@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Experiment is a named, runnable reproduction of one paper artifact.
 type Experiment struct {
@@ -29,12 +26,6 @@ var Experiments = []Experiment{
 	{Name: "quant", Desc: "Quantization: SQ8/SQ4 scan bytes/throughput/recall vs float32", Run: Quantization, Alias: []string{"sq8", "sq4"}},
 	{Name: "kernels", Desc: "Kernels: float32/SQ8/SQ4 distance-kernel MB/s", Run: Kernels, Alias: []string{"kernel"}},
 	{Name: "maintenance", Desc: "Maintenance: search tail latency during sustained upserts (auto-maintain vs full rebuild)", Run: Maintenance, Alias: []string{"maint"}},
-	{Name: "concurrency", Desc: "Concurrency: search p99 during partition splits vs idle under partition-granular locking", Run: Concurrency, Alias: []string{"locks"}},
-	{Name: "shards", Desc: "Sharding: scatter-gather search p50/p99, scanned bytes and recall at 1/2/4/8 shards under concurrent upserts", Run: Shards, Alias: []string{"sharding"}},
-	{Name: "backends", Desc: "Backends: cold-start and hot search p50/p99 across file, read-mmap and memory page stores", Run: Backends, Alias: []string{"backend"}},
-	{Name: "cache", Desc: "Result cache: Zipfian hot-query p50/p99 and hit ratio, cached vs uncached, with invalidation under upserts", Run: ResultCache, Alias: []string{"rescache"}},
-	{Name: "updates", Desc: "Updates: write-storm — group-commit insert throughput vs single-writer, search p50/p99 and recall@10 at 10x/100x insert rates", Run: WriteStorm, Alias: []string{"writestorm", "storm"}},
-	{Name: "hybrid", Desc: "Hybrid fusion: BM25+vector RRF recall@10 and p50/p99 vs single legs; sharded rankings identical to single-store", Run: HybridFusion, Alias: []string{"fusion"}},
 }
 
 // Lookup resolves an experiment by name or alias.
@@ -54,11 +45,6 @@ func Lookup(name string) (Experiment, error) {
 
 // RunAll executes every experiment in registry order.
 func RunAll(cfg Config) error {
-	names := make([]string, 0, len(Experiments))
-	for _, e := range Experiments {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
 	for _, e := range Experiments {
 		if err := e.Run(cfg); err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)

@@ -2,9 +2,11 @@ package micronn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"micronn/internal/storage"
@@ -275,5 +277,83 @@ func TestBackendPoolCountersExposed(t *testing.T) {
 	}
 	if agg.CacheHits != sumHits {
 		t.Errorf("aggregated hits %d != sum of per-shard %d", agg.CacheHits, sumHits)
+	}
+}
+
+// TestBackendsReturnIdenticalResults builds the same data with the same
+// seed on every page-store engine — file, read-mmap (where supported) and
+// memory — under a buffer pool far smaller than the store, so the file
+// engine really reads through the pool while the zero-copy engines bypass
+// it. The engines differ in how bytes are read, never in which bytes
+// exist: every approximate search must return the file engine's results
+// exactly, and recall@10 against exact search must match to 1e-6.
+func TestBackendsReturnIdenticalResults(t *testing.T) {
+	const dim, n, numQueries, nprobe = 32, 4000, 30, 4
+	vecs := clusteredVecs(11, n, dim, 20)
+	queries := clusteredVecs(12, numQueries, dim, 20)
+
+	kinds := []Backend{BackendFile}
+	if storage.MmapSupported() {
+		kinds = append(kinds, BackendMmap)
+	}
+	kinds = append(kinds, BackendMemory)
+
+	type run struct {
+		results [][]Result
+		recall  float64
+	}
+	runs := make([]run, len(kinds))
+	for ki, kind := range kinds {
+		db, err := Open(filepath.Join(t.TempDir(), kind.String()+".mnn"), Options{
+			Dim: dim, Seed: 3, TargetPartitionSize: 100, Backend: kind,
+			Device: DeviceProfile{CacheBytes: 256 << 10, WriteBufferBytes: 1 << 20, Workers: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := make([]Item, n)
+		for i, v := range vecs {
+			items[i] = Item{ID: idOf(i), Vector: v}
+		}
+		if err := db.UpsertBatch(items); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		db.DropCaches()
+		for _, q := range queries {
+			exact, err := db.Search(SearchRequest{Vector: q, K: 10, Exact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Search(SearchRequest{Vector: q, K: 10, NProbe: nprobe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[ki].results = append(runs[ki].results, got.Results)
+			runs[ki].recall += recallAgainst(exact.Results, got.Results)
+		}
+		runs[ki].recall /= numQueries
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	file := runs[0]
+	t.Logf("file recall@10 = %.4f at nprobe %d", file.recall, nprobe)
+	for ki, kind := range kinds[1:] {
+		r := runs[ki+1]
+		if math.Abs(r.recall-file.recall) >= 1e-6 {
+			t.Errorf("%s recall@10 %.6f differs from file %.6f", kind, r.recall, file.recall)
+		}
+		for qi := range queries {
+			if !slices.Equal(r.results[qi], file.results[qi]) {
+				t.Errorf("%s query %d results differ from file:\n got %v\nwant %v", kind, qi, r.results[qi], file.results[qi])
+			}
+		}
 	}
 }

@@ -14,6 +14,8 @@ package micronn
 //   - TestShardedCachePartialReuse: a point write moves one shard's
 //     generation; the repeat re-scans only that shard.
 //   - TestDropCachesClearsResultCache: the DropCaches regression fix.
+//   - TestResultCacheZipfHitRatio: a read-only Zipfian stream is mostly
+//     served from the cache.
 //   - TestCacheEnvOverride: the MICRONN_TEST_CACHE=1 matrix override.
 
 import (
@@ -613,6 +615,55 @@ func TestDropCachesClearsResultCache(t *testing.T) {
 		})
 		check(t, sdb)
 	})
+}
+
+// TestResultCacheZipfHitRatio replays the workload the result cache exists
+// for — a Zipfian stream of repeated queries (type-ahead, repeated RAG
+// lookups) over a store with no writes in flight — and requires at least
+// half the lookups to be answered from the cache.
+func TestResultCacheZipfHitRatio(t *testing.T) {
+	const dim, numQueries, streamLen = 32, 50, 600
+	db, err := Open(filepath.Join(t.TempDir(), "zipf.mnn"), Options{
+		Dim: dim, Seed: 1, ResultCache: ResultCacheOptions{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	vecs := clusteredVecs(5, 2000, dim, 16)
+	items := make([]Item, len(vecs))
+	for i, v := range vecs {
+		items[i] = Item{ID: fmt.Sprintf("z%05d", i), Vector: v}
+	}
+	if err := db.UpsertBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	queries := clusteredVecs(6, numQueries, dim, 16)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(5)), 1.3, 2, numQueries-1)
+
+	db.DropCaches() // start cold
+	before := db.ResultCacheStats()
+	for i := 0; i < streamLen; i++ {
+		q := queries[zipf.Uint64()]
+		if _, err := db.Search(SearchRequest{Vector: q, K: 10, NProbe: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := db.ResultCacheStats()
+	stream := CacheStats{
+		Hits:          after.Hits - before.Hits,
+		Misses:        after.Misses - before.Misses,
+		Invalidations: after.Invalidations - before.Invalidations,
+	}
+	ratio := stream.HitRatio()
+	t.Logf("read-only Zipfian stream: %d hits, %d misses, %d invalidations: hit ratio %.3f",
+		stream.Hits, stream.Misses, stream.Invalidations, ratio)
+	if ratio < 0.5 {
+		t.Errorf("hit ratio %.3f on the read-only Zipfian stream, want >= 0.5", ratio)
+	}
 }
 
 // TestCacheEnvOverride proves the MICRONN_TEST_CACHE=1 matrix leg reaches

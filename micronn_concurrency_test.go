@@ -3,12 +3,14 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"micronn/internal/storage"
+	"micronn/internal/workload"
 )
 
 // vectorStore is the method surface shared by *DB and *ShardedDB that the
@@ -177,23 +179,139 @@ func TestConcurrentSearchDuringMaintenance(t *testing.T) {
 
 			// Recall parity after quiesce: the concurrently-maintained index
 			// must still find its neighbours.
-			var recall float64
-			for _, q := range queries {
-				exact, err := db.Search(SearchRequest{Vector: q, K: 10, Exact: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := db.Search(SearchRequest{Vector: q, K: 10, NProbe: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
-				recall += recallAgainst(exact.Results, got.Results)
-			}
-			recall /= float64(len(queries))
-			if recall < 0.8 {
+			if recall := meanRecall(t, db, queries, 16); recall < 0.8 {
 				t.Errorf("recall@10 = %.3f after concurrent maintenance, want >= 0.8", recall)
 			}
 		})
+	}
+}
+
+// internalAVectors generates the InternalA-shaped workload (512-d cosine
+// Gaussian mixture) at the given scale: corpus rows and query vectors.
+func internalAVectors(t *testing.T, scale float64) (spec workload.Spec, rows, queries [][]float32) {
+	t.Helper()
+	spec, err := workload.ByName("InternalA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.Scaled(scale)
+	ds := spec.Generate()
+	for i := 0; i < ds.Train.Rows; i++ {
+		rows = append(rows, ds.Train.Row(i))
+	}
+	for i := 0; i < ds.Queries.Rows; i++ {
+		queries = append(queries, ds.Queries.Row(i))
+	}
+	return spec, rows, queries
+}
+
+// meanRecall is recall@10 at nprobe against exact search on the store's
+// current state, averaged over queries.
+func meanRecall(t *testing.T, db vectorStore, queries [][]float32, nprobe int) float64 {
+	t.Helper()
+	var recall float64
+	for _, q := range queries {
+		exact, err := db.Search(SearchRequest{Vector: q, K: 10, Exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Search(SearchRequest{Vector: q, K: 10, NProbe: nprobe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recall += recallAgainst(exact.Results, got.Results)
+	}
+	return recall / float64(len(queries))
+}
+
+// backgroundSearcher searches in a loop until the returned stop is called;
+// stop returns how many searches completed and fails the test if one
+// errored.
+func backgroundSearcher(t *testing.T, db vectorStore, queries [][]float32) (stop func() int) {
+	quit := make(chan struct{})
+	done := make(chan error, 1)
+	var searches int
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-quit:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := db.Search(SearchRequest{Vector: queries[i%len(queries)], K: 10, NProbe: 8}); err != nil {
+				done <- err
+				return
+			}
+			searches++
+		}
+	}()
+	return func() int {
+		t.Helper()
+		close(quit)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return searches
+	}
+}
+
+// TestSplitStormKeepsRecall builds an index over half an InternalA-shaped
+// corpus, then streams the other half in chunks, each followed by a
+// foreground Maintain that flushes the delta and splits oversized
+// partitions, while a searcher queries throughout. The window must overlap
+// real splits, and recall@10 on the quiesced index must stay within 2
+// points of the idle index's.
+func TestSplitStormKeepsRecall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("split storm over a 512-d corpus")
+	}
+	spec, rows, queries := internalAVectors(t, 0.002)
+	db := openTest(t, Options{Dim: spec.Dim, Metric: spec.Metric, Seed: spec.Seed, TargetPartitionSize: 100})
+	insert := func(lo, hi int) {
+		t.Helper()
+		items := make([]Item, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			items = append(items, Item{ID: fmt.Sprintf("a%05d", i), Vector: rows[i]})
+		}
+		if err := db.UpsertBatch(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bootstrap := len(rows) / 2
+	insert(0, bootstrap)
+	if _, err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	idleRecall := meanRecall(t, db, queries, 8)
+	before, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := backgroundSearcher(t, db, queries)
+	for lo := bootstrap; lo < len(rows); lo += 100 {
+		insert(lo, min(lo+100, len(rows)))
+		if _, err := db.Maintain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	searches := stop()
+	if _, err := db.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits := after.Maintenance.Splits - before.Maintenance.Splits
+	recall := meanRecall(t, db, queries, 8)
+	t.Logf("%d searches during %d splits; recall@10 idle %.4f, after %.4f", searches, splits, idleRecall, recall)
+	if splits == 0 {
+		t.Error("the split storm executed no splits")
+	}
+	if math.Abs(recall-idleRecall) > 0.02 {
+		t.Errorf("recall@10 %.4f after the split storm, more than 2 points from idle %.4f", recall, idleRecall)
 	}
 }
 

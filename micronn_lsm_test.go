@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +32,9 @@ func checkSingleInvariants(t *testing.T, db *DB) {
 
 // TestLSMGroupCommitVisibility drives concurrent writers through the group
 // committer and checks the basic contract: every call that returned nil is
-// visible, the op counters add up, and grouping actually happened.
+// visible, the op counters add up, and grouping actually happened — with a
+// second core for the writers to overlap on, the committer averages more
+// than one op per group commit.
 func TestLSMGroupCommitVisibility(t *testing.T) {
 	db, err := Open("", Options{
 		Dim: 8, Backend: BackendMemory, Seed: 1,
@@ -41,7 +44,7 @@ func TestLSMGroupCommitVisibility(t *testing.T) {
 	}
 	defer db.Close()
 
-	const writers, perWriter = 8, 25
+	const writers, perWriter = 8, 250
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -75,6 +78,14 @@ func TestLSMGroupCommitVisibility(t *testing.T) {
 	if st.Ingest.MaxGroupSize < 1 {
 		t.Fatalf("MaxGroupSize = %d, want >= 1", st.Ingest.MaxGroupSize)
 	}
+	// Batches form only when writers overlap in the enqueue window, which
+	// needs a second core: on one the committer drains each op before the
+	// next writer is scheduled.
+	avgGroup := float64(st.Ingest.GroupedOps) / float64(st.Ingest.GroupCommits)
+	t.Logf("%.2f ops per group commit (max %d, GOMAXPROCS=%d)", avgGroup, st.Ingest.MaxGroupSize, runtime.GOMAXPROCS(0))
+	if runtime.GOMAXPROCS(0) >= 2 && avgGroup <= 1 {
+		t.Errorf("the committer never batched: %.2f ops per group commit", avgGroup)
+	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			if _, err := db.Get(fmt.Sprintf("w%d-%d", w, i)); err != nil {
@@ -83,6 +94,62 @@ func TestLSMGroupCommitVisibility(t *testing.T) {
 		}
 	}
 	checkSingleInvariants(t, db)
+}
+
+// TestLSMRecallUnderInsertStorm bootstraps an index over 500 vectors of an
+// InternalA-shaped corpus, then lands two insert storms — 250 and 2,000
+// upserts from 8 concurrent writers through the group committer — while a
+// searcher queries. Right after each storm, with the storm still sitting
+// unflushed in the delta store, recall@10 must be within 1 point of the
+// idle index's; a Maintain then folds the backlog before the next storm.
+func TestLSMRecallUnderInsertStorm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("insert storms over a 512-d corpus")
+	}
+	spec, rows, queries := internalAVectors(t, 0.02)
+	db := openTest(t, Options{Dim: spec.Dim, Metric: spec.Metric, Seed: spec.Seed, TargetPartitionSize: 100})
+	const bootstrap, writers = 500, 8
+	items := make([]Item, bootstrap)
+	for i := range items {
+		items[i] = Item{ID: fmt.Sprintf("a%05d", i), Vector: rows[i]}
+	}
+	if err := db.UpsertBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	queries = queries[:min(15, len(queries))]
+	idleRecall := meanRecall(t, db, queries, 8)
+
+	next := bootstrap
+	for _, size := range []int{250, 2000} {
+		stop := backgroundSearcher(t, db, queries)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(lo int) {
+				defer wg.Done()
+				for i := lo; i < next+size; i += writers {
+					if err := db.Upsert(Item{ID: fmt.Sprintf("a%05d", i), Vector: rows[i]}); err != nil {
+						t.Errorf("upsert %d: %v", i, err)
+						return
+					}
+				}
+			}(next + w)
+		}
+		wg.Wait()
+		searches := stop()
+		next += size
+		recall := meanRecall(t, db, queries, 8)
+		t.Logf("storm of %d upserts (%d searches during it): recall@10 %.4f vs idle %.4f", size, searches, recall, idleRecall)
+		if idleRecall-recall > 0.01+1e-9 {
+			t.Errorf("recall@10 %.4f after a %d-upsert storm, more than 1 point below idle %.4f", recall, size, idleRecall)
+		}
+		if _, err := db.Maintain(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestLSMHammer races group-committed writers against searches and

@@ -105,23 +105,42 @@ func recallAgainst(exact, got []Result) float64 {
 
 // TestShardedEquivalence is the equivalence property test: a randomized
 // workload of upserts, deletes and re-upserts is applied identically to a
-// single-store DB and a 3-shard DB (float32, SQ8 and SQ4), and the sharded
-// Search/BatchSearch recall@10 must stay within 1 point of the single
-// store's, measured against exact ground truth; Get and Delete semantics
-// must match exactly.
+// single-store DB and a 3-shard DB (float32, SQ8 and SQ4), plus 1-, 2-, 4-
+// and 8-shard float32 DBs, and the sharded Search/BatchSearch recall@10
+// must stay within 1 point of the single store's, measured against exact
+// ground truth; Get and Delete semantics must match exactly.
+//
+// The 1/2/4/8-shard sweep runs at a partition target of 100. At the
+// 3-shard cases' target of 25 the router's ceil(NProbe/N) per-shard budget
+// leaves each of 4 or 8 shards probing one or two small partitions, and
+// their recall falls below the gate; ROADMAP tracks that as an open item.
 func TestShardedEquivalence(t *testing.T) {
-	for _, qt := range []Quantization{QuantNone, QuantSQ8, QuantSQ4} {
-		t.Run(qt.String(), func(t *testing.T) {
+	cases := []struct {
+		name   string
+		qt     Quantization
+		shards int
+		target int
+	}{
+		{"none", QuantNone, 3, 25},
+		{"sq8", QuantSQ8, 3, 25},
+		{"sq4", QuantSQ4, 3, 25},
+		{"none-shards1", QuantNone, 1, 100},
+		{"none-shards2", QuantNone, 2, 100},
+		{"none-shards4", QuantNone, 4, 100},
+		{"none-shards8", QuantNone, 8, 100},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			const seed = 7
 			rng := rand.New(rand.NewSource(seed))
-			opts := Options{Dim: shardTestDim, TargetPartitionSize: 25, Seed: seed, Quantization: qt}
+			opts := Options{Dim: shardTestDim, TargetPartitionSize: tc.target, Seed: seed, Quantization: tc.qt}
 			single, err := Open(filepath.Join(t.TempDir(), "single.mnn"), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer single.Close()
 			shOpts := opts
-			shOpts.Shards = 3
+			shOpts.Shards = tc.shards
 			sharded := openShardedTest(t, filepath.Join(t.TempDir(), "sharded.d"), shOpts)
 
 			m := &mirror{t: t, single: single, shard: sharded, live: make(map[string][]float32)}
@@ -205,6 +224,7 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 			singleRecall /= float64(len(queries))
 			shardRecall /= float64(len(queries))
+			t.Logf("recall@10 single %.3f, %d-shard %.3f", singleRecall, tc.shards, shardRecall)
 			if shardRecall < singleRecall-0.01 {
 				t.Errorf("sharded recall@10 %.3f more than 1pt below single-store %.3f", shardRecall, singleRecall)
 			}
