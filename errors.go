@@ -3,6 +3,7 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"micronn/internal/ivf"
@@ -25,8 +26,9 @@ var (
 	// match the database's configured Dim (upserts and queries).
 	ErrDimMismatch = errors.New("micronn: dimension mismatch")
 	// ErrBadRequest is returned when a request fails validation before
-	// touching the store: negative K/NProbe/RerankFactor, an invalid
-	// option value at Open, and similar caller mistakes.
+	// touching the store: negative K/NProbe/RerankFactor, a K or
+	// K·RerankFactor beyond int32, a NaN or ±Inf vector component, an
+	// invalid option value at Open, and similar caller mistakes.
 	ErrBadRequest = errors.New("micronn: bad request")
 	// ErrUnsupportedFormat is returned by Open and OpenSharded for a store
 	// written in a pre-release on-disk format this version no longer reads
@@ -38,6 +40,18 @@ var (
 // badRequestf builds an ErrBadRequest-wrapped validation error.
 func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
+}
+
+// checkFinite rejects a vector with a NaN or ±Inf component. One such
+// component makes every distance to the vector NaN or infinite, which
+// breaks the top-K order and collapses k-means onto one partition.
+func checkFinite(v []float32) error {
+	for i, x := range v {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return badRequestf("vector component %d is %v", i, x)
+		}
+	}
+	return nil
 }
 
 // normalizeKnobs is the single validation-and-defaulting path for the knobs
@@ -56,6 +70,9 @@ func normalizeKnobs(k, nprobe, rerank *int, exact bool, cfg ivf.Config) error {
 	if *rerank < 0 {
 		return badRequestf("RerankFactor %d must not be negative", *rerank)
 	}
+	if *k > math.MaxInt32 {
+		return badRequestf("K %d exceeds %d", *k, math.MaxInt32)
+	}
 	if *k == 0 {
 		*k = 10
 	}
@@ -71,6 +88,11 @@ func normalizeKnobs(k, nprobe, rerank *int, exact bool, cfg ivf.Config) error {
 	} else if *rerank == 0 {
 		*rerank = cfg.RerankFactor
 	}
+	// A quantized scan keeps K·RerankFactor candidates per query; the
+	// division keeps the check itself from overflowing.
+	if *rerank > 0 && *k > math.MaxInt32 / *rerank {
+		return badRequestf("K %d × RerankFactor %d exceeds %d", *k, *rerank, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -84,7 +106,7 @@ func normalizeSearchRequest(req *SearchRequest, cfg ivf.Config) error {
 	if len(req.Vector) != cfg.Dim {
 		return fmt.Errorf("%w: query dimension %d, want %d", ErrDimMismatch, len(req.Vector), cfg.Dim)
 	}
-	return nil
+	return checkFinite(req.Vector)
 }
 
 // normalizeBatchSearchRequest is the batch analog of
@@ -96,6 +118,9 @@ func normalizeBatchSearchRequest(req *BatchSearchRequest, cfg ivf.Config) error 
 	for i, q := range req.Vectors {
 		if len(q) != cfg.Dim {
 			return fmt.Errorf("%w: query %d: dimension %d, want %d", ErrDimMismatch, i, len(q), cfg.Dim)
+		}
+		if err := checkFinite(q); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
 		}
 	}
 	return nil
@@ -119,6 +144,9 @@ func normalizeHybridRequest(req *HybridRequest, ix *ivf.Index) error {
 	}
 	if len(req.Vector) != cfg.Dim {
 		return fmt.Errorf("%w: query dimension %d, want %d", ErrDimMismatch, len(req.Vector), cfg.Dim)
+	}
+	if err := checkFinite(req.Vector); err != nil {
+		return err
 	}
 	if req.Text == "" {
 		// Pure vector query: zero every lexical knob so the request is

@@ -3,6 +3,7 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -236,5 +237,168 @@ func TestNormalizeSearchDefaults(t *testing.T) {
 	}
 	if _, err := snap.Search(SearchRequest{Vector: []float32{3, 1}, K: 2}); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("snapshot wrong dim: %v, want ErrDimMismatch", err)
+	}
+}
+
+// openStoreTest opens a single store for shards == 1 and a ShardedDB
+// otherwise, so one battery runs against both.
+func openStoreTest(t *testing.T, shards int, opts Options) Store {
+	t.Helper()
+	if shards == 1 {
+		return openTest(t, opts)
+	}
+	opts.Shards = shards
+	return openShardedTest(t, filepath.Join(t.TempDir(), "store.d"), opts)
+}
+
+// TestNonFiniteRejected: a NaN or ±Inf component in a written vector or a
+// query is ErrBadRequest. Accepted, one such vector pulls every rebuilt
+// vector into a single partition, and a NaN query returns NaN distances.
+// A rejected batch writes nothing: the good item riding with the bad one
+// is routed to the same shard, whose sub-batch is the atomic unit.
+func TestNonFiniteRejected(t *testing.T) {
+	const dim = 4
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			st := openStoreTest(t, shards, Options{Dim: dim, TargetPartitionSize: 10, Seed: 1,
+				Attributes: []AttributeDef{{Name: "txt", Type: AttrText, FullText: true}}})
+			vecs := randomVecs(3, 60, dim)
+			items := make([]Item, len(vecs))
+			for i, v := range vecs {
+				items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v, Attributes: map[string]any{"txt": "word"}}
+			}
+			if err := st.UpsertBatch(items); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			// good shares bad's shard, so the batch is one sub-batch.
+			good := "good0"
+			if sdb, ok := st.(*ShardedDB); ok {
+				for i := 1; sdb.shardOf(good) != sdb.shardOf("bad"); i++ {
+					good = fmt.Sprintf("good%d", i)
+				}
+			}
+			ok := []float32{0.5, 0.5, 0.5, 0.5}
+			cases := []struct {
+				name string
+				run  func() error
+			}{
+				{"Upsert NaN", func() error { return st.Upsert(Item{ID: "bad", Vector: []float32{1, nan, 0, 0}}) }},
+				{"Upsert +Inf", func() error { return st.Upsert(Item{ID: "bad", Vector: []float32{inf, 0, 0, 0}}) }},
+				{"Upsert -Inf", func() error { return st.Upsert(Item{ID: "bad", Vector: []float32{0, 0, 0, -inf}}) }},
+				{"UpsertBatch", func() error {
+					return st.UpsertBatch([]Item{{ID: good, Vector: ok}, {ID: "bad", Vector: []float32{0, nan, 0, 0}}})
+				}},
+				{"Search", func() error { _, err := st.Search(SearchRequest{Vector: []float32{nan, 0, 0, 0}, K: 3}); return err }},
+				{"Search exact", func() error {
+					_, err := st.Search(SearchRequest{Vector: []float32{0, inf, 0, 0}, K: 3, Exact: true})
+					return err
+				}},
+				{"BatchSearch", func() error {
+					_, err := st.BatchSearch(BatchSearchRequest{Vectors: [][]float32{ok, {0, 0, -inf, 0}}, K: 3})
+					return err
+				}},
+				{"HybridSearch", func() error {
+					_, err := st.HybridSearch(HybridRequest{Vector: []float32{0, 0, nan, 0}, K: 3, Text: "word"})
+					return err
+				}},
+				{"HybridSearch vector only", func() error {
+					_, err := st.HybridSearch(HybridRequest{Vector: []float32{0, 0, 0, nan}, K: 3})
+					return err
+				}},
+			}
+			for _, c := range cases {
+				if err := c.run(); !errors.Is(err, ErrBadRequest) {
+					t.Fatalf("%s: %v, want ErrBadRequest", c.name, err)
+				}
+			}
+			for _, id := range []string{good, "bad"} {
+				if _, err := st.Get(id); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get(%s) after rejected writes: %v, want ErrNotFound", id, err)
+				}
+			}
+			stats, err := st.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.NumVectors != int64(len(vecs)) {
+				t.Fatalf("NumVectors = %d after rejected writes, want %d", stats.NumVectors, len(vecs))
+			}
+		})
+	}
+}
+
+// TestHugeKRejected: a K, or on a quantized store a K·RerankFactor, beyond
+// int32 is ErrBadRequest on every query kind, checked without the product
+// overflowing; a K just inside the bound returns every vector instead of
+// reserving memory for K results.
+func TestHugeKRejected(t *testing.T) {
+	const dim, n = 4, 40
+	for _, q := range []Quantization{QuantNone, QuantSQ8} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v-shards%d", q, shards), func(t *testing.T) {
+				st := openStoreTest(t, shards, Options{Dim: dim, TargetPartitionSize: 10, Seed: 2, Quantization: q,
+					Attributes: []AttributeDef{{Name: "txt", Type: AttrText, FullText: true}}})
+				vecs := randomVecs(4, n, dim)
+				items := make([]Item, n)
+				for i, v := range vecs {
+					items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v, Attributes: map[string]any{"txt": "word"}}
+				}
+				if err := st.UpsertBatch(items); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.Rebuild(); err != nil {
+					t.Fatal(err)
+				}
+				stats, err := st.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// MICRONN_TEST_QUANT may quantize the QuantNone store.
+				quantized := stats.Quantization != QuantNone
+				qv := vecs[0]
+				for _, k := range []int{1 << 40, 1 << 62, math.MaxInt} {
+					if _, err := st.Search(SearchRequest{Vector: qv, K: k}); !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("Search K=%d: %v, want ErrBadRequest", k, err)
+					}
+					if _, err := st.BatchSearch(BatchSearchRequest{Vectors: [][]float32{qv}, K: k}); !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("BatchSearch K=%d: %v, want ErrBadRequest", k, err)
+					}
+					if _, err := st.HybridSearch(HybridRequest{Vector: qv, K: k, Text: "word"}); !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("HybridSearch K=%d: %v, want ErrBadRequest", k, err)
+					}
+				}
+				// The product overflows int32 even though K alone fits.
+				if quantized {
+					req := SearchRequest{Vector: qv, K: math.MaxInt32/4 + 1, RerankFactor: 4}
+					if _, err := st.Search(req); !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("Search K·RerankFactor > MaxInt32: %v, want ErrBadRequest", err)
+					}
+				}
+				big := math.MaxInt32
+				if quantized {
+					big = math.MaxInt32 / 4
+				}
+				resp, err := st.Search(SearchRequest{Vector: qv, K: big, RerankFactor: 4})
+				if err != nil || len(resp.Results) != n {
+					t.Fatalf("Search K=%d: %v, %v; want %d results", big, resp, err, n)
+				}
+				exact, err := st.Search(SearchRequest{Vector: qv, K: big, Exact: true})
+				if err != nil || len(exact.Results) != n {
+					t.Fatalf("exact Search K=%d: %v, %v; want %d results", big, exact, err, n)
+				}
+				bresp, err := st.BatchSearch(BatchSearchRequest{Vectors: [][]float32{qv, vecs[1]}, K: big, RerankFactor: 4})
+				if err != nil || len(bresp.Results[1]) != n {
+					t.Fatalf("BatchSearch K=%d: %v, %v; want %d results each", big, bresp, err, n)
+				}
+				hresp, err := st.HybridSearch(HybridRequest{Vector: qv, K: big, RerankFactor: 4, Text: "word"})
+				if err != nil || len(hresp.Results) != n {
+					t.Fatalf("HybridSearch K=%d: %v, %v; want %d results", big, hresp, err, n)
+				}
+			})
+		}
 	}
 }

@@ -203,11 +203,11 @@ func (r *router) hybridSearch(rts []*storage.ReadTxn, live bool, req HybridReque
 	}
 	// Hybrid entries cache the fused response only: a stale entry
 	// recomputes both legs in full.
-	return query(r, rts, live, request[shardOut, *HybridResponse]{
+	return query(r, rts, live, request[searchOut, *HybridResponse]{
 		key:     func() rescache.Key { return hybridKey(req) },
 		filters: len(req.Filters),
 		noCache: req.NoCache,
-		run: func([]*shardOut) ([]shardOut, *HybridResponse, error) {
+		run: func([]*searchOut) ([]searchOut, *HybridResponse, error) {
 			resp, err := r.hybridCompute(rts, req)
 			return nil, resp, err
 		},

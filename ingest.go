@@ -80,6 +80,9 @@ func (g *ingester) upsert(items []Item) error {
 		if len(item.Vector) != dim {
 			return fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(item.Vector), dim)
 		}
+		if err := checkFinite(item.Vector); err != nil {
+			return fmt.Errorf("item %q: %w", item.ID, err)
+		}
 		a, err := convertAttrs(item.Attributes)
 		if err != nil {
 			return err

@@ -209,7 +209,7 @@ type Index struct {
 	statsCache *stats.TableStats
 	statsGen   int64
 
-	// scanPool recycles per-worker scan buffers across searches, keeping
+	// scanPool recycles partition-scan buffers across searches, keeping
 	// steady-state query memory flat (queries on a warm cache allocate
 	// almost nothing). probePool recycles the centroid-distance scratch.
 	scanPool  sync.Pool
@@ -238,12 +238,13 @@ func (ix *Index) getProbeScratch(n int) *probeScratch {
 	return ps
 }
 
-// scanBuffers is the per-worker scratch for partition scans: one batch of
+// scanBuffers is the scratch of one partition scan: one batch of
 // rows copied out of borrowed leaf pages. codes holds the gathered SQ8/SQ4
 // codes when the scanned partition is quantized, batch the float32 rows
 // otherwise. assets holds the batch's asset ids back to back and
 // assetEnds[i] ends row i's; ids caches the strings made from them, so
-// only rows a heap accepts cost an allocation.
+// only rows a heap accepts cost an allocation. dists holds a single
+// query's distances for the batch.
 type scanBuffers struct {
 	batch     *vec.Matrix
 	codes     []byte
@@ -258,10 +259,6 @@ func (ix *Index) getScanBuffers() *scanBuffers {
 	if b, ok := ix.scanPool.Get().(*scanBuffers); ok {
 		return b
 	}
-	return ix.newScanBuffers()
-}
-
-func (ix *Index) newScanBuffers() *scanBuffers {
 	return &scanBuffers{
 		batch:     vec.NewMatrix(scanBatch, ix.cfg.Dim),
 		codes:     make([]byte, 0, scanBatch*ix.cfg.Dim),

@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"micronn/internal/btree"
-	"micronn/internal/quant"
 	"micronn/internal/reldb"
 	"micronn/internal/stats"
-	"micronn/internal/storage"
 	"micronn/internal/token"
 	"micronn/internal/topk"
 	"micronn/internal/vec"
@@ -111,6 +108,7 @@ type PlanInfo struct {
 // optional hybrid attribute filters. It is safe for concurrent use with a
 // *storage.ReadTxn; partition scans then run on the configured worker pool
 // (Algorithm 2). With any other transaction type the scan is sequential.
+// Its partition scans are the one-query case of BatchSearch's engine.
 func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]topk.Result, *PlanInfo, error) {
 	if opts.K <= 0 {
 		return nil, nil, fmt.Errorf("ivf: K must be positive")
@@ -132,20 +130,54 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 		return nil, nil, err
 	}
 
+	var parts []int64
 	if opts.Exact {
-		parts := append([]int64{DeltaPartition}, cs.ids...)
-		res, err := ix.scanPartitions(txn, parts, q, opts, info)
+		parts = append([]int64{DeltaPartition}, cs.ids...)
+	} else {
+		info.IVFSelectivity = ivfSelectivity(opts.NProbe, ix.cfg.TargetPartitionSize, st.NumVectors)
+		if len(opts.Filters) > 0 {
+			if err := ix.choosePlan(txn, opts, st, info); err != nil {
+				return nil, nil, err
+			}
+			if info.Plan == PlanPreFilter {
+				res, err := ix.preFilterSearch(txn, q, opts, info)
+				return res, info, err
+			}
+		}
+		parts = ix.probeSet(cs, q, opts.NProbe)
+	}
+	cb, err := ix.loadCodebook(txn)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Exact && cb != nil {
+		// Exhaustive search on a quantized index: one sequential pass over
+		// the raw store instead of scanning lossy codes and chasing a
+		// random raw lookup per row.
+		res, err := ix.exactQuantScan(txn, q, opts, info, len(parts))
 		return res, info, err
 	}
 
-	if len(opts.Filters) > 0 {
-		return ix.hybridSearch(txn, q, opts, cs, st, info)
+	// The scan engine's one-query case.
+	one := []int{0}
+	work := make([]partWork, len(parts))
+	for i, p := range parts {
+		work[i] = partWork{part: p, queries: one}
 	}
-
-	parts := ix.probeSet(cs, q, opts.NProbe)
-	info.IVFSelectivity = ivfSelectivity(opts.NProbe, ix.cfg.TargetPartitionSize, st.NumVectors)
-	res, err := ix.scanPartitions(txn, parts, q, opts, info)
-	return res, info, err
+	var c scanCounts
+	out, err := ix.scan(txn, cb, &vec.Matrix{Data: q, Rows: 1, Dim: len(q)}, work, opts.Filters, BatchOptions{
+		K: opts.K, RerankFactor: opts.RerankFactor, CandidatesOnly: opts.CandidatesOnly, Cancel: opts.Cancel,
+	}, &c)
+	if err != nil {
+		return nil, nil, err
+	}
+	info.PartitionsScanned += len(parts)
+	info.VectorsScanned += c.scanned.Load()
+	info.RowsFiltered += c.filtered.Load()
+	info.BytesScanned += c.bytes.Load()
+	info.Reranked += int(c.reranked.Load())
+	info.CandidatesApprox = cb != nil && opts.CandidatesOnly
+	return out[0], info, nil
 }
 
 // rerankFactor resolves the effective rerank multiplier.
@@ -200,20 +232,6 @@ func ivfSelectivity(nprobe, targetSize int, numVectors int64) float64 {
 		f = 1
 	}
 	return f
-}
-
-// scanBatch is the number of candidate vectors gathered before one batched
-// distance-kernel call during partition scans.
-const scanBatch = 256
-
-// scanCtx bundles the per-search state shared by scan workers.
-type scanCtx struct {
-	q       []float32
-	filters []stats.Filter
-	ms      *matchSet       // compiled MATCH queries, nil without MATCH filters
-	cb      *quant.Codebook // non-nil when partitions hold SQ8 codes
-	qq      *quant.Query    // asymmetric-distance state (approximate scans)
-	cancel  <-chan struct{} // closed to abandon the search (ErrCanceled)
 }
 
 // matchSet holds the MATCH queries of one search compiled once (query
@@ -274,133 +292,6 @@ func (ms *matchSet) tokens(query string) []string {
 	return token.Unique(query)
 }
 
-// canceled reports whether the search's cancel channel has been closed.
-func (c *scanCtx) canceled() bool { return chanClosed(c.cancel) }
-
-// chanClosed reports whether c is non-nil and closed.
-func chanClosed(c <-chan struct{}) bool {
-	if c == nil {
-		return false
-	}
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
-}
-
-// scanPartitions runs Algorithm 2's partition scans: each worker scans
-// whole partitions, maintains a private top-K heap, evaluates predicate
-// filters before distances (the paper's pre-distance filter join), and the
-// per-worker heaps are merged at the end.
-//
-// On a quantized index the workers compute approximate SQ8 distances and
-// keep RerankFactor*K candidates each; the merged candidates are then
-// reranked against exact float32 vectors from the raw store. With
-// opts.Exact the workers fetch the exact vector for every row instead, so
-// exhaustive search keeps full precision.
-func (ix *Index) scanPartitions(txn btree.ReadTxn, parts []int64, q []float32, opts SearchOptions, info *PlanInfo) ([]topk.Result, error) {
-	k := opts.K
-	cb, err := ix.loadCodebook(txn)
-	if err != nil {
-		return nil, err
-	}
-	if cb != nil && opts.Exact {
-		// Exhaustive search on a quantized index: one sequential pass
-		// over the raw store instead of scanning lossy codes and chasing
-		// a random raw lookup per row.
-		return ix.exactQuantScan(txn, q, opts, info, len(parts))
-	}
-	ctx := &scanCtx{q: q, filters: opts.Filters, ms: compileMatchers(opts.Filters), cb: cb, cancel: opts.Cancel}
-	heapK := k
-	if cb != nil {
-		ctx.qq = cb.NewQuery(ix.cfg.Metric, q)
-		heapK = k * ix.rerankFactor(opts.RerankFactor)
-	}
-
-	info.PartitionsScanned += len(parts)
-	workers := ix.cfg.Workers
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rt, parallel := txn.(*storage.ReadTxn)
-	if !parallel {
-		workers = 1
-	}
-	if parallel && rt.WantReadahead() {
-		// Hint the probed partitions' leaf pages to the OS before any
-		// worker faults through them: collecting the page numbers walks
-		// only interior nodes (pool-hot), so the scatter readahead is
-		// nearly free and the scans below hit warmed pages. Advisory —
-		// errors are ignored, the scan itself re-reports real ones.
-		var pages []uint32
-		for _, p := range parts {
-			_ = ix.vectors.LeafPages(txn, []reldb.Value{reldb.I(p)}, func(pg uint32) {
-				pages = append(pages, pg)
-			})
-		}
-		rt.Readahead(pages)
-	}
-
-	heaps := make([]*topk.Heap, workers)
-	scanned := make([]int64, workers)
-	filtered := make([]int64, workers)
-	bytesRead := make([]int64, workers)
-	partCh := make(chan int64, len(parts))
-	for _, p := range parts {
-		partCh <- p
-	}
-	close(partCh)
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		heaps[w] = topk.New(heapK)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc, fl, by, err := ix.scanWorker(txn, partCh, ctx, heaps[w])
-			scanned[w] += sc
-			filtered[w] += fl
-			bytesRead[w] += by
-			if err != nil {
-				errCh <- err
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-	for w := 0; w < workers; w++ {
-		info.VectorsScanned += scanned[w]
-		info.RowsFiltered += filtered[w]
-		info.BytesScanned += bytesRead[w]
-	}
-	if ctx.qq == nil {
-		return topk.Merge(k, heaps...), nil
-	}
-	cands := topk.Merge(heapK, heaps...)
-	if opts.CandidatesOnly {
-		info.CandidatesApprox = true
-		return cands, nil
-	}
-	// Exact rerank of the approximate candidates (paper's refine step).
-	res, rerankBytes, err := ix.rerankExact(txn, q, cands, k)
-	if err != nil {
-		return nil, err
-	}
-	info.Reranked += len(cands)
-	info.BytesScanned += rerankBytes
-	return res, nil
-}
-
 // exactQuantScan answers Exact queries on a quantized index at full
 // precision: the raw store holds every vector (delta included) keyed by
 // vid, so one sequential scan covers the collection. Asset ids are
@@ -443,30 +334,16 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 	return res, nil
 }
 
-// RerankCandidates recomputes exact distances for cands — typically the
-// pooled output of CandidatesOnly searches — against the raw store and
-// returns the top k with the raw bytes read. Every candidate must belong to
-// this index (its raw store holds the vid). Only valid on a quantized index.
+// RerankCandidates recomputes exact distances for cands — the approximate
+// candidates of a quantized scan, or the pooled output of CandidatesOnly
+// searches — against the raw store and returns the top k, along with the
+// raw bytes it read (counted into the caller's BytesScanned so the
+// reported I/O stays honest). Every candidate must belong to this index
+// (its raw store holds the vid). Only valid on a quantized index.
 func (ix *Index) RerankCandidates(txn btree.ReadTxn, q []float32, cands []topk.Result, k int) ([]topk.Result, int64, error) {
 	if ix.rawvecs == nil {
 		return nil, 0, fmt.Errorf("ivf: RerankCandidates on an unquantized index")
 	}
-	return ix.rerankExact(txn, q, cands, k)
-}
-
-// ForEachAsset streams every stored asset id at txn's snapshot, in key
-// order. The sharded invariant battery uses it to prove no asset id lives in
-// two shards and that every id hashes to the shard holding it.
-func (ix *Index) ForEachAsset(txn btree.ReadTxn, fn func(asset string) error) error {
-	return ix.assets.ScanKeys(txn, nil, func(key reldb.Row) error {
-		return fn(key[0].Str)
-	})
-}
-
-// rerankExact recomputes full-precision distances for cands from the raw
-// store and returns the top k, along with the raw bytes it read (counted
-// into the caller's BytesScanned so the reported I/O stays honest).
-func (ix *Index) rerankExact(txn btree.ReadTxn, q []float32, cands []topk.Result, k int) ([]topk.Result, int64, error) {
 	heap := topk.New(k)
 	x := make([]float32, ix.cfg.Dim)
 	var bytesRead int64
@@ -481,73 +358,13 @@ func (ix *Index) rerankExact(txn btree.ReadTxn, q []float32, cands []topk.Result
 	return heap.Results(), bytesRead, nil
 }
 
-// scanWorker drains partitions from partCh into its private heap. Rows
-// are read in place from the leaf pages (ScanBorrowed); each one's payload
-// and asset id bytes are copied into buf during the callback, and an asset
-// id string is made only for a row the heap accepts.
-func (ix *Index) scanWorker(txn btree.ReadTxn, partCh <-chan int64, ctx *scanCtx, heap *topk.Heap) (scanned, filtered, bytesRead int64, err error) {
-	buf := ix.getScanBuffers()
-	defer ix.putScanBuffers(buf)
-	dim := ix.cfg.Dim
-
-	quantized := false // whether buf currently gathers SQ8 codes
-	flush := func() {
-		n := len(buf.vids)
-		if n == 0 {
-			return
-		}
-		if quantized {
-			ctx.qq.DistancesMany(buf.codes, n, buf.dists[:n])
-		} else {
-			sub := &vec.Matrix{Data: buf.batch.Data[:n*dim], Rows: n, Dim: dim}
-			vec.DistancesOneToMany(ix.cfg.Metric, ctx.q, sub, nil, buf.dists[:n])
-		}
-		for i, d := range buf.dists[:n] {
-			if heap.Accepts(d) {
-				heap.Push(topk.Result{AssetID: buf.assetID(i), VectorID: buf.vids[i], Distance: d})
-			}
-		}
-		scanned += int64(n)
-		buf.reset()
-	}
-
-	for part := range partCh {
-		if ctx.canceled() {
-			return scanned, filtered, bytesRead, ErrCanceled
-		}
-		isQuant := ctx.cb != nil && part != DeltaPartition
-		if isQuant != quantized {
-			flush() // mode switch: don't mix codes and floats in one batch
-			quantized = isQuant
-		}
-		perr := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(part)}, func(key, val []byte) error {
-			r, err := readRowView(key, val)
-			if err != nil {
-				return err
-			}
-			if len(ctx.filters) > 0 {
-				ok, ferr := ix.evalFilters(txn, r.vid, ctx.filters, ctx.ms)
-				if ferr != nil {
-					return ferr
-				}
-				if !ok {
-					filtered++
-					return nil
-				}
-			}
-			bytesRead += int64(len(r.payload))
-			buf.add(r, isQuant)
-			if len(buf.vids) == scanBatch {
-				flush()
-			}
-			return nil
-		})
-		if perr != nil {
-			return scanned, filtered, bytesRead, perr
-		}
-		flush()
-	}
-	return scanned, filtered, bytesRead, nil
+// ForEachAsset streams every stored asset id at txn's snapshot, in key
+// order. The sharded invariant battery uses it to prove no asset id lives in
+// two shards and that every id hashes to the shard holding it.
+func (ix *Index) ForEachAsset(txn btree.ReadTxn, fn func(asset string) error) error {
+	return ix.assets.ScanKeys(txn, nil, func(key reldb.Row) error {
+		return fn(key[0].Str)
+	})
 }
 
 // evalFilters applies the CNF filter set to the vector identified by vid.
@@ -612,36 +429,25 @@ func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, filters []stats.Filte
 
 // --- hybrid search ---
 
-// hybridSearch chooses and executes a pre- or post-filter plan.
-func (ix *Index) hybridSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, cs *centroidSet, st state, info *PlanInfo) ([]topk.Result, *PlanInfo, error) {
-	info.IVFSelectivity = ivfSelectivity(opts.NProbe, ix.cfg.TargetPartitionSize, st.NumVectors)
-
-	plan := opts.Plan
-	if plan == PlanAuto {
-		fsel, err := ix.estimateFilterSelectivity(txn, opts.Filters, st.Generation)
-		if err != nil {
-			return nil, nil, err
-		}
-		info.FilterSelectivity = fsel
-		// The optimizer rule (§3.5.1): pre-filter iff the attribute
-		// filter narrows the search more than the IVF probe set would.
-		if fsel < info.IVFSelectivity {
-			plan = PlanPreFilter
-		} else {
-			plan = PlanPostFilter
-		}
+// choosePlan records in info the pre- or post-filter plan a filtered
+// search runs: opts.Plan, or under PlanAuto the optimizer's choice.
+func (ix *Index) choosePlan(txn btree.ReadTxn, opts SearchOptions, st state, info *PlanInfo) error {
+	info.Plan = opts.Plan
+	if opts.Plan != PlanAuto {
+		return nil
 	}
-	info.Plan = plan
-
-	switch plan {
-	case PlanPreFilter:
-		res, err := ix.preFilterSearch(txn, q, opts, info)
-		return res, info, err
-	default:
-		parts := ix.probeSet(cs, q, opts.NProbe)
-		res, err := ix.scanPartitions(txn, parts, q, opts, info)
-		return res, info, err
+	fsel, err := ix.estimateFilterSelectivity(txn, opts.Filters, st.Generation)
+	if err != nil {
+		return err
 	}
+	info.FilterSelectivity = fsel
+	// The optimizer rule (§3.5.1): pre-filter iff the attribute filter
+	// narrows the search more than the IVF probe set would.
+	info.Plan = PlanPostFilter
+	if fsel < info.IVFSelectivity {
+		info.Plan = PlanPreFilter
+	}
+	return nil
 }
 
 // estimateFilterSelectivity computes F̂_filters using cached attribute

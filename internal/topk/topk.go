@@ -1,10 +1,13 @@
 // Package topk implements the bounded result heaps used during ANN search.
 //
-// Each scan worker maintains its own Heap of the K best (smallest-distance)
-// candidates seen so far; when all workers finish, their heaps are merged
-// and the union is sorted by distance (Algorithm 2, lines 2 and 11 of the
-// paper). A bounded max-heap makes the per-candidate cost O(log K) with an
-// O(1) reject test against the current worst member.
+// A search keeps one Heap per query of the K best (smallest-distance)
+// candidates seen so far (Algorithm 2, lines 2 and 11 of the paper). The
+// scan workers of a search share it under a lock, which is sound because
+// the heap orders candidates by the total order (Distance, VectorID): the
+// retained set does not depend on the order in which workers push. A
+// bounded max-heap makes the per-candidate cost O(log K) with an O(1)
+// reject test against the current worst member. Merge combines separately
+// filled heaps, such as the in-memory baseline's per-worker heaps.
 package topk
 
 import "sort"
@@ -30,12 +33,17 @@ type Heap struct {
 	items []Result
 }
 
+// preallocMax caps New's up-front allocation. A heap holds no more results
+// than were pushed, so a huge k must not reserve memory for k of them; the
+// heap grows on demand past this.
+const preallocMax = 1024
+
 // New returns a Heap retaining at most k results. k must be positive.
 func New(k int) *Heap {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &Heap{k: k, items: make([]Result, 0, k)}
+	return &Heap{k: k, items: make([]Result, 0, min(k, preallocMax))}
 }
 
 // K returns the heap's capacity.
@@ -127,9 +135,8 @@ func (h *Heap) Results() []Result {
 	return out
 }
 
-// Merge combines per-worker heaps into a single sorted top-K list. It is
-// the "parallel heap merge" step: the union of all retained candidates is
-// reduced to the K best overall.
+// Merge combines separately filled heaps into a single sorted top-K list:
+// the union of all retained candidates is reduced to the K best overall.
 func Merge(k int, heaps ...*Heap) []Result {
 	total := 0
 	for _, h := range heaps {

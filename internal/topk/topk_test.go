@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -38,16 +39,20 @@ func TestHeapKeepsKSmallest(t *testing.T) {
 	}
 }
 
+// TestHeapUnderfilled also covers a k far beyond any result count, for
+// which New must not preallocate k results.
 func TestHeapUnderfilled(t *testing.T) {
-	h := New(10)
-	h.Push(Result{VectorID: 1, Distance: 2})
-	h.Push(Result{VectorID: 2, Distance: 1})
-	if _, ok := h.WorstDistance(); ok {
-		t.Error("WorstDistance should report not-full")
-	}
-	got := h.Results()
-	if len(got) != 2 || got[0].VectorID != 2 || got[1].VectorID != 1 {
-		t.Errorf("Results = %+v", got)
+	for _, k := range []int{10, math.MaxInt} {
+		h := New(k)
+		h.Push(Result{VectorID: 1, Distance: 2})
+		h.Push(Result{VectorID: 2, Distance: 1})
+		if _, ok := h.WorstDistance(); ok {
+			t.Errorf("k=%d: WorstDistance should report not-full", k)
+		}
+		got := h.Results()
+		if len(got) != 2 || got[0].VectorID != 2 || got[1].VectorID != 1 {
+			t.Errorf("k=%d: Results = %+v", k, got)
+		}
 	}
 }
 

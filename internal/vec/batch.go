@@ -94,12 +94,18 @@ const blockRows = 64
 // multi-query optimization's compute-sharing step.
 //
 // queryNorms/rowNorms are optional precomputed squared L2 norms (used for
-// the L2 metric); pass nil to compute on the fly.
+// the L2 metric); pass nil to compute on the fly. One query without
+// rowNorms has nothing to share, so it is DistancesOneToMany: each
+// distance computed directly, with no norm-expansion cancellation error.
 func DistancesManyToMany(metric Metric, queries, data *Matrix, queryNorms, rowNorms []float32, out []float32) {
 	if queries.Dim != data.Dim {
 		panic("vec: dimension mismatch")
 	}
 	nd := data.Rows
+	if queries.Rows == 1 && rowNorms == nil {
+		DistancesOneToMany(metric, queries.Row(0), data, nil, out[:nd])
+		return
+	}
 	switch metric {
 	case L2:
 		qn := queryNorms

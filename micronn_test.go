@@ -3,8 +3,10 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -547,5 +549,72 @@ func TestSQ8ReopenKeepsCodebook(t *testing.T) {
 	}
 	if resp.Plan.Reranked != 8 {
 		t.Errorf("Reranked = %d, want 8 (reopen RerankFactor override)", resp.Plan.Reranked)
+	}
+}
+
+// TestBatchSearchMatchesSearch: BatchSearch with one query is Search's
+// one-query case on the same scan engine, so it returns exactly Search's
+// ids and bit-identical distances, on every encoding, single and sharded,
+// live and through a Snapshot. In a multi-query batch, float32 partitions
+// that several queries probe are scored with the norm-expansion kernel, so
+// there the ids must agree and the distances only within 1e-5 relative.
+func TestBatchSearchMatchesSearch(t *testing.T) {
+	const dim, n, nq, k = 16, 600, 20, 10
+	vecs := randomVecs(21, n, dim)
+	queries := randomVecs(22, nq, dim)
+	items := make([]Item, n)
+	for i, v := range vecs {
+		items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v}
+	}
+	for _, q := range []Quantization{QuantNone, QuantSQ8, QuantSQ4} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v-shards%d", q, shards), func(t *testing.T) {
+				st := openStoreTest(t, shards, Options{Dim: dim, TargetPartitionSize: 20, Seed: 6, Quantization: q})
+				if err := st.UpsertBatch(items[:500]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.Rebuild(); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.UpsertBatch(items[500:]); err != nil { // left in the delta
+					t.Fatal(err)
+				}
+				snap, err := st.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer snap.Close()
+				multi, err := st.BatchSearch(BatchSearchRequest{Vectors: queries, K: k, NProbe: 4, NoCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, qv := range queries {
+					single, err := st.Search(SearchRequest{Vector: qv, K: k, NProbe: 4, NoCache: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range []interface {
+						BatchSearch(BatchSearchRequest) (*BatchSearchResponse, error)
+					}{st, snap} {
+						one, err := b.BatchSearch(BatchSearchRequest{Vectors: [][]float32{qv}, K: k, NProbe: 4, NoCache: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(one.Results[0], single.Results) {
+							t.Fatalf("query %d: BatchSearch([q]) = %v, Search = %v", qi, one.Results[0], single.Results)
+						}
+					}
+					got := multi.Results[qi]
+					if len(got) != len(single.Results) {
+						t.Fatalf("query %d: batch %d results, Search %d", qi, len(got), len(single.Results))
+					}
+					for i, r := range single.Results {
+						if got[i].ID != r.ID || math.Abs(float64(got[i].Distance-r.Distance)) > 1e-5*math.Abs(float64(r.Distance)) {
+							t.Fatalf("query %d rank %d: batch %+v, Search %+v", qi, i, got[i], r)
+						}
+					}
+				}
+			})
+		}
 	}
 }

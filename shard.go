@@ -390,11 +390,11 @@ func (r *router) search(rts []*storage.ReadTxn, live bool, req SearchRequest) (*
 	if err := normalizeSearchRequest(&req, r.shards[0].ix.Config()); err != nil {
 		return nil, err
 	}
-	return query(r, rts, live, request[shardOut, *SearchResponse]{
+	return query(r, rts, live, request[searchOut, *SearchResponse]{
 		key:     func() rescache.Key { return searchKey(req) },
 		filters: len(req.Filters),
 		noCache: req.NoCache,
-		run: func(reuse []*shardOut) ([]shardOut, *SearchResponse, error) {
+		run: func(reuse []*searchOut) ([]searchOut, *SearchResponse, error) {
 			outs, err := r.searchScatter(rts, req, reuse)
 			if err != nil {
 				return nil, nil, err
@@ -405,15 +405,30 @@ func (r *router) search(rts []*storage.ReadTxn, live bool, req SearchRequest) (*
 	})
 }
 
-// shardOut is one shard's scan contribution to a search: the (possibly
-// approximate) candidate set and its execution info, immutable once
-// produced.
-type shardOut struct {
-	res  []topk.Result
-	info *ivf.PlanInfo
+// shardOut is one shard's scan contribution to a query, immutable once
+// produced: its candidate lists, one per query (Search has one), and its
+// execution info I (ivf.PlanInfo or ivf.BatchInfo). approx marks lists of
+// approximate SQ candidates that owe the exact rerank; otherwise they are
+// final exact results.
+type shardOut[I any] struct {
+	res    [][]topk.Result
+	approx bool
+	info   *I
 }
 
-func (o shardOut) cacheSize() int64 { return 96 + candsSize(o.res) }
+// searchOut and batchOut are the shard outputs of Search and BatchSearch.
+type (
+	searchOut = shardOut[ivf.PlanInfo]
+	batchOut  = shardOut[ivf.BatchInfo]
+)
+
+func (o shardOut[I]) cacheSize() int64 {
+	n := int64(96)
+	for _, rs := range o.res {
+		n += candsSize(rs)
+	}
+	return n
+}
 
 // candsSize estimates the footprint of one candidate slice.
 func candsSize(rs []topk.Result) int64 {
@@ -426,26 +441,32 @@ func candsSize(rs []topk.Result) int64 {
 
 // searchScatter runs the per-shard scans, reusing cached outputs where
 // reuse supplies them.
-func (r *router) searchScatter(rts []*storage.ReadTxn, req SearchRequest, reuse []*shardOut) ([]shardOut, error) {
-	sopts := ivf.SearchOptions{
-		K: req.K, NProbe: r.perShardProbe(req.NProbe), Filters: req.Filters,
-		Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
-		CandidatesOnly: len(r.shards) > 1,
-	}
-	outs := make([]shardOut, len(r.shards))
+func (r *router) searchScatter(rts []*storage.ReadTxn, req SearchRequest, reuse []*searchOut) ([]searchOut, error) {
+	return scatterOuts(r, reuse, func(i int, sh *DB, cancel <-chan struct{}) (searchOut, error) {
+		res, info, err := sh.ix.Search(rts[i], req.Vector, ivf.SearchOptions{
+			K: req.K, NProbe: r.perShardProbe(req.NProbe), Filters: req.Filters,
+			Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
+			CandidatesOnly: len(r.shards) > 1, Cancel: cancel,
+		})
+		if err != nil {
+			return searchOut{}, err
+		}
+		return searchOut{res: [][]topk.Result{res}, approx: info.CandidatesApprox, info: info}, nil
+	})
+}
+
+// scatterOuts runs scan on every shard through scatterCancel, except that
+// a shard whose output reuse supplies is not scanned.
+func scatterOuts[O any](r *router, reuse []*O, scan func(i int, sh *DB, cancel <-chan struct{}) (O, error)) ([]O, error) {
+	outs := make([]O, len(r.shards))
 	err := r.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
 		if reuse != nil && reuse[i] != nil {
 			outs[i] = *reuse[i]
 			return nil
 		}
-		so := sopts
-		so.Cancel = cancel
-		res, info, err := sh.ix.Search(rts[i], req.Vector, so)
-		if err != nil {
-			return err
-		}
-		outs[i] = shardOut{res: res, info: info}
-		return nil
+		var err error
+		outs[i], err = scan(i, sh, cancel)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -453,81 +474,105 @@ func (r *router) searchScatter(rts []*storage.ReadTxn, req SearchRequest, reuse 
 	return outs, nil
 }
 
-// searchMerge pools the per-shard candidates into the final response. It
-// never mutates outs — cached candidate sets flow through here on every
-// partial reuse.
-func (r *router) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []shardOut) (*SearchResponse, error) {
-	// Gather: shards on exact paths (float32 scans, pre-filter plans,
-	// Exact queries) contribute final results directly; shards that
-	// returned approximate candidates feed the global rerank pool.
-	var exact, approx []shardCand
+// searchMerge pools the per-shard candidates into the final response
+// through the one-query case of merge.
+func (r *router) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []searchOut) (*SearchResponse, error) {
+	res, reranked, rb, err := merge(r, rts, [][]float32{req.Vector}, req.K, req.RerankFactor, outs)
+	if err != nil {
+		return nil, err
+	}
 	agg := *outs[0].info
 	agg.CandidatesApprox = false
-	for i, o := range outs {
-		if i > 0 {
-			agg.PartitionsScanned += o.info.PartitionsScanned
-			agg.VectorsScanned += o.info.VectorsScanned
-			agg.RowsFiltered += o.info.RowsFiltered
-			agg.BytesScanned += o.info.BytesScanned
-			agg.Reranked += o.info.Reranked
-		}
-		for _, res := range o.res {
-			if o.info.CandidatesApprox {
-				approx = append(approx, shardCand{Result: res, shard: i})
-			} else {
-				exact = append(exact, shardCand{Result: res, shard: i})
+	for _, o := range outs[1:] {
+		agg.PartitionsScanned += o.info.PartitionsScanned
+		agg.VectorsScanned += o.info.VectorsScanned
+		agg.RowsFiltered += o.info.RowsFiltered
+		agg.BytesScanned += o.info.BytesScanned
+		agg.Reranked += o.info.Reranked
+	}
+	agg.Reranked += int(reranked)
+	agg.BytesScanned += rb
+	return &SearchResponse{Results: res[0], Plan: agg}, nil
+}
+
+// merge is the router's candidate merge, done per query. Shards on exact
+// paths (float32 scans, pre-filter plans, Exact queries) contribute final
+// results; approximate candidates are pooled across shards, cut to the
+// single-store rerank budget K·RerankFactor, and each survivor is reranked
+// on the shard whose raw store holds its exact vector. The union is then
+// sorted and cut to K. merge never mutates outs: cached candidate sets
+// flow through here on every partial reuse.
+func merge[I any](r *router, rts []*storage.ReadTxn, queries [][]float32, k, rerankFactor int, outs []shardOut[I]) (out [][]Result, reranked, bytesRead int64, err error) {
+	nq := len(queries)
+	pools := make([][]shardCand, nq)
+	var groups [][][]topk.Result // [shard][query] candidates to rerank
+	for qi := range queries {
+		var cands []shardCand
+		for i, o := range outs {
+			for _, c := range o.res[qi] {
+				if o.approx {
+					cands = append(cands, shardCand{Result: c, shard: i})
+				} else {
+					pools[qi] = append(pools[qi], shardCand{Result: c, shard: i})
+				}
 			}
+		}
+		if len(cands) == 0 {
+			continue
+		}
+		sortShardCands(cands)
+		if budget := k * max(rerankFactor, 1); len(cands) > budget {
+			cands = cands[:budget]
+		}
+		if groups == nil {
+			groups = make([][][]topk.Result, len(outs))
+		}
+		for _, c := range cands {
+			if groups[c.shard] == nil {
+				groups[c.shard] = make([][]topk.Result, nq)
+			}
+			groups[c.shard][qi] = append(groups[c.shard][qi], c.Result)
 		}
 	}
 
-	if len(approx) > 0 {
-		// Pool the approximate candidates, cut to the single-store rerank
-		// budget, and rerank each survivor on the shard whose raw store
-		// holds its exact vector.
-		sortShardCands(approx)
-		if budget := req.K * max(req.RerankFactor, 1); len(approx) > budget {
-			approx = approx[:budget]
-		}
-		groups := make([][]topk.Result, len(r.shards))
-		for _, c := range approx {
-			groups[c.shard] = append(groups[c.shard], c.Result)
-		}
-		reranked := make([][]topk.Result, len(r.shards))
+	if groups != nil {
 		var mu sync.Mutex
 		err := r.scatter(func(i int, sh *DB) error {
-			if len(groups[i]) == 0 {
-				return nil
+			for qi, g := range groups[i] {
+				if len(g) == 0 {
+					continue
+				}
+				exact, rb, err := sh.ix.RerankCandidates(rts[i], queries[qi], g, len(g))
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				reranked += int64(len(g))
+				bytesRead += rb
+				for _, c := range exact {
+					pools[qi] = append(pools[qi], shardCand{Result: c, shard: i})
+				}
+				mu.Unlock()
 			}
-			res, rb, err := sh.ix.RerankCandidates(rts[i], req.Vector, groups[i], len(groups[i]))
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			agg.Reranked += len(groups[i])
-			agg.BytesScanned += rb
-			mu.Unlock()
-			reranked[i] = res
 			return nil
 		})
 		if err != nil {
-			return nil, err
-		}
-		for i, res := range reranked {
-			for _, c := range res {
-				exact = append(exact, shardCand{Result: c, shard: i})
-			}
+			return nil, 0, 0, err
 		}
 	}
 
-	sortShardCands(exact)
-	if len(exact) > req.K {
-		exact = exact[:req.K]
+	out = make([][]Result, nq)
+	for qi, pool := range pools {
+		sortShardCands(pool)
+		if len(pool) > k {
+			pool = pool[:k]
+		}
+		out[qi] = make([]Result, len(pool))
+		for i, c := range pool {
+			out[qi][i] = Result{ID: c.AssetID, Distance: c.Distance}
+		}
 	}
-	out := make([]Result, len(exact))
-	for i, c := range exact {
-		out[i] = Result{ID: c.AssetID, Distance: c.Distance}
-	}
-	return &SearchResponse{Results: out, Plan: agg}, nil
+	return out, reranked, bytesRead, nil
 }
 
 // BatchSearch executes many queries with multi-query optimization: each
@@ -559,67 +604,42 @@ func (r *router) batchSearch(rts []*storage.ReadTxn, live bool, req BatchSearchR
 	for i, q := range req.Vectors {
 		queries.SetRow(i, q)
 	}
-	return query(r, rts, live, request[batchShardOut, *BatchSearchResponse]{
+	return query(r, rts, live, request[batchOut, *BatchSearchResponse]{
 		key:     func() rescache.Key { return batchKey(req) },
 		noCache: req.NoCache,
-		run: func(reuse []*batchShardOut) ([]batchShardOut, *BatchSearchResponse, error) {
+		run: func(reuse []*batchOut) ([]batchOut, *BatchSearchResponse, error) {
 			outs, err := r.batchScatter(rts, req, queries, reuse)
 			if err != nil {
 				return nil, nil, err
 			}
-			resp, err := r.batchMerge(rts, req, queries, outs)
+			resp, err := r.batchMerge(rts, req, outs)
 			return outs, resp, err
 		},
 	})
 }
 
-// batchShardOut is one shard's contribution to a batch: per-query
-// candidate sets plus execution info, immutable once produced.
-type batchShardOut struct {
-	res  [][]topk.Result
-	info *ivf.BatchInfo
-}
-
-func (o batchShardOut) cacheSize() int64 {
-	n := int64(96)
-	for _, rs := range o.res {
-		n += candsSize(rs)
-	}
-	return n
-}
-
 // batchScatter runs the per-shard batch scans, reusing cached outputs for
 // shards whose generation has not moved.
-func (r *router) batchScatter(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, reuse []*batchShardOut) ([]batchShardOut, error) {
-	bopts := ivf.BatchOptions{
-		K: req.K, NProbe: r.perShardProbe(req.NProbe),
-		RerankFactor: req.RerankFactor, CandidatesOnly: len(r.shards) > 1,
-	}
-	outs := make([]batchShardOut, len(r.shards))
-	err := r.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
-		if reuse != nil && reuse[i] != nil {
-			outs[i] = *reuse[i]
-			return nil
-		}
-		bo := bopts
-		bo.Cancel = cancel
-		res, info, err := sh.ix.BatchSearch(rts[i], queries, bo)
+func (r *router) batchScatter(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, reuse []*batchOut) ([]batchOut, error) {
+	return scatterOuts(r, reuse, func(i int, sh *DB, cancel <-chan struct{}) (batchOut, error) {
+		res, info, err := sh.ix.BatchSearch(rts[i], queries, ivf.BatchOptions{
+			K: req.K, NProbe: r.perShardProbe(req.NProbe), RerankFactor: req.RerankFactor,
+			CandidatesOnly: len(r.shards) > 1, Cancel: cancel,
+		})
 		if err != nil {
-			return err
+			return batchOut{}, err
 		}
-		outs[i] = batchShardOut{res: res, info: info}
-		return nil
+		return batchOut{res: res, approx: info.CandidatesApprox, info: info}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
 }
 
 // batchMerge pools the per-shard per-query candidates into the final
-// response; it never mutates outs.
-func (r *router) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, outs []batchShardOut) (*BatchSearchResponse, error) {
-	nq := queries.Rows
+// response through merge.
+func (r *router) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, outs []batchOut) (*BatchSearchResponse, error) {
+	res, reranked, rb, err := merge(r, rts, req.Vectors, req.K, req.RerankFactor, outs)
+	if err != nil {
+		return nil, err
+	}
 	agg := *outs[0].info
 	agg.CandidatesApprox = false
 	for _, o := range outs[1:] {
@@ -630,94 +650,9 @@ func (r *router) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, quer
 		agg.BytesScanned += o.info.BytesScanned
 		agg.Reranked += o.info.Reranked
 	}
-	// Gather per query, separating shards that returned final exact results
-	// from shards that returned approximate SQ8 candidates (same contract
-	// as searchMerge: only approximate candidates owe a rerank). Approximate
-	// pools are cut to the single-store rerank budget before grouping back
-	// onto their owning shards. groups[shard][query] keeps order intact.
-	merged := make([][]shardCand, nq)
-	groups := make([]map[int][]topk.Result, len(r.shards))
-	for i := range groups {
-		groups[i] = make(map[int][]topk.Result)
-	}
-	anyApprox := false
-	for qi := 0; qi < nq; qi++ {
-		var exact, approx []shardCand
-		for i, o := range outs {
-			for _, res := range o.res[qi] {
-				c := shardCand{Result: res, shard: i}
-				if o.info.CandidatesApprox {
-					approx = append(approx, c)
-				} else {
-					exact = append(exact, c)
-				}
-			}
-		}
-		merged[qi] = exact
-		if len(approx) > 0 {
-			anyApprox = true
-			sortShardCands(approx)
-			if budget := req.K * max(req.RerankFactor, 1); len(approx) > budget {
-				approx = approx[:budget]
-			}
-			for _, c := range approx {
-				groups[c.shard][qi] = append(groups[c.shard][qi], c.Result)
-			}
-		}
-	}
-
-	if anyApprox {
-		reranked := make([]map[int][]topk.Result, len(r.shards))
-		var mu sync.Mutex
-		err := r.scatter(func(i int, sh *DB) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			out := make(map[int][]topk.Result, len(groups[i]))
-			var rerankedN, bytesRead int64
-			for qi, cands := range groups[i] {
-				res, rb, err := sh.ix.RerankCandidates(rts[i], queries.Row(qi), cands, len(cands))
-				if err != nil {
-					return err
-				}
-				rerankedN += int64(len(cands))
-				bytesRead += rb
-				out[qi] = res
-			}
-			mu.Lock()
-			agg.Reranked += rerankedN
-			agg.BytesScanned += bytesRead
-			mu.Unlock()
-			reranked[i] = out
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for qi := 0; qi < nq; qi++ {
-			for i, byQuery := range reranked {
-				if byQuery == nil {
-					continue
-				}
-				for _, res := range byQuery[qi] {
-					merged[qi] = append(merged[qi], shardCand{Result: res, shard: i})
-				}
-			}
-		}
-	}
-
-	out := make([][]Result, nq)
-	for qi, pool := range merged {
-		sortShardCands(pool)
-		if len(pool) > req.K {
-			pool = pool[:req.K]
-		}
-		out[qi] = make([]Result, len(pool))
-		for i, c := range pool {
-			out[qi][i] = Result{ID: c.AssetID, Distance: c.Distance}
-		}
-	}
-	return &BatchSearchResponse{Results: out, Info: agg}, nil
+	agg.Reranked += reranked
+	agg.BytesScanned += rb
+	return &BatchSearchResponse{Results: res, Info: agg}, nil
 }
 
 // Get returns the stored item from its hash-designated shard.
