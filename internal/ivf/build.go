@@ -121,9 +121,6 @@ const assignChunk = 256
 func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	start := time.Now()
 	ms := &MaintenanceStats{}
-	// A rebuild's write set is the whole index: invalidate every prepared
-	// maintenance plan if this transaction commits.
-	wt.OnCommit(func() { ix.locks.BumpAll() })
 	st, err := ix.getState(wt)
 	if err != nil {
 		return nil, err
@@ -314,10 +311,6 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		ms.Duration = time.Since(start)
 		return ms, nil
 	}
-	// A flush scatters the delta across arbitrary partitions: invalidate
-	// every prepared maintenance plan if this transaction commits.
-	wt.OnCommit(func() { ix.locks.BumpAll() })
-
 	// Quantized indexes encode flushed vectors with the codebook from the
 	// last full rebuild: no retraining on the streaming path. Out-of-range
 	// values clamp; the exact rerank absorbs the error until the next

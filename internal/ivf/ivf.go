@@ -214,10 +214,6 @@ type Index struct {
 	// almost nothing). probePool recycles the centroid-distance scratch.
 	scanPool  sync.Pool
 	probePool sync.Pool
-
-	// locks is the partition-granular lock manager and version table
-	// backing two-phase maintenance (see locks.go and maintain.go).
-	locks partLocks
 }
 
 // probeScratch is the centroid-distance scratch used by probeSet.
@@ -694,11 +690,9 @@ func (ix *Index) Upsert(wt *storage.WriteTxn, asset string, vector []float32, at
 		return err
 	}
 	// Upsert semantics: drop any existing vector for this asset.
-	oldPart, _, err := ix.removeAsset(wt, asset, &st)
-	if err != nil {
+	if _, err := ix.removeAsset(wt, asset, &st); err != nil {
 		return err
 	}
-	wt.OnCommit(func() { ix.locks.Bump(DeltaPartition, oldPart) })
 
 	vid := st.NextVID
 	st.NextVID++
@@ -762,14 +756,13 @@ func (ix *Index) Delete(wt *storage.WriteTxn, asset string) error {
 	if err != nil {
 		return err
 	}
-	part, removed, err := ix.removeAsset(wt, asset, &st)
+	removed, err := ix.removeAsset(wt, asset, &st)
 	if err != nil {
 		return err
 	}
 	if !removed {
 		return ErrNotFound
 	}
-	wt.OnCommit(func() { ix.locks.Bump(part) })
 	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return err
@@ -777,37 +770,36 @@ func (ix *Index) Delete(wt *storage.WriteTxn, asset string) error {
 	return wt.SpillIfNeeded()
 }
 
-// removeAsset deletes all rows belonging to asset, adjusting st counters.
-// It reports the partition the asset lived in so the caller can register
-// the version bump for it.
-func (ix *Index) removeAsset(wt *storage.WriteTxn, asset string, st *state) (int64, bool, error) {
+// removeAsset deletes all rows belonging to asset, adjusting st counters,
+// and reports whether the asset existed.
+func (ix *Index) removeAsset(wt *storage.WriteTxn, asset string, st *state) (bool, error) {
 	row, err := ix.assets.Get(wt, reldb.S(asset))
 	if errors.Is(err, reldb.ErrNotFound) {
-		return DeltaPartition, false, nil
+		return false, nil
 	}
 	if err != nil {
-		return DeltaPartition, false, err
+		return false, err
 	}
 	part, vid := row[1].Int, row[2].Int
 	if err := ix.vectors.Delete(wt, reldb.I(part), reldb.I(vid)); err != nil {
-		return part, false, err
+		return false, err
 	}
 	if part > 0 {
 		// Keep the per-partition count exact: the maintenance planner
 		// reads it to decide splits and merges (paper §3.6's monitor).
 		if err := ix.adjustCentroidCount(wt, part, -1); err != nil {
-			return part, false, err
+			return false, err
 		}
 	}
 	if err := ix.assets.Delete(wt, reldb.S(asset)); err != nil {
-		return part, false, err
+		return false, err
 	}
 	if err := ix.vids.Delete(wt, reldb.I(vid)); err != nil {
-		return part, false, err
+		return false, err
 	}
 	if ix.rawvecs != nil {
 		if err := ix.rawvecs.Delete(wt, reldb.I(vid)); err != nil && !errors.Is(err, reldb.ErrNotFound) {
-			return part, false, err
+			return false, err
 		}
 	}
 	attrRow, err := ix.attrs.Get(wt, reldb.I(vid))
@@ -816,22 +808,22 @@ func (ix *Index) removeAsset(wt *storage.WriteTxn, asset string, st *state) (int
 			v := attrRow[ix.attrPos[name]]
 			if !v.IsNull() {
 				if err := f.Remove(wt, vid, v.Str); err != nil {
-					return part, false, err
+					return false, err
 				}
 			}
 		}
 		if err := ix.attrs.Delete(wt, reldb.I(vid)); err != nil {
-			return part, false, err
+			return false, err
 		}
 	} else if !errors.Is(err, reldb.ErrNotFound) {
-		return part, false, err
+		return false, err
 	}
 
 	st.NumVectors--
 	if part == DeltaPartition {
 		st.DeltaCount--
 	}
-	return part, true, nil
+	return true, nil
 }
 
 // adjustCentroidCount adds delta to a partition's persisted row count. The

@@ -1,6 +1,7 @@
 package ivf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -23,13 +24,16 @@ import (
 // I/O. A full Rebuild remains only for the initial build of a never-built
 // index.
 //
-// Splits additionally run in two phases (SplitPartitionTwoPhase): the
-// expensive half — collecting the partition and clustering it — executes
-// against a pinned snapshot while holding only that partition's lock, so
-// concurrent upserts, deletes and searches proceed untouched; the store-wide
-// writer gate is taken just for the short apply step, which first validates
-// the partition's version counter (see locks.go) and returns ErrPlanStale
-// if a concurrent commit moved the partition under the plan.
+// A split is two functions. PrepareSplit collects the partition and runs
+// the local k-means; it only reads, so the caller may run it on a read
+// snapshot, outside the store-wide writer gate, while upserts, deletes and
+// searches proceed. ApplySplit then runs in a short write transaction: it
+// re-reads the partition and compares its (vid, payload) rows with the
+// plan's, returning ErrPlanStale if any commit in between changed them.
+// Equal rows mean the plan is still valid, because vids are never reused
+// and a vid's asset and exact vector never change; a Rebuild in between
+// re-encodes the payloads and so fails the check. MaintainStep runs the
+// same two functions inside one transaction, where the check always holds.
 
 // MaintenanceAction names one step of a maintenance plan.
 type MaintenanceAction string
@@ -160,7 +164,10 @@ func (ix *Index) MaintainStep(wt *storage.WriteTxn, pol MaintenancePolicy) (*Mai
 	case ActionFlush:
 		ms, err = ix.FlushDelta(wt)
 	case ActionSplit:
-		ms, err = ix.SplitPartition(wt, plan.Partition)
+		var sp *SplitPlan
+		if sp, err = ix.PrepareSplit(wt, plan.Partition); err == nil {
+			ms, err = ix.ApplySplit(wt, sp)
+		}
 	case ActionMerge:
 		ms, err = ix.MergePartitions(wt, plan.Partition)
 	default:
@@ -254,34 +261,51 @@ func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error 
 	return wt.SpillIfNeeded()
 }
 
-// ErrPlanStale is returned by the apply phase of a two-phase maintenance
-// step when a concurrent commit changed the target partition between the
-// prepare snapshot and the writer gate. The plan is discarded; callers
-// retry with a fresh prepare or fall back to the single-transaction path.
+// ErrPlanStale is returned by ApplySplit when the partition no longer
+// holds the rows its plan was computed from: a commit after PrepareSplit's
+// snapshot deleted, added, moved or re-encoded one of them (a merge of
+// the partition moves them all). The plan is discarded; callers plan
+// again.
 var ErrPlanStale = errors.New("ivf: maintenance plan invalidated by concurrent writes")
 
-// splitPlan is a prepared split: everything the expensive phase computed
-// from its snapshot, self-contained (row blobs are copies) so it outlives
-// the snapshot and can be applied under a later write transaction.
-type splitPlan struct {
+// SplitPlan is a prepared split: the partition's rows as PrepareSplit read
+// them and the local clustering computed from them. Row blobs are copies,
+// so a plan outlives its snapshot and can be applied by a later write
+// transaction.
+type SplitPlan struct {
 	part   int64
 	rows   []partRow
-	assign []int
-	cents  *vec.Matrix
+	assign []int       // cluster of each row
+	cents  *vec.Matrix // nil when there are fewer than two rows to cluster
 	counts []int64
+	prep   time.Duration
 }
 
-// computeSplit runs the expensive half of a split — collecting the
-// partition's rows and clustering them locally — against any snapshot,
-// without writing. gen seeds the clustering (the state generation at the
-// same snapshot). Returns (nil, n, nil) when the partition holds fewer
-// than two rows and there is nothing to cluster; the caller repairs the
-// persisted count instead.
-func (ix *Index) computeSplit(txn btree.ReadTxn, part int64, gen int64) (*splitPlan, int, error) {
+// PrepareSplit collects one partition at txn's snapshot and clusters it
+// with a local k-means into ceil(n/TargetPartitionSize) partitions, at
+// least two. It writes nothing. A partition of fewer than two rows (a
+// stale count on a legacy index) yields a plan that only repairs the
+// persisted count, so the planner converges.
+func (ix *Index) PrepareSplit(txn btree.ReadTxn, part int64) (*SplitPlan, error) {
+	start := time.Now()
+	if part == DeltaPartition {
+		return nil, fmt.Errorf("ivf: cannot split the delta partition")
+	}
+	st, err := ix.getState(txn)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := ix.centroids.GetBorrowed(txn, reldb.I(part)); err != nil {
+		if errors.Is(err, reldb.ErrNotFound) {
+			return nil, fmt.Errorf("ivf: split unknown partition %d", part)
+		}
+		return nil, err
+	}
 	rows, err := ix.collectPartition(txn, part)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
+	plan := &SplitPlan{part: part, rows: rows}
 	n := len(rows)
 	target := ix.cfg.TargetPartitionSize
 	k := (n + target - 1) / target
@@ -293,21 +317,22 @@ func (ix *Index) computeSplit(txn btree.ReadTxn, part int64, gen int64) (*splitP
 		k = 2
 	}
 	if k < 2 {
-		return nil, n, nil
+		plan.prep = time.Since(start)
+		return plan, nil
 	}
 
 	data, err := ix.exactVectors(txn, rows)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	res, err := clustering.FullKMeans(clustering.Config{
 		K:                 k,
 		TargetClusterSize: target,
 		Metric:            ix.cfg.Metric,
-		Seed:              ix.cfg.Seed + part + gen,
+		Seed:              ix.cfg.Seed + part + st.Generation,
 	}, data, 25)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	k = res.Centroids.Rows
 
@@ -352,26 +377,43 @@ func (ix *Index) computeSplit(txn btree.ReadTxn, part int64, gen int64) (*splitP
 			}
 		}
 	}
-	return &splitPlan{part: part, rows: rows, assign: assign, cents: res.Centroids, counts: counts}, n, nil
+	plan.assign, plan.cents, plan.counts = assign, res.Centroids, counts
+	plan.prep = time.Since(start)
+	return plan, nil
 }
 
-// applySplit executes a prepared split inside wt: allocate partition ids,
-// move displaced rows, write the new centroids and bump the state. The
-// caller has already validated that the partition is unchanged since the
-// plan was computed.
-func (ix *Index) applySplit(wt *storage.WriteTxn, plan *splitPlan, ms *MaintenanceStats) error {
+// ApplySplit executes a prepared split inside wt. It first checks that the
+// partition still holds exactly the plan's rows (ErrPlanStale otherwise),
+// then gives the first non-empty cluster the partition's id and fresh ids
+// to the rest, moves the displaced rows, writes the new centroids and
+// bumps the state. I/O is proportional to the one partition, not the
+// index — the incremental answer to growth that would otherwise force a
+// full rebuild.
+func (ix *Index) ApplySplit(wt *storage.WriteTxn, plan *SplitPlan) (*MaintenanceStats, error) {
+	start := time.Now()
+	ms := &MaintenanceStats{}
+	if err := ix.checkSplitPlan(wt, plan); err != nil {
+		return nil, err
+	}
 	part := plan.part
 	st, err := ix.getState(wt)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if plan.cents == nil {
+		if err := ix.recountPartition(wt, part, int64(len(plan.rows))); err != nil {
+			return nil, err
+		}
+		ms.RowChanges++
+		ms.Partitions = int(st.NumPartitions)
+		ms.Duration = plan.prep + time.Since(start)
+		return ms, nil
 	}
 	k := plan.cents.Rows
 
-	// Partition ids: the first non-empty cluster inherits part (its rows
-	// need no move if they assign there), the rest allocate fresh ids.
 	next, err := ix.nextPartitionID(wt, &st)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ids := make([]int64, k)
 	reused := false
@@ -398,22 +440,20 @@ func (ix *Index) applySplit(wt *storage.WriteTxn, plan *splitPlan, ms *Maintenan
 			continue
 		}
 		if err := ix.moveRow(wt, part, dst, r); err != nil {
-			return err
+			return nil, err
 		}
 		ms.RowChanges += 4
 	}
 
-	bumped := make([]int64, 0, nonEmpty)
 	for c := 0; c < k; c++ {
 		if ids[c] < 0 {
 			continue
 		}
 		blob := vec.ToBlob(make([]byte, 0, vec.BlobSize(ix.cfg.Dim)), plan.cents.Row(c))
 		if err := ix.centroids.Put(wt, reldb.Row{reldb.I(ids[c]), reldb.B(blob), reldb.I(plan.counts[c])}); err != nil {
-			return err
+			return nil, err
 		}
 		ms.RowChanges++
-		bumped = append(bumped, ids[c])
 	}
 
 	st.NumPartitions += int64(nonEmpty - 1)
@@ -421,142 +461,39 @@ func (ix *Index) applySplit(wt *storage.WriteTxn, plan *splitPlan, ms *Maintenan
 	st.Generation++
 	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
-		return err
+		return nil, err
 	}
-	wt.OnCommit(func() { ix.locks.Bump(bumped...) })
 	// Like merge and rebuild, Partitions reports the index-wide total
 	// after the step, not just the clusters this split produced.
 	ms.Partitions = int(st.NumPartitions)
+	ms.Duration = plan.prep + time.Since(start)
+	return ms, nil
+}
+
+// checkSplitPlan returns ErrPlanStale unless the plan's partition holds
+// exactly the plan's rows, compared (vid, payload) in key order with a
+// borrowed scan of the one partition.
+func (ix *Index) checkSplitPlan(txn btree.ReadTxn, plan *SplitPlan) error {
+	i := 0
+	err := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(plan.part)}, func(key, val []byte) error {
+		r, err := readRowView(key, val)
+		if err != nil {
+			return err
+		}
+		if i == len(plan.rows) || r.vid != plan.rows[i].vid || !bytes.Equal(r.payload, plan.rows[i].blob) {
+			i = -1
+			return reldb.ErrStopScan
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if i != len(plan.rows) {
+		return ErrPlanStale
+	}
 	return nil
-}
-
-// SplitPartition re-clusters one oversized partition with a local k-means
-// over its own rows, producing ceil(n/TargetPartitionSize) partitions. The
-// partition keeps its id for the first resulting cluster; the rest receive
-// fresh ids. I/O is proportional to the one partition, not the index — the
-// incremental answer to growth that previously forced a full rebuild. The
-// whole split runs inside wt; SplitPartitionTwoPhase is the variant that
-// keeps the clustering outside the writer gate.
-func (ix *Index) SplitPartition(wt *storage.WriteTxn, part int64) (*MaintenanceStats, error) {
-	start := time.Now()
-	ms := &MaintenanceStats{}
-	if part == DeltaPartition {
-		return nil, fmt.Errorf("ivf: cannot split the delta partition")
-	}
-	st, err := ix.getState(wt)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ix.centroids.Get(wt, reldb.I(part)); err != nil {
-		if errors.Is(err, reldb.ErrNotFound) {
-			return nil, fmt.Errorf("ivf: split unknown partition %d", part)
-		}
-		return nil, err
-	}
-
-	plan, n, err := ix.computeSplit(wt, part, st.Generation)
-	if err != nil {
-		return nil, err
-	}
-	if plan == nil {
-		// Nothing to split (a stale count on a legacy index): repair the
-		// persisted count so the planner converges.
-		if err := ix.recountPartition(wt, part, int64(n)); err != nil {
-			return nil, err
-		}
-		wt.OnCommit(func() { ix.locks.Bump(part) })
-		ms.RowChanges++
-		ms.Partitions = int(st.NumPartitions)
-		ms.Duration = time.Since(start)
-		return ms, nil
-	}
-	if err := ix.applySplit(wt, plan, ms); err != nil {
-		return nil, err
-	}
-	ms.Duration = time.Since(start)
-	return ms, nil
-}
-
-// SplitPartitionTwoPhase splits part without holding the store-wide writer
-// gate during the expensive clustering work. Phase one pins a read
-// snapshot — concurrent searches and point writes proceed — and computes
-// the split plan while holding only this partition's lock (which excludes
-// other maintainers of the same partition, nothing else). Phase two
-// upgrades to a write transaction, revalidates the partition's version
-// counter, and applies the row moves; the writer gate is held only for
-// this short step. Returns ErrPlanStale when a concurrent commit changed
-// the partition after the snapshot was pinned; the partition may also have
-// disappeared or shrunk below the split bound since the caller planned the
-// step, in which case a no-op (zero VectorsAssigned) result is returned.
-func (ix *Index) SplitPartitionTwoPhase(part int64) (*MaintenanceStats, error) {
-	start := time.Now()
-	ms := &MaintenanceStats{}
-	if part == DeltaPartition {
-		return nil, fmt.Errorf("ivf: cannot split the delta partition")
-	}
-	unlock := ix.locks.Lock(part)
-	defer unlock()
-
-	// Version before snapshot: a conflicting commit either publishes
-	// before the pin (its rows are in the plan) or bumps the version this
-	// read missed, failing validation below. See locks.go.
-	base := ix.locks.Version(part)
-	pt, err := ix.db.Store().BeginPrepare()
-	if err != nil {
-		return nil, err
-	}
-	defer pt.Abort()
-
-	var plan *splitPlan
-	var n int
-	var gone bool
-	rt := pt.Read()
-	st, err := ix.getState(rt)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ix.centroids.Get(rt, reldb.I(part)); err != nil {
-		if !errors.Is(err, reldb.ErrNotFound) {
-			return nil, err
-		}
-		gone = true // merged away since the step was planned: no-op
-	}
-	if !gone {
-		if plan, n, err = ix.computeSplit(rt, part, st.Generation); err != nil {
-			return nil, err
-		}
-	}
-	if gone {
-		ms.Duration = time.Since(start)
-		return ms, nil
-	}
-
-	wt, stale, err := pt.Upgrade()
-	if err != nil {
-		return nil, err
-	}
-	if stale > 0 && ix.locks.Version(part) != base {
-		wt.Rollback()
-		return nil, ErrPlanStale
-	}
-	if plan == nil {
-		// Fewer than two rows at the snapshot: repair the persisted count
-		// (validated unchanged) so the planner converges.
-		if err := ix.recountPartition(wt, part, int64(n)); err != nil {
-			wt.Rollback()
-			return nil, err
-		}
-		wt.OnCommit(func() { ix.locks.Bump(part) })
-		ms.RowChanges++
-	} else if err := ix.applySplit(wt, plan, ms); err != nil {
-		wt.Rollback()
-		return nil, err
-	}
-	if err := wt.Commit(); err != nil {
-		return nil, err
-	}
-	ms.Duration = time.Since(start)
-	return ms, nil
 }
 
 // recountPartition rewrites a partition's persisted row count from its
@@ -681,11 +618,6 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 	if err := ix.putState(wt, st); err != nil {
 		return nil, err
 	}
-	bumped := append([]int64(nil), parts...)
-	for b := range touched {
-		bumped = append(bumped, destIDs[b])
-	}
-	wt.OnCommit(func() { ix.locks.Bump(bumped...) })
 	ms.Partitions = int(st.NumPartitions)
 	ms.Duration = time.Since(start)
 	return ms, nil

@@ -218,3 +218,127 @@ func TestMaintenanceCrashRecovery(t *testing.T) {
 		})
 	}
 }
+
+// splitOutcome reports whether plan's split is applied at the current
+// state. It fails the test unless every planned row is reachable and the
+// split is all-or-nothing: the partition holds either all of its planned
+// rows with the partition count unchanged, or exactly its first cluster's
+// rows with one new partition per other non-empty cluster.
+func (e *crashEnv) splitOutcome(plan *SplitPlan, before int64) bool {
+	e.t.Helper()
+	applied := false
+	if err := e.store.View(func(rt *storage.ReadTxn) error {
+		for _, r := range plan.rows {
+			if _, _, err := e.ix.GetVector(rt, r.asset); err != nil {
+				return fmt.Errorf("planned row %s unreachable: %w", r.asset, err)
+			}
+		}
+		st, err := e.ix.getState(rt)
+		if err != nil {
+			return err
+		}
+		if e.ix.checkSplitPlan(rt, plan) == nil {
+			if st.NumPartitions != before {
+				return fmt.Errorf("partition %d unsplit, but %d -> %d partitions", plan.part, before, st.NumPartitions)
+			}
+			return nil
+		}
+		first, nonEmpty := -1, 0
+		for c, n := range plan.counts {
+			if n > 0 {
+				nonEmpty++
+				if first < 0 {
+					first = c
+				}
+			}
+		}
+		var kept []partRow
+		for i, r := range plan.rows {
+			if plan.assign[i] == first {
+				kept = append(kept, r)
+			}
+		}
+		if err := e.ix.checkSplitPlan(rt, &SplitPlan{part: plan.part, rows: kept}); err != nil {
+			return fmt.Errorf("partition %d holds neither its planned rows nor its first cluster's: %w", plan.part, err)
+		}
+		if want := before + int64(nonEmpty-1); st.NumPartitions != want {
+			return fmt.Errorf("split applied, but %d partitions, want %d", st.NumPartitions, want)
+		}
+		applied = true
+		return nil
+	}); err != nil {
+		e.t.Fatal(err)
+	}
+	return applied
+}
+
+// TestPreparedSplitCrashRecovery covers the split Maintain runs: prepared
+// on a read snapshot, then applied in its own write transaction. A WAL
+// failpoint fires at varying frames of the apply transaction (spills and
+// the commit frame alike); after the store is reopened through recovery the
+// invariant battery holds, every row is reachable, and the split is
+// all-or-nothing. The sweep must see both outcomes.
+func TestPreparedSplitCrashRecovery(t *testing.T) {
+	for _, qt := range []quant.Type{quant.None, quant.SQ8, quant.SQ4} {
+		t.Run(qt.String(), func(t *testing.T) {
+			outcomes := make(map[bool]int)
+			for _, fail := range []int{0, 1, 2, 4, 8, 16, 32, 64, 1 << 20} {
+				env := newCrashEnv(t, Config{Dim: 8, TargetPartitionSize: 20, Seed: 11, Quantization: qt})
+				mix := newMixture(12, 8, 5)
+				env.insert(mix, 120, -1)
+				if err := env.maintainAll(MaintenancePolicy{}, make(map[MaintenanceAction]int)); err != nil {
+					t.Fatal(err)
+				}
+				env.insert(mix, 90, 0)
+				if err := env.store.Update(func(wt *storage.WriteTxn) error {
+					_, err := env.ix.FlushDelta(wt)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+
+				var plan *SplitPlan
+				var before int64
+				if err := env.store.View(func(rt *storage.ReadTxn) error {
+					mp, err := env.ix.PlanMaintenance(rt, MaintenancePolicy{})
+					if err != nil {
+						return err
+					}
+					if mp.Action != ActionSplit {
+						return fmt.Errorf("plan = %s, want split", mp.Action)
+					}
+					if plan, err = env.ix.PrepareSplit(rt, mp.Partition); err != nil {
+						return err
+					}
+					st, err := env.ix.getState(rt)
+					before = st.NumPartitions
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if plan.cents == nil {
+					t.Fatal("prepared split has nothing to cluster")
+				}
+
+				env.store.SetWALFailpoint(fail)
+				err := env.store.Update(func(wt *storage.WriteTxn) error {
+					_, err := env.ix.ApplySplit(wt, plan)
+					return err
+				})
+				env.store.SetWALFailpoint(-1)
+				switch {
+				case errors.Is(err, storage.ErrInjected):
+					env.crash()
+				case err != nil:
+					t.Fatalf("fail %d: %v", fail, err)
+				}
+				step := fmt.Sprintf("fail %d", fail)
+				env.verify(mix, step)
+				outcomes[env.splitOutcome(plan, before)]++
+			}
+			if outcomes[true] == 0 || outcomes[false] == 0 {
+				t.Errorf("outcomes applied=%d unapplied=%d: the sweep must see both", outcomes[true], outcomes[false])
+			}
+		})
+	}
+}

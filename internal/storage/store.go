@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 )
 
@@ -131,9 +132,7 @@ type Store struct {
 	closed    bool
 
 	// writer serializes write transactions and checkpoints, granting the
-	// critical section in strict FIFO arrival order so a prepared writer
-	// upgrading into its commit step cannot be starved by a stream of
-	// fresh BeginWrite calls (see prepare.go).
+	// critical section in strict FIFO arrival order (see gate.go).
 	writer writerGate
 
 	// prefetch is the backend's optional readahead capability (nil when
@@ -562,6 +561,58 @@ func (s *Store) View(fn func(*ReadTxn) error) error {
 	return fn(t)
 }
 
+// --- read-side readahead ---
+
+// WantReadahead reports whether Readahead can have any effect, letting
+// callers skip the work of assembling a page list when the backend has no
+// prefetch capability (file: the pool already amortizes; memory: nothing
+// to fetch).
+func (t *ReadTxn) WantReadahead() bool {
+	return !t.done && t.s.prefetch != nil
+}
+
+// Readahead hints the OS to prefetch the given pages ahead of a scan
+// (MADV_WILLNEED on the mmap backend), so scatter reads over the probed
+// partitions overlap I/O with compute instead of faulting page-by-page.
+// Pages whose newest version at this snapshot lives in the WAL are skipped
+// — the WAL is served through the buffer pool, not the mapping. Purely
+// advisory: errors are ignored and unknown backends do nothing.
+func (t *ReadTxn) Readahead(pages []uint32) {
+	if t.done || t.s.prefetch == nil || len(pages) == 0 {
+		return
+	}
+	s := t.s
+	base := pages[:0]
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	for _, pageNo := range pages {
+		if _, inWAL := s.idx.lookup(pageNo, t.seq); !inWAL {
+			base = append(base, pageNo)
+		}
+	}
+	s.mu.Unlock()
+	if len(base) == 0 {
+		return
+	}
+	sort.Slice(base, func(i, j int) bool { return base[i] < base[j] })
+	// Coalesce runs of adjacent pages into single advise calls.
+	start, n := base[0], uint32(1)
+	for _, pageNo := range base[1:] {
+		if pageNo == start+n {
+			n++
+			continue
+		}
+		if pageNo != start+n-1 { // skip duplicates
+			s.prefetch.Prefetch(start, n)
+			start, n = pageNo, 1
+		}
+	}
+	s.prefetch.Prefetch(start, n)
+}
+
 // --- write transactions ---
 
 // WriteTxn is the single writer. Mutations stay private (in memory or as
@@ -572,7 +623,6 @@ type WriteTxn struct {
 	dirty   map[uint32][]byte
 	pending map[uint32]uint32 // spilled page -> WAL frame
 	hdr     header
-	hooks   []func() // run after a successful commit publishes
 	done    bool
 }
 
@@ -580,20 +630,11 @@ type WriteTxn struct {
 // finishes. Waiting writers are admitted in FIFO arrival order.
 func (s *Store) BeginWrite() (*WriteTxn, error) {
 	s.writer.acquire()
-	t, _, err := s.beginWriteGated()
-	return t, err
-}
-
-// beginWriteGated builds the write transaction once the caller holds the
-// writer gate, releasing the gate on failure. It also reports the commit
-// horizon the transaction starts from, which Upgrade uses to measure how
-// many commits intervened since a prepare phase pinned its snapshot.
-func (s *Store) beginWriteGated() (*WriteTxn, uint64, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.writer.release()
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
 	txnID := s.nextTxnID
 	s.nextTxnID++
@@ -609,25 +650,15 @@ func (s *Store) beginWriteGated() (*WriteTxn, uint64, error) {
 	p, err := s.readPage(0, seq)
 	if err != nil {
 		s.writer.release()
-		return nil, 0, err
+		return nil, err
 	}
 	h, err := decodeHeader(p)
 	if err != nil {
 		s.writer.release()
-		return nil, 0, err
+		return nil, err
 	}
 	t.hdr = h
-	return t, seq, nil
-}
-
-// OnCommit registers fn to run once, after this transaction's commit has
-// been published (its effects are visible to new snapshots) and before the
-// writer gate is released — so anything fn records is observable before the
-// next write transaction can begin. Hooks are dropped on Rollback and on
-// commit failure. The ivf layer uses this to advance per-partition version
-// counters only for mutations that actually became visible.
-func (t *WriteTxn) OnCommit(fn func()) {
-	t.hooks = append(t.hooks, fn)
+	return t, nil
 }
 
 // Update runs fn in a write transaction, committing on success and rolling
@@ -791,14 +822,8 @@ func (t *WriteTxn) Commit() error {
 		return ErrTxnDone
 	}
 	s := t.s
-	committed := false
 	defer func() {
 		t.done = true
-		if committed {
-			for _, fn := range t.hooks {
-				fn()
-			}
-		}
 		s.writer.release()
 	}()
 
@@ -850,7 +875,6 @@ func (t *WriteTxn) Commit() error {
 	s.statPagesOut += uint64(len(toCache))
 	frames := s.wal.frames.Load()
 	s.mu.Unlock()
-	committed = true
 
 	// Write-through cache so re-reads of just-committed pages hit memory.
 	for _, c := range toCache {
@@ -872,7 +896,6 @@ func (t *WriteTxn) Rollback() {
 		return
 	}
 	t.done = true
-	t.hooks = nil
 	t.s.writer.release()
 }
 

@@ -77,22 +77,18 @@
 // arrival order — but point writes (Upsert, Delete) hold it only for
 // their own short transaction.
 //
-// The heavy maintenance steps are the reason that gate is not enough on
-// its own: a partition split runs k-means over the partition's rows, and
-// holding the writer gate for the whole computation would stall every
-// concurrent writer behind it (searches would still proceed, but the
-// write path would see the full k-means latency). Splits therefore run in
-// two phases under a partition-granular lock manager. The split takes its
-// target partition's lock (advisory, ordered acquisition — maintenance
-// steps only), records the partition's version, and runs k-means on a
-// read snapshot without holding the writer gate; only the short apply
-// step upgrades into the gate, and before applying it validates that no
-// intervening commit bumped the partition's version. A conflicting commit
-// (every committed transaction bumps the versions of exactly the
-// partitions it touched, after publish, before gate hand-off) makes the
-// split return and retry against fresh data; an unrelated commit — a
-// delta upsert while partition 7 splits — costs nothing. Concurrent
-// searchers never consult the lock manager at all: they read the
+// A partition split runs k-means over the partition's rows, and holding
+// the writer gate for that computation would stall every concurrent
+// writer behind it. So Maintain plans a split and prepares it (collects
+// the partition and clusters it) on one read snapshot, outside the gate,
+// and takes the gate only for the short apply transaction. The apply
+// validates by content: it re-reads the partition's rows and compares
+// them with the plan's. Vids are never reused and a vid's vector never
+// changes, so equal rows mean the plan is still valid; a commit that
+// changed the partition in between (a delete, a flush into it, a merge, a
+// Rebuild, another split) discards the plan and the pass plans again,
+// while an unrelated commit — a delta upsert while partition 7 splits —
+// costs nothing. Searchers take no part in this: they read the
 // last-committed state of each partition throughout.
 //
 // Close is fenced against in-flight maintenance by an operation lock: a
@@ -241,6 +237,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -534,9 +531,10 @@ type DB struct {
 	// holds the read side for a pass (re-checking closed between steps, so
 	// a pass ends within one step of Close being requested); Close takes
 	// the write side after stopping the maintainer and before closing the
-	// store, so an in-flight maintenance step — including the two-phase
-	// split, which spans a read and a write transaction the storage layer
-	// cannot fence as one unit — always completes against a live store.
+	// store, so an in-flight maintenance step — including a split, which
+	// is prepared in a read transaction and applied in a write transaction
+	// the storage layer cannot fence as one unit — always completes
+	// against a live store.
 	opMu sync.RWMutex
 
 	// ing is the group committer every write goes through.
@@ -1110,14 +1108,25 @@ func (r *MaintenanceReport) count(a ivf.MaintenanceAction) {
 	}
 }
 
+// joinActions adds each step name of the "+"-joined names to a report's
+// Action unless it is already there, so Action lists every distinct step
+// once, in first-seen order. "none" adds nothing.
+func joinActions(action, names string) string {
+	for _, name := range strings.Split(names, "+") {
+		switch {
+		case name == "" || name == "none" || slices.Contains(strings.Split(action, "+"), name):
+		case action == "" || action == "none":
+			action = name
+		default:
+			action += "+" + name
+		}
+	}
+	return action
+}
+
 // absorb folds one executed step into the aggregate report.
 func (r *MaintenanceReport) absorb(plan *ivf.MaintenancePlan, ms *ivf.MaintenanceStats) {
-	name := string(plan.Action)
-	if r.Action == "none" || r.Action == "" {
-		r.Action = name
-	} else if !strings.HasSuffix(r.Action, name) {
-		r.Action += "+" + name
-	}
+	r.Action = joinActions(r.Action, string(plan.Action))
 	r.Steps++
 	r.count(plan.Action)
 	r.Duration += ms.Duration
@@ -1136,9 +1145,10 @@ type MaintenanceTotals struct {
 	Passes int64
 	// Rebuilds/Flushes/Splits/Merges count executed steps by kind.
 	Rebuilds, Flushes, Splits, Merges int64
-	// StaleRetries counts two-phase splits invalidated by a concurrent
-	// commit and retried — the price of keeping the writer gate open
-	// through the expensive half.
+	// StaleRetries counts prepared splits discarded because a concurrent
+	// commit changed the partition's rows before the apply, after which
+	// the pass planned again — the price of keeping the writer gate open
+	// through the k-means.
 	StaleRetries int64
 	// RowChanges is the cumulative count of row writes/deletes maintenance
 	// performed. Divided by the rows ingested over the same span it is the
@@ -1170,7 +1180,7 @@ func (db *DB) recordStep(a ivf.MaintenanceAction, ms *ivf.MaintenanceStats) {
 	}
 }
 
-// recordStaleRetry counts one invalidated-and-retried two-phase plan.
+// recordStaleRetry counts one prepared split discarded as stale.
 func (db *DB) recordStaleRetry() {
 	db.maintMu.Lock()
 	db.maintTotals.StaleRetries++
@@ -1254,19 +1264,25 @@ func (db *DB) maintPolicy() ivf.MaintenancePolicy {
 // picks up where it left off).
 const maintainStepLimit = 256
 
+// maxStalePlans is how many prepared splits one Maintain pass discards
+// before it splits inside the write transaction instead.
+const maxStalePlans = 3
+
 // Maintain runs the index monitor's policy (paper §3.6): an initial full
 // build if the index was never built, then incremental steps only — delta
 // flushes past FlushThreshold, splits of partitions over MaxPartitionSize,
-// merges of partitions under MinPartitionSize. Splits — the common steady-
-// state step — run in two phases: the partition is collected and clustered
-// against a pinned snapshot while holding only its own partition lock, and
-// the store-wide writer gate is taken just for the short apply step, so
-// concurrent searches and point writes proceed through the expensive half.
-// Other steps plan AND execute inside one short write transaction (the
-// decision can never act on a stale snapshot), and the pass loops until the
-// planner reports a healthy index. Once built, Maintain never falls back to
-// a full rebuild: growth is absorbed one partition at a time, keeping
-// writers responsive throughout.
+// merges of partitions under MinPartitionSize. Each step plans on a read
+// snapshot first, so a healthy index (every idle AutoMaintain tick) costs
+// writers nothing. A split — the common steady-state step — is also
+// prepared on that snapshot: the partition is collected and clustered
+// outside the writer gate, and only the short apply step takes it. The
+// apply re-reads the partition and discards the plan (counted in
+// StaleRetries) if a concurrent commit changed its rows; after
+// maxStalePlans discarded plans the pass splits inside one write
+// transaction instead, so a write storm cannot starve it. Other steps plan
+// again and act inside one short write transaction. The pass loops until
+// the planner reports a healthy index. Once built, Maintain never falls
+// back to a full rebuild: growth is absorbed one partition at a time.
 func (db *DB) Maintain() (*MaintenanceReport, error) {
 	db.opMu.RLock()
 	defer db.opMu.RUnlock()
@@ -1274,45 +1290,44 @@ func (db *DB) Maintain() (*MaintenanceReport, error) {
 		return nil, err
 	}
 	rep := &MaintenanceReport{Action: "none"}
+	stale := 0
 	for i := 0; i < maintainStepLimit; i++ {
 		// Close may have been requested mid-pass; it is blocked on opMu
 		// until this pass returns, so end the pass at the step boundary.
 		if err := db.checkOpen(); err != nil {
 			return nil, err
 		}
-		// Read-only pre-check: a healthy index (the common case for every
-		// idle AutoMaintain tick) must not cost concurrent writers the
-		// exclusive writer lock. MaintainStep re-plans inside the write
-		// transaction, so the authoritative decision still shares a
-		// snapshot with the action it takes.
-		var preview *ivf.MaintenancePlan
+		var plan *ivf.MaintenancePlan
+		var split *ivf.SplitPlan
 		err := db.store.View(func(rt *storage.ReadTxn) error {
 			var perr error
-			preview, perr = db.ix.PlanMaintenance(rt, db.maintPolicy())
+			plan, perr = db.ix.PlanMaintenance(rt, db.maintPolicy())
+			if perr == nil && plan.Action == ivf.ActionSplit && stale < maxStalePlans {
+				split, perr = db.ix.PrepareSplit(rt, plan.Partition)
+			}
 			return perr
 		})
 		if err != nil {
 			return nil, err
 		}
-		if preview.Action == ivf.ActionNone {
+		if plan.Action == ivf.ActionNone {
 			break
 		}
-		if preview.Action == ivf.ActionSplit {
-			ms, err := db.splitTwoPhase(preview.Partition)
-			if err != nil {
-				return nil, err
-			}
-			db.recordStep(ivf.ActionSplit, ms)
-			rep.absorb(preview, ms)
-			continue
-		}
-		var plan *ivf.MaintenancePlan
 		var ms *ivf.MaintenanceStats
 		err = db.store.Update(func(wt *storage.WriteTxn) error {
 			var serr error
-			plan, ms, serr = db.ix.MaintainStep(wt, db.maintPolicy())
+			if split != nil {
+				ms, serr = db.ix.ApplySplit(wt, split)
+			} else {
+				plan, ms, serr = db.ix.MaintainStep(wt, db.maintPolicy())
+			}
 			return serr
 		})
+		if errors.Is(err, ivf.ErrPlanStale) {
+			stale++
+			db.recordStaleRetry()
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -1324,31 +1339,6 @@ func (db *DB) Maintain() (*MaintenanceReport, error) {
 	}
 	db.recordMaintenance(rep)
 	return rep, nil
-}
-
-// splitTwoPhase runs the two-phase splitter, retrying a few times when a
-// concurrent commit invalidates the prepared plan, then falling back to the
-// single-transaction split so a sustained write storm cannot starve
-// maintenance of progress (the fallback pays the writer-gate hold once).
-func (db *DB) splitTwoPhase(part int64) (*ivf.MaintenanceStats, error) {
-	const staleRetries = 3
-	for attempt := 0; attempt < staleRetries; attempt++ {
-		ms, err := db.ix.SplitPartitionTwoPhase(part)
-		if err == nil {
-			return ms, nil
-		}
-		if !errors.Is(err, ivf.ErrPlanStale) {
-			return nil, err
-		}
-		db.recordStaleRetry()
-	}
-	var ms *ivf.MaintenanceStats
-	err := db.store.Update(func(wt *storage.WriteTxn) error {
-		var serr error
-		ms, serr = db.ix.SplitPartition(wt, part)
-		return serr
-	})
-	return ms, err
 }
 
 // --- stats ---

@@ -24,13 +24,13 @@ type vectorStore interface {
 	Maintain() (*MaintenanceReport, error)
 }
 
-// TestConcurrentSearchDuringMaintenance is the mixed-workload hammer for the
-// partition-granular locking work: Search and BatchSearch run continuously
+// TestConcurrentSearchDuringMaintenance is the mixed-workload hammer for
+// maintenance beside live traffic: Search and BatchSearch run continuously
 // while upserts stream into the delta and foreground Maintain passes flush
-// and split partitions underneath them. With two-phase splits the searches
-// never wait on k-means; the test's job (under `-race`) is to prove the
-// lock-manager plumbing is sound across the quantization x sharding matrix,
-// and that the index still answers accurately once the dust settles.
+// and split partitions underneath them. Splits run their k-means on a read
+// snapshot and validate the plan when they apply; the test's job (under
+// `-race`) is to prove that path sound across the quantization x sharding
+// matrix, and that the index still answers accurately once the dust settles.
 func TestConcurrentSearchDuringMaintenance(t *testing.T) {
 	cases := []struct {
 		name   string

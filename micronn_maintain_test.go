@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"micronn/internal/ivf"
 	"micronn/internal/storage"
 )
 
@@ -196,6 +197,38 @@ func TestCloseDrainsMaintainer(t *testing.T) {
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestMaintenanceReportActionDistinct pins Action's contract: the distinct
+// step names, each once, in first-seen order — within one store's pass
+// (absorb) and across shards (mergeReports).
+func TestMaintenanceReportActionDistinct(t *testing.T) {
+	pass := func(steps ...ivf.MaintenanceAction) *MaintenanceReport {
+		rep := &MaintenanceReport{Action: "none"}
+		for _, a := range steps {
+			rep.absorb(&ivf.MaintenancePlan{Action: a}, &ivf.MaintenanceStats{})
+		}
+		return rep
+	}
+	F, S, M := ivf.ActionFlush, ivf.ActionSplit, ivf.ActionMerge
+	cases := []struct {
+		name string
+		rep  *MaintenanceReport
+		want string
+	}{
+		{"idle pass", pass(), "none"},
+		{"one step", pass(S), "split"},
+		{"flush split flush split", pass(F, S, F, S), "flush+split"},
+		{"split merge split", pass(S, M, S), "split+merge"},
+		{"shards split | flush+split | split", mergeReports([]*MaintenanceReport{pass(S), pass(F, S), pass(S)}), "split+flush"},
+		{"shards none | merge | nil", mergeReports([]*MaintenanceReport{pass(), pass(M), nil}), "merge"},
+		{"shards all idle", mergeReports([]*MaintenanceReport{pass(), pass()}), "none"},
+	}
+	for _, tc := range cases {
+		if tc.rep.Action != tc.want {
+			t.Errorf("%s: Action = %q, want %q", tc.name, tc.rep.Action, tc.want)
 		}
 	}
 }

@@ -973,13 +973,7 @@ func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
 		if rep == nil {
 			continue
 		}
-		if rep.Action != "" && rep.Action != "none" {
-			if out.Action == "none" {
-				out.Action = rep.Action
-			} else if out.Action != rep.Action {
-				out.Action += "+" + rep.Action
-			}
-		}
+		out.Action = joinActions(out.Action, rep.Action)
 		out.Steps += rep.Steps
 		out.Rebuilds += rep.Rebuilds
 		out.Flushes += rep.Flushes
