@@ -30,9 +30,8 @@ var (
 	// K·RerankFactor beyond int32, a NaN or ±Inf vector component, an
 	// invalid option value at Open, and similar caller mistakes.
 	ErrBadRequest = errors.New("micronn: bad request")
-	// ErrUnsupportedFormat is returned by Open and OpenSharded for a store
-	// written in a pre-release on-disk format this version no longer reads
-	// (for example one whose state lists sealed sorted runs). The store is
+	// ErrUnsupportedFormat is returned by Open and OpenSharded for any
+	// store without this version's format marker. The store's files are
 	// left unmodified.
 	ErrUnsupportedFormat = errors.New("micronn: unsupported store format")
 )

@@ -1,16 +1,10 @@
 package micronn
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"micronn/internal/reldb"
-	"micronn/internal/storage"
 )
 
 // TestCommitGroupIsolatesWriterMistakes gathers one group by hand on an
@@ -131,65 +125,5 @@ func TestUpsertAttributeMistakesAreBadRequest(t *testing.T) {
 		if err := st.db.Upsert(Item{ID: "y", Vector: v, Attributes: map[string]any{"n": nil}}); err != nil {
 			t.Errorf("%s null attribute: %v", st.name, err)
 		}
-	}
-}
-
-// TestOpenRefusesStoreWithSealedRuns crafts the state row an earlier
-// pre-release format wrote for a store holding sealed sorted runs with a
-// tombstoned row, and checks that Open refuses it with a typed error and
-// leaves the file byte-for-byte unmodified.
-func TestOpenRefusesStoreWithSealedRuns(t *testing.T) {
-	skipIfEphemeralBackend(t)
-	path := filepath.Join(t.TempDir(), "old.mnn")
-	db, err := Open(path, Options{Dim: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Upsert(Item{ID: "a", Vector: []float32{1, 0, 0, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := db.rdb.Table("meta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.store.Update(func(wt *storage.WriteTxn) error {
-		row, err := meta.Get(wt, reldb.S("state"))
-		if err != nil {
-			return err
-		}
-		var st map[string]any
-		if err := json.Unmarshal(row[1].Bts, &st); err != nil {
-			return err
-		}
-		st["runs"] = []map[string]int64{{"id": 1, "rows": 3, "dead": 1}}
-		st["next_run_id"] = 2
-		blob, err := json.Marshal(st)
-		if err != nil {
-			return err
-		}
-		return meta.Put(wt, reldb.Row{reldb.S("state"), reldb.B(blob)})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if db, err := Open(path, Options{}); !errors.Is(err, ErrUnsupportedFormat) {
-		if err == nil {
-			db.Close()
-		}
-		t.Fatalf("Open of a store with sealed runs: %v, want ErrUnsupportedFormat", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("refused Open modified the store file")
 	}
 }

@@ -80,7 +80,6 @@ type ScoredDoc struct {
 // index (global stats on a sharded store). Tokens must be the sorted unique
 // token set of the query (see token.Unique); iterating them in that fixed
 // order keeps float accumulation — and therefore ranking — deterministic.
-// On legacy indexes without per-doc lengths the length norm degrades to 1.
 func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1, b float64) ([]ScoredDoc, error) {
 	if len(tokens) == 0 || gs.TotalDocs <= 0 {
 		return nil, nil
@@ -104,7 +103,7 @@ func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1,
 		err := ix.postings.ScanKeys(txn, []reldb.Value{reldb.S(tok)}, func(key reldb.Row) error {
 			id := key[1].Int
 			norm := 1.0
-			if avgLen > 0 && ix.doclen != nil {
+			if avgLen > 0 {
 				dl, err := ix.DocLen(txn, id)
 				if err != nil {
 					return err

@@ -249,8 +249,26 @@ func TestStatDriftRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix2.HasDocLens() {
-		t.Fatal("reopened index lost its doc-length table")
+	// An index without its doc-length table does not open.
+	err = s2.Update(func(wt *storage.WriteTxn) error {
+		pName, sName := tableNames("bare")
+		if err := db2.CreateTable(wt, &reldb.Schema{
+			Name: pName,
+			Key:  []reldb.Column{{Name: "token", Type: reldb.TypeText}, {Name: "doc", Type: reldb.TypeInt64}},
+		}); err != nil {
+			return err
+		}
+		return db2.CreateTable(wt, &reldb.Schema{
+			Name: sName,
+			Key:  []reldb.Column{{Name: "token", Type: reldb.TypeText}},
+			Cols: []reldb.Column{{Name: "count", Type: reldb.TypeInt64}},
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(db2, "bare"); err == nil {
+		t.Fatal("Open succeeded without the doc-length table")
 	}
 	checkAgainstOracle(t, db2, ix2, oracle, vocab, "reopened")
 

@@ -46,8 +46,7 @@ type Index struct {
 	// doclen records each indexed document's unique-token count. It doubles
 	// as the doc-existence record: a document is "in the index" exactly when
 	// it has a doclen row, which is what makes the #docs stat drift-free
-	// under duplicate Add and spurious Remove. Nil on indexes created before
-	// the table existed (legacy stores keep the old approximate accounting).
+	// under duplicate Add and spurious Remove.
 	doclen *reldb.Table // (doc INTEGER) -> (len INTEGER)
 }
 
@@ -91,7 +90,8 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, name string) (*Index, error) {
 	return Open(db, name)
 }
 
-// Open returns a handle to an existing index.
+// Open returns a handle to an existing index. It fails unless all three of
+// the index's tables exist.
 func Open(db *reldb.DB, name string) (*Index, error) {
 	pName, sName := tableNames(name)
 	postings, err := db.Table(pName)
@@ -102,13 +102,11 @@ func Open(db *reldb.DB, name string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{postings: postings, stats: stats}
-	if dName := doclenTableName(name); db.HasTable(dName) {
-		if ix.doclen, err = db.Table(dName); err != nil {
-			return nil, err
-		}
+	doclen, err := db.Table(doclenTableName(name))
+	if err != nil {
+		return nil, err
 	}
-	return ix, nil
+	return &Index{postings: postings, stats: stats, doclen: doclen}, nil
 }
 
 // Exists reports whether the named index exists in db.
@@ -159,11 +157,6 @@ func (ix *Index) Add(wt *storage.WriteTxn, id int64, text string) error {
 		}
 		added++
 	}
-	if ix.doclen == nil {
-		// Legacy index without the doclen table: keep the historical
-		// (unconditional) doc accounting rather than guessing.
-		return ix.bumpStat(wt, docCountKey, 1)
-	}
 	row, err := ix.doclen.Get(wt, reldb.I(id))
 	switch {
 	case errors.Is(err, reldb.ErrNotFound):
@@ -204,9 +197,6 @@ func (ix *Index) Remove(wt *storage.WriteTxn, id int64, text string) error {
 		}
 		removed++
 	}
-	if ix.doclen == nil {
-		return ix.bumpStat(wt, docCountKey, -1)
-	}
 	row, err := ix.doclen.Get(wt, reldb.I(id))
 	if errors.Is(err, reldb.ErrNotFound) {
 		return nil // never added (or already removed): nothing to account
@@ -246,23 +236,19 @@ func (ix *Index) TotalDocs(txn btree.ReadTxn) (int64, error) {
 }
 
 // TotalTokens returns the summed unique-token length of every indexed
-// document (zero on legacy indexes without per-doc lengths).
+// document.
 func (ix *Index) TotalTokens(txn btree.ReadTxn) (int64, error) {
-	if ix.doclen == nil {
-		return 0, nil
-	}
 	return ix.DocFreq(txn, tokenLenKey)
 }
 
-// HasDocLens reports whether the index persists per-document token lengths
-// (false only for indexes created before the doclen table existed).
-func (ix *Index) HasDocLens() bool { return ix.doclen != nil }
+// ScanDocs streams the id of every indexed document (every document with a
+// length row) in ascending order.
+func (ix *Index) ScanDocs(txn btree.ReadTxn, fn func(id int64) error) error {
+	return ix.doclen.ScanKeys(txn, nil, func(key reldb.Row) error { return fn(key[0].Int) })
+}
 
 // DocLen returns document id's unique-token count, 0 if unknown.
 func (ix *Index) DocLen(txn btree.ReadTxn, id int64) (int64, error) {
-	if ix.doclen == nil {
-		return 0, nil
-	}
 	row, err := ix.doclen.Get(txn, reldb.I(id))
 	if errors.Is(err, reldb.ErrNotFound) {
 		return 0, nil

@@ -169,7 +169,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	res, err := clustering.MiniBatchKMeans(clustering.Config{
 		TargetClusterSize: ix.cfg.TargetPartitionSize,
 		BatchSize:         ix.cfg.ClusterBatchSize,
-		Iterations:        ix.cfg.ClusterIterations,
 		BalancePenalty:    ix.cfg.BalancePenalty,
 		Metric:            ix.cfg.Metric,
 		Seed:              ix.cfg.Seed,
@@ -246,10 +245,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 			if err := ix.assets.Put(wt, reldb.Row{reldb.S(assetsInChunk[i]), reldb.I(newPart), reldb.I(old.vid)}); err != nil {
 				return nil, err
 			}
-			if err := ix.vids.Put(wt, reldb.Row{reldb.I(old.vid), reldb.I(newPart), reldb.S(assetsInChunk[i])}); err != nil {
-				return nil, err
-			}
-			ms.RowChanges += 4
+			ms.RowChanges += 3
 		}
 		if err := wt.SpillIfNeeded(); err != nil {
 			return nil, err
@@ -370,10 +366,7 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		if err := ix.assets.Put(wt, reldb.Row{reldb.S(asset), reldb.I(newPart), reldb.I(key.vid)}); err != nil {
 			return nil, err
 		}
-		if err := ix.vids.Put(wt, reldb.Row{reldb.I(key.vid), reldb.I(newPart), reldb.S(asset)}); err != nil {
-			return nil, err
-		}
-		ms.RowChanges += 4
+		ms.RowChanges += 3
 		ms.VectorsAssigned++
 
 		// Running-mean centroid update (Arandjelovic & Zisserman '13).
@@ -425,20 +418,24 @@ func (ix *Index) freshCounts(txn btree.ReadTxn, ids []int64) ([]int64, error) {
 	return counts, err
 }
 
-// AnalyzeAttributes refreshes the optimizer's attribute statistics. It
-// bumps the data generation even though no rows change: fresh statistics
-// can flip the optimizer's pre/post-filter choice, and the two plans may
-// rank borderline candidates differently — a cached response must not
-// outlive the plan decision that produced it.
+// AnalyzeAttributes refreshes the optimizer's statistics for the attribute
+// columns of the vids table. It bumps the data generation even though no
+// rows change: fresh statistics can flip the optimizer's pre/post-filter
+// choice, and the two plans may rank borderline candidates differently — a
+// cached response must not outlive the plan decision that produced it.
 func (ix *Index) AnalyzeAttributes(wt *storage.WriteTxn) error {
 	if len(ix.cfg.Attributes) == 0 {
 		return nil
 	}
-	ts, err := stats.Analyze(wt, ix.attrs, nil)
+	cols := make([]string, len(ix.cfg.Attributes))
+	for i, a := range ix.cfg.Attributes {
+		cols[i] = a.Name
+	}
+	ts, err := stats.Analyze(wt, ix.vids, cols)
 	if err != nil {
 		return err
 	}
-	if err := stats.Save(ix.db, wt, tblAttrs, ts); err != nil {
+	if err := stats.Save(ix.db, wt, tblVIDs, ts); err != nil {
 		return err
 	}
 	return ix.bumpDataGen(wt)

@@ -5,6 +5,30 @@
 // hybrid search, the Algorithm 2 ANN search with parallel partition scans,
 // multi-query-optimized batch search, a hybrid query optimizer, and full /
 // incremental index maintenance.
+//
+// Each vector lives in four tables:
+//
+//   - vectors (part, vid) -> (asset, payload): the rows a partition scan
+//     reads, clustered by partition. The payload is the float32 vector, or
+//     its SQ8/SQ4 code outside the delta of a quantized index. Upsert and
+//     Delete write it, and every row move (Rebuild, FlushDelta, split,
+//     merge) rewrites it.
+//   - assets asset -> (part, vid): the upsert key, and with the vectors key
+//     the only record of a vector's partition. Upsert and Delete write it,
+//     and every row move rewrites it.
+//   - vids vid -> (asset, attr₁…attrₙ): one write-once row per vector with
+//     what filters and result survivors need. The secondary attribute
+//     indexes and the optimizer statistics are built on it. Only Upsert and
+//     Delete write it.
+//   - rawvecs vid -> float32 vector, on a quantized index only: the exact
+//     vectors for rerank, Get and codebook training. Only Upsert and Delete
+//     write it.
+//
+// Beside them, centroids holds one row per partition (centroid and row
+// count), each FullText attribute has its full-text index tables (written
+// by Upsert and Delete), and meta holds the configuration, the
+// transactional state, the codebook and the format marker that Open checks
+// first.
 package ivf
 
 import (
@@ -12,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"micronn/internal/btree"
@@ -34,7 +59,6 @@ const (
 	tblCentroids = "centroids"
 	tblAssets    = "assets"
 	tblVIDs      = "vids"
-	tblAttrs     = "attributes"
 	tblMeta      = "meta"
 	// tblRawVecs is the raw float32 vector store used when quantization is
 	// enabled: partition rows then hold SQ8 codes, and the exact vectors
@@ -46,14 +70,27 @@ const (
 // metaCodebook is the meta-table key holding the serialized SQ8 codebook.
 const metaCodebook = "codebook"
 
+// formatVersion is the on-disk format this package reads and writes. Create
+// stores it under the meta key metaFormat, and Open refuses any store that
+// lacks it or holds another value. Bump it with every change to a table's
+// layout.
+const formatVersion = 1
+
+// metaFormat is the meta-table key holding the decimal formatVersion.
+const metaFormat = "format"
+
+// vidsAttrBase is the position of the first attribute in a vids row, after
+// the vid key and the asset id.
+const vidsAttrBase = 2
+
 // Sentinel errors.
 var (
 	ErrNotFound    = errors.New("ivf: asset not found")
 	ErrDimMismatch = errors.New("ivf: vector dimensionality mismatch")
 	ErrNoFilter    = errors.New("ivf: filter references unknown attribute")
-	// ErrLegacyFormat is returned by Open for a store written in a
-	// pre-release format this version no longer reads.
-	ErrLegacyFormat = errors.New("ivf: unsupported pre-release store format")
+	// ErrUnsupportedFormat is returned by Open for any store without this
+	// version's format marker.
+	ErrUnsupportedFormat = errors.New("ivf: unsupported store format")
 )
 
 // AttributeDef declares a filterable attribute (paper §3.5: clients define
@@ -87,11 +124,10 @@ type Config struct {
 	Attributes []AttributeDef `json:"attributes"`
 	// Workers bounds scan parallelism (default GOMAXPROCS).
 	Workers int `json:"workers"`
-	// ClusterBatchSize, ClusterIterations and BalancePenalty feed the
-	// mini-batch k-means trainer (zero values pick its defaults).
-	ClusterBatchSize  int     `json:"cluster_batch_size"`
-	ClusterIterations int     `json:"cluster_iterations"`
-	BalancePenalty    float32 `json:"balance_penalty"`
+	// ClusterBatchSize and BalancePenalty feed the mini-batch k-means
+	// trainer (zero values pick its defaults).
+	ClusterBatchSize int     `json:"cluster_batch_size"`
+	BalancePenalty   float32 `json:"balance_penalty"`
 	// CentroidIndexThreshold is the partition count above which a
 	// two-level coarse index accelerates centroid ranking (the extension
 	// the paper sketches in §3.2 for very large collections). 0 uses the
@@ -149,9 +185,9 @@ type state struct {
 	DeltaCount     int64   `json:"delta_count"`
 	NumPartitions  int64   `json:"num_partitions"` // excluding the delta
 	AvgSizeAtBuild float64 `json:"avg_size_at_build"`
-	// NextPartID is the next unused partition id (splits allocate from it).
-	// Zero in databases created before incremental maintenance existed;
-	// nextPartitionID then derives it from the centroid table.
+	// NextPartID is the next unused partition id (splits allocate from
+	// it). Zero until the first Rebuild, which sets it past every centroid
+	// id; CheckInvariants verifies that it stays there.
 	NextPartID int64 `json:"next_part_id,omitempty"`
 	// Generation increments on every operation that changes centroids
 	// (rebuild, flush, split, merge); it keys the in-memory centroid cache.
@@ -164,17 +200,8 @@ type state struct {
 	// and codebook caches survive streaming updates). The micronn result
 	// cache records it per entry: an unchanged DataGen at a later read
 	// snapshot proves the visible data is identical, so a cached response
-	// may be served verbatim. Absent (zero) in databases created before
-	// the result cache existed; they simply start counting at their next
-	// write.
+	// may be served verbatim.
 	DataGen int64 `json:"data_gen,omitempty"`
-}
-
-// legacyState is the part of a pre-release state row that this format
-// cannot honor: sealed sorted runs, whose rows (live and tombstoned) lived
-// at negative partition ids that no scan reads any more.
-type legacyState struct {
-	Runs []json.RawMessage `json:"runs"`
 }
 
 // Index is the disk-resident IVF index.
@@ -186,13 +213,12 @@ type Index struct {
 	centroids *reldb.Table
 	assets    *reldb.Table
 	vids      *reldb.Table
-	attrs     *reldb.Table
 	meta      *reldb.Table
 	rawvecs   *reldb.Table // nil unless quantization is enabled
 
 	attrIndexes map[string]*reldb.Index // attribute name -> secondary index
 	ftsIndexes  map[string]*fts.Index   // attribute name -> fts index
-	attrPos     map[string]int          // attribute name -> position in attrs row
+	attrPos     map[string]int          // attribute name -> position in vids row
 
 	// Cached centroids, keyed by state.Generation.
 	centMu    sync.Mutex
@@ -367,12 +393,15 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 	}
 	cfg.fillDefaults()
 
-	attrCols := make([]reldb.Column, 0, len(cfg.Attributes))
+	vidCols := []reldb.Column{{Name: "asset", Type: reldb.TypeText}}
 	for _, a := range cfg.Attributes {
 		if a.FullText && a.Type != reldb.TypeText {
 			return nil, fmt.Errorf("ivf: attribute %s: FullText requires TypeText", a.Name)
 		}
-		attrCols = append(attrCols, reldb.Column{Name: a.Name, Type: a.Type})
+		if a.Name == "vid" || a.Name == "asset" {
+			return nil, fmt.Errorf("ivf: attribute name %q is reserved", a.Name)
+		}
+		vidCols = append(vidCols, reldb.Column{Name: a.Name, Type: a.Type})
 	}
 
 	schemas := []*reldb.Schema{
@@ -406,15 +435,7 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 		{
 			Name: tblVIDs,
 			Key:  []reldb.Column{{Name: "vid", Type: reldb.TypeInt64}},
-			Cols: []reldb.Column{
-				{Name: "part", Type: reldb.TypeInt64},
-				{Name: "asset", Type: reldb.TypeText},
-			},
-		},
-		{
-			Name: tblAttrs,
-			Key:  []reldb.Column{{Name: "vid", Type: reldb.TypeInt64}},
-			Cols: attrCols,
+			Cols: vidCols,
 		},
 		{
 			Name: tblMeta,
@@ -436,7 +457,7 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 	}
 	for _, a := range cfg.Attributes {
 		if a.Indexed {
-			if err := db.CreateIndex(wt, "attr_"+a.Name, tblAttrs, a.Name); err != nil {
+			if err := db.CreateIndex(wt, "attr_"+a.Name, tblVIDs, a.Name); err != nil {
 				return nil, err
 			}
 		}
@@ -454,6 +475,9 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ix.meta.Put(wt, reldb.Row{reldb.S(metaFormat), reldb.B(strconv.AppendInt(nil, formatVersion, 10))}); err != nil {
+		return nil, err
+	}
 	if err := ix.meta.Put(wt, reldb.Row{reldb.S("config"), reldb.B(cfgBlob)}); err != nil {
 		return nil, err
 	}
@@ -463,7 +487,9 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-// Open loads an existing index, restoring its configuration.
+// Open loads an existing index, restoring its configuration. It checks the
+// format marker before it opens any other table, and returns
+// ErrUnsupportedFormat for a store without this version's marker.
 func Open(db *reldb.DB) (*Index, error) {
 	meta, err := db.Table(tblMeta)
 	if err != nil {
@@ -471,41 +497,26 @@ func Open(db *reldb.DB) (*Index, error) {
 	}
 	var cfg Config
 	err = db.Store().View(func(rt *storage.ReadTxn) error {
-		row, err := meta.Get(rt, reldb.S("config"))
+		row, err := meta.Get(rt, reldb.S(metaFormat))
+		if errors.Is(err, reldb.ErrNotFound) {
+			return fmt.Errorf("%w: no format marker (this version reads format %d)", ErrUnsupportedFormat, formatVersion)
+		}
 		if err != nil {
 			return err
+		}
+		if v := string(row[1].Bts); v != strconv.Itoa(formatVersion) {
+			return fmt.Errorf("%w: format %q (this version reads format %d)", ErrUnsupportedFormat, v, formatVersion)
+		}
+		if row, err = meta.Get(rt, reldb.S("config")); err != nil {
+			return fmt.Errorf("ivf: load config: %w", err)
 		}
 		return json.Unmarshal(row[1].Bts, &cfg)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("ivf: load config: %w", err)
+		return nil, err
 	}
 	cfg.fillDefaults()
-	ix, err := open(db, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.Store().View(ix.checkFormat); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// checkFormat refuses a state row that lists sealed runs or tombstoned
-// run rows: silently dropping them would lose the run-resident vectors.
-func (ix *Index) checkFormat(rt *storage.ReadTxn) error {
-	row, err := ix.meta.Get(rt, reldb.S("state"))
-	if err != nil {
-		return fmt.Errorf("ivf: load state: %w", err)
-	}
-	var legacy legacyState
-	if err := json.Unmarshal(row[1].Bts, &legacy); err != nil {
-		return err
-	}
-	if n := len(legacy.Runs); n > 0 {
-		return fmt.Errorf("%w: state lists %d sealed runs; open and maintain it with the release that wrote it", ErrLegacyFormat, n)
-	}
-	return nil
+	return open(db, cfg)
 }
 
 func open(db *reldb.DB, cfg Config) (*Index, error) {
@@ -529,9 +540,6 @@ func open(db *reldb.DB, cfg Config) (*Index, error) {
 	if ix.vids, err = db.Table(tblVIDs); err != nil {
 		return nil, err
 	}
-	if ix.attrs, err = db.Table(tblAttrs); err != nil {
-		return nil, err
-	}
 	if ix.meta, err = db.Table(tblMeta); err != nil {
 		return nil, err
 	}
@@ -541,7 +549,7 @@ func open(db *reldb.DB, cfg Config) (*Index, error) {
 		}
 	}
 	for i, a := range cfg.Attributes {
-		ix.attrPos[a.Name] = 1 + i // position in the attrs row (after vid)
+		ix.attrPos[a.Name] = vidsAttrBase + i
 		if a.Indexed {
 			idx, err := db.Index("attr_" + a.Name)
 			if err != nil {
@@ -711,29 +719,26 @@ func (ix *Index) Upsert(wt *storage.WriteTxn, asset string, vector []float32, at
 	if err := ix.assets.Put(wt, reldb.Row{reldb.S(asset), reldb.I(DeltaPartition), reldb.I(vid)}); err != nil {
 		return err
 	}
-	if err := ix.vids.Put(wt, reldb.Row{reldb.I(vid), reldb.I(DeltaPartition), reldb.S(asset)}); err != nil {
-		return err
-	}
 
-	attrRow := make(reldb.Row, 1+len(ix.cfg.Attributes))
-	attrRow[0] = reldb.I(vid)
+	vidRow := make(reldb.Row, vidsAttrBase+len(ix.cfg.Attributes))
+	vidRow[0], vidRow[1] = reldb.I(vid), reldb.S(asset)
 	for i, a := range ix.cfg.Attributes {
 		v, ok := attrValues[a.Name]
 		if !ok {
 			v = reldb.Null()
 		}
-		attrRow[1+i] = v
+		vidRow[vidsAttrBase+i] = v
 	}
 	for name := range attrValues {
 		if _, ok := ix.attrPos[name]; !ok {
 			return fmt.Errorf("ivf: undeclared attribute %q", name)
 		}
 	}
-	if err := ix.attrs.Put(wt, attrRow); err != nil {
+	if err := ix.vids.Put(wt, vidRow); err != nil {
 		return err
 	}
 	for name, f := range ix.ftsIndexes {
-		v := attrRow[ix.attrPos[name]]
+		v := vidRow[ix.attrPos[name]]
 		if !v.IsNull() {
 			if err := f.Add(wt, vid, v.Str); err != nil {
 				return err
@@ -794,28 +799,24 @@ func (ix *Index) removeAsset(wt *storage.WriteTxn, asset string, st *state) (boo
 	if err := ix.assets.Delete(wt, reldb.S(asset)); err != nil {
 		return false, err
 	}
-	if err := ix.vids.Delete(wt, reldb.I(vid)); err != nil {
-		return false, err
-	}
 	if ix.rawvecs != nil {
 		if err := ix.rawvecs.Delete(wt, reldb.I(vid)); err != nil && !errors.Is(err, reldb.ErrNotFound) {
 			return false, err
 		}
 	}
-	attrRow, err := ix.attrs.Get(wt, reldb.I(vid))
-	if err == nil {
-		for name, f := range ix.ftsIndexes {
-			v := attrRow[ix.attrPos[name]]
-			if !v.IsNull() {
-				if err := f.Remove(wt, vid, v.Str); err != nil {
-					return false, err
-				}
+	vidRow, err := ix.vids.Get(wt, reldb.I(vid))
+	if err != nil {
+		return false, err
+	}
+	for name, f := range ix.ftsIndexes {
+		v := vidRow[ix.attrPos[name]]
+		if !v.IsNull() {
+			if err := f.Remove(wt, vid, v.Str); err != nil {
+				return false, err
 			}
 		}
-		if err := ix.attrs.Delete(wt, reldb.I(vid)); err != nil {
-			return false, err
-		}
-	} else if !errors.Is(err, reldb.ErrNotFound) {
+	}
+	if err := ix.vids.Delete(wt, reldb.I(vid)); err != nil {
 		return false, err
 	}
 
@@ -828,20 +829,13 @@ func (ix *Index) removeAsset(wt *storage.WriteTxn, asset string, st *state) (boo
 
 // adjustCentroidCount adds delta to a partition's persisted row count. The
 // count travels in the centroid row, so it stays transactional with the row
-// moves that change it. A missing centroid row is ignored (legacy indexes
-// mid-rebuild).
+// moves that change it.
 func (ix *Index) adjustCentroidCount(wt *storage.WriteTxn, part int64, delta int64) error {
 	crow, err := ix.centroids.Get(wt, reldb.I(part))
-	if errors.Is(err, reldb.ErrNotFound) {
-		return nil
-	}
 	if err != nil {
 		return err
 	}
 	cnt := crow[2].Int + delta
-	if cnt < 0 {
-		cnt = 0
-	}
 	blob := append([]byte(nil), crow[1].Bts...)
 	return ix.centroids.Put(wt, reldb.Row{reldb.I(part), reldb.B(blob), reldb.I(cnt)})
 }
@@ -873,16 +867,15 @@ func (ix *Index) GetVector(txn btree.ReadTxn, asset string) ([]float32, map[stri
 		vec.FromBlob(vector, vrow[3].Bts)
 	}
 
-	attrs := make(map[string]reldb.Value)
-	arow, err := ix.attrs.Get(txn, reldb.I(vid))
-	if err == nil {
-		for name, pos := range ix.attrPos {
-			if !arow[pos].IsNull() {
-				attrs[name] = arow[pos]
-			}
-		}
-	} else if !errors.Is(err, reldb.ErrNotFound) {
+	vidRow, err := ix.vids.Get(txn, reldb.I(vid))
+	if err != nil {
 		return nil, nil, err
+	}
+	attrs := make(map[string]reldb.Value)
+	for name, pos := range ix.attrPos {
+		if !vidRow[pos].IsNull() {
+			attrs[name] = vidRow[pos]
+		}
 	}
 	return vector, attrs, nil
 }
@@ -1044,4 +1037,40 @@ func (ix *Index) readPartitionVector(txn btree.ReadTxn, part, vid int64, x []flo
 	}
 	vec.FromBlob(x, blob)
 	return len(blob), nil
+}
+
+// assetOf reads vid's asset id from its vids row in place, without decoding
+// the attributes behind it.
+func (ix *Index) assetOf(txn btree.ReadTxn, vid int64) (string, error) {
+	val, err := ix.vids.GetBorrowed(txn, reldb.I(vid))
+	if err != nil {
+		return "", err
+	}
+	asset, _, err := reldb.RowBytes(val)
+	return string(asset), err
+}
+
+// readExactVector decodes vid's exact float32 vector into x and returns the
+// blob's byte length: from the raw store on a quantized index (the parity
+// path exact results rely on), otherwise from vid's row in the partition
+// the assets table records for asset.
+func (ix *Index) readExactVector(txn btree.ReadTxn, vid int64, asset string, x []float32) (int, error) {
+	if ix.rawvecs != nil {
+		return ix.readRawVector(txn, vid, x)
+	}
+	part, err := ix.partOf(txn, asset)
+	if err != nil {
+		return 0, err
+	}
+	return ix.readPartitionVector(txn, part, vid, x)
+}
+
+// partOf returns the partition holding asset's vector row.
+func (ix *Index) partOf(txn btree.ReadTxn, asset string) (int64, error) {
+	val, err := ix.assets.GetBorrowed(txn, reldb.S(asset))
+	if err != nil {
+		return 0, err
+	}
+	part, _, err := reldb.DecodeRowValue(val)
+	return part.Int, err
 }

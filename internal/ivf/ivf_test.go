@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"micronn/internal/reldb"
@@ -984,5 +985,29 @@ func TestProbeSetDeterministicOrder(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCreateRejectsReservedAttributeNames: attributes share the vids row
+// with its vid key and asset column, so an attribute may not take either
+// name.
+func TestCreateRejectsReservedAttributeNames(t *testing.T) {
+	for _, name := range []string{"vid", "asset"} {
+		s, err := storage.Open(filepath.Join(t.TempDir(), "t.db"), storage.Options{Sync: storage.SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := reldb.Open(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Update(func(wt *storage.WriteTxn) error {
+			_, err := Create(db, wt, Config{Dim: 4, Attributes: []AttributeDef{{Name: name, Type: reldb.TypeText}}})
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Errorf("attribute %q: Create = %v, want a reserved-name error", name, err)
+		}
+		s.Close()
 	}
 }

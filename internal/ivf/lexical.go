@@ -81,14 +81,14 @@ func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, to
 	}
 	out := make([]LexicalDoc, 0, len(scored))
 	for _, sd := range scored {
-		vrow, err := ix.vids.Get(txn, reldb.I(sd.Doc))
+		asset, err := ix.assetOf(txn, sd.Doc)
 		if errors.Is(err, reldb.ErrNotFound) {
 			continue // posting without a live vector row
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, LexicalDoc{AssetID: vrow[2].Str, VectorID: sd.Doc, Score: sd.Score})
+		out = append(out, LexicalDoc{AssetID: asset, VectorID: sd.Doc, Score: sd.Score})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -99,35 +99,15 @@ func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, to
 	if len(out) > k {
 		out = out[:k]
 	}
-	for i := range out {
-		d, err := ix.ExactDistance(txn, q, out[i].VectorID)
-		if err != nil {
-			return nil, err
-		}
-		out[i].Distance = d
-	}
-	return out, nil
-}
-
-// ExactDistance computes the full-precision distance from q to vid's stored
-// vector: from the raw store on a quantized index (the rawvecs parity path
-// hybrid rerank relies on), from the partition row otherwise.
-func (ix *Index) ExactDistance(txn btree.ReadTxn, q []float32, vid int64) (float32, error) {
-	if len(q) != ix.cfg.Dim {
-		return 0, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), ix.cfg.Dim)
+	if len(out) > 0 && len(q) != ix.cfg.Dim {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), ix.cfg.Dim)
 	}
 	x := make([]float32, ix.cfg.Dim)
-	var err error
-	if ix.rawvecs != nil {
-		_, err = ix.readRawVector(txn, vid, x)
-	} else {
-		var vrow reldb.Row
-		if vrow, err = ix.vids.Get(txn, reldb.I(vid)); err == nil {
-			_, err = ix.readPartitionVector(txn, vrow[1].Int, vid, x)
+	for i := range out {
+		if _, err := ix.readExactVector(txn, out[i].VectorID, out[i].AssetID, x); err != nil {
+			return nil, err
 		}
+		out[i].Distance = vec.Distance(ix.cfg.Metric, q, x)
 	}
-	if err != nil {
-		return 0, err
-	}
-	return vec.Distance(ix.cfg.Metric, q, x), nil
+	return out, nil
 }

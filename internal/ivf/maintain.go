@@ -179,23 +179,6 @@ func (ix *Index) MaintainStep(wt *storage.WriteTxn, pol MaintenancePolicy) (*Mai
 	return plan, ms, nil
 }
 
-// nextPartitionID returns the first unused partition id. Databases created
-// before incremental maintenance carry NextPartID 0; the centroid table
-// then provides the high-water mark.
-func (ix *Index) nextPartitionID(txn btree.ReadTxn, st *state) (int64, error) {
-	if st.NextPartID > 0 {
-		return st.NextPartID, nil
-	}
-	max := int64(0)
-	err := ix.centroids.ScanKeys(txn, nil, func(key reldb.Row) error {
-		if key[0].Int > max {
-			max = key[0].Int
-		}
-		return nil
-	})
-	return max + 1, err
-}
-
 // partRow is one vector row buffered for a split or merge. blob holds the
 // partition row's payload (SQ8 code or float32 vector) copied out of
 // transaction-owned memory.
@@ -241,10 +224,11 @@ func (ix *Index) exactVectors(txn btree.ReadTxn, rows []partRow) (*vec.Matrix, e
 }
 
 // moveRow rewrites one vector row from src to dst, keeping the payload
-// byte-identical. On a quantized index the payload is the SQ8 code, which
-// stays a valid encoding because splits and merges never change the
-// codebook — moving the code is exactly re-encoding the raw vector against
-// the existing codebook.
+// byte-identical, and points the asset's mapping at dst: three row writes.
+// On a quantized index the payload is the SQ8 code, which stays a valid
+// encoding because splits and merges never change the codebook — moving
+// the code is exactly re-encoding the raw vector against the existing
+// codebook.
 func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error {
 	if err := ix.vectors.Delete(wt, reldb.I(src), reldb.I(r.vid)); err != nil {
 		return err
@@ -253,9 +237,6 @@ func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error 
 		return err
 	}
 	if err := ix.assets.Put(wt, reldb.Row{reldb.S(r.asset), reldb.I(dst), reldb.I(r.vid)}); err != nil {
-		return err
-	}
-	if err := ix.vids.Put(wt, reldb.Row{reldb.I(r.vid), reldb.I(dst), reldb.S(r.asset)}); err != nil {
 		return err
 	}
 	return wt.SpillIfNeeded()
@@ -275,17 +256,17 @@ var ErrPlanStale = errors.New("ivf: maintenance plan invalidated by concurrent w
 type SplitPlan struct {
 	part   int64
 	rows   []partRow
-	assign []int       // cluster of each row
-	cents  *vec.Matrix // nil when there are fewer than two rows to cluster
+	assign []int // cluster of each row
+	cents  *vec.Matrix
 	counts []int64
 	prep   time.Duration
 }
 
 // PrepareSplit collects one partition at txn's snapshot and clusters it
 // with a local k-means into ceil(n/TargetPartitionSize) partitions, at
-// least two. It writes nothing. A partition of fewer than two rows (a
-// stale count on a legacy index) yields a plan that only repairs the
-// persisted count, so the planner converges.
+// least two. It writes nothing. A partition of fewer than two rows cannot
+// be split; the planner never picks one, because the partition counts it
+// reads are exact.
 func (ix *Index) PrepareSplit(txn btree.ReadTxn, part int64) (*SplitPlan, error) {
 	start := time.Now()
 	if part == DeltaPartition {
@@ -307,19 +288,15 @@ func (ix *Index) PrepareSplit(txn btree.ReadTxn, part int64) (*SplitPlan, error)
 	}
 	plan := &SplitPlan{part: part, rows: rows}
 	n := len(rows)
+	if n < 2 {
+		return nil, fmt.Errorf("ivf: cannot split partition %d of %d rows", part, n)
+	}
 	target := ix.cfg.TargetPartitionSize
-	k := (n + target - 1) / target
-	if k < 2 && n >= 2 {
-		// The policy's split bound can sit below the clustering target
-		// (e.g. `micronn maintain -max` under the create-time partition
-		// size); a split was requested, so a split must happen — anything
-		// less livelocks the planner on this partition.
-		k = 2
-	}
-	if k < 2 {
-		plan.prep = time.Since(start)
-		return plan, nil
-	}
+	// The policy's split bound can sit below the clustering target (e.g.
+	// `micronn maintain -max` under the create-time partition size); a
+	// split was requested, so a split must happen — anything less
+	// livelocks the planner on this partition.
+	k := max((n+target-1)/target, 2)
 
 	data, err := ix.exactVectors(txn, rows)
 	if err != nil {
@@ -400,21 +377,9 @@ func (ix *Index) ApplySplit(wt *storage.WriteTxn, plan *SplitPlan) (*Maintenance
 	if err != nil {
 		return nil, err
 	}
-	if plan.cents == nil {
-		if err := ix.recountPartition(wt, part, int64(len(plan.rows))); err != nil {
-			return nil, err
-		}
-		ms.RowChanges++
-		ms.Partitions = int(st.NumPartitions)
-		ms.Duration = plan.prep + time.Since(start)
-		return ms, nil
-	}
 	k := plan.cents.Rows
 
-	next, err := ix.nextPartitionID(wt, &st)
-	if err != nil {
-		return nil, err
-	}
+	next := st.NextPartID
 	ids := make([]int64, k)
 	reused := false
 	nonEmpty := 0
@@ -442,7 +407,7 @@ func (ix *Index) ApplySplit(wt *storage.WriteTxn, plan *SplitPlan) (*Maintenance
 		if err := ix.moveRow(wt, part, dst, r); err != nil {
 			return nil, err
 		}
-		ms.RowChanges += 4
+		ms.RowChanges += 3
 	}
 
 	for c := 0; c < k; c++ {
@@ -494,17 +459,6 @@ func (ix *Index) checkSplitPlan(txn btree.ReadTxn, plan *SplitPlan) error {
 		return ErrPlanStale
 	}
 	return nil
-}
-
-// recountPartition rewrites a partition's persisted row count from its
-// actual size.
-func (ix *Index) recountPartition(wt *storage.WriteTxn, part, n int64) error {
-	crow, err := ix.centroids.Get(wt, reldb.I(part))
-	if err != nil {
-		return err
-	}
-	blob := append([]byte(nil), crow[1].Bts...)
-	return ix.centroids.Put(wt, reldb.Row{reldb.I(part), reldb.B(blob), reldb.I(n)})
 }
 
 // MergePartitions folds the given undersized partitions into the rest of
@@ -592,7 +546,7 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 			if err := ix.moveRow(wt, part, destIDs[best], r); err != nil {
 				return nil, err
 			}
-			ms.RowChanges += 4
+			ms.RowChanges += 3
 			ms.VectorsAssigned++
 			counts[best]++
 			vec.Lerp(dmat.Row(best), x, 1/float32(counts[best]))
@@ -647,12 +601,14 @@ func (ix *Index) PartitionSizeBounds(txn btree.ReadTxn) (min, max int64, err err
 }
 
 // CheckInvariants verifies the index's structural invariants at txn's
-// snapshot: every vector row is reachable through exactly one (vid, asset)
-// mapping and vice versa, per-partition counts and state counters match the
-// actual rows, every non-delta row's partition has a centroid, the centroid
-// count matches NumPartitions, and a quantized index has a raw vector per
-// row plus an intact codebook. O(N); used by the crash-recovery battery and
-// tests.
+// snapshot: every vector row has exactly one vids row and one assets row
+// that agree with it on the asset id and vice versa, attribute values have
+// their declared types, per-partition counts and state counters match the
+// actual rows, every non-delta row's partition has a centroid, every
+// centroid id is below NextPartID, the centroid count matches
+// NumPartitions, each full-text index records a length for exactly #docs
+// live vids, and a quantized index has a raw vector per row plus an intact
+// codebook. O(N); used by the crash-recovery battery and tests.
 func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	st, err := ix.getState(txn)
 	if err != nil {
@@ -713,9 +669,14 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	var vidRows int64
 	err = ix.vids.Scan(txn, nil, func(row reldb.Row) error {
 		vidRows++
-		l, ok := seen[row[0].Int]
-		if !ok || l.part != row[1].Int || l.asset != row[2].Str {
-			return fmt.Errorf("ivf: invariant: vid row %d -> (%d,%q) does not match vector rows", row[0].Int, row[1].Int, row[2].Str)
+		vid, asset := row[0].Int, row[1].Str
+		if l, ok := seen[vid]; !ok || l.asset != asset {
+			return fmt.Errorf("ivf: invariant: vid row %d -> %q does not match vector rows", vid, asset)
+		}
+		for i, a := range ix.cfg.Attributes {
+			if v := row[vidsAttrBase+i]; !v.IsNull() && v.Type != a.Type {
+				return fmt.Errorf("ivf: invariant: vid %d attribute %s holds %v, declared %v", vid, a.Name, v.Type, a.Type)
+			}
 		}
 		return nil
 	})
@@ -749,6 +710,9 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		if id == DeltaPartition {
 			return fmt.Errorf("ivf: invariant: centroid row for the delta partition")
 		}
+		if id >= st.NextPartID {
+			return fmt.Errorf("ivf: invariant: centroid %d >= NextPartID %d", id, st.NextPartID)
+		}
 		if len(row[1].Bts) != wantBlobLen {
 			return fmt.Errorf("ivf: invariant: centroid %d blob %d bytes, want %d", id, len(row[1].Bts), wantBlobLen)
 		}
@@ -767,6 +731,27 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	for part := range partSizes {
 		if part != DeltaPartition {
 			return fmt.Errorf("ivf: invariant: partition %d has rows but no centroid", part)
+		}
+	}
+
+	for name, f := range ix.ftsIndexes {
+		var docs int64
+		err = f.ScanDocs(txn, func(id int64) error {
+			docs++
+			if _, ok := seen[id]; !ok {
+				return fmt.Errorf("ivf: invariant: full-text index %s has a length for vid %d, which has no vector row", name, id)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		n, err := f.TotalDocs(txn)
+		if err != nil {
+			return err
+		}
+		if docs != n {
+			return fmt.Errorf("ivf: invariant: full-text index %s has %d length rows, #docs says %d", name, docs, n)
 		}
 	}
 

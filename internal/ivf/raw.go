@@ -32,17 +32,22 @@ func (ix *Index) ScanPartition(txn btree.ReadTxn, part int64, fn func(vid int64,
 	})
 }
 
-// FetchVector resolves a vector by vid through the vid mapping — the
-// random-access path an unclustered layout would force for every row.
+// FetchVector resolves a vector by vid through the vid and asset mappings
+// — the random-access path an unclustered layout would force for every
+// row.
 func (ix *Index) FetchVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
-	vrow, err := ix.vids.Get(txn, reldb.I(vid))
+	asset, err := ix.assetOf(txn, vid)
 	if errors.Is(err, reldb.ErrNotFound) {
 		return nil, ErrNotFound
 	}
 	if err != nil {
 		return nil, err
 	}
-	row, err := ix.vectors.Get(txn, reldb.I(vrow[1].Int), reldb.I(vid))
+	part, err := ix.partOf(txn, asset)
+	if err != nil {
+		return nil, err
+	}
+	row, err := ix.vectors.Get(txn, reldb.I(part), reldb.I(vid))
 	if err != nil {
 		return nil, err
 	}

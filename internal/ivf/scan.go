@@ -214,7 +214,7 @@ func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 			return err
 		}
 		if len(s.filters) > 0 {
-			ok, err := s.ix.evalFilters(s.txn, r.vid, s.filters, s.ms)
+			ok, err := s.ix.evalFilters(s.txn, r.vid, nil, s.filters, s.ms)
 			if err != nil {
 				return err
 			}

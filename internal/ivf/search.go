@@ -304,7 +304,7 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 	err := ix.rawvecs.Scan(txn, nil, func(row reldb.Row) error {
 		vid := row[0].Int
 		if len(opts.Filters) > 0 {
-			ok, ferr := ix.evalFilters(txn, vid, opts.Filters, ms)
+			ok, ferr := ix.evalFilters(txn, vid, nil, opts.Filters, ms)
 			if ferr != nil {
 				return ferr
 			}
@@ -324,11 +324,11 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 	}
 	res := heap.Results()
 	for i := range res {
-		vrow, err := ix.vids.Get(txn, reldb.I(res[i].VectorID))
+		asset, err := ix.assetOf(txn, res[i].VectorID)
 		if err != nil {
 			return nil, err
 		}
-		res[i].AssetID = vrow[2].Str
+		res[i].AssetID = asset
 	}
 	info.PartitionsScanned += nparts
 	return res, nil
@@ -369,20 +369,20 @@ func (ix *Index) ForEachAsset(txn btree.ReadTxn, fn func(asset string) error) er
 
 // evalFilters applies the CNF filter set to the vector identified by vid.
 // MATCH predicates on full-text attributes are answered by direct posting
-// probes; the attribute row is fetched lazily, only when a comparison
+// probes; row is vid's vids row when the caller already holds it, and nil
+// otherwise, in which case it is fetched lazily, only when a comparison
 // predicate needs it. ms carries the search's compiled MATCH queries (nil
 // is allowed and falls back to one-shot tokenization); callers evaluating
 // many rows must compile once with compileMatchers.
-func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, filters []stats.Filter, ms *matchSet) (bool, error) {
-	var row reldb.Row
-	var rowLoaded, rowMissing bool
+func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, row reldb.Row, filters []stats.Filter, ms *matchSet) (bool, error) {
+	rowLoaded, rowMissing := row != nil, false
 	loadRow := func() error {
 		if rowLoaded {
 			return nil
 		}
 		rowLoaded = true
 		var err error
-		row, err = ix.attrs.Get(txn, reldb.I(vid))
+		row, err = ix.vids.Get(txn, reldb.I(vid))
 		if errors.Is(err, reldb.ErrNotFound) {
 			rowMissing = true
 			return nil
@@ -488,7 +488,7 @@ func (ix *Index) attrStats(txn btree.ReadTxn, gen int64) (*stats.TableStats, err
 		return ts, nil
 	}
 	ix.statsMu.Unlock()
-	ts, err := stats.Load(ix.db, txn, tblAttrs)
+	ts, err := stats.Load(ix.db, txn, tblVIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +502,8 @@ func (ix *Index) attrStats(txn btree.ReadTxn, gen int64) (*stats.TableStats, err
 // preFilterSearch evaluates the filters first, then brute-forces the
 // qualifying vectors — 100% recall over the filtered set (paper §3.5).
 // The driver is the most selective index-supported filter group; remaining
-// groups are verified against the attribute row.
+// groups are verified against the vids row, which also supplies the asset
+// id.
 func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, info *PlanInfo) ([]topk.Result, error) {
 	driver, rest, err := ix.chooseDriver(txn, opts.Filters)
 	if err != nil {
@@ -512,11 +513,11 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 	x := make([]float32, ix.cfg.Dim)
 	ms := compileMatchers(opts.Filters)
 
-	// process verifies the remaining filter groups (if any), fetches the
-	// vector and offers it to the heap.
-	process := func(vid int64, verify []stats.Filter) error {
+	// process verifies the filter groups in verify (if any) against vid's
+	// vids row, fetches the vector and offers it to the heap.
+	process := func(vid int64, row reldb.Row, verify []stats.Filter) error {
 		if len(verify) > 0 {
-			ok, err := ix.evalFilters(txn, vid, verify, ms)
+			ok, err := ix.evalFilters(txn, vid, row, verify, ms)
 			if err != nil {
 				return err
 			}
@@ -525,22 +526,10 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 				return nil
 			}
 		}
-		vrow, err := ix.vids.Get(txn, reldb.I(vid))
-		if errors.Is(err, reldb.ErrNotFound) {
-			return nil // attr row without vector (shouldn't happen)
-		}
-		if err != nil {
-			return err
-		}
-		part, asset := vrow[1].Int, vrow[2].Str
-		var n int
-		if ix.rawvecs != nil {
-			// Pre-filter plans promise 100% recall over the filtered set,
-			// so a quantized index reads exact vectors from the raw store.
-			n, err = ix.readRawVector(txn, vid, x)
-		} else {
-			n, err = ix.readPartitionVector(txn, part, vid, x)
-		}
+		// Pre-filter plans promise 100% recall over the filtered set, so
+		// a quantized index reads exact vectors from the raw store.
+		asset := row[1].Str
+		n, err := ix.readExactVector(txn, vid, asset, x)
 		if err != nil {
 			return err
 		}
@@ -551,18 +540,9 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 	}
 
 	if driver == nil {
-		// No index-supported group: brute-force the attribute table.
-		err = ix.attrs.ScanKeys(txn, nil, func(key reldb.Row) error {
-			vid := key[0].Int
-			ok, err := ix.evalFilters(txn, vid, opts.Filters, ms)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				info.RowsFiltered++
-				return nil
-			}
-			return process(vid, nil)
+		// No index-supported group: brute-force the vids table.
+		err = ix.vids.Scan(txn, nil, func(row reldb.Row) error {
+			return process(row[0].Int, row, opts.Filters)
 		})
 		if err != nil {
 			return nil, err
@@ -576,7 +556,14 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 			return nil
 		}
 		seen[vid] = struct{}{}
-		return process(vid, rest)
+		row, err := ix.vids.Get(txn, reldb.I(vid))
+		if errors.Is(err, reldb.ErrNotFound) {
+			return nil // index entry without a vector (shouldn't happen)
+		}
+		if err != nil {
+			return err
+		}
+		return process(vid, row, rest)
 	})
 	if err != nil {
 		return nil, err

@@ -93,8 +93,7 @@ func (t Type) maxCode() int {
 // Kind selects the code layout: SQ8 stores one byte per dimension; SQ4
 // packs two 4-bit codes per byte, even dimension in the low nibble and odd
 // dimension in the high nibble (an odd trailing dimension leaves the final
-// high nibble zero). The zero Kind is treated as SQ8 for compatibility
-// with codebooks built before SQ4 existed.
+// high nibble zero). The zero Kind is treated as SQ8.
 type Codebook struct {
 	Kind  Type
 	Min   []float32
@@ -184,27 +183,21 @@ func (cb *Codebook) Decode(dst []float32, code []byte) []float32 {
 	return dst
 }
 
-// Persisted codebook layouts. Version 1 is the original SQ8-only format
-// (no kind byte); version 2 adds a kind byte after the version so SQ4
-// codebooks round-trip. SQ8 codebooks keep writing version 1 so files
-// created by older builds and newer builds stay byte-identical.
-const (
-	codebookVersion   = 1
-	codebookVersionV2 = 2
-)
+// codebookVersion is the persisted codebook layout: a version byte, a kind
+// byte (SQ8 or SQ4), a uint32 dimension, then the Min and Delta arrays as
+// little-endian float32. Version 2 is the only layout; UnmarshalCodebook
+// rejects any other version byte.
+const codebookVersion = 2
 
-// Marshal serializes the codebook: a version byte (and for SQ4 a kind
-// byte), a uint32 dimension, then the Min and Delta arrays as
-// little-endian float32. This is the on-disk format stored in the index
-// meta table.
+// codebookHeader is the byte length of the version, kind and dimension.
+const codebookHeader = 6
+
+// Marshal serializes the codebook in the codebookVersion layout. This is
+// the on-disk format stored in the index meta table.
 func (cb *Codebook) Marshal() []byte {
 	dim := len(cb.Min)
-	out := make([]byte, 0, 6+8*dim)
-	if cb.kind() == SQ4 {
-		out = append(out, codebookVersionV2, byte(SQ4))
-	} else {
-		out = append(out, codebookVersion)
-	}
+	out := make([]byte, 0, codebookHeader+8*dim)
+	out = append(out, codebookVersion, byte(cb.kind()))
 	out = binary.LittleEndian.AppendUint32(out, uint32(dim))
 	for _, m := range cb.Min {
 		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(m))
@@ -215,36 +208,24 @@ func (cb *Codebook) Marshal() []byte {
 	return out
 }
 
-// UnmarshalCodebook parses a codebook serialized by Marshal, accepting
-// both the legacy version-1 (SQ8) and version-2 (kind-tagged) layouts.
+// UnmarshalCodebook parses a codebook serialized by Marshal.
 func UnmarshalCodebook(blob []byte) (*Codebook, error) {
-	if len(blob) < 5 {
+	if len(blob) < codebookHeader {
 		return nil, fmt.Errorf("quant: codebook blob too short (%d bytes)", len(blob))
 	}
-	kind := SQ8
-	header := 5
-	switch blob[0] {
-	case codebookVersion:
-	case codebookVersionV2:
-		header = 6
-		if len(blob) < header {
-			return nil, fmt.Errorf("quant: codebook blob too short (%d bytes)", len(blob))
-		}
-		switch Type(blob[1]) {
-		case SQ8, SQ4:
-			kind = Type(blob[1])
-		default:
-			return nil, fmt.Errorf("quant: unknown codebook kind %d", blob[1])
-		}
-	default:
+	if blob[0] != codebookVersion {
 		return nil, fmt.Errorf("quant: unsupported codebook version %d", blob[0])
 	}
-	dim := int(binary.LittleEndian.Uint32(blob[header-4:]))
-	if len(blob) != header+8*dim {
-		return nil, fmt.Errorf("quant: codebook blob size %d, want %d for dim %d", len(blob), header+8*dim, dim)
+	kind := Type(blob[1])
+	if kind != SQ8 && kind != SQ4 {
+		return nil, fmt.Errorf("quant: unknown codebook kind %d", blob[1])
+	}
+	dim := int(binary.LittleEndian.Uint32(blob[2:]))
+	if len(blob) != codebookHeader+8*dim {
+		return nil, fmt.Errorf("quant: codebook blob size %d, want %d for dim %d", len(blob), codebookHeader+8*dim, dim)
 	}
 	cb := &Codebook{Kind: kind, Min: make([]float32, dim), Delta: make([]float32, dim)}
-	off := header
+	off := codebookHeader
 	for d := 0; d < dim; d++ {
 		cb.Min[d] = math.Float32frombits(binary.LittleEndian.Uint32(blob[off:]))
 		off += 4

@@ -197,8 +197,8 @@ func TestMarshalRoundTripSQ4(t *testing.T) {
 	vectors := randVectors(27, 50, 9, 2)
 	cb := trainOnKind(SQ4, 0.05, vectors)
 	blob := cb.Marshal()
-	if blob[0] != codebookVersionV2 {
-		t.Fatalf("SQ4 codebook marshalled as version %d, want %d", blob[0], codebookVersionV2)
+	if blob[0] != codebookVersion {
+		t.Fatalf("SQ4 codebook marshalled as version %d, want %d", blob[0], codebookVersion)
 	}
 	got, err := UnmarshalCodebook(blob)
 	if err != nil {
@@ -213,14 +213,11 @@ func TestMarshalRoundTripSQ4(t *testing.T) {
 		}
 	}
 
-	// Legacy version-1 blobs still parse (as SQ8).
+	// A version-1 blob (the SQ8 layout without a kind byte) is rejected.
 	sq8 := trainOn(vectors)
-	legacy, err := UnmarshalCodebook(sq8.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.kind() != SQ8 {
-		t.Fatalf("legacy blob parsed as %v, want sq8", legacy.kind())
+	v1 := append([]byte{1}, sq8.Marshal()[2:]...)
+	if _, err := UnmarshalCodebook(v1); err == nil {
+		t.Fatal("version-1 codebook blob accepted")
 	}
 
 	// Unknown kind bytes are rejected.

@@ -41,7 +41,9 @@ type indexMeta struct {
 	root  uint32
 }
 
-// Open wraps an already-open store, creating or loading the catalog.
+// Open wraps an already-open store, loading the catalog, or creating it in
+// a store that has none. Loading only reads: opening an existing store
+// commits nothing.
 func Open(store *storage.Store) (*DB, error) {
 	db := &DB{
 		store:    store,
@@ -49,22 +51,29 @@ func Open(store *storage.Store) (*DB, error) {
 		tables:   make(map[string]*tableMeta),
 		indexes:  make(map[string]*indexMeta),
 	}
-	err := store.Update(func(wt *storage.WriteTxn) error {
-		root, err := wt.CatalogRoot()
+	var root uint32
+	err := store.View(func(rt *storage.ReadTxn) error {
+		var err error
+		if root, err = rt.CatalogRoot(); err != nil || root == 0 {
+			return err
+		}
+		db.catalog = btree.Load(root, db.pageSize)
+		return db.loadCatalog(rt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if root != 0 {
+		return db, nil
+	}
+	err = store.Update(func(wt *storage.WriteTxn) error {
+		tree, err := btree.New(wt, db.pageSize)
 		if err != nil {
 			return err
 		}
-		if root == 0 {
-			tree, err := btree.New(wt, db.pageSize)
-			if err != nil {
-				return err
-			}
-			wt.SetCatalogRoot(tree.Root())
-			db.catalog = tree
-			return nil
-		}
-		db.catalog = btree.Load(root, db.pageSize)
-		return db.loadCatalog(wt)
+		wt.SetCatalogRoot(tree.Root())
+		db.catalog = tree
+		return nil
 	})
 	if err != nil {
 		return nil, err

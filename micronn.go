@@ -18,11 +18,12 @@
 // quantized codes (one byte per dimension) instead of float32 vectors,
 // cutting partition-scan I/O 4x. A per-dimension min/max codebook is
 // trained at every Rebuild and persisted beside the centroid table (a
-// version byte, the dimension, then the per-dimension minima and step
-// sizes); exact float32 vectors move to a raw side table keyed by vector
-// id. Searches scan the codes with asymmetric distance kernels, keep the
-// top RerankFactor*K candidates, and rerank them against the exact vectors
-// — SearchRequest.RerankFactor tunes that recall/latency knob per query.
+// version byte, a kind byte, the dimension, then the per-dimension minima
+// and step sizes); exact float32 vectors move to a raw side table keyed by
+// vector id. Searches scan the codes with asymmetric distance kernels, keep
+// the top RerankFactor*K candidates, and rerank them against the exact
+// vectors — SearchRequest.RerankFactor tunes that recall/latency knob per
+// query.
 // The delta-store keeps float32 vectors, so streaming upserts never
 // retrain the codebook; out-of-range inserts clamp until the next Rebuild
 // refreshes it. Exact searches, pre-filter plans and Get always use the
@@ -130,7 +131,7 @@
 // filter order, duplicates, NaN payloads and signed zeros cannot split
 // semantically equal queries), concurrent identical misses are deduplicated
 // by a singleflight so the scan runs once, and memory is bounded by
-// ResultCacheOptions.MaxEntries and MaxBytes (LRU eviction). One cache
+// 1024 entries and ResultCacheOptions.MaxBytes (LRU eviction). One cache
 // protocol serves every query kind and topology, with validation per
 // shard: a query whose generations all match is answered without touching
 // any shard, and on a sharded database, when only some shards changed, the
@@ -186,9 +187,9 @@
 // delta is bounded by maintenance, not by the committer: Maintain flushes
 // it into the IVF partitions once it holds Options.FlushThreshold vectors,
 // and Options.AutoMaintain runs that policy in the background.
-// Stats.Ingest reports the achieved group sizes. Stores written by an
-// earlier pre-release format whose state lists sealed sorted runs or
-// tombstoned rows are refused at Open with ErrUnsupportedFormat.
+// Stats.Ingest reports the achieved group sizes. Open and OpenSharded
+// refuse any store without this version's format marker with
+// ErrUnsupportedFormat, and leave its files unmodified.
 //
 // # Hybrid search
 //
@@ -419,15 +420,10 @@ type Options struct {
 	// Durable enables fsync on commit (off by default: embedded indexes
 	// are derived data; enable for primary storage).
 	Durable bool
-	// ClusterBatchSize / ClusterIterations / BalancePenalty tune the
-	// mini-batch k-means trainer; zero values pick defaults.
-	ClusterBatchSize  int
-	ClusterIterations int
-	BalancePenalty    float32
-	// CentroidIndexThreshold is the partition count above which a
-	// two-level coarse centroid index accelerates probe selection
-	// (0 = default 4096, negative = disabled).
-	CentroidIndexThreshold int
+	// ClusterBatchSize / BalancePenalty tune the mini-batch k-means
+	// trainer; zero values pick defaults.
+	ClusterBatchSize int
+	BalancePenalty   float32
 	// Quantization selects the partition-scan encoding (create time
 	// only): QuantNone stores float32 vectors, QuantSQ8 stores int8
 	// codes, QuantSQ4 stores bit-packed 4-bit codes; both quantized
@@ -475,18 +471,9 @@ type ResultCacheOptions struct {
 	// Enabled turns the cache on. The MICRONN_TEST_CACHE=1 environment
 	// variable force-enables it regardless (the CI cache matrix leg).
 	Enabled bool
-	// MaxEntries bounds the number of cached responses (0 = 1024).
-	MaxEntries int
-	// MaxBytes bounds the cache's approximate memory (0 = 8 MiB).
+	// MaxBytes bounds the cache's approximate memory (0 = 8 MiB). The
+	// cache also holds at most 1024 responses.
 	MaxBytes int64
-	// AdmissionTTL tunes the filter-heavy admission doorkeeper: a
-	// response to a query carrying two or more filters is cached only on
-	// its second occurrence within this window, so one-off analytic
-	// queries cannot churn the LRU (0 = 1 minute). Negative responses
-	// (zero results) bypass the doorkeeper and are cached immediately —
-	// they are tiny, and generation validation still invalidates them the
-	// moment a write commits.
-	AdmissionTTL time.Duration
 
 	// ignoreEnv suppresses the MICRONN_TEST_CACHE override — set on the
 	// per-shard Options by OpenSharded, whose router-level cache already
@@ -505,13 +492,15 @@ func (o ResultCacheOptions) resolve() *rescache.Cache {
 	if !enabled {
 		return nil
 	}
-	c := rescache.New(o.MaxEntries, o.MaxBytes)
-	c.SetAdmissionTTL(o.AdmissionTTL)
-	return c
+	return rescache.New(0, o.MaxBytes)
 }
 
 // filterHeavyFilters is the filter count at which a query is "filter-heavy"
-// for cache admission (see ResultCacheOptions.AdmissionTTL).
+// for cache admission: its response is cached only on its second
+// occurrence within a minute, so one-off analytic queries cannot churn the
+// LRU. Negative responses (zero results) bypass this doorkeeper — they are
+// tiny, and generation validation still invalidates them the moment a
+// write commits.
 const filterHeavyFilters = 2
 
 // DB is an embedded MicroNN database. All methods are safe for concurrent
@@ -621,15 +610,18 @@ func Open(path string, opts Options) (*DB, error) {
 
 	var ix *ivf.Index
 	if rdb.HasTable("meta") {
-		ix, err = ivf.Open(rdb)
-		if errors.Is(err, ivf.ErrLegacyFormat) {
-			err = fmt.Errorf("%w: %w", ErrUnsupportedFormat, err)
+		if ix, err = ivf.Open(rdb); err != nil {
+			if errors.Is(err, ivf.ErrUnsupportedFormat) {
+				err = fmt.Errorf("%w: %w", ErrUnsupportedFormat, err)
+			}
+			// A refused store is left as it was: Close would checkpoint
+			// the WAL into the data file.
+			store.CloseWithoutCheckpoint()
+			return nil, err
 		}
-		if err == nil {
-			// RerankFactor is a search-time default, not part of the
-			// on-disk format: honor the caller's value on reopen too.
-			ix.SetRerankFactor(opts.RerankFactor)
-		}
+		// RerankFactor is a search-time default, not part of the on-disk
+		// format: honor the caller's value on reopen too.
+		ix.SetRerankFactor(opts.RerankFactor)
 	} else {
 		if opts.Dim <= 0 {
 			store.Close()
@@ -652,9 +644,7 @@ func Open(path string, opts Options) (*DB, error) {
 				Attributes:             attrs,
 				Workers:                device.Workers,
 				ClusterBatchSize:       opts.ClusterBatchSize,
-				ClusterIterations:      opts.ClusterIterations,
 				BalancePenalty:         opts.BalancePenalty,
-				CentroidIndexThreshold: opts.CentroidIndexThreshold,
 				Quantization:           opts.Quantization,
 				RerankFactor:           opts.RerankFactor,
 				ClipPercentile:         opts.ClipPercentile,
@@ -690,7 +680,11 @@ func Open(path string, opts Options) (*DB, error) {
 // Close drains the background maintainer, then checkpoints and closes the
 // database. After Close every other method returns ErrClosed; calling
 // Close again is a harmless no-op.
-func (db *DB) Close() error {
+func (db *DB) Close() error { return db.close(db.store.Close) }
+
+// close is Close with closeStore as the final step: Store.Close, or
+// Store.CloseWithoutCheckpoint to leave the files as Open found them.
+func (db *DB) close(closeStore func() error) error {
 	if db.closed.Swap(true) {
 		return nil
 	}
@@ -704,7 +698,7 @@ func (db *DB) Close() error {
 	// store never disappears under a running maintenance step.
 	db.opMu.Lock()
 	defer db.opMu.Unlock()
-	return db.store.Close()
+	return closeStore()
 }
 
 // stopMaintainer stops the background maintainer and waits for its current
@@ -1427,8 +1421,7 @@ type CacheStats struct {
 	SkippedShardScans uint64
 	// NegativePuts counts cached empty responses (negative caching);
 	// AdmissionDeferred counts filter-heavy responses the doorkeeper
-	// declined to cache on first sight (see
-	// ResultCacheOptions.AdmissionTTL).
+	// declined to cache on first sight (see filterHeavyFilters).
 	NegativePuts      uint64
 	AdmissionDeferred uint64
 	// Entries and Bytes describe the current contents.

@@ -838,8 +838,10 @@ func OpenSharded(dir string, opts Options) (*ShardedDB, error) {
 	for i := range sdb.shards {
 		db, err := Open(storage.ShardDBPath(dir, i), shOpts)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				sdb.shards[j].Close()
+			// Leave the shards already opened as they were: a checkpoint
+			// would rewrite them although the open failed.
+			for _, sh := range sdb.shards[:i] {
+				sh.close(sh.store.CloseWithoutCheckpoint)
 			}
 			return nil, fmt.Errorf("micronn: open shard %d: %w", i, err)
 		}
