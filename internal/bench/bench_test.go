@@ -49,12 +49,11 @@ func TestTable2ListsAllDatasets(t *testing.T) {
 }
 
 // TestLookupAndRegistry pins the registry: exactly the paper's
-// reproductions plus the quantization, kernel and maintenance experiments,
-// each runnable, each name and alias resolving to its own entry and none
-// shadowing another's.
+// reproductions, each runnable, each name and alias resolving to its own
+// entry and none shadowing another's.
 func TestLookupAndRegistry(t *testing.T) {
 	want := []string{"table1", "table2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "headline",
-		"ablation-balance", "ablation-clustering", "quant", "kernels", "maintenance"}
+		"ablation-balance", "ablation-clustering"}
 	var names []string
 	owner := make(map[string]string) // name or alias -> experiment
 	for _, e := range Experiments {
@@ -145,100 +144,15 @@ func TestFindNProbeReachesTarget(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	if s := summarize(nil); s.n != 0 {
-		t.Errorf("empty summarize n = %d", s.n)
+	if s := summarize(nil); s != (latencyStats{}) {
+		t.Errorf("empty summarize = %+v", s)
 	}
 	durs := []time.Duration{5 * time.Millisecond, time.Millisecond, 3 * time.Millisecond}
 	s := summarize(durs)
-	if s.n != 3 || s.mean != 3*time.Millisecond || s.p50 != 3*time.Millisecond {
+	if s.mean != 3*time.Millisecond || s.p50 != 3*time.Millisecond {
 		t.Errorf("summarize = %+v", s)
 	}
 	if s.stddev <= 0 {
 		t.Errorf("stddev = %v", s.stddev)
-	}
-}
-
-func TestQuantizationRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	if err := Quantization(tinyConfig(t, &out)); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "float32") || !strings.Contains(s, "sq8") {
-		t.Errorf("unexpected quant output:\n%s", s)
-	}
-}
-
-// TestMaintenanceRunnerSmoke runs the maintenance scenario at tiny scale
-// and asserts the acceptance criteria it prints: sustained upserts under
-// auto-maintain never full-rebuild a built index, and final partition sizes
-// stay within the policy bounds.
-func TestMaintenanceRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	cfg := tinyConfig(t, &out)
-	cfg.Scale = 0.002 // enough stream volume to force splits
-	if err := Maintenance(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "auto-maintain") || !strings.Contains(s, "rebuild-only") {
-		t.Errorf("missing variants:\n%s", s)
-	}
-	if strings.Contains(s, "VIOLATION") {
-		t.Errorf("maintenance scenario reported a violation:\n%s", s)
-	}
-}
-
-// TestQuantizationScanBytesReduction asserts the acceptance criterion at
-// the bench layer: on the same dataset and probe settings, SQ8 scans at
-// least 2x fewer bytes than float32 while keeping recall@K within 95% of
-// the baseline.
-func TestQuantizationScanBytesReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runner")
-	}
-	var out bytes.Buffer
-	cfg := tinyConfig(t, &out)
-	cfg.QuerySample = 10
-	cfg.fill()
-	spec, err := workload.ByName("MNIST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cfg.prepare(spec)
-
-	type measured struct {
-		recall   float64
-		bytesPer float64
-	}
-	run := func(q micronn.Quantization, name string) measured {
-		db, err := cfg.buildDBOpts(p, micronn.DeviceLarge, name, func(o *micronn.Options) {
-			o.Quantization = q
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		recall, _, bytesPer, _, err := cfg.measureQuant(db, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return measured{recall, bytesPer}
-	}
-	f32 := run(micronn.QuantNone, "bytes-f32")
-	sq8 := run(micronn.QuantSQ8, "bytes-sq8")
-	t.Logf("float32: recall=%.4f bytes/q=%.0f; sq8: recall=%.4f bytes/q=%.0f (%.2fx)",
-		f32.recall, f32.bytesPer, sq8.recall, sq8.bytesPer, f32.bytesPer/sq8.bytesPer)
-	if sq8.bytesPer*2 > f32.bytesPer {
-		t.Errorf("sq8 scanned %.0f bytes/query, not a 2x reduction over %.0f", sq8.bytesPer, f32.bytesPer)
-	}
-	if sq8.recall < 0.95*f32.recall {
-		t.Errorf("sq8 recall %.4f below 95%% of float32 %.4f", sq8.recall, f32.recall)
 	}
 }

@@ -41,8 +41,6 @@ type Config struct {
 	TargetRecall float64
 	// QuerySample bounds how many queries are timed per configuration.
 	QuerySample int
-	// Seed for query sampling.
-	Seed int64
 }
 
 func (c *Config) fill() {
@@ -110,26 +108,16 @@ func (c *Config) prepare(spec workload.Spec) *prepared {
 // buildDB loads the dataset into a fresh MicroNN database and builds the
 // IVF index.
 func (c *Config) buildDB(p *prepared, device micronn.DeviceProfile, name string) (*micronn.DB, error) {
-	return c.buildDBOpts(p, device, name, nil)
-}
-
-// buildDBOpts is buildDB with an optional Options hook (used by scenarios
-// that vary create-time settings like quantization).
-func (c *Config) buildDBOpts(p *prepared, device micronn.DeviceProfile, name string, tweak func(*micronn.Options)) (*micronn.DB, error) {
 	path := filepath.Join(c.Dir, name+".mnn")
 	os.Remove(path)
 	os.Remove(path + "-wal")
 	os.Remove(path + ".lock")
-	opts := micronn.Options{
+	db, err := micronn.Open(path, micronn.Options{
 		Dim:    p.ds.Spec.Dim,
 		Metric: p.ds.Spec.Metric,
 		Device: device,
 		Seed:   p.ds.Spec.Seed,
-	}
-	if tweak != nil {
-		tweak(&opts)
-	}
-	db, err := micronn.Open(path, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -223,8 +211,7 @@ func (c *Config) findNProbe(db *micronn.DB, p *prepared) (nprobe int, recall flo
 
 // latencyStats is a small aggregate of per-query timings.
 type latencyStats struct {
-	mean, stddev, p50, p99 time.Duration
-	n                      int
+	mean, stddev, p50 time.Duration
 }
 
 func summarize(durs []time.Duration) latencyStats {
@@ -244,11 +231,7 @@ func summarize(durs []time.Duration) latencyStats {
 		varSum += diff * diff
 	}
 	std := time.Duration(math.Sqrt(varSum / float64(len(sorted))))
-	p99 := sorted[len(sorted)-1]
-	if i := int(math.Ceil(0.99*float64(len(sorted)))) - 1; i >= 0 && i < len(sorted) {
-		p99 = sorted[i]
-	}
-	return latencyStats{mean: mean, stddev: std, p50: sorted[len(sorted)/2], p99: p99, n: len(sorted)}
+	return latencyStats{mean: mean, stddev: std, p50: sorted[len(sorted)/2]}
 }
 
 // ms renders a duration in milliseconds with two decimals.

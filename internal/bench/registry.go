@@ -23,9 +23,6 @@ var Experiments = []Experiment{
 	{Name: "headline", Desc: "Abstract headline: SIFT top-100 @90% recall under ~10MB", Run: Headline},
 	{Name: "ablation-balance", Desc: "Ablation: balance penalty vs partition-size spread", Run: AblationBalance},
 	{Name: "ablation-clustering", Desc: "Ablation: clustered vs shuffled partition layout", Run: AblationClustering},
-	{Name: "quant", Desc: "Quantization: SQ8/SQ4 scan bytes/throughput/recall vs float32", Run: Quantization, Alias: []string{"sq8", "sq4"}},
-	{Name: "kernels", Desc: "Kernels: float32/SQ8/SQ4 distance-kernel MB/s", Run: Kernels, Alias: []string{"kernel"}},
-	{Name: "maintenance", Desc: "Maintenance: search tail latency during sustained upserts (auto-maintain vs full rebuild)", Run: Maintenance, Alias: []string{"maint"}},
 }
 
 // Lookup resolves an experiment by name or alias.

@@ -13,7 +13,6 @@ func TestAdmissionDoorkeeper(t *testing.T) {
 	c := New(8, 1<<20)
 	var now int64
 	c.SetClock(func() int64 { return now })
-	c.SetAdmissionTTL(time.Minute)
 
 	k := keyN(1)
 	heavy := PutPolicy{FilterHeavy: true}
@@ -83,7 +82,6 @@ func TestAdmissionTrackerBound(t *testing.T) {
 	c := New(8, 1<<20)
 	var now int64
 	c.SetClock(func() int64 { return now })
-	c.SetAdmissionTTL(time.Minute)
 
 	heavy := PutPolicy{FilterHeavy: true}
 	for i := 0; i < admissionMaxTracked+64; i++ {

@@ -107,17 +107,16 @@ type Cache struct {
 	// Filter-heavy admission doorkeeper: first-sighting timestamps (unix
 	// nanos) keyed by fingerprint, consulted by PutWithPolicy. nowFn is
 	// injectable so tests can drive TTL expiry deterministically.
-	admTTL time.Duration
-	seen   map[Key]int64
-	nowFn  func() int64
+	seen  map[Key]int64
+	nowFn func() int64
 
 	fmu     sync.Mutex
 	flights map[Key]*flight
 }
 
-// DefaultAdmissionTTL is the doorkeeper window: a filter-heavy key is
+// admissionTTL is the doorkeeper window: a filter-heavy key is
 // admitted only when re-seen within this long of its first sighting.
-const DefaultAdmissionTTL = time.Minute
+const admissionTTL = time.Minute
 
 // admissionMaxTracked bounds the doorkeeper's memory: past it, expired
 // sightings are pruned and, if still full, the tracker resets (losing
@@ -156,22 +155,10 @@ func New(maxEntries int, maxBytes int64) *Cache {
 		maxBytes:   maxBytes,
 		lru:        list.New(),
 		index:      make(map[Key]*list.Element),
-		admTTL:     DefaultAdmissionTTL,
 		seen:       make(map[Key]int64),
 		nowFn:      func() int64 { return time.Now().UnixNano() },
 		flights:    make(map[Key]*flight),
 	}
-}
-
-// SetAdmissionTTL overrides the doorkeeper window (non-positive restores
-// the default).
-func (c *Cache) SetAdmissionTTL(d time.Duration) {
-	if d <= 0 {
-		d = DefaultAdmissionTTL
-	}
-	c.mu.Lock()
-	c.admTTL = d
-	c.mu.Unlock()
 }
 
 // SetClock injects the doorkeeper's time source (tests only; nil restores
@@ -300,7 +287,7 @@ func (c *Cache) admit(key Key) bool {
 		// Refreshing (or re-stamping) an entry that paid admission once.
 		return true
 	}
-	ttl := int64(c.admTTL)
+	const ttl = int64(admissionTTL)
 	if t, ok := c.seen[key]; ok && now-t <= ttl {
 		delete(c.seen, key)
 		return true

@@ -173,8 +173,11 @@ func TestAutoMaintainConcurrentOps(t *testing.T) {
 	if st.Maintenance.Rebuilds != 0 {
 		t.Errorf("background maintainer performed %d rebuilds on a built index", st.Maintenance.Rebuilds)
 	}
-	if st.Maintenance.Flushes == 0 {
-		t.Errorf("totals %+v: expected background flushes", st.Maintenance)
+	if st.Maintenance.Flushes == 0 || st.Maintenance.Splits == 0 {
+		t.Errorf("totals %+v: expected the growth absorbed by flushes and splits", st.Maintenance)
+	}
+	if st.SmallestPartition < 20/4 || st.LargestPartition > 2*20 {
+		t.Errorf("partition sizes [%d, %d] outside policy bounds [5, 40]", st.SmallestPartition, st.LargestPartition)
 	}
 	if err := db.InternalStore().View(func(rt *storage.ReadTxn) error { return db.InternalIndex().CheckInvariants(rt) }); err != nil {
 		t.Fatal(err)

@@ -989,12 +989,12 @@ func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
 	return out
 }
 
-// Rebuild retrains every shard's IVF index in parallel and merges the
-// reports.
-func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) {
+// scatterReports runs one maintenance step on every shard in parallel and
+// merges the per-shard reports.
+func (s *ShardedDB) scatterReports(step func(*DB) (*MaintenanceReport, error)) (*MaintenanceReport, error) {
 	reps := make([]*MaintenanceReport, len(s.shards))
 	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := sh.Rebuild()
+		rep, err := step(sh)
 		reps[i] = rep
 		return err
 	})
@@ -1004,34 +1004,22 @@ func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) {
 	return mergeReports(reps), nil
 }
 
+// Rebuild retrains every shard's IVF index in parallel and merges the
+// reports.
+func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) {
+	return s.scatterReports((*DB).Rebuild)
+}
+
 // FlushDelta flushes every shard's delta-store in parallel.
 func (s *ShardedDB) FlushDelta() (*MaintenanceReport, error) {
-	reps := make([]*MaintenanceReport, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := sh.FlushDelta()
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeReports(reps), nil
+	return s.scatterReports((*DB).FlushDelta)
 }
 
 // Maintain runs the incremental maintenance policy on every shard in
 // parallel (each step in its own short per-shard write transaction) and
 // merges the reports.
 func (s *ShardedDB) Maintain() (*MaintenanceReport, error) {
-	reps := make([]*MaintenanceReport, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := sh.Maintain()
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeReports(reps), nil
+	return s.scatterReports((*DB).Maintain)
 }
 
 // AggregateStats folds per-shard stats into whole-database numbers: counts,
