@@ -483,8 +483,8 @@ func cmdStats(path string) error {
 	}
 	fmt.Printf("writer gate:      %d waits (%.1f ms total)\n",
 		st.GateWaits, float64(st.GateWaitNs)/1e6)
-	fmt.Printf("file size:        %.1f MiB (WAL %.1f MiB)\n",
-		float64(st.FileBytes)/(1<<20), float64(st.WALBytes)/(1<<20))
+	fmt.Printf("file size:        %.1f MiB (%.1f MiB free, WAL %.1f MiB)\n",
+		float64(st.FileBytes)/(1<<20), float64(st.FreeBytes)/(1<<20), float64(st.WALBytes)/(1<<20))
 	if sharded {
 		fmt.Printf("shards:           %d (hash seed %d)\n", sd.Shards(), sd.Manifest().HashSeed)
 		for i, s := range perShard {

@@ -10,6 +10,14 @@
 // too large to share a page with at least three other cells spill into an
 // overflow page chain.
 //
+// Splits. A full page splits right after the pending cell when that cell
+// sorts after every cell on the page (an append) or continues an ascending
+// run of inserts at its slot: the left page stays full and the keys that
+// follow start the new page. Any other insert splits at the byte midpoint.
+// Ordered loads (vid-keyed tables, and each partition's rows arriving in
+// vid order) therefore fill their leaves, while random inserts keep the
+// balanced split.
+//
 // Deletion frees empty pages but does not rebalance underfull nodes; the
 // index rebuild path (which rewrites partitions wholesale) reclaims space,
 // matching how MicroNN actually maintains its tables.

@@ -238,7 +238,7 @@ func (t *Tree) insertLeaf(txn Txn, pageNo uint32, key, val []byte) (*split, erro
 }
 
 // splitLeaf distributes the page's cells plus the pending cell across the
-// page and a new right sibling, balanced by bytes.
+// page and a new right sibling, at the point splitPoint picks.
 func (t *Tree) splitLeaf(txn Txn, pageNo uint32, p page, key []byte, newCell []byte) (*split, error) {
 	type kcell struct {
 		key  []byte
@@ -246,7 +246,7 @@ func (t *Tree) splitLeaf(txn Txn, pageNo uint32, p page, key []byte, newCell []b
 	}
 	n := p.nCells()
 	all := make([]kcell, 0, n+1)
-	inserted := false
+	ins := -1
 	for i := 0; i < n; i++ {
 		k, err := p.key(i)
 		if err != nil {
@@ -256,37 +256,24 @@ func (t *Tree) splitLeaf(txn Txn, pageNo uint32, p page, key []byte, newCell []b
 		if err != nil {
 			return nil, err
 		}
-		if !inserted && bytes.Compare(key, k) < 0 {
+		if ins < 0 && bytes.Compare(key, k) < 0 {
+			ins = len(all)
 			all = append(all, kcell{key: append([]byte(nil), key...), cell: newCell})
-			inserted = true
 		}
 		kk := append([]byte(nil), k...)
 		cc := append([]byte(nil), cb...)
 		all = append(all, kcell{key: kk, cell: cc})
 	}
-	if !inserted {
+	if ins < 0 {
+		ins = len(all)
 		all = append(all, kcell{key: append([]byte(nil), key...), cell: newCell})
 	}
 
-	total := 0
-	for _, c := range all {
-		total += len(c.cell) + slotSize
-	}
-	// Find the split point: left takes cells until >= half the bytes.
-	splitAt, acc := 0, 0
+	sizes := make([]int, len(all))
 	for i, c := range all {
-		acc += len(c.cell) + slotSize
-		if acc >= total/2 {
-			splitAt = i + 1
-			break
-		}
+		sizes[i] = len(c.cell) + slotSize
 	}
-	if splitAt == 0 {
-		splitAt = 1
-	}
-	if splitAt >= len(all) {
-		splitAt = len(all) - 1
-	}
+	splitAt := t.splitPoint(sizes, ins, p.ascendingAt(ins), 1)
 
 	rightNo, rightBuf, err := txn.Allocate()
 	if err != nil {
@@ -322,6 +309,53 @@ func (t *Tree) splitLeaf(txn Txn, pageNo uint32, p page, key []byte, newCell []b
 		page{buf: nextBuf}.setPrev(rightNo)
 	}
 	return &split{sepKey: all[splitAt].key, right: rightNo}, nil
+}
+
+// ascendingAt reports whether the page's most recent insert is the cell
+// just before slot ins, so a pending cell at ins continues an ascending run
+// there. Cells are written downward from the end of the page, so the most
+// recently inserted one starts at dataStart. Splits and compaction write
+// cell 0 last, which never counts: ins must be past it.
+func (p page) ascendingAt(ins int) bool {
+	return ins > 1 && ins <= p.nCells() && p.cellOffset(ins-1) == p.dataStart()
+}
+
+// splitPoint returns where the cells of a full page plus the pending one
+// (sizes, slot included; the pending cell at index ins) divide: cells
+// [0, at) stay on the left page. keep is how many cells from at onward the
+// right side must hold: 1 for a leaf, 2 for an interior node, whose cell at
+// is promoted to the parent.
+//
+// When the pending cell is the page's last, or continues an ascending run
+// (see ascendingAt), the split falls right after it: the left page stays
+// as full as it was and the keys that follow start a new page, so ordered
+// inserts fill pages instead of leaving each one half empty (SQLite's
+// balance_quick and InnoDB's split-direction hint). Otherwise, or when the
+// left half would not fit, the split falls at the byte midpoint.
+func (t *Tree) splitPoint(sizes []int, ins int, ascending bool, keep int) int {
+	last := len(sizes) - keep // the highest split point that leaves keep cells
+	if ins == len(sizes)-1 || ascending {
+		at, used := min(ins+1, last), 0
+		for _, s := range sizes[:at] {
+			used += s
+		}
+		if used <= t.pageSize-hdrEnd {
+			return at
+		}
+	}
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	at, acc := 0, 0
+	for i, s := range sizes {
+		acc += s
+		if acc >= total/2 {
+			at = i + 1
+			break
+		}
+	}
+	return min(max(at, 1), last)
 }
 
 // insertInterior records a child split in the parent: a new separator cell
@@ -377,7 +411,9 @@ func (t *Tree) splitInterior(txn Txn, pageNo uint32, p page, slot int, oldChild 
 	}
 	rightMost := p.right()
 	// Apply the pending insert to the in-memory copy.
+	ins := slot
 	if slot == -1 {
+		ins = n
 		all = append(all, icell{key: append([]byte(nil), sp.sepKey...), child: oldChild})
 		rightMost = sp.right
 	} else {
@@ -387,7 +423,11 @@ func (t *Tree) splitInterior(txn Txn, pageNo uint32, p page, slot int, oldChild 
 		all[slot+1].child = sp.right
 	}
 
-	mid := len(all) / 2
+	sizes := make([]int, len(all))
+	for i, c := range all {
+		sizes[i] = interiorCellSize(len(c.key)) + slotSize
+	}
+	mid := t.splitPoint(sizes, ins, p.ascendingAt(ins), 2)
 	promoted := all[mid]
 
 	rightNo, rightBuf, err := txn.Allocate()

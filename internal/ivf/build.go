@@ -3,6 +3,7 @@ package ivf
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"micronn/internal/btree"
@@ -179,7 +180,12 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	k := res.Centroids.Rows
 
 	// Rewrite pass: assign every vector to its nearest centroid and move
-	// the rows. Partition ids are 1..k (0 is the delta).
+	// the rows, in vid order. New partition ids start at NextPartID (ids
+	// 1..k on the first build; 0 is the delta), past every key already in
+	// the table, so each new partition receives its rows as an ascending
+	// run in a key range of its own and its leaves fill.
+	sort.Slice(keys, func(i, j int) bool { return keys[i].vid < keys[j].vid })
+	firstPart := max(st.NextPartID, 1)
 	counts := make([]int64, k)
 	chunk := vec.NewMatrix(assignChunk, ix.cfg.Dim)
 	dists := make([]float32, assignChunk*k)
@@ -216,7 +222,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		vec.DistancesManyToMany(ix.cfg.Metric, sub, res.Centroids, nil, l2Only(ix.cfg.Metric, centNorms), dists[:n*k])
 		for i := 0; i < n; i++ {
 			best := argminRange(dists[i*k : (i+1)*k])
-			newPart := int64(best + 1)
+			newPart := firstPart + int64(best)
 			counts[best]++
 			ms.VectorsAssigned++
 			old := keys[base+i]
@@ -224,17 +230,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 			if cb != nil {
 				// Re-encode under the refreshed codebook.
 				blob = cb.Encode(make([]byte, 0, cb.CodeSize()), sub.Row(i))
-			}
-			if old.part == newPart {
-				if cb == nil {
-					continue // row content unchanged
-				}
-				// Same partition, fresh codebook: rewrite the code in place.
-				if err := ix.vectors.Put(wt, reldb.Row{reldb.I(newPart), reldb.I(old.vid), reldb.S(assetsInChunk[i]), reldb.B(blob)}); err != nil {
-					return nil, err
-				}
-				ms.RowChanges++
-				continue
 			}
 			if err := ix.vectors.Delete(wt, reldb.I(old.part), reldb.I(old.vid)); err != nil {
 				return nil, err
@@ -258,7 +253,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	}
 	for c := 0; c < k; c++ {
 		blob := vec.ToBlob(make([]byte, 0, vec.BlobSize(ix.cfg.Dim)), res.Centroids.Row(c))
-		if err := ix.centroids.Put(wt, reldb.Row{reldb.I(int64(c + 1)), reldb.B(blob), reldb.I(counts[c])}); err != nil {
+		if err := ix.centroids.Put(wt, reldb.Row{reldb.I(firstPart + int64(c)), reldb.B(blob), reldb.I(counts[c])}); err != nil {
 			return nil, err
 		}
 		ms.RowChanges++
@@ -267,7 +262,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	st.DeltaCount = 0
 	st.NumPartitions = int64(k)
 	st.AvgSizeAtBuild = float64(len(keys)) / float64(k)
-	st.NextPartID = int64(k) + 1
+	st.NextPartID = firstPart + int64(k)
 	st.Generation++
 	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {

@@ -186,8 +186,9 @@ type state struct {
 	NumPartitions  int64   `json:"num_partitions"` // excluding the delta
 	AvgSizeAtBuild float64 `json:"avg_size_at_build"`
 	// NextPartID is the next unused partition id (splits allocate from
-	// it). Zero until the first Rebuild, which sets it past every centroid
-	// id; CheckInvariants verifies that it stays there.
+	// it, and each Rebuild numbers its new partitions from it). Zero until
+	// the first Rebuild, which sets it past every centroid id;
+	// CheckInvariants verifies that it stays there.
 	NextPartID int64 `json:"next_part_id,omitempty"`
 	// Generation increments on every operation that changes centroids
 	// (rebuild, flush, split, merge); it keys the in-memory centroid cache.

@@ -122,13 +122,15 @@ type Store struct {
 	pool *bufferPool
 	lock *fileLock
 
-	// mu guards idx, commitSeq, nextTxnID, readers, pageCount and closed.
+	// mu guards idx, commitSeq, nextTxnID, readers, pageCount, freePages
+	// and closed.
 	mu        sync.Mutex
 	idx       *walIndex
 	commitSeq uint64
 	nextTxnID uint64
 	readers   map[uint64]int // snapshot seq -> refcount
 	pageCount uint32         // committed page count
+	freePages uint32         // committed freelist length
 	closed    bool
 
 	// writer serializes write transactions and checkpoints, granting the
@@ -301,6 +303,18 @@ func Open(path string, opts Options) (*Store, error) {
 	if p, ok := s.backend.(Prefetcher); ok {
 		s.prefetch = p
 	}
+	// The committed header is the WAL's last commit frame, if any.
+	hp, err := s.readPage(0, s.commitSeq)
+	if err == nil {
+		var h header
+		if h, err = decodeHeader(hp); err == nil {
+			s.freePages = h.freelistLen
+		}
+	}
+	if err != nil {
+		s.release()
+		return nil, fmt.Errorf("storage: read header: %w", err)
+	}
 	return s, nil
 }
 
@@ -389,9 +403,12 @@ type Stats struct {
 	WALFrames     uint32
 	WALBytes      int64
 	PageCount     uint32
-	Commits       uint64
-	Checkpoints   uint64
-	PagesWritten  uint64
+	// FreePages is the committed freelist length: pages of the file that
+	// hold no data and that the next allocations reuse.
+	FreePages    uint32
+	Commits      uint64
+	Checkpoints  uint64
+	PagesWritten uint64
 	// GateWaits / GateWaitNs count writer-gate acquisitions that queued
 	// behind a holder and the total nanoseconds spent queued — the
 	// contention that group commit amortizes.
@@ -413,6 +430,7 @@ func (s *Store) Stats() Stats {
 		WALFrames:     s.wal.frames.Load(),
 		WALBytes:      s.wal.size(),
 		PageCount:     s.pageCount,
+		FreePages:     s.freePages,
 		Commits:       s.statCommits,
 		Checkpoints:   s.statCheckpoints,
 		PagesWritten:  s.statPagesOut,
@@ -871,6 +889,7 @@ func (t *WriteTxn) Commit() error {
 	s.commitSeq++
 	s.idx.publish(t.pending, s.commitSeq)
 	s.pageCount = t.hdr.pageCount
+	s.freePages = t.hdr.freelistLen
 	s.statCommits++
 	s.statPagesOut += uint64(len(toCache))
 	frames := s.wal.frames.Load()

@@ -374,6 +374,63 @@ func TestSpilledRollbackInvisible(t *testing.T) {
 	}
 }
 
+// TestStatsFreePages: Stats reports the committed freelist length, ignores
+// a rolled-back free, and reads it back from the header after a reopen.
+func TestStatsFreePages(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.db")
+	opts := fileOpts()
+	s, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages []uint32
+	if err := s.Update(func(wt *WriteTxn) error {
+		for i := 0; i < 6; i++ {
+			n, _, err := wt.Allocate()
+			if err != nil {
+				return err
+			}
+			pages = append(pages, n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(func(wt *WriteTxn) error {
+		for _, pg := range pages[:4] {
+			if err := wt.Free(pg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	errRollback := errors.New("roll back")
+	if err := s.Update(func(wt *WriteTxn) error {
+		if err := wt.Free(pages[4]); err != nil {
+			return err
+		}
+		return errRollback
+	}); !errors.Is(err, errRollback) {
+		t.Fatal(err)
+	}
+	if got := s.Stats().FreePages; got != 4 {
+		t.Fatalf("FreePages = %d, want 4", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Stats().FreePages; got != 4 {
+		t.Fatalf("after reopen: FreePages = %d, want 4", got)
+	}
+}
+
 func TestReopenPersists(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "test.db")

@@ -1394,6 +1394,9 @@ type Stats struct {
 	WALBytes int64
 	// FileBytes is the main database file size (pages * page size).
 	FileBytes int64
+	// FreeBytes is the part of FileBytes on the freelist: pages that hold
+	// no data and that later writes reuse before the file grows.
+	FreeBytes int64
 	// PagesWritten is the cumulative count of page images appended to the
 	// WAL since this handle opened the store — the physical
 	// write-amplification signal the benches divide by rows ingested.
@@ -1514,6 +1517,7 @@ func (db *DB) Stats() (Stats, error) {
 	out.CacheEvictions = ss.PoolEvictions
 	out.WALBytes = ss.WALBytes
 	out.FileBytes = int64(ss.PageCount) * int64(db.store.PageSize())
+	out.FreeBytes = int64(ss.FreePages) * int64(db.store.PageSize())
 	out.PagesWritten = ss.PagesWritten
 	out.Cache = cacheStatsOf(db.cache)
 	out.HybridSearches = db.hybridSearches.Load()

@@ -414,6 +414,43 @@ func TestShardedRoutingSpread(t *testing.T) {
 	}
 }
 
+// TestShardedFreeBytes: the sharded FreeBytes is the sum of the shards'
+// values, and deleting most rows puts pages on the freelists.
+func TestShardedFreeBytes(t *testing.T) {
+	sdb := openShardedTest(t, filepath.Join(t.TempDir(), "free.d"), Options{Dim: 8, Shards: 3, Seed: 4})
+	vecs := randomVecs(4, 600, 8)
+	items := make([]Item, len(vecs))
+	for i, v := range vecs {
+		items[i] = Item{ID: fmt.Sprintf("f-%d", i), Vector: v}
+	}
+	if err := sdb.UpsertBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := sdb.Delete(fmt.Sprintf("f-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per, err := sdb.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := sdb.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, st := range per {
+		sum += st.FreeBytes
+	}
+	if agg.FreeBytes != sum || AggregateStats(per).FreeBytes != sum {
+		t.Fatalf("sharded FreeBytes %d, AggregateStats %d, sum of shards %d", agg.FreeBytes, AggregateStats(per).FreeBytes, sum)
+	}
+	if sum == 0 || sum >= agg.FileBytes {
+		t.Fatalf("FreeBytes %d of a %d-byte file after deleting 500 of 600 rows", sum, agg.FileBytes)
+	}
+}
+
 // TestShardedSnapshot pins per-shard horizons: writes after Snapshot must
 // stay invisible to it while the live handle sees them.
 func TestShardedSnapshot(t *testing.T) {

@@ -1076,6 +1076,7 @@ func AggregateStats(per []Stats) Stats {
 		out.CacheEvictions += st.CacheEvictions
 		out.WALBytes += st.WALBytes
 		out.FileBytes += st.FileBytes
+		out.FreeBytes += st.FreeBytes
 		out.PagesWritten += st.PagesWritten
 		out.HybridSearches += st.HybridSearches
 	}
