@@ -767,6 +767,46 @@ func TestHybridPreFilterExactOverQualifying(t *testing.T) {
 	}
 }
 
+// TestEvalFiltersReadsOnlyPredicateColumns: post-filter evaluation of a
+// comparison decodes only the columns it names from the vids row (here the
+// int column after a text one), so an int predicate allocates nothing,
+// and verdicts match the attributes, also with a MATCH probe in between.
+func TestEvalFiltersReadsOnlyPredicateColumns(t *testing.T) {
+	env, _ := hybridEnv(t)
+	tsLt := stats.And(reldb.Predicate{Column: "ts", Op: reldb.OpLt, Value: reldb.I(500)})
+	mixed := stats.And(
+		reldb.Predicate{Column: "tags", Op: reldb.OpMatch, Value: reldb.S("rare")},
+		reldb.Predicate{Column: "location", Op: reldb.OpEq, Value: reldb.S("NewYork")},
+	)
+	err := env.store.View(func(rt *storage.ReadTxn) error {
+		ms := compileMatchers(mixed)
+		var vid int64
+		for i := 0; i < 1000; i += 37 {
+			row, err := env.ix.assets.Get(rt, reldb.S(fmt.Sprintf("asset-%d", i)))
+			if err != nil {
+				return err
+			}
+			vid = row[2].Int
+			if got, err := env.ix.evalFilters(rt, vid, nil, tsLt, nil); err != nil || got != (i < 500) {
+				t.Errorf("asset-%d: ts < 500 = %v, %v", i, got, err)
+			}
+			// asset-0 is the only NewYork asset tagged rare.
+			if got, err := env.ix.evalFilters(rt, vid, nil, mixed, ms); err != nil || got != (i == 0) {
+				t.Errorf("asset-%d: tags MATCH rare AND location = NewYork: %v, %v", i, got, err)
+			}
+		}
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { _, err = env.ix.evalFilters(rt, vid, nil, tsLt, nil) })
+		if allocs != 0 {
+			t.Errorf("%.1f allocations per int-predicate evaluation, want 0", allocs)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHybridPostFilterAppliesPredicates(t *testing.T) {
 	env, data := hybridEnv(t)
 	err := env.store.View(func(rt *storage.ReadTxn) error {

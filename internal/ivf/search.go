@@ -3,9 +3,11 @@ package ivf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"micronn/internal/btree"
+	"micronn/internal/fts"
 	"micronn/internal/reldb"
 	"micronn/internal/stats"
 	"micronn/internal/token"
@@ -370,24 +372,18 @@ func (ix *Index) ForEachAsset(txn btree.ReadTxn, fn func(asset string) error) er
 // evalFilters applies the CNF filter set to the vector identified by vid.
 // MATCH predicates on full-text attributes are answered by direct posting
 // probes; row is vid's vids row when the caller already holds it, and nil
-// otherwise, in which case it is fetched lazily, only when a comparison
-// predicate needs it. ms carries the search's compiled MATCH queries (nil
-// is allowed and falls back to one-shot tokenization); callers evaluating
-// many rows must compile once with compileMatchers.
+// otherwise, in which case filterColumns decodes only the columns the
+// comparison predicates read. ms carries the search's compiled MATCH
+// queries (nil is allowed and falls back to one-shot tokenization);
+// callers evaluating many rows must compile once with compileMatchers.
 func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, row reldb.Row, filters []stats.Filter, ms *matchSet) (bool, error) {
-	rowLoaded, rowMissing := row != nil, false
-	loadRow := func() error {
-		if rowLoaded {
-			return nil
-		}
-		rowLoaded = true
+	rowMissing := false
+	if row == nil {
+		var buf [filterRowCols]reldb.Value
 		var err error
-		row, err = ix.vids.Get(txn, reldb.I(vid))
-		if errors.Is(err, reldb.ErrNotFound) {
-			rowMissing = true
-			return nil
+		if row, rowMissing, err = ix.filterColumns(txn, vid, filters, buf[:]); err != nil {
+			return false, err
 		}
-		return err
 	}
 	for _, group := range filters {
 		matched := false
@@ -396,21 +392,16 @@ func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, row reldb.Row, filter
 			if !ok {
 				return false, fmt.Errorf("%w: %q", ErrNoFilter, pred.Column)
 			}
-			if pred.Op == reldb.OpMatch {
-				if f, ok := ix.ftsIndexes[pred.Column]; ok {
-					hit, err := f.ContainsAllTokens(txn, vid, ms.tokens(pred.Value.Str))
-					if err != nil {
-						return false, err
-					}
-					if hit {
-						matched = true
-						break
-					}
-					continue
+			if f := ix.ftsProbe(pred); f != nil {
+				hit, err := f.ContainsAllTokens(txn, vid, ms.tokens(pred.Value.Str))
+				if err != nil {
+					return false, err
 				}
-			}
-			if err := loadRow(); err != nil {
-				return false, err
+				if hit {
+					matched = true
+					break
+				}
+				continue
 			}
 			if rowMissing {
 				continue
@@ -425,6 +416,65 @@ func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, row reldb.Row, filter
 		}
 	}
 	return true, nil
+}
+
+// filterRowCols is the vids row width evalFilters decodes into stack
+// memory; a wider row is allocated.
+const filterRowCols = 8
+
+// ftsProbe returns the full-text index that answers pred, a MATCH on a
+// full-text attribute, and nil for a predicate evaluated on the row.
+func (ix *Index) ftsProbe(pred reldb.Predicate) *fts.Index {
+	if pred.Op != reldb.OpMatch {
+		return nil
+	}
+	return ix.ftsIndexes[pred.Column]
+}
+
+// filterColumns reads vid's vids row in place and decodes the columns that
+// filters evaluate on the row, leaving the others NULL; the row is nil when
+// no predicate reads one. It decodes before returning because the borrowed
+// bytes last only until the next call on txn, and a full-text probe is
+// such a call. missing reports a vid without a vids row. The row uses dst
+// when it fits.
+func (ix *Index) filterColumns(txn btree.ReadTxn, vid int64, filters []stats.Filter, dst reldb.Row) (row reldb.Row, missing bool, err error) {
+	var needBuf [filterRowCols]int
+	need, last := needBuf[:0], 0
+	for _, group := range filters {
+		for _, pred := range group.AnyOf {
+			if pos, ok := ix.attrPos[pred.Column]; ok && ix.ftsProbe(pred) == nil {
+				need = append(need, pos)
+				last = max(last, pos)
+			}
+		}
+	}
+	if last == 0 {
+		return nil, false, nil
+	}
+	b, err := ix.vids.GetBorrowed(txn, reldb.I(vid))
+	if errors.Is(err, reldb.ErrNotFound) {
+		return nil, true, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if len(dst) > last {
+		row = dst[:last+1]
+	} else {
+		row = make(reldb.Row, last+1)
+	}
+	// Position 0 is the key (vid); the value columns start at 1.
+	for pos := 1; pos <= last; pos++ {
+		if slices.Contains(need, pos) {
+			row[pos], b, err = reldb.DecodeRowValue(b)
+		} else {
+			b, err = reldb.SkipRowValue(b)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return row, false, nil
 }
 
 // --- hybrid search ---

@@ -246,6 +246,34 @@ func DecodeRowValue(b []byte) (Value, []byte, error) {
 	}
 }
 
+// SkipRowValue steps over one encoded value column without decoding it,
+// returning the remaining bytes. It fails on every input DecodeRowValue
+// rejects.
+func SkipRowValue(b []byte) ([]byte, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("reldb: empty row data")
+	}
+	switch typ := ColType(b[0]); typ {
+	case TypeNull:
+		return b[1:], nil
+	case TypeInt64:
+		if _, n := binary.Varint(b[1:]); n > 0 {
+			return b[1+n:], nil
+		}
+		return nil, fmt.Errorf("reldb: bad varint")
+	case TypeFloat64:
+		if len(b) < 9 {
+			return nil, fmt.Errorf("reldb: truncated float")
+		}
+		return b[9:], nil
+	case TypeText, TypeBlob:
+		_, rest, err := rowPayload(b[1:], typ)
+		return rest, err
+	default:
+		return nil, fmt.Errorf("reldb: unknown row type %d", typ)
+	}
+}
+
 // RowBytes reads one text or blob value column from b without allocating,
 // returning its payload and the remaining bytes. The payload aliases b; a
 // NULL column reads as a nil payload. It fails on every input

@@ -14,8 +14,8 @@ import (
 // Backward: the decoders must reject or decode arbitrary bytes without
 // panicking, because they read pages straight from disk and a torn write or
 // bit rot must surface as an error, not a crash. Both directions also run
-// the allocation-free field readers KeyInt and RowBytes, which must agree
-// with DecodeKeyValue and DecodeRowValue column by column.
+// the allocation-free field readers KeyInt, RowBytes and SkipRowValue,
+// which must agree with DecodeKeyValue and DecodeRowValue column by column.
 func FuzzReldbCodec(f *testing.F) {
 	f.Add([]byte{}, int64(0), 0.0, "")
 	f.Add([]byte{0x00, 0xFF, 0x00, 0x01}, int64(-1), -0.0, "a\x00b")
@@ -130,11 +130,16 @@ func checkKeyInt(t *testing.T, b []byte) {
 }
 
 // checkRowBytes is checkKeyInt for RowBytes and DecodeRowValue: text and
-// blob columns read as their payload, NULL as nil, other types fail.
+// blob columns read as their payload, NULL as nil, other types fail. It
+// also holds SkipRowValue to DecodeRowValue: the same error verdict and the
+// same remaining bytes.
 func checkRowBytes(t *testing.T, b []byte) {
 	t.Helper()
 	for {
 		v, rest, err := DecodeRowValue(b)
+		if srest, serr := SkipRowValue(b); (serr == nil) != (err == nil) || len(srest) != len(rest) {
+			t.Fatalf("SkipRowValue(%x) = %d left, %v; DecodeRowValue = %v, %d left, %v", b, len(srest), serr, v, len(rest), err)
+		}
 		got, grest, gerr := RowBytes(b)
 		var want []byte
 		ok := err == nil

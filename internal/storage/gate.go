@@ -52,3 +52,33 @@ func (g *writerGate) release() {
 	// Ownership transfers directly to the woken waiter: busy stays true.
 	close(ch)
 }
+
+// readLock is the store's page-read lock: a reader-writer lock split into
+// pageStripes stripes. A page read read-locks only its page's stripe, so
+// concurrent reads of different pages share no lock word; an exclusive
+// holder locks every stripe in order, excluding all readers.
+type readLock struct {
+	stripes [pageStripes]struct {
+		sync.RWMutex
+		_ [64]byte // keeps neighbouring stripes off one cache line
+	}
+}
+
+// RLock read-locks pageNo's stripe and returns it for the RUnlock.
+func (l *readLock) RLock(pageNo uint32) *sync.RWMutex {
+	m := &l.stripes[pageStripe(pageNo)].RWMutex
+	m.RLock()
+	return m
+}
+
+func (l *readLock) Lock() {
+	for i := range l.stripes {
+		l.stripes[i].Lock()
+	}
+}
+
+func (l *readLock) Unlock() {
+	for i := range l.stripes {
+		l.stripes[i].Unlock()
+	}
+}

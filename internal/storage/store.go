@@ -122,16 +122,14 @@ type Store struct {
 	pool *bufferPool
 	lock *fileLock
 
-	// mu guards idx, commitSeq, nextTxnID, readers, pageCount, freePages
-	// and closed.
+	// mu guards commitSeq, nextTxnID, readers, pageCount, freePages and
+	// the stat counters. Page reads do not take it.
 	mu        sync.Mutex
-	idx       *walIndex
 	commitSeq uint64
 	nextTxnID uint64
 	readers   map[uint64]int // snapshot seq -> refcount
 	pageCount uint32         // committed page count
 	freePages uint32         // committed freelist length
-	closed    bool
 
 	// writer serializes write transactions and checkpoints, granting the
 	// critical section in strict FIFO arrival order (see gate.go).
@@ -141,9 +139,18 @@ type Store struct {
 	// the backend has none). See ReadTxn.Readahead.
 	prefetch Prefetcher
 
-	// resolveMu lets page reads (lookup + file pread) run concurrently
-	// while excluding checkpoint truncation.
-	resolveMu sync.RWMutex
+	// resolveMu is the page-read lock. A read holds its page's stripe
+	// shared from the WAL index lookup to the end of the file read. It is
+	// held exclusively to publish a commit's frames into idx, to truncate
+	// the WAL at a checkpoint and to close the store. Lock order:
+	// resolveMu, then mu.
+	resolveMu readLock
+	// idx is the committed WAL index. It changes only under the writer
+	// gate and resolveMu held exclusively, so either of those reads it.
+	idx *walIndex
+	// closed is set once, under the writer gate, resolveMu and mu, so any
+	// one of them reads it.
+	closed bool
 
 	statCommits     uint64
 	statCheckpoints uint64
@@ -338,28 +345,18 @@ func (s *Store) Path() string { return s.path }
 
 // Close checkpoints if possible and closes the files. Acquiring the writer
 // gate first means an in-flight write transaction always commits or rolls
-// back before teardown begins; acquiring resolveMu exclusively before
-// releasing the files means an in-flight page read never touches a freed
-// pool or unmapped backend.
+// back before teardown begins.
 func (s *Store) Close() error {
 	s.writer.acquire()
 	defer s.writer.release()
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.mu.Unlock()
 	// Best-effort checkpoint; ErrBusy just means a reader is still open.
 	if err := s.checkpointLocked(); err != nil && !errors.Is(err, ErrBusy) {
 		return err
 	}
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.resolveMu.Lock()
-	defer s.resolveMu.Unlock()
-	s.release()
+	s.shut()
 	return nil
 }
 
@@ -368,17 +365,23 @@ func (s *Store) Close() error {
 func (s *Store) CloseWithoutCheckpoint() error {
 	s.writer.acquire()
 	defer s.writer.release()
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.closed = true
-	s.mu.Unlock()
+	s.shut()
+	return nil
+}
+
+// shut marks the store closed and releases the files; the caller holds the
+// writer gate. Holding resolveMu exclusively means an in-flight page read
+// never touches a released backend, and every later one sees closed.
+func (s *Store) shut() {
 	s.resolveMu.Lock()
 	defer s.resolveMu.Unlock()
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.release()
-	return nil
 }
 
 // DropCaches empties the buffer pool, simulating the paper's ColdStart
@@ -452,16 +455,11 @@ func (s *Store) Persistent() bool { return s.kind != BackendMemory }
 // readPage resolves pageNo at the given snapshot through WAL index, buffer
 // pool and base backend. The returned buffer is shared and read-only.
 func (s *Store) readPage(pageNo uint32, snapshot uint64) ([]byte, error) {
-	s.resolveMu.RLock()
-	defer s.resolveMu.RUnlock()
-
-	s.mu.Lock()
+	defer s.resolveMu.RLock(pageNo).RUnlock() // locks now, unlocks at return
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	frame, inWAL := s.idx.lookup(pageNo, snapshot)
-	s.mu.Unlock()
 
 	if !inWAL && s.directBase {
 		// Zero-copy backends serve base pages from their own memory (the
@@ -601,9 +599,9 @@ func (t *ReadTxn) Readahead(pages []uint32) {
 	}
 	s := t.s
 	base := pages[:0]
-	s.mu.Lock()
+	rl := s.resolveMu.RLock(0) // any one stripe excludes the writers of idx
 	if s.closed {
-		s.mu.Unlock()
+		rl.RUnlock()
 		return
 	}
 	for _, pageNo := range pages {
@@ -611,7 +609,7 @@ func (t *ReadTxn) Readahead(pages []uint32) {
 			base = append(base, pageNo)
 		}
 	}
-	s.mu.Unlock()
+	rl.RUnlock()
 	if len(base) == 0 {
 		return
 	}
@@ -885,6 +883,7 @@ func (t *WriteTxn) Commit() error {
 		}
 	}
 
+	s.resolveMu.Lock()
 	s.mu.Lock()
 	s.commitSeq++
 	s.idx.publish(t.pending, s.commitSeq)
@@ -894,6 +893,7 @@ func (t *WriteTxn) Commit() error {
 	s.statPagesOut += uint64(len(toCache))
 	frames := s.wal.frames.Load()
 	s.mu.Unlock()
+	s.resolveMu.Unlock()
 
 	// Write-through cache so re-reads of just-committed pages hit memory.
 	for _, c := range toCache {
@@ -942,16 +942,18 @@ func (s *Store) checkpointLocked() error {
 			return ErrBusy
 		}
 	}
-	latest := s.idx.latest()
 	s.mu.Unlock()
+	latest := s.idx.latest()
 	if len(latest) == 0 {
 		return nil
 	}
 
+	// peek, not get: the checkpoint's own lookups are not reads to count
+	// in the pool's stats or to mark pages recently used.
 	buf := make([]byte, s.opts.PageSize)
 	for pageNo, frame := range latest {
 		var data []byte
-		if cached := s.pool.get(poolKey{pageNo: pageNo, frame: frame + 1}); cached != nil {
+		if cached := s.pool.peek(poolKey{pageNo: pageNo, frame: frame + 1}); cached != nil {
 			data = cached
 		} else {
 			if err := s.wal.readFrame(frame, buf); err != nil {
@@ -992,8 +994,8 @@ func (s *Store) checkpointLocked() error {
 	} else {
 		s.pool.checkpointRekey(latest)
 	}
-	s.mu.Lock()
 	s.idx = newWALIndex()
+	s.mu.Lock()
 	s.statCheckpoints++
 	s.mu.Unlock()
 	return nil
