@@ -454,7 +454,6 @@ func cmdStats(path string) error {
 	fmt.Printf("vectors:          %d\n", st.NumVectors)
 	fmt.Printf("delta-store:      %d\n", st.DeltaCount)
 	fmt.Printf("partitions:       %d (avg size %.1f)\n", st.NumPartitions, st.AvgPartitionSize)
-	fmt.Printf("needs rebuild:    %v\n", st.NeedsRebuild)
 	fmt.Printf("backend:          %s\n", st.Backend)
 	if st.Quantization == micronn.QuantNone {
 		fmt.Printf("quantization:     none\n")

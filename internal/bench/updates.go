@@ -30,9 +30,9 @@ func Updates(cfg Config) error {
 	ds := spec.Generate()
 	n := ds.Train.Rows
 	bootstrap := n / 2
-	// Insert 5% of the remaining half per epoch so the 50% partition-size
-	// growth threshold fires mid-series (the paper's trigger lands at
-	// epoch 10; with exactly 3%/epoch it would fall just past epoch 18).
+	// Insert 5% of the remaining half per epoch so partitions grow past
+	// the paper's 50% rebuild trigger mid-series (the paper's trigger lands
+	// at epoch 10; with exactly 3%/epoch it would fall just past epoch 18).
 	perEpoch := (n - bootstrap) * 5 / 100
 	if perEpoch < 10 {
 		perEpoch = 10
@@ -62,11 +62,10 @@ func Updates(cfg Config) error {
 		os.Remove(path + "-wal")
 		os.Remove(path + ".lock")
 		return micronn.Open(path, micronn.Options{
-			Dim:                    spec.Dim,
-			Metric:                 spec.Metric,
-			TargetPartitionSize:    100,
-			RebuildGrowthThreshold: 0.5,
-			Seed:                   spec.Seed,
+			Dim:                 spec.Dim,
+			Metric:              spec.Metric,
+			TargetPartitionSize: 100,
+			Seed:                spec.Seed,
 		})
 	}
 	fullDB, err := mkDB("full")
@@ -171,7 +170,7 @@ func Updates(cfg Config) error {
 
 			var rep *micronn.MaintenanceReport
 			if v.incremental {
-				rep, err = v.db.Maintain() // flush, or rebuild at the growth threshold
+				rep, err = v.db.Maintain() // flush, split or merge; never a rebuild
 				if err != nil {
 					return err
 				}

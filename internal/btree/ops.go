@@ -46,18 +46,6 @@ func (t *Tree) Get(txn ReadTxn, key []byte) ([]byte, error) {
 	}
 }
 
-// Has reports whether key exists.
-func (t *Tree) Has(txn ReadTxn, key []byte) (bool, error) {
-	_, err := t.Get(txn, key)
-	if err == ErrNotFound {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // childFor returns the child page that covers key and the slot index of the
 // separator cell routing to it (-1 when routed through the right pointer).
 func (p page) childFor(key []byte) (uint32, int, error) {

@@ -71,11 +71,7 @@ func (ix *Index) BatchSearch(txn btree.ReadTxn, queries *vec.Matrix, opts BatchO
 	}
 	info := &BatchInfo{}
 
-	cs, err := ix.loadCentroids(txn)
-	if err != nil {
-		return nil, nil, err
-	}
-	cb, err := ix.loadCodebook(txn)
+	_, d, err := ix.load(txn)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -83,7 +79,7 @@ func (ix *Index) BatchSearch(txn btree.ReadTxn, queries *vec.Matrix, opts BatchO
 	// Group queries by partition (the MQO step).
 	groups := make(map[int64][]int) // partition -> query indices
 	for qi := 0; qi < nq; qi++ {
-		parts := ix.probeSet(cs, queries.Row(qi), opts.NProbe)
+		parts := ix.probeSet(d.cents, queries.Row(qi), opts.NProbe)
 		info.QueryPartitionPairs += len(parts)
 		for _, p := range parts {
 			groups[p] = append(groups[p], qi)
@@ -96,7 +92,7 @@ func (ix *Index) BatchSearch(txn btree.ReadTxn, queries *vec.Matrix, opts BatchO
 	info.PartitionScans = len(work)
 
 	var c scanCounts
-	out, err := ix.scan(txn, cb, queries, work, nil, opts, &c)
+	out, err := ix.scan(txn, d.cb, queries, work, nil, opts, &c)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,6 +100,6 @@ func (ix *Index) BatchSearch(txn btree.ReadTxn, queries *vec.Matrix, opts BatchO
 	info.DistancePairs = c.pairs.Load()
 	info.BytesScanned = c.bytes.Load()
 	info.Reranked = c.reranked.Load()
-	info.CandidatesApprox = cb != nil && opts.CandidatesOnly
+	info.CandidatesApprox = d.cb != nil && opts.CandidatesOnly
 	return out, info, nil
 }

@@ -144,7 +144,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 				return nil, err
 			}
 		}
-		st.DeltaCount, st.NumPartitions, st.AvgSizeAtBuild = 0, 0, 0
+		st.DeltaCount, st.NumPartitions = 0, 0
 		st.NextPartID = 1
 		st.Generation++
 		st.DataGen++
@@ -231,13 +231,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 				// Re-encode under the refreshed codebook.
 				blob = cb.Encode(make([]byte, 0, cb.CodeSize()), sub.Row(i))
 			}
-			if err := ix.vectors.Delete(wt, reldb.I(old.part), reldb.I(old.vid)); err != nil {
-				return nil, err
-			}
-			if err := ix.vectors.Put(wt, reldb.Row{reldb.I(newPart), reldb.I(old.vid), reldb.S(assetsInChunk[i]), reldb.B(blob)}); err != nil {
-				return nil, err
-			}
-			if err := ix.assets.Put(wt, reldb.Row{reldb.S(assetsInChunk[i]), reldb.I(newPart), reldb.I(old.vid)}); err != nil {
+			if err := ix.moveRow(wt, old.part, newPart, partRow{vid: old.vid, asset: assetsInChunk[i], blob: blob}); err != nil {
 				return nil, err
 			}
 			ms.RowChanges += 3
@@ -261,7 +255,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 
 	st.DeltaCount = 0
 	st.NumPartitions = int64(k)
-	st.AvgSizeAtBuild = float64(len(keys)) / float64(k)
 	st.NextPartID = firstPart + int64(k)
 	st.Generation++
 	st.DataGen++
@@ -270,8 +263,9 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	}
 
 	// Refresh optimizer statistics (the ANALYZE pass: per-column
-	// histograms rebuilt at index-build time, §4 highlights).
-	if err := ix.AnalyzeAttributes(wt); err != nil {
+	// histograms rebuilt at index-build time, §4 highlights) under the
+	// generation bump above.
+	if err := ix.analyze(wt); err != nil {
 		return nil, err
 	}
 
@@ -287,7 +281,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	start := time.Now()
 	ms := &MaintenanceStats{}
-	st, err := ix.getState(wt)
+	st, d, err := ix.load(wt)
 	if err != nil {
 		return nil, err
 	}
@@ -306,27 +300,19 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	// last full rebuild: no retraining on the streaming path. Out-of-range
 	// values clamp; the exact rerank absorbs the error until the next
 	// rebuild refreshes the codebook.
-	var cb *quant.Codebook
-	if ix.rawvecs != nil {
-		if cb, err = ix.loadCodebook(wt); err != nil {
-			return nil, err
-		}
-		if cb == nil {
-			return nil, fmt.Errorf("ivf: quantized index has partitions but no codebook")
-		}
+	cb := d.cb
+	if ix.rawvecs != nil && cb == nil {
+		return nil, fmt.Errorf("ivf: quantized index has partitions but no codebook")
 	}
 
 	// Private copy of the centroids: the cached set is shared with
 	// concurrent readers.
-	cs, err := ix.loadCentroids(wt)
-	if err != nil {
-		return nil, err
-	}
+	cs := d.cents
 	cents := vec.NewMatrix(cs.mat.Rows, cs.mat.Dim)
 	copy(cents.Data, cs.mat.Data)
 	// Counts come from the centroid table, not the cached set: deletes
-	// decrement them transactionally without bumping the generation, so the
-	// cache's counts may overstate partition sizes.
+	// decrement them without bumping the generation, so the cache holds no
+	// counts.
 	counts, err := ix.freshCounts(wt, cs.ids)
 	if err != nil {
 		return nil, err
@@ -345,20 +331,11 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		best := argminRange(dists)
 		newPart := cs.ids[best]
 		asset := row[2].Str
-		var blobCopy []byte
+		blob := row[3].Bts
 		if cb != nil {
-			blobCopy = cb.Encode(make([]byte, 0, cb.CodeSize()), x)
-		} else {
-			blobCopy = append([]byte(nil), row[3].Bts...)
+			blob = cb.Encode(make([]byte, 0, cb.CodeSize()), x)
 		}
-
-		if err := ix.vectors.Delete(wt, reldb.I(key.part), reldb.I(key.vid)); err != nil {
-			return nil, err
-		}
-		if err := ix.vectors.Put(wt, reldb.Row{reldb.I(newPart), reldb.I(key.vid), reldb.S(asset), reldb.B(blobCopy)}); err != nil {
-			return nil, err
-		}
-		if err := ix.assets.Put(wt, reldb.Row{reldb.S(asset), reldb.I(newPart), reldb.I(key.vid)}); err != nil {
+		if err := ix.moveRow(wt, key.part, newPart, partRow{vid: key.vid, asset: asset, blob: blob}); err != nil {
 			return nil, err
 		}
 		ms.RowChanges += 3
@@ -414,11 +391,30 @@ func (ix *Index) freshCounts(txn btree.ReadTxn, ids []int64) ([]int64, error) {
 }
 
 // AnalyzeAttributes refreshes the optimizer's statistics for the attribute
-// columns of the vids table. It bumps the data generation even though no
-// rows change: fresh statistics can flip the optimizer's pre/post-filter
-// choice, and the two plans may rank borderline candidates differently — a
-// cached response must not outlive the plan decision that produced it.
+// columns of the vids table. It bumps the generation, so searches load the
+// fresh statistics, and the data generation even though no rows change:
+// fresh statistics can flip the optimizer's pre/post-filter choice, and the
+// two plans may rank borderline candidates differently — a cached response
+// must not outlive the plan decision that produced it.
 func (ix *Index) AnalyzeAttributes(wt *storage.WriteTxn) error {
+	if len(ix.cfg.Attributes) == 0 {
+		return nil
+	}
+	if err := ix.analyze(wt); err != nil {
+		return err
+	}
+	st, err := ix.getState(wt)
+	if err != nil {
+		return err
+	}
+	st.Generation++
+	st.DataGen++
+	return ix.putState(wt, st)
+}
+
+// analyze computes and saves the attribute statistics, leaving the state
+// row to the caller.
+func (ix *Index) analyze(wt *storage.WriteTxn) error {
 	if len(ix.cfg.Attributes) == 0 {
 		return nil
 	}
@@ -430,10 +426,7 @@ func (ix *Index) AnalyzeAttributes(wt *storage.WriteTxn) error {
 	if err != nil {
 		return err
 	}
-	if err := stats.Save(ix.db, wt, tblVIDs, ts); err != nil {
-		return err
-	}
-	return ix.bumpDataGen(wt)
+	return stats.Save(ix.db, wt, tblVIDs, ts)
 }
 
 func l2Only(m vec.Metric, norms []float32) []float32 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"micronn/internal/storage"
+	"micronn/internal/topk"
 	"micronn/internal/vec"
 )
 
@@ -60,61 +61,55 @@ func TestCoarseIndexCandidatesCoverNearest(t *testing.T) {
 	}
 }
 
-// TestCoarseProbeMatchesLinearRecall builds an index big enough to trip a
-// low coarse threshold and compares search recall with and without it.
+// TestCoarseProbeMatchesLinearRecall searches one index of 300 partitions
+// with the linear centroid ranking and again with a coarse index built over
+// the same centroids, and compares their recall.
 func TestCoarseProbeMatchesLinearRecall(t *testing.T) {
 	data := clusteredData(9, 3000, 12, 40)
-
-	build := func(threshold int) (*testEnv, []int64) {
-		env := newEnv(t, Config{
-			Dim: 12, TargetPartitionSize: 10, Seed: 4,
-			CentroidIndexThreshold: threshold,
-		})
-		env.upsertAll(t, data, nil)
-		env.rebuild(t)
-		return env, nil
-	}
-
-	linear, _ := build(-1) // disabled
-	coarse, _ := build(50) // 300 partitions >> 50: coarse path active
+	env := newEnv(t, Config{Dim: 12, TargetPartitionSize: 10, Seed: 4})
+	env.upsertAll(t, data, nil)
+	env.rebuild(t)
 
 	var linRecall, coarseRecall float64
 	const queries = 30
-	err := linear.store.View(func(rtL *storage.ReadTxn) error {
-		return coarse.store.View(func(rtC *storage.ReadTxn) error {
-			// Confirm the coarse index is actually in play.
-			csC, err := coarse.ix.loadCentroids(rtC)
-			if err != nil {
-				return err
-			}
-			if csC.coarse == nil {
-				t.Fatal("coarse index not built despite threshold")
-			}
-			csL, err := linear.ix.loadCentroids(rtL)
-			if err != nil {
-				return err
-			}
-			if csL.coarse != nil {
-				t.Fatal("coarse index built while disabled")
-			}
+	err := env.store.View(func(rt *storage.ReadTxn) error {
+		_, linear, err := env.ix.load(rt)
+		if err != nil {
+			return err
+		}
+		if linear.cents.coarse != nil {
+			t.Fatal("coarse index built below centroidIndexThreshold")
+		}
+		cs := *linear.cents
+		if cs.coarse, err = buildCoarseIndex(vec.L2, cs.mat, 4); err != nil {
+			return err
+		}
+		coarse := *linear
+		coarse.cents = &cs
+		// search runs one query with d installed as the cached derived
+		// state of the snapshot's generation.
+		search := func(d *derived, q []float32) ([]topk.Result, error) {
+			env.ix.derived = d
+			res, _, err := env.ix.Search(rt, q, SearchOptions{K: 10, NProbe: 12})
+			return res, err
+		}
 
-			rng := rand.New(rand.NewSource(8))
-			for qi := 0; qi < queries; qi++ {
-				q := data.Row(rng.Intn(data.Rows))
-				want := bruteForce(vec.L2, data, q, 10)
-				gotL, _, err := linear.ix.Search(rtL, q, SearchOptions{K: 10, NProbe: 12})
-				if err != nil {
-					return err
-				}
-				gotC, _, err := coarse.ix.Search(rtC, q, SearchOptions{K: 10, NProbe: 12})
-				if err != nil {
-					return err
-				}
-				linRecall += recallOf(gotL, want)
-				coarseRecall += recallOf(gotC, want)
+		rng := rand.New(rand.NewSource(8))
+		for qi := 0; qi < queries; qi++ {
+			q := data.Row(rng.Intn(data.Rows))
+			want := bruteForce(vec.L2, data, q, 10)
+			gotL, err := search(linear, q)
+			if err != nil {
+				return err
 			}
-			return nil
-		})
+			gotC, err := search(&coarse, q)
+			if err != nil {
+				return err
+			}
+			linRecall += recallOf(gotL, want)
+			coarseRecall += recallOf(gotC, want)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,37 +124,18 @@ func TestCoarseProbeMatchesLinearRecall(t *testing.T) {
 	}
 }
 
-// TestCoarseIndexPersistsConfig verifies the threshold survives reopen.
-func TestCoarseIndexPersistsConfig(t *testing.T) {
-	env := newEnv(t, Config{Dim: 4, CentroidIndexThreshold: 123, Seed: 1})
-	err := env.store.Update(func(wt *storage.WriteTxn) error {
-		return env.ix.Upsert(wt, "a", []float32{1, 2, 3, 4}, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := Open(env.db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.Config().CentroidIndexThreshold != 123 {
-		t.Errorf("threshold after reopen = %d", ix2.Config().CentroidIndexThreshold)
-	}
-}
-
 func BenchmarkProbeSetLinearVsCoarse(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const k, dim = 8000, 32
 	cents := vec.NewMatrix(k, dim)
 	ids := make([]int64, k)
-	counts := make([]int64, k)
 	for i := 0; i < k; i++ {
 		ids[i] = int64(i + 1)
 		for j := 0; j < dim; j++ {
 			cents.Row(i)[j] = float32(rng.NormFloat64() * 10)
 		}
 	}
-	cs := &centroidSet{ids: ids, counts: counts, mat: cents, norms: cents.Norms(nil)}
+	cs := &centroidSet{ids: ids, mat: cents, norms: cents.Norms(nil)}
 	ix := &Index{cfg: Config{Dim: dim, Metric: vec.L2}}
 	q := make([]float32, dim)
 
@@ -174,7 +150,7 @@ func BenchmarkProbeSetLinearVsCoarse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	csCoarse := &centroidSet{ids: ids, counts: counts, mat: cents, norms: cents.Norms(nil), coarse: coarse}
+	csCoarse := &centroidSet{ids: ids, mat: cents, norms: cents.Norms(nil), coarse: coarse}
 	b.Run("two-level", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q[0] = float32(i)

@@ -116,10 +116,6 @@ type Config struct {
 	// TargetPartitionSize is the desired vectors per partition
 	// (default 100, the paper's default).
 	TargetPartitionSize int `json:"target_partition_size"`
-	// RebuildGrowthThreshold triggers a full rebuild when the average
-	// partition size exceeds the at-build average by this fraction
-	// (default 0.5, the 50% threshold used in the paper's §4.3.4).
-	RebuildGrowthThreshold float64 `json:"rebuild_growth_threshold"`
 	// Attributes declares the filterable attributes.
 	Attributes []AttributeDef `json:"attributes"`
 	// Workers bounds scan parallelism (default GOMAXPROCS).
@@ -128,11 +124,6 @@ type Config struct {
 	// trainer (zero values pick its defaults).
 	ClusterBatchSize int     `json:"cluster_batch_size"`
 	BalancePenalty   float32 `json:"balance_penalty"`
-	// CentroidIndexThreshold is the partition count above which a
-	// two-level coarse index accelerates centroid ranking (the extension
-	// the paper sketches in §3.2 for very large collections). 0 uses the
-	// default of 4096; negative disables the coarse index entirely.
-	CentroidIndexThreshold int `json:"centroid_index_threshold"`
 	// Quantization selects the partition-scan encoding (create-time
 	// option). With quant.SQ8 a per-dimension affine codebook is trained
 	// at every Rebuild, partition rows store one byte per dimension, and
@@ -160,9 +151,6 @@ func (c *Config) fillDefaults() {
 	if c.TargetPartitionSize == 0 {
 		c.TargetPartitionSize = 100
 	}
-	if c.RebuildGrowthThreshold == 0 {
-		c.RebuildGrowthThreshold = 0.5
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -180,25 +168,25 @@ func (c *Config) fillDefaults() {
 // state is the transactional index state, stored as a meta row and updated
 // inside every mutating transaction.
 type state struct {
-	NextVID        int64   `json:"next_vid"`
-	NumVectors     int64   `json:"num_vectors"`
-	DeltaCount     int64   `json:"delta_count"`
-	NumPartitions  int64   `json:"num_partitions"` // excluding the delta
-	AvgSizeAtBuild float64 `json:"avg_size_at_build"`
+	NextVID       int64 `json:"next_vid"`
+	NumVectors    int64 `json:"num_vectors"`
+	DeltaCount    int64 `json:"delta_count"`
+	NumPartitions int64 `json:"num_partitions"` // excluding the delta
 	// NextPartID is the next unused partition id (splits allocate from
 	// it, and each Rebuild numbers its new partitions from it). Zero until
 	// the first Rebuild, which sets it past every centroid id;
 	// CheckInvariants verifies that it stays there.
 	NextPartID int64 `json:"next_part_id,omitempty"`
-	// Generation increments on every operation that changes centroids
-	// (rebuild, flush, split, merge); it keys the in-memory centroid cache.
+	// Generation increments on every operation that changes centroids,
+	// codebook or optimizer statistics (rebuild, flush, split, merge,
+	// analyze); it keys the in-memory derived-state cache (see load).
 	Generation int64 `json:"generation"`
 	// DataGen increments inside every committed transaction that can
 	// change any query-visible data: upserts, deletes, flushes, splits,
 	// merges, rebuilds and attribute-statistics refreshes. It is strictly
 	// finer-grained than Generation (every Generation bump is also a
-	// DataGen bump, but point writes bump only DataGen, so the centroid
-	// and codebook caches survive streaming updates). The micronn result
+	// DataGen bump, but point writes bump only DataGen, so the
+	// derived-state cache survives streaming updates). The micronn result
 	// cache records it per entry: an unchanged DataGen at a later read
 	// snapshot proves the visible data is identical, so a cached response
 	// may be served verbatim.
@@ -221,20 +209,10 @@ type Index struct {
 	ftsIndexes  map[string]*fts.Index   // attribute name -> fts index
 	attrPos     map[string]int          // attribute name -> position in vids row
 
-	// Cached centroids, keyed by state.Generation.
-	centMu    sync.Mutex
-	centCache *centroidSet
-
-	// Cached SQ8 codebook, keyed by state.Generation. entry.cb is nil
-	// when no codebook is persisted at that generation (index not yet
-	// built).
-	cbMu    sync.Mutex
-	cbCache *codebookEntry
-
-	// Cached attribute statistics for the optimizer.
-	statsMu    sync.Mutex
-	statsCache *stats.TableStats
-	statsGen   int64
+	// derived is the derived state of the newest generation loaded so far
+	// (see load).
+	derivedMu sync.Mutex
+	derived   *derived
 
 	// scanPool recycles partition-scan buffers across searches, keeping
 	// steady-state query memory flat (queries on a warm cache allocate
@@ -365,13 +343,10 @@ func vectorValue(val []byte) (asset, payload []byte, err error) {
 }
 
 // centroidSet is the decoded centroid table: partition ids, centroid
-// matrix, per-row squared norms and per-partition counts. For very large
-// partition counts a two-level coarse index accelerates centroid ranking
-// (see centindex.go).
+// matrix and per-row squared norms. For very large partition counts a
+// two-level coarse index accelerates centroid ranking (see centindex.go).
 type centroidSet struct {
-	gen    int64
 	ids    []int64
-	counts []int64
 	mat    *vec.Matrix
 	norms  []float32
 	coarse *coarseIndex
@@ -613,10 +588,7 @@ type Stats struct {
 	// AvgPartitionSize is vectors-per-partition over the IVF partitions
 	// (excluding the delta).
 	AvgPartitionSize float64
-	// AvgSizeAtBuild is the average partition size right after the last
-	// full build; the monitor compares growth against it.
-	AvgSizeAtBuild float64
-	Generation     int64
+	Generation       int64
 	// DataGen is the data-generation counter backing the result cache
 	// (see state.DataGen).
 	DataGen int64
@@ -629,12 +601,11 @@ func (ix *Index) Stats(txn btree.ReadTxn) (Stats, error) {
 		return Stats{}, err
 	}
 	s := Stats{
-		NumVectors:     st.NumVectors,
-		DeltaCount:     st.DeltaCount,
-		NumPartitions:  st.NumPartitions,
-		AvgSizeAtBuild: st.AvgSizeAtBuild,
-		Generation:     st.Generation,
-		DataGen:        st.DataGen,
+		NumVectors:    st.NumVectors,
+		DeltaCount:    st.DeltaCount,
+		NumPartitions: st.NumPartitions,
+		Generation:    st.Generation,
+		DataGen:       st.DataGen,
 	}
 	if st.NumPartitions > 0 {
 		s.AvgPartitionSize = float64(st.NumVectors-st.DeltaCount) / float64(st.NumPartitions)
@@ -655,36 +626,6 @@ func (ix *Index) DataGeneration(txn btree.ReadTxn) (int64, error) {
 		return 0, err
 	}
 	return st.DataGen, nil
-}
-
-// bumpDataGen increments the data generation inside wt — for mutating
-// operations that do not otherwise rewrite the state row.
-func (ix *Index) bumpDataGen(wt *storage.WriteTxn) error {
-	st, err := ix.getState(wt)
-	if err != nil {
-		return err
-	}
-	st.DataGen++
-	return ix.putState(wt, st)
-}
-
-// NeedsRebuild reports whether the index monitor's growth threshold is
-// exceeded (paper §3.6: unbounded partition growth is prevented by a full
-// rebuild once average size grows past the client threshold). An index
-// that has never been built needs a build once it holds any vectors.
-func (ix *Index) NeedsRebuild(txn btree.ReadTxn) (bool, error) {
-	st, err := ix.getState(txn)
-	if err != nil {
-		return false, err
-	}
-	if st.NumPartitions == 0 {
-		return st.NumVectors > 0, nil
-	}
-	if st.AvgSizeAtBuild == 0 {
-		return false, nil
-	}
-	avg := float64(st.NumVectors-st.DeltaCount) / float64(st.NumPartitions)
-	return avg > st.AvgSizeAtBuild*(1+ix.cfg.RebuildGrowthThreshold), nil
 }
 
 // Upsert inserts or replaces the vector for asset (upsert semantics keyed
@@ -881,29 +822,69 @@ func (ix *Index) GetVector(txn btree.ReadTxn, asset string) ([]float32, map[stri
 	return vector, attrs, nil
 }
 
-// loadCentroids returns the centroid set visible at txn's snapshot, using
-// the in-memory cache when its generation matches. This cache is why the
+// derived is what the index decodes from its tables at one generation: the
+// centroid set, the SQ codebook and the optimizer statistics. Only
+// operations that bump state.Generation change them, so one entry serves
+// every snapshot at its generation. Immutable once built, hence safe to
+// share across scan workers.
+type derived struct {
+	gen   int64
+	cents *centroidSet
+	cb    *quant.Codebook   // nil when unquantized or not yet built
+	stats *stats.TableStats // nil when never analyzed
+}
+
+// load decodes the state row visible at txn's snapshot and returns it with
+// the derived state at its generation, from the cache when the generation
+// matches. The cache keeps the newest generation loaded; it is why the
 // paper's WarmCache scenario skips the centroid scan entirely.
-func (ix *Index) loadCentroids(txn btree.ReadTxn) (*centroidSet, error) {
+func (ix *Index) load(txn btree.ReadTxn) (state, *derived, error) {
 	st, err := ix.getState(txn)
 	if err != nil {
-		return nil, err
+		return st, nil, err
 	}
-	ix.centMu.Lock()
-	if ix.centCache != nil && ix.centCache.gen == st.Generation {
-		cs := ix.centCache
-		ix.centMu.Unlock()
-		return cs, nil
+	ix.derivedMu.Lock()
+	d := ix.derived
+	ix.derivedMu.Unlock()
+	if d != nil && d.gen == st.Generation {
+		return st, d, nil
 	}
-	ix.centMu.Unlock()
+	d = &derived{gen: st.Generation}
+	if d.cents, err = ix.loadCentroids(txn); err != nil {
+		return st, nil, err
+	}
+	if ix.rawvecs != nil {
+		row, err := ix.meta.Get(txn, reldb.S(metaCodebook))
+		if err == nil {
+			if d.cb, err = quant.UnmarshalCodebook(row[1].Bts); err != nil {
+				return st, nil, fmt.Errorf("ivf: load codebook: %w", err)
+			}
+		} else if !errors.Is(err, reldb.ErrNotFound) {
+			return st, nil, err
+		}
+	}
+	if d.stats, err = stats.Load(ix.db, txn, tblVIDs); err != nil {
+		return st, nil, err
+	}
+	ix.derivedMu.Lock()
+	if ix.derived == nil || ix.derived.gen <= d.gen {
+		ix.derived = d
+	}
+	ix.derivedMu.Unlock()
+	return st, d, nil
+}
 
+// loadCentroids decodes the centroid table visible at txn's snapshot,
+// building the coarse index past centroidIndexThreshold partitions.
+func (ix *Index) loadCentroids(txn btree.ReadTxn) (*centroidSet, error) {
 	var ids []int64
-	var counts []int64
 	var blobs [][]byte
-	err = ix.centroids.Scan(txn, nil, func(row reldb.Row) error {
+	err := ix.centroids.Scan(txn, nil, func(row reldb.Row) error {
+		if len(row[1].Bts) != vec.BlobSize(ix.cfg.Dim) {
+			return fmt.Errorf("ivf: centroid %d blob %d bytes, want %d", row[0].Int, len(row[1].Bts), vec.BlobSize(ix.cfg.Dim))
+		}
 		ids = append(ids, row[0].Int)
 		blobs = append(blobs, row[1].Bts)
-		counts = append(counts, row[2].Int)
 		return nil
 	})
 	if err != nil {
@@ -913,87 +894,21 @@ func (ix *Index) loadCentroids(txn btree.ReadTxn) (*centroidSet, error) {
 	for i, b := range blobs {
 		mat.AppendRowBlob(i, b)
 	}
-	cs := &centroidSet{
-		gen:    st.Generation,
-		ids:    ids,
-		counts: counts,
-		mat:    mat,
-		norms:  mat.Norms(make([]float32, 0, len(ids))),
-	}
-	threshold := ix.cfg.CentroidIndexThreshold
-	if threshold == 0 {
-		threshold = centroidIndexThreshold
-	}
-	if threshold > 0 && len(ids) >= threshold {
-		coarse, err := buildCoarseIndex(ix.cfg.Metric, mat, ix.cfg.Seed)
-		if err != nil {
+	cs := &centroidSet{ids: ids, mat: mat, norms: mat.Norms(make([]float32, 0, len(ids)))}
+	if len(ids) >= centroidIndexThreshold {
+		if cs.coarse, err = buildCoarseIndex(ix.cfg.Metric, mat, ix.cfg.Seed); err != nil {
 			return nil, err
 		}
-		cs.coarse = coarse
 	}
-	ix.centMu.Lock()
-	if ix.centCache == nil || ix.centCache.gen <= cs.gen {
-		ix.centCache = cs
-	}
-	ix.centMu.Unlock()
 	return cs, nil
 }
 
-// DropCaches clears the in-memory centroid, codebook and statistics caches
-// (the ColdStart scenario, combined with storage.Store.DropCaches).
+// DropCaches clears the in-memory derived state (the ColdStart scenario,
+// combined with storage.Store.DropCaches).
 func (ix *Index) DropCaches() {
-	ix.centMu.Lock()
-	ix.centCache = nil
-	ix.centMu.Unlock()
-	ix.cbMu.Lock()
-	ix.cbCache = nil
-	ix.cbMu.Unlock()
-	ix.statsMu.Lock()
-	ix.statsCache = nil
-	ix.statsGen = -1
-	ix.statsMu.Unlock()
-}
-
-// codebookEntry caches the decoded SQ8 codebook for one index generation.
-type codebookEntry struct {
-	gen int64
-	cb  *quant.Codebook // nil when no codebook exists at this generation
-}
-
-// loadCodebook returns the SQ8 codebook visible at txn's snapshot, or nil
-// when the index is unquantized or not yet built. Like the centroid cache
-// it is keyed by the state generation, so rebuilds invalidate it.
-func (ix *Index) loadCodebook(txn btree.ReadTxn) (*quant.Codebook, error) {
-	if ix.cfg.Quantization == quant.None {
-		return nil, nil
-	}
-	st, err := ix.getState(txn)
-	if err != nil {
-		return nil, err
-	}
-	ix.cbMu.Lock()
-	if ix.cbCache != nil && ix.cbCache.gen == st.Generation {
-		cb := ix.cbCache.cb
-		ix.cbMu.Unlock()
-		return cb, nil
-	}
-	ix.cbMu.Unlock()
-
-	entry := &codebookEntry{gen: st.Generation}
-	row, err := ix.meta.Get(txn, reldb.S(metaCodebook))
-	if err == nil {
-		if entry.cb, err = quant.UnmarshalCodebook(row[1].Bts); err != nil {
-			return nil, fmt.Errorf("ivf: load codebook: %w", err)
-		}
-	} else if !errors.Is(err, reldb.ErrNotFound) {
-		return nil, err
-	}
-	ix.cbMu.Lock()
-	if ix.cbCache == nil || ix.cbCache.gen <= entry.gen {
-		ix.cbCache = entry
-	}
-	ix.cbMu.Unlock()
-	return entry.cb, nil
+	ix.derivedMu.Lock()
+	ix.derived = nil
+	ix.derivedMu.Unlock()
 }
 
 // rawVector fetches the exact float32 blob for vid from the raw store (the

@@ -447,52 +447,6 @@ func TestFlushWithoutBuildErrors(t *testing.T) {
 	}
 }
 
-func TestNeedsRebuildThreshold(t *testing.T) {
-	env := newEnv(t, Config{Dim: 8, TargetPartitionSize: 20, RebuildGrowthThreshold: 0.5, Seed: 9})
-	data := clusteredData(13, 600, 8, 6)
-	base := &vec.Matrix{Data: data.Data[:200*8], Rows: 200, Dim: 8}
-	env.upsertAll(t, base, nil)
-	env.rebuild(t)
-
-	check := func(want bool) {
-		t.Helper()
-		err := env.store.View(func(rt *storage.ReadTxn) error {
-			got, err := env.ix.NeedsRebuild(rt)
-			if err != nil {
-				return err
-			}
-			if got != want {
-				st, _ := env.ix.Stats(rt)
-				t.Errorf("NeedsRebuild = %v, want %v (stats %+v)", got, want, st)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	check(false)
-
-	// Add 60% more vectors and flush them into the partitions: average
-	// size grows past the 50% threshold.
-	err := env.store.Update(func(wt *storage.WriteTxn) error {
-		for i := 200; i < 520; i++ {
-			if err := env.ix.Upsert(wt, fmt.Sprintf("asset-%d", i), data.Row(i), nil); err != nil {
-				return err
-			}
-		}
-		_, err := env.ix.FlushDelta(wt)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(true)
-
-	env.rebuild(t)
-	check(false)
-}
-
 func TestBatchSearchMatchesSingle(t *testing.T) {
 	env := newEnv(t, Config{Dim: 8, TargetPartitionSize: 25, Seed: 10, Workers: 2})
 	data := clusteredData(17, 800, 8, 10)

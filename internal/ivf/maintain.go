@@ -8,7 +8,6 @@ import (
 
 	"micronn/internal/btree"
 	"micronn/internal/clustering"
-	"micronn/internal/quant"
 	"micronn/internal/reldb"
 	"micronn/internal/storage"
 	"micronn/internal/vec"
@@ -223,12 +222,13 @@ func (ix *Index) exactVectors(txn btree.ReadTxn, rows []partRow) (*vec.Matrix, e
 	return m, nil
 }
 
-// moveRow rewrites one vector row from src to dst, keeping the payload
-// byte-identical, and points the asset's mapping at dst: three row writes.
-// On a quantized index the payload is the SQ8 code, which stays a valid
-// encoding because splits and merges never change the codebook — moving
-// the code is exactly re-encoding the raw vector against the existing
-// codebook.
+// moveRow rewrites r's vector row from partition src to dst with payload
+// r.blob and points the asset's mapping at dst: three row writes, the one
+// row move of Rebuild, FlushDelta, splits and merges. Rebuild passes the
+// code re-encoded under its fresh codebook and FlushDelta the delta row's
+// encoding under the current one; splits and merges move the payload
+// byte-identical, which on a quantized index stays a valid code because
+// they never change the codebook. Callers spill at their own cadence.
 func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error {
 	if err := ix.vectors.Delete(wt, reldb.I(src), reldb.I(r.vid)); err != nil {
 		return err
@@ -236,10 +236,7 @@ func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error 
 	if err := ix.vectors.Put(wt, reldb.Row{reldb.I(dst), reldb.I(r.vid), reldb.S(r.asset), reldb.B(r.blob)}); err != nil {
 		return err
 	}
-	if err := ix.assets.Put(wt, reldb.Row{reldb.S(r.asset), reldb.I(dst), reldb.I(r.vid)}); err != nil {
-		return err
-	}
-	return wt.SpillIfNeeded()
+	return ix.assets.Put(wt, reldb.Row{reldb.S(r.asset), reldb.I(dst), reldb.I(r.vid)})
 }
 
 // ErrPlanStale is returned by ApplySplit when the partition no longer
@@ -407,6 +404,9 @@ func (ix *Index) ApplySplit(wt *storage.WriteTxn, plan *SplitPlan) (*Maintenance
 		if err := ix.moveRow(wt, part, dst, r); err != nil {
 			return nil, err
 		}
+		if err := wt.SpillIfNeeded(); err != nil {
+			return nil, err
+		}
 		ms.RowChanges += 3
 	}
 
@@ -472,7 +472,7 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 	if len(parts) == 0 {
 		return ms, nil
 	}
-	st, err := ix.getState(wt)
+	st, d, err := ix.load(wt)
 	if err != nil {
 		return nil, err
 	}
@@ -487,10 +487,7 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 		src[p] = true
 	}
 
-	cs, err := ix.loadCentroids(wt)
-	if err != nil {
-		return nil, err
-	}
+	cs := d.cents
 	known := make(map[int64]bool, len(cs.ids))
 	for _, id := range cs.ids {
 		known[id] = true
@@ -544,6 +541,9 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 			vec.DistancesOneToMany(ix.cfg.Metric, x, dmat, nil, dists)
 			best := argminRange(dists)
 			if err := ix.moveRow(wt, part, destIDs[best], r); err != nil {
+				return nil, err
+			}
+			if err := wt.SpillIfNeeded(); err != nil {
 				return nil, err
 			}
 			ms.RowChanges += 3
@@ -610,10 +610,11 @@ func (ix *Index) PartitionSizeBounds(txn btree.ReadTxn) (min, max int64, err err
 // live vids, and a quantized index has a raw vector per row plus an intact
 // codebook. O(N); used by the crash-recovery battery and tests.
 func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
-	st, err := ix.getState(txn)
+	st, d, err := ix.load(txn)
 	if err != nil {
 		return err
 	}
+	cb := d.cb
 
 	type loc struct {
 		part  int64
@@ -623,12 +624,6 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	partSizes := make(map[int64]int64)
 	var total, delta int64
 	wantBlobLen := vec.BlobSize(ix.cfg.Dim)
-	var cb *quant.Codebook
-	if ix.rawvecs != nil {
-		if cb, err = ix.loadCodebook(txn); err != nil {
-			return fmt.Errorf("ivf: invariant: codebook unreadable: %w", err)
-		}
-	}
 
 	err = ix.vectors.Scan(txn, nil, func(row reldb.Row) error {
 		part, vid, asset := row[0].Int, row[1].Int, row[2].Str

@@ -3,9 +3,12 @@ package ivf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"micronn/internal/quant"
+	"micronn/internal/reldb"
 	"micronn/internal/storage"
 	"micronn/internal/vec"
 )
@@ -406,5 +409,111 @@ func TestMaintainedRecallMatchesRebuild(t *testing.T) {
 				t.Errorf("maintained recall %.4f more than 1 point below rebuilt %.4f", maintained, rebuilt)
 			}
 		})
+	}
+}
+
+// TestDerivedStateAcrossSnapshots has readers load the derived state at
+// pinned snapshots, old and new, while a writer flushes, merges and
+// analyzes. Each load must return the centroid ids a direct scan of the
+// centroid table sees at the same snapshot: the cache never serves one
+// generation's state to a reader at another. Readers 0 and 2 keep the
+// build's snapshot throughout; 1 and 3 re-pin at the newest one as they go.
+func TestDerivedStateAcrossSnapshots(t *testing.T) {
+	env := newEnv(t, Config{Dim: 8, TargetPartitionSize: 20, Seed: 3,
+		Attributes: []AttributeDef{{Name: "c", Type: reldb.TypeInt64, Indexed: true}}})
+	data := clusteredData(21, 700, 8, 8)
+	attrs := func(i int) map[string]reldb.Value { return map[string]reldb.Value{"c": reldb.I(int64(i % 5))} }
+	env.upsertAll(t, &vec.Matrix{Data: data.Data[:400*8], Rows: 400, Dim: 8}, attrs)
+	env.rebuild(t)
+
+	check := func(rt *storage.ReadTxn) error {
+		st, d, err := env.ix.load(rt)
+		if err != nil {
+			return err
+		}
+		var ids []int64
+		err = env.ix.centroids.ScanKeys(rt, nil, func(key reldb.Row) error {
+			ids = append(ids, key[0].Int)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if d.gen != st.Generation || !slices.Equal(d.cents.ids, ids) {
+			return fmt.Errorf("generation %d: derived state of generation %d holds centroids %v, the table %v", st.Generation, d.gen, d.cents.ids, ids)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		pinned, err := env.store.BeginRead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { pinned.Close() }()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(pinned); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := env.store.View(check); err != nil {
+					t.Error(err)
+					return
+				}
+				if r%2 == 1 && i%8 == 0 {
+					pinned.Close()
+					if pinned, err = env.store.BeginRead(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	var werr error
+	for round := 0; round < 6 && werr == nil; round++ {
+		lo := 400 + 50*round
+		for _, step := range []func(wt *storage.WriteTxn) error{
+			func(wt *storage.WriteTxn) error {
+				for i := lo; i < lo+50; i++ {
+					if err := env.ix.Upsert(wt, fmt.Sprintf("asset-%d", i), data.Row(i), attrs(i)); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			func(wt *storage.WriteTxn) error {
+				_, err := env.ix.FlushDelta(wt)
+				return err
+			},
+			func(wt *storage.WriteTxn) error {
+				parts, err := env.ix.PartitionIDs(wt)
+				if err != nil {
+					return err
+				}
+				_, err = env.ix.MergePartitions(wt, parts[0])
+				return err
+			},
+			env.ix.AnalyzeAttributes,
+		} {
+			if werr = env.store.Update(step); werr != nil {
+				break
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if werr != nil {
+		t.Fatal(werr)
 	}
 }

@@ -2,6 +2,7 @@ package ivf
 
 import (
 	"errors"
+	"slices"
 
 	"micronn/internal/btree"
 	"micronn/internal/reldb"
@@ -15,13 +16,11 @@ import (
 // PartitionIDs returns every IVF partition id (excluding the delta) at the
 // transaction's snapshot.
 func (ix *Index) PartitionIDs(txn btree.ReadTxn) ([]int64, error) {
-	cs, err := ix.loadCentroids(txn)
+	_, d, err := ix.load(txn)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(cs.ids))
-	copy(out, cs.ids)
-	return out, nil
+	return slices.Clone(d.cents.ids), nil
 }
 
 // ScanPartition streams the (vid, vector blob) pairs of one partition in
@@ -52,15 +51,4 @@ func (ix *Index) FetchVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
 		return nil, err
 	}
 	return row[3].Bts, nil
-}
-
-// PartitionSizes returns the vector count of every partition including the
-// delta (index-monitor diagnostics; the balance ablation reports these).
-func (ix *Index) PartitionSizes(txn btree.ReadTxn) (map[int64]int, error) {
-	sizes := make(map[int64]int)
-	err := ix.vectors.ScanKeys(txn, nil, func(key reldb.Row) error {
-		sizes[key[0].Int]++
-		return nil
-	})
-	return sizes, err
 }

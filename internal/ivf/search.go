@@ -123,36 +123,28 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 	}
 	info := &PlanInfo{Plan: PlanPostFilter}
 
-	cs, err := ix.loadCentroids(txn)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := ix.getState(txn)
+	st, d, err := ix.load(txn)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	var parts []int64
 	if opts.Exact {
-		parts = append([]int64{DeltaPartition}, cs.ids...)
+		parts = append([]int64{DeltaPartition}, d.cents.ids...)
 	} else {
 		info.IVFSelectivity = ivfSelectivity(opts.NProbe, ix.cfg.TargetPartitionSize, st.NumVectors)
 		if len(opts.Filters) > 0 {
-			if err := ix.choosePlan(txn, opts, st, info); err != nil {
+			if err := ix.choosePlan(txn, opts, d.stats, info); err != nil {
 				return nil, nil, err
 			}
 			if info.Plan == PlanPreFilter {
-				res, err := ix.preFilterSearch(txn, q, opts, info)
+				res, err := ix.preFilterSearch(txn, q, opts, d.stats, info)
 				return res, info, err
 			}
 		}
-		parts = ix.probeSet(cs, q, opts.NProbe)
+		parts = ix.probeSet(d.cents, q, opts.NProbe)
 	}
-	cb, err := ix.loadCodebook(txn)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Exact && cb != nil {
+	if opts.Exact && d.cb != nil {
 		// Exhaustive search on a quantized index: one sequential pass over
 		// the raw store instead of scanning lossy codes and chasing a
 		// random raw lookup per row.
@@ -167,7 +159,7 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 		work[i] = partWork{part: p, queries: one}
 	}
 	var c scanCounts
-	out, err := ix.scan(txn, cb, &vec.Matrix{Data: q, Rows: 1, Dim: len(q)}, work, opts.Filters, BatchOptions{
+	out, err := ix.scan(txn, d.cb, &vec.Matrix{Data: q, Rows: 1, Dim: len(q)}, work, opts.Filters, BatchOptions{
 		K: opts.K, RerankFactor: opts.RerankFactor, CandidatesOnly: opts.CandidatesOnly, Cancel: opts.Cancel,
 	}, &c)
 	if err != nil {
@@ -178,7 +170,7 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 	info.RowsFiltered += c.filtered.Load()
 	info.BytesScanned += c.bytes.Load()
 	info.Reranked += int(c.reranked.Load())
-	info.CandidatesApprox = cb != nil && opts.CandidatesOnly
+	info.CandidatesApprox = d.cb != nil && opts.CandidatesOnly
 	return out[0], info, nil
 }
 
@@ -480,13 +472,14 @@ func (ix *Index) filterColumns(txn btree.ReadTxn, vid int64, filters []stats.Fil
 // --- hybrid search ---
 
 // choosePlan records in info the pre- or post-filter plan a filtered
-// search runs: opts.Plan, or under PlanAuto the optimizer's choice.
-func (ix *Index) choosePlan(txn btree.ReadTxn, opts SearchOptions, st state, info *PlanInfo) error {
+// search runs: opts.Plan, or under PlanAuto the optimizer's choice from the
+// attribute statistics ts.
+func (ix *Index) choosePlan(txn btree.ReadTxn, opts SearchOptions, ts *stats.TableStats, info *PlanInfo) error {
 	info.Plan = opts.Plan
 	if opts.Plan != PlanAuto {
 		return nil
 	}
-	fsel, err := ix.estimateFilterSelectivity(txn, opts.Filters, st.Generation)
+	fsel, err := ix.estimateFilterSelectivity(txn, ts, opts.Filters)
 	if err != nil {
 		return err
 	}
@@ -500,13 +493,9 @@ func (ix *Index) choosePlan(txn btree.ReadTxn, opts SearchOptions, st state, inf
 	return nil
 }
 
-// estimateFilterSelectivity computes F̂_filters using cached attribute
-// statistics and FTS document frequencies.
-func (ix *Index) estimateFilterSelectivity(txn btree.ReadTxn, filters []stats.Filter, gen int64) (float64, error) {
-	ts, err := ix.attrStats(txn, gen)
-	if err != nil {
-		return 1, err
-	}
+// estimateFilterSelectivity computes F̂_filters from the attribute
+// statistics ts and FTS document frequencies.
+func (ix *Index) estimateFilterSelectivity(txn btree.ReadTxn, ts *stats.TableStats, filters []stats.Filter) (float64, error) {
 	if ts == nil {
 		return 1, nil // never analyzed: assume non-selective
 	}
@@ -528,34 +517,13 @@ func (ix *Index) estimateFilterSelectivity(txn btree.ReadTxn, filters []stats.Fi
 	return ts.FilterSelectivity(filters, docFreq)
 }
 
-// attrStats returns cached attribute statistics, reloading when the index
-// generation changed.
-func (ix *Index) attrStats(txn btree.ReadTxn, gen int64) (*stats.TableStats, error) {
-	ix.statsMu.Lock()
-	if ix.statsCache != nil && ix.statsGen == gen {
-		ts := ix.statsCache
-		ix.statsMu.Unlock()
-		return ts, nil
-	}
-	ix.statsMu.Unlock()
-	ts, err := stats.Load(ix.db, txn, tblVIDs)
-	if err != nil {
-		return nil, err
-	}
-	ix.statsMu.Lock()
-	ix.statsCache = ts
-	ix.statsGen = gen
-	ix.statsMu.Unlock()
-	return ts, nil
-}
-
 // preFilterSearch evaluates the filters first, then brute-forces the
 // qualifying vectors — 100% recall over the filtered set (paper §3.5).
 // The driver is the most selective index-supported filter group; remaining
 // groups are verified against the vids row, which also supplies the asset
 // id.
-func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, info *PlanInfo) ([]topk.Result, error) {
-	driver, rest, err := ix.chooseDriver(txn, opts.Filters)
+func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, ts *stats.TableStats, info *PlanInfo) ([]topk.Result, error) {
+	driver, rest, err := ix.chooseDriver(txn, ts, opts.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -624,11 +592,7 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 // chooseDriver picks the filter group whose predicates can all be driven
 // from secondary/FTS indexes, preferring the most selective one. It returns
 // nil when no group qualifies.
-func (ix *Index) chooseDriver(txn btree.ReadTxn, filters []stats.Filter) (*stats.Filter, []stats.Filter, error) {
-	st, err := ix.getState(txn)
-	if err != nil {
-		return nil, nil, err
-	}
+func (ix *Index) chooseDriver(txn btree.ReadTxn, ts *stats.TableStats, filters []stats.Filter) (*stats.Filter, []stats.Filter, error) {
 	best := -1
 	var bestSel float64
 	for i, group := range filters {
@@ -642,7 +606,7 @@ func (ix *Index) chooseDriver(txn btree.ReadTxn, filters []stats.Filter) (*stats
 		if !drivable {
 			continue
 		}
-		sel, err := ix.estimateFilterSelectivity(txn, []stats.Filter{group}, st.Generation)
+		sel, err := ix.estimateFilterSelectivity(txn, ts, []stats.Filter{group})
 		if err != nil {
 			return nil, nil, err
 		}

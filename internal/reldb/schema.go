@@ -40,18 +40,6 @@ func (s *Schema) ColumnIndex(name string) (pos int, isKey bool, err error) {
 	return 0, false, fmt.Errorf("reldb: table %s has no column %q", s.Name, name)
 }
 
-// ColumnType returns the declared type of the named column.
-func (s *Schema) ColumnType(name string) (ColType, error) {
-	pos, isKey, err := s.ColumnIndex(name)
-	if err != nil {
-		return TypeNull, err
-	}
-	if isKey {
-		return s.Key[pos].Type, nil
-	}
-	return s.Cols[pos-len(s.Key)].Type, nil
-}
-
 // validateRow checks arity and types (null allowed in value columns only).
 func (s *Schema) validateRow(row Row) error {
 	if len(row) != s.NumColumns() {

@@ -249,48 +249,6 @@ func (t *Table) ScanKeys(txn btree.ReadTxn, prefix []Value, fn func(Row) error) 
 	return nil
 }
 
-// ScanKeysFrom iterates decoded primary keys starting at the first key >=
-// from (not a prefix: iteration continues past keys that diverge from it)
-// until the end of the table or until fn returns ErrStopScan. It is the
-// range-scan primitive for key-ordered tables — callers seek to a lower
-// bound and stop themselves at their upper bound.
-func (t *Table) ScanKeysFrom(txn btree.ReadTxn, from []Value, fn func(Row) error) error {
-	var lo []byte
-	if len(from) > 0 {
-		lo = EncodeKey(nil, from...)
-	}
-	var c *btree.Cursor
-	var err error
-	if len(lo) == 0 {
-		c, err = t.tree.First(txn)
-	} else {
-		c, err = t.tree.Seek(txn, lo)
-	}
-	if err != nil {
-		return err
-	}
-	for c.Valid() {
-		k, err := c.Key()
-		if err != nil {
-			return err
-		}
-		keyRow, err := DecodeKey(k, len(t.meta.schema.Key))
-		if err != nil {
-			return err
-		}
-		if err := fn(keyRow); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
-		if err := c.Next(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LeafPages calls emit with the page number of every btree leaf that can
 // hold rows whose key starts with prefix (nil covers the whole table),
 // without reading the leaves — the readahead primitive behind

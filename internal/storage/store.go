@@ -109,7 +109,6 @@ var (
 
 // Store is a page store with WAL-based transactions.
 type Store struct {
-	path string
 	opts Options
 
 	backend Backend
@@ -171,7 +170,6 @@ func Open(path string, opts Options) (*Store, error) {
 		}
 	}
 	s := &Store{
-		path:    path,
 		opts:    opts,
 		readers: make(map[uint64]int),
 	}
@@ -339,9 +337,6 @@ func (s *Store) release() {
 
 // PageSize returns the store's page size.
 func (s *Store) PageSize() uint32 { return s.opts.PageSize }
-
-// Path returns the base file path.
-func (s *Store) Path() string { return s.path }
 
 // Close checkpoints if possible and closes the files. Acquiring the writer
 // gate first means an in-flight write transaction always commits or rolls

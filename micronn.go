@@ -391,10 +391,6 @@ type Options struct {
 	Metric Metric
 	// TargetPartitionSize is the IVF target cluster size (default 100).
 	TargetPartitionSize int
-	// RebuildGrowthThreshold triggers Maintain's full rebuild once the
-	// average partition has grown by this fraction since the last build
-	// (default 0.5).
-	RebuildGrowthThreshold float64
 	// FlushThreshold makes Maintain flush the delta-store once it holds
 	// at least this many vectors (default: TargetPartitionSize).
 	FlushThreshold int
@@ -637,18 +633,17 @@ func Open(path string, opts Options) (*DB, error) {
 		err = store.Update(func(wt *storage.WriteTxn) error {
 			var cerr error
 			ix, cerr = ivf.Create(rdb, wt, ivf.Config{
-				Dim:                    opts.Dim,
-				Metric:                 opts.Metric,
-				TargetPartitionSize:    opts.TargetPartitionSize,
-				RebuildGrowthThreshold: opts.RebuildGrowthThreshold,
-				Attributes:             attrs,
-				Workers:                device.Workers,
-				ClusterBatchSize:       opts.ClusterBatchSize,
-				BalancePenalty:         opts.BalancePenalty,
-				Quantization:           opts.Quantization,
-				RerankFactor:           opts.RerankFactor,
-				ClipPercentile:         opts.ClipPercentile,
-				Seed:                   opts.Seed,
+				Dim:                 opts.Dim,
+				Metric:              opts.Metric,
+				TargetPartitionSize: opts.TargetPartitionSize,
+				Attributes:          attrs,
+				Workers:             device.Workers,
+				ClusterBatchSize:    opts.ClusterBatchSize,
+				BalancePenalty:      opts.BalancePenalty,
+				Quantization:        opts.Quantization,
+				RerankFactor:        opts.RerankFactor,
+				ClipPercentile:      opts.ClipPercentile,
+				Seed:                opts.Seed,
 			})
 			return cerr
 		})
@@ -1355,10 +1350,6 @@ type Stats struct {
 	// measurement.
 	SmallestPartition int64
 	LargestPartition  int64
-	// NeedsRebuild mirrors the legacy growth trigger; with incremental
-	// maintenance active it is informational (growth is absorbed by
-	// splits, never a full rebuild).
-	NeedsRebuild bool
 	// Maintenance accumulates the maintenance work done on this handle.
 	Maintenance MaintenanceTotals
 	// Ingest reports the group committer's batching.
@@ -1475,10 +1466,6 @@ func indexStats(ix *ivf.Index, rt *storage.ReadTxn) (Stats, error) {
 	out.NumPartitions = st.NumPartitions
 	out.AvgPartitionSize = st.AvgPartitionSize
 	out.SmallestPartition, out.LargestPartition, err = ix.PartitionSizeBounds(rt)
-	if err != nil {
-		return out, err
-	}
-	out.NeedsRebuild, err = ix.NeedsRebuild(rt)
 	return out, err
 }
 

@@ -253,6 +253,60 @@ func TestHybridFilterAPI(t *testing.T) {
 	}
 }
 
+// TestAnalyzeReachesOptimizer checks that Analyze's statistics reach the
+// hybrid optimizer at once, on a single store and on a sharded one: after
+// Analyze a filtered search must report the filter selectivity it reports
+// once every in-memory cache is dropped. The index is built, and searched,
+// while every row has c=0; Analyze then sees half the rows at c=7.
+func TestAnalyzeReachesOptimizer(t *testing.T) {
+	opts := Options{Dim: 8, Seed: 1, Attributes: []AttributeDef{{Name: "c", Type: AttrInt, Indexed: true}}}
+	sharded := opts
+	sharded.Shards = 2
+	for _, tc := range []struct {
+		name string
+		db   Store
+	}{
+		{"single", openTest(t, opts)},
+		{"sharded", openShardedTest(t, filepath.Join(t.TempDir(), "analyze.d"), sharded)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.db
+			vecs := randomVecs(3, 800, 8)
+			upsert := func(lo, hi, c int) {
+				items := make([]Item, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					items = append(items, Item{ID: fmt.Sprintf("v%d", i), Vector: vecs[i], Attributes: map[string]any{"c": c}})
+				}
+				if err := db.UpsertBatch(items); err != nil {
+					t.Fatal(err)
+				}
+			}
+			upsert(0, 400, 0)
+			if _, err := db.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			selectivity := func() float64 {
+				t.Helper()
+				resp, err := db.Search(SearchRequest{Vector: vecs[0], K: 10, Filters: []Filter{Eq("c", 7)}, NoCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.Plan.FilterSelectivity
+			}
+			selectivity() // loads the statistics of the build
+			upsert(400, 800, 7)
+			if err := db.Analyze(); err != nil {
+				t.Fatal(err)
+			}
+			got := selectivity()
+			db.DropCaches()
+			if want := selectivity(); got != want {
+				t.Errorf("FilterSelectivity after Analyze = %.4f, after DropCaches = %.4f", got, want)
+			}
+		})
+	}
+}
+
 func TestBatchSearchAPI(t *testing.T) {
 	db := openTest(t, Options{Dim: 8, TargetPartitionSize: 20, Seed: 3})
 	vecs := randomVecs(5, 400, 8)

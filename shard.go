@@ -698,8 +698,8 @@ func (r *router) Checkpoint() error {
 }
 
 // DropCaches empties the result cache and every shard's buffer pool and
-// in-memory centroid cache, simulating a cold start (used by benchmarks —
-// a cold run must pay the scan, not replay a cached response).
+// in-memory derived state, simulating a cold start (used by benchmarks — a
+// cold run must pay the scan, not replay a cached response).
 func (r *router) DropCaches() {
 	if r.cache != nil {
 		r.cache.Clear()
@@ -1024,7 +1024,7 @@ func (s *ShardedDB) Maintain() (*MaintenanceReport, error) {
 
 // AggregateStats folds per-shard stats into whole-database numbers: counts,
 // cache and file sizes sum; the partition-size bounds are the min/max over
-// shards; NeedsRebuild is true if any shard needs one. ShardedDB.Stats is
+// shards. ShardedDB.Stats is
 // AggregateStats over ShardStats; callers that already hold the per-shard
 // slice (e.g. to print a breakdown) can aggregate it without a second
 // scatter.
@@ -1040,7 +1040,6 @@ func AggregateStats(per []Stats) Stats {
 		if st.LargestPartition > out.LargestPartition {
 			out.LargestPartition = st.LargestPartition
 		}
-		out.NeedsRebuild = out.NeedsRebuild || st.NeedsRebuild
 		out.Maintenance.Passes += st.Maintenance.Passes
 		out.Maintenance.Rebuilds += st.Maintenance.Rebuilds
 		out.Maintenance.Flushes += st.Maintenance.Flushes
