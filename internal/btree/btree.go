@@ -202,24 +202,43 @@ func (p page) interiorCell(i int) (key []byte, child uint32, err error) {
 	return b[ko : ko+klen], binary.LittleEndian.Uint32(b[ko+klen:]), nil
 }
 
-// leafKey returns only the key of cell i (both node types share the layout
-// offset for keys only through these helpers).
+// key returns the key of cell i.
 func (p page) key(i int) ([]byte, error) {
+	return p.keyAt(i, p.keyOffset())
+}
+
+// keyOffset is where a cell's key starts past its offset: leaf cells carry
+// a flags byte before the key length, interior cells start with it.
+func (p page) keyOffset() int {
 	if p.typ() == pageTypeLeaf {
-		k, _, _, _, err := p.leafCell(i)
-		return k, err
+		return 3
 	}
-	k, _, err := p.interiorCell(i)
-	return k, err
+	return 2
+}
+
+// keyAt returns the key of cell i, whose key starts ko bytes into the cell
+// (see keyOffset), reading only the cell's key length and key.
+func (p page) keyAt(i, ko int) ([]byte, error) {
+	b := p.buf
+	start := p.cellOffset(i) + ko
+	if start > len(b) {
+		return nil, ErrCorrupt
+	}
+	end := start + int(binary.LittleEndian.Uint16(b[start-2:]))
+	if end > len(b) {
+		return nil, ErrCorrupt
+	}
+	return b[start:end], nil
 }
 
 // search finds the first cell index whose key is >= key. Returns (idx,
 // found) where found means an exact match at idx.
 func (p page) search(key []byte) (int, bool, error) {
+	ko := p.keyOffset()
 	lo, hi := 0, p.nCells()
 	for lo < hi {
-		mid := (lo + hi) / 2
-		k, err := p.key(mid)
+		mid := int(uint(lo+hi) >> 1)
+		k, err := p.keyAt(mid, ko)
 		if err != nil {
 			return 0, false, err
 		}

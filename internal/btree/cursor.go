@@ -16,65 +16,21 @@ type Cursor struct {
 }
 
 // First positions a cursor at the smallest key.
-func (t *Tree) First(txn ReadTxn) (*Cursor, error) {
-	c := &Cursor{t: t, txn: txn}
-	pageNo := t.root
-	for {
-		buf, err := txn.Get(pageNo)
-		if err != nil {
-			return nil, err
-		}
-		p := page{buf: buf}
-		switch p.typ() {
-		case pageTypeLeaf:
-			c.pageNo, c.page, c.idx = pageNo, p, 0
-			c.valid = true
-			return c, c.skipEmpty()
-		case pageTypeInterior:
-			if p.nCells() == 0 {
-				pageNo = p.right()
-				continue
-			}
-			_, child, err := p.interiorCell(0)
-			if err != nil {
-				return nil, err
-			}
-			pageNo = child
-		default:
-			return nil, fmt.Errorf("%w: page %d type %d", ErrCorrupt, pageNo, p.typ())
-		}
-	}
-}
+func (t *Tree) First(txn ReadTxn) (*Cursor, error) { return t.Seek(txn, nil) }
 
 // Seek positions a cursor at the first key >= key.
 func (t *Tree) Seek(txn ReadTxn, key []byte) (*Cursor, error) {
-	c := &Cursor{t: t, txn: txn}
-	pageNo := t.root
-	for {
-		buf, err := txn.Get(pageNo)
-		if err != nil {
-			return nil, err
-		}
-		p := page{buf: buf}
-		switch p.typ() {
-		case pageTypeLeaf:
-			idx, _, err := p.search(key)
-			if err != nil {
-				return nil, err
-			}
-			c.pageNo, c.page, c.idx = pageNo, p, idx
-			c.valid = true
-			return c, c.skipEmpty()
-		case pageTypeInterior:
-			child, _, err := p.childFor(key)
-			if err != nil {
-				return nil, err
-			}
-			pageNo = child
-		default:
-			return nil, fmt.Errorf("%w: page %d type %d", ErrCorrupt, pageNo, p.typ())
-		}
+	s := Seeker{t: t, txn: txn}
+	pageNo, p, err := s.leafFor(key)
+	if err != nil {
+		return nil, err
 	}
+	idx, _, err := p.search(key)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cursor{t: t, txn: txn, pageNo: pageNo, page: p, idx: idx, valid: true}
+	return c, c.skipEmpty()
 }
 
 // skipEmpty advances across exhausted or empty leaves.

@@ -6,46 +6,6 @@ import (
 	"fmt"
 )
 
-// Get returns the value stored under key, or ErrNotFound. Inline values
-// alias page memory and must not be retained across transaction boundaries;
-// overflow values are freshly allocated.
-func (t *Tree) Get(txn ReadTxn, key []byte) ([]byte, error) {
-	pageNo := t.root
-	for {
-		buf, err := txn.Get(pageNo)
-		if err != nil {
-			return nil, err
-		}
-		p := page{buf: buf}
-		switch p.typ() {
-		case pageTypeLeaf:
-			idx, found, err := p.search(key)
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				return nil, ErrNotFound
-			}
-			_, val, ovf, totalLen, err := p.leafCell(idx)
-			if err != nil {
-				return nil, err
-			}
-			if ovf != 0 {
-				return readOverflow(txn, ovf, totalLen)
-			}
-			return val, nil
-		case pageTypeInterior:
-			child, _, err := p.childFor(key)
-			if err != nil {
-				return nil, err
-			}
-			pageNo = child
-		default:
-			return nil, fmt.Errorf("%w: page %d type %d", ErrCorrupt, pageNo, p.typ())
-		}
-	}
-}
-
 // childFor returns the child page that covers key and the slot index of the
 // separator cell routing to it (-1 when routed through the right pointer).
 func (p page) childFor(key []byte) (uint32, int, error) {

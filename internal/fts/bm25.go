@@ -1,8 +1,9 @@
 package fts
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"micronn/internal/btree"
 	"micronn/internal/reldb"
@@ -69,17 +70,19 @@ type ScoredDoc struct {
 
 // BM25Score scores every document containing at least one query token
 // (disjunctive semantics — the lexical leg of hybrid search) and returns
-// all of them by descending score, ties broken by ascending doc id. The
-// caller cuts to its top-k AFTER re-keying ties on a cross-store total
-// order (asset ids) — doc ids are store-local, so cutting here could drop
-// different tied docs on different topologies. Postings carry only unique
-// tokens, so term frequency is binary and the per-term contribution
-// reduces to IDF(t)·(k1+1)/(1 + k1·(1−b+b·len/avglen)).
+// all of them in ascending doc id order. The caller ranks and cuts to its
+// top-k AFTER re-keying ties on a cross-store total order (asset ids) —
+// doc ids are store-local, so cutting here could drop different tied docs
+// on different topologies. Postings carry only unique tokens, so term
+// frequency is binary and the per-term contribution reduces to
+// IDF(t)·(k1+1)/(1 + k1·(1−b+b·len/avglen)).
 //
 // gs supplies the df/N/avglen figures, which may span more data than this
 // index (global stats on a sharded store). Tokens must be the sorted unique
 // token set of the query (see token.Unique); iterating them in that fixed
 // order keeps float accumulation — and therefore ranking — deterministic.
+// Each token's postings ascend by doc id, so document lengths are read
+// through one seeker over the length table.
 func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1, b float64) ([]ScoredDoc, error) {
 	if len(tokens) == 0 || gs.TotalDocs <= 0 {
 		return nil, nil
@@ -92,6 +95,8 @@ func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1,
 	}
 	avgLen := float64(gs.TotalLen) / float64(gs.TotalDocs)
 
+	var lens reldb.Seeker
+	lens.Reset(ix.doclen, txn)
 	scores := make(map[int64]float64)
 	for _, tok := range tokens {
 		df := gs.DocFreq[tok]
@@ -104,7 +109,7 @@ func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1,
 			id := key[1].Int
 			norm := 1.0
 			if avgLen > 0 {
-				dl, err := ix.DocLen(txn, id)
+				dl, err := docLen(&lens, id)
 				if err != nil {
 					return err
 				}
@@ -126,11 +131,6 @@ func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1,
 	for id, s := range scores {
 		out = append(out, ScoredDoc{Doc: id, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	slices.SortFunc(out, func(x, y ScoredDoc) int { return cmp.Compare(x.Doc, y.Doc) })
 	return out, nil
 }

@@ -249,14 +249,22 @@ func (ix *Index) ScanDocs(txn btree.ReadTxn, fn func(id int64) error) error {
 
 // DocLen returns document id's unique-token count, 0 if unknown.
 func (ix *Index) DocLen(txn btree.ReadTxn, id int64) (int64, error) {
-	row, err := ix.doclen.Get(txn, reldb.I(id))
+	var s reldb.Seeker
+	s.Reset(ix.doclen, txn)
+	return docLen(&s, id)
+}
+
+// docLen is DocLen through a seeker over the length table.
+func docLen(s *reldb.Seeker, id int64) (int64, error) {
+	val, err := s.GetBorrowed(reldb.I(id))
 	if errors.Is(err, reldb.ErrNotFound) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	return row[1].Int, nil
+	n, _, err := reldb.DecodeRowValue(val)
+	return n.Int, err
 }
 
 // MatchScan streams, in ascending id order, the documents containing every
@@ -286,12 +294,17 @@ func (ix *Index) MatchScan(txn btree.ReadTxn, query string, fn func(id int64) er
 	}
 	sort.Slice(tds, func(i, j int) bool { return tds[i].df < tds[j].df })
 
+	// Ids ascend along the rare token's postings, so each other token is
+	// probed through its own seeker.
 	rare := tds[0].tok
-	probes := tds[1:]
+	probes := make([]reldb.Seeker, len(tds)-1)
+	for i := range probes {
+		probes[i].Reset(ix.postings, txn)
+	}
 	return ix.postings.ScanKeys(txn, []reldb.Value{reldb.S(rare)}, func(key reldb.Row) error {
 		id := key[1].Int
-		for _, p := range probes {
-			_, err := ix.postings.Get(txn, reldb.S(p.tok), reldb.I(id))
+		for i := range probes {
+			_, err := probes[i].GetBorrowed(reldb.S(tds[i+1].tok), reldb.I(id))
 			if errors.Is(err, reldb.ErrNotFound) {
 				return nil // this doc lacks the token; keep scanning
 			}
@@ -303,19 +316,18 @@ func (ix *Index) MatchScan(txn btree.ReadTxn, query string, fn func(id int64) er
 	})
 }
 
-// ContainsAll reports whether document id carries every token of query,
-// answered by direct posting probes — cheaper than refetching and
-// re-tokenizing the document text during post-filter partition scans.
-func (ix *Index) ContainsAll(txn btree.ReadTxn, id int64, query string) (bool, error) {
-	return ix.ContainsAllTokens(txn, id, UniqueTokens(query))
-}
+// BindPostings binds s to ix's postings table at txn, for
+// ContainsAllTokens.
+func (ix *Index) BindPostings(s *reldb.Seeker, txn btree.ReadTxn) { s.Reset(ix.postings, txn) }
 
-// ContainsAllTokens is ContainsAll over a pre-tokenized query: callers that
-// post-filter many rows against one query tokenize it once (see
-// token.NewMatcher) instead of once per row.
-func (ix *Index) ContainsAllTokens(txn btree.ReadTxn, id int64, tokens []string) (bool, error) {
+// ContainsAllTokens reports whether document id carries every one of
+// tokens, a pre-tokenized query (see token.NewMatcher), answered by posting
+// probes through postings, a seeker bound with BindPostings: cheaper than
+// refetching and re-tokenizing the document text when post-filtering.
+// Probing ids in ascending order keeps the seeker in the leaves it holds.
+func (ix *Index) ContainsAllTokens(postings *reldb.Seeker, id int64, tokens []string) (bool, error) {
 	for _, tok := range tokens {
-		_, err := ix.postings.Get(txn, reldb.S(tok), reldb.I(id))
+		_, err := postings.GetBorrowed(reldb.S(tok), reldb.I(id))
 		if errors.Is(err, reldb.ErrNotFound) {
 			return false, nil
 		}

@@ -216,9 +216,11 @@ type Index struct {
 
 	// scanPool recycles partition-scan buffers across searches, keeping
 	// steady-state query memory flat (queries on a warm cache allocate
-	// almost nothing). probePool recycles the centroid-distance scratch.
-	scanPool  sync.Pool
-	probePool sync.Pool
+	// almost nothing). pendingPool recycles a filtered query's pending
+	// rows, probePool the centroid-distance scratch.
+	scanPool    sync.Pool
+	pendingPool sync.Pool
+	probePool   sync.Pool
 }
 
 // probeScratch is the centroid-distance scratch used by probeSet.
@@ -245,7 +247,9 @@ func (ix *Index) getProbeScratch(n int) *probeScratch {
 // otherwise. assets holds the batch's asset ids back to back and
 // assetEnds[i] ends row i's; ids caches the strings made from them, so
 // only rows a heap accepts cost an allocation. dists holds a single
-// query's distances for the batch.
+// query's distances for the batch. lk is the worker's filter lookups, bound
+// to the run's transaction by scan and released when the buffers return to
+// the pool.
 type scanBuffers struct {
 	batch     *vec.Matrix
 	codes     []byte
@@ -254,6 +258,7 @@ type scanBuffers struct {
 	assetEnds []int
 	ids       []string
 	dists     []float32
+	lk        lookups
 }
 
 func (ix *Index) getScanBuffers() *scanBuffers {
@@ -272,6 +277,7 @@ func (ix *Index) getScanBuffers() *scanBuffers {
 
 func (ix *Index) putScanBuffers(b *scanBuffers) {
 	b.reset()
+	b.lk.release()
 	ix.scanPool.Put(b)
 }
 
@@ -288,16 +294,33 @@ func (b *scanBuffers) add(r rowView, quantized bool) {
 	b.assetEnds = append(b.assetEnds, len(b.assets))
 }
 
+// asset returns row i's asset id bytes.
+func (b *scanBuffers) asset(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.assetEnds[i-1]
+	}
+	return b.assets[start:b.assetEnds[i]]
+}
+
 // assetID returns row i's asset id, allocating it on first use.
 func (b *scanBuffers) assetID(i int) string {
 	if b.ids[i] == "" {
-		start := 0
-		if i > 0 {
-			start = b.assetEnds[i-1]
-		}
-		b.ids[i] = string(b.assets[start:b.assetEnds[i]])
+		b.ids[i] = string(b.asset(i))
 	}
 	return b.ids[i]
+}
+
+func (ix *Index) getPendingRows() *pendingRows {
+	if p, ok := ix.pendingPool.Get().(*pendingRows); ok {
+		return p
+	}
+	return &pendingRows{}
+}
+
+func (ix *Index) putPendingRows(p *pendingRows) {
+	p.rows, p.assets, p.order = p.rows[:0], p.assets[:0], p.order[:0]
+	ix.pendingPool.Put(p)
 }
 
 // reset empties the batch.
@@ -920,65 +943,6 @@ func (ix *Index) rawVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
 		return nil, err
 	}
 	return row[1].Bts, nil
-}
-
-// readRawVector decodes vid's exact float32 vector from the raw store into
-// x straight from the page, without building a row, and returns the blob's
-// byte length. Write paths that hold the blob across later writes keep the
-// copying rawVector instead: a write can rewrite the page under a borrowed
-// view.
-func (ix *Index) readRawVector(txn btree.ReadTxn, vid int64, x []float32) (int, error) {
-	val, err := ix.rawvecs.GetBorrowed(txn, reldb.I(vid))
-	if err != nil {
-		return 0, err
-	}
-	blob, _, err := reldb.RowBytes(val)
-	if err != nil {
-		return 0, err
-	}
-	vec.FromBlob(x, blob)
-	return len(blob), nil
-}
-
-// readPartitionVector is readRawVector for the float32 payload of vid's row
-// in partition part (an unquantized index has no raw store).
-func (ix *Index) readPartitionVector(txn btree.ReadTxn, part, vid int64, x []float32) (int, error) {
-	val, err := ix.vectors.GetBorrowed(txn, reldb.I(part), reldb.I(vid))
-	if err != nil {
-		return 0, err
-	}
-	_, blob, err := vectorValue(val)
-	if err != nil {
-		return 0, err
-	}
-	vec.FromBlob(x, blob)
-	return len(blob), nil
-}
-
-// assetOf reads vid's asset id from its vids row in place, without decoding
-// the attributes behind it.
-func (ix *Index) assetOf(txn btree.ReadTxn, vid int64) (string, error) {
-	val, err := ix.vids.GetBorrowed(txn, reldb.I(vid))
-	if err != nil {
-		return "", err
-	}
-	asset, _, err := reldb.RowBytes(val)
-	return string(asset), err
-}
-
-// readExactVector decodes vid's exact float32 vector into x and returns the
-// blob's byte length: from the raw store on a quantized index (the parity
-// path exact results rely on), otherwise from vid's row in the partition
-// the assets table records for asset.
-func (ix *Index) readExactVector(txn btree.ReadTxn, vid int64, asset string, x []float32) (int, error) {
-	if ix.rawvecs != nil {
-		return ix.readRawVector(txn, vid, x)
-	}
-	part, err := ix.partOf(txn, asset)
-	if err != nil {
-		return 0, err
-	}
-	return ix.readPartitionVector(txn, part, vid, x)
 }
 
 // partOf returns the partition holding asset's vector row.

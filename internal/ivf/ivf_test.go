@@ -734,6 +734,8 @@ func TestEvalFiltersReadsOnlyPredicateColumns(t *testing.T) {
 	)
 	err := env.store.View(func(rt *storage.ReadTxn) error {
 		ms := compileMatchers(mixed)
+		var lk lookups
+		lk.bind(env.ix, rt)
 		var vid int64
 		for i := 0; i < 1000; i += 37 {
 			row, err := env.ix.assets.Get(rt, reldb.S(fmt.Sprintf("asset-%d", i)))
@@ -741,16 +743,16 @@ func TestEvalFiltersReadsOnlyPredicateColumns(t *testing.T) {
 				return err
 			}
 			vid = row[2].Int
-			if got, err := env.ix.evalFilters(rt, vid, nil, tsLt, nil); err != nil || got != (i < 500) {
+			if got, err := env.ix.evalFilters(&lk, vid, nil, tsLt, nil); err != nil || got != (i < 500) {
 				t.Errorf("asset-%d: ts < 500 = %v, %v", i, got, err)
 			}
 			// asset-0 is the only NewYork asset tagged rare.
-			if got, err := env.ix.evalFilters(rt, vid, nil, mixed, ms); err != nil || got != (i == 0) {
+			if got, err := env.ix.evalFilters(&lk, vid, nil, mixed, ms); err != nil || got != (i == 0) {
 				t.Errorf("asset-%d: tags MATCH rare AND location = NewYork: %v, %v", i, got, err)
 			}
 		}
 		var err error
-		allocs := testing.AllocsPerRun(100, func() { _, err = env.ix.evalFilters(rt, vid, nil, tsLt, nil) })
+		allocs := testing.AllocsPerRun(100, func() { _, err = env.ix.evalFilters(&lk, vid, nil, tsLt, nil) })
 		if allocs != 0 {
 			t.Errorf("%.1f allocations per int-predicate evaluation, want 0", allocs)
 		}

@@ -65,7 +65,8 @@ func (ix *Index) LexicalStats(txn btree.ReadTxn, column string, tokens []string)
 // to asset ids and re-sorting on (score desc, asset id asc): asset ids are
 // the only tie-break total order that agrees across topologies (vids are
 // assigned per store), so this ordering makes a sharded merge of per-shard
-// top-k lists equal a single store's top-k. Documents whose vid no longer
+// top-k lists equal a single store's top-k. Asset ids are resolved in vid
+// order, the order BM25Score returns. Documents whose vid no longer
 // resolves are skipped.
 func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, tokens []string, gs fts.BM25Stats, k int) ([]LexicalDoc, error) {
 	if k <= 0 {
@@ -79,9 +80,11 @@ func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, to
 	if err != nil {
 		return nil, err
 	}
+	var lk lookups
+	lk.bind(ix, txn)
 	out := make([]LexicalDoc, 0, len(scored))
 	for _, sd := range scored {
-		asset, err := ix.assetOf(txn, sd.Doc)
+		asset, err := lk.assetOf(sd.Doc)
 		if errors.Is(err, reldb.ErrNotFound) {
 			continue // posting without a live vector row
 		}
@@ -103,8 +106,8 @@ func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, to
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), ix.cfg.Dim)
 	}
 	x := make([]float32, ix.cfg.Dim)
-	for i := range out {
-		if _, err := ix.readExactVector(txn, out[i].VectorID, out[i].AssetID, x); err != nil {
+	for _, i := range vidOrder(len(out), func(i int) int64 { return out[i].VectorID }) {
+		if _, err := lk.readExactVector(out[i].VectorID, out[i].AssetID, x); err != nil {
 			return nil, err
 		}
 		out[i].Distance = vec.Distance(ix.cfg.Metric, q, x)

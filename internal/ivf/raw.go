@@ -35,7 +35,9 @@ func (ix *Index) ScanPartition(txn btree.ReadTxn, part int64, fn func(vid int64,
 // — the random-access path an unclustered layout would force for every
 // row.
 func (ix *Index) FetchVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
-	asset, err := ix.assetOf(txn, vid)
+	var lk lookups
+	lk.bind(ix, txn)
+	asset, err := lk.assetOf(vid)
 	if errors.Is(err, reldb.ErrNotFound) {
 		return nil, ErrNotFound
 	}

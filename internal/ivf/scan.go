@@ -2,6 +2,8 @@ package ivf
 
 import (
 	"cmp"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,20 +34,70 @@ type partWork struct {
 // scanCounts are the counters of one engine run. Workers add to them once
 // per kernel batch or partition.
 type scanCounts struct {
-	scanned  atomic.Int64 // vector rows whose distances were computed
+	scanned  atomic.Int64 // vector rows whose distances were computed: every row scanned
 	pairs    atomic.Int64 // query-row distance computations
-	filtered atomic.Int64 // rows rejected by filters before any distance
+	filtered atomic.Int64 // rows whose filters were evaluated and failed
 	bytes    atomic.Int64 // vector payload read by scans and the rerank
 	reranked atomic.Int64 // candidates recomputed at full precision
 }
 
 // queryHeap is one query's top-K, shared by every worker that scans a
 // partition the query probes. topk.Heap orders by (Distance, VectorID), a
-// total order, so the retained set does not depend on push order.
+// total order, so the retained set does not depend on push order. On a
+// filtered run, pending holds the scored rows the heap accepted whose
+// filters are not evaluated yet (see flush and settle).
 type queryHeap struct {
-	mu sync.Mutex
-	h  *topk.Heap
+	mu      sync.Mutex
+	h       *topk.Heap
+	pending *pendingRows
 }
+
+// pendingRows are scored rows awaiting their filter verdicts, with their
+// asset id bytes copied out of the scan batch. order lists the rows by
+// ascending distance once sort has run.
+type pendingRows struct {
+	rows   []pendingRow
+	assets []byte
+	order  []uint64 // distance key << 32 | row index
+}
+
+type pendingRow struct {
+	vid        int64
+	dist       float32
+	start, end int32 // the row's asset id is assets[start:end]
+}
+
+func (p *pendingRows) add(vid int64, dist float32, asset []byte) {
+	start := int32(len(p.assets))
+	p.assets = append(p.assets, asset...)
+	p.rows = append(p.rows, pendingRow{vid: vid, dist: dist, start: start, end: int32(len(p.assets))})
+}
+
+// sort fills order with the rows by ascending distance, NaN last (a full
+// heap accepts no NaN). Rows at equal distances need no vid order: a heap
+// accepts or rejects them alike.
+func (p *pendingRows) sort() {
+	p.order = p.order[:0]
+	for i, r := range p.rows {
+		// Flipping the sign bit, and every bit of a negative number, makes
+		// the float bits sort as unsigned integers in the floats' order.
+		b := math.Float32bits(r.dist)
+		switch {
+		case r.dist != r.dist:
+			b = math.MaxUint32
+		case b>>31 != 0:
+			b = ^b
+		default:
+			b |= 1 << 31
+		}
+		p.order = append(p.order, uint64(b)<<32|uint64(i))
+	}
+	slices.Sort(p.order)
+}
+
+// settleChunk is how many pending rows a worker settles per item of the
+// final settle, which hands the rows out in distance order.
+const settleChunk = 32
 
 // scanRun is the state the workers of one run share. Everything but the
 // heaps and counts is immutable once the run starts.
@@ -58,17 +110,23 @@ type scanRun struct {
 	ms      *matchSet // compiled MATCH queries, nil without MATCH filters
 	heaps   []queryHeap
 	counts  *scanCounts
+	// settleAt is the pending row count at which a worker settles a
+	// query's pending rows during the scan, bounding their memory. Rows
+	// pending at the end are settled by every worker together.
+	settleAt int
 }
 
 // scan runs the engine at txn: each partition in work is scanned once for
-// all the queries listed with it, and filters (Search's post-filter and
-// exact-plan predicates; nil for batches) are evaluated on every row
-// before its distance. cb is the index's codebook, nil when partitions
-// hold float32 vectors. On a quantized index the scans keep
-// RerankFactor*K approximate candidates per query, which are then reranked
-// against the exact vectors in the raw store unless opts.CandidatesOnly
-// asks for the candidates themselves. opts.NProbe is not read: work is
-// the probe sets already grouped. Results keep query order.
+// all the queries listed with it. Every row is scored first; filters
+// (Search's post-filter and exact-plan predicates; nil for batches) are
+// then evaluated in ascending distance order, and only until the heap
+// rejects the next row (see settle). cb is the index's codebook, nil when
+// partitions hold float32 vectors. On a
+// quantized index the scans keep RerankFactor*K approximate candidates per
+// query, which are then reranked against the exact vectors in the raw
+// store unless opts.CandidatesOnly asks for the candidates themselves.
+// opts.NProbe is not read: work is the probe sets already grouped. Results
+// keep query order.
 func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix, work []partWork, filters []stats.Filter, opts BatchOptions, counts *scanCounts) ([][]topk.Result, error) {
 	nq := queries.Rows
 	s := &scanRun{
@@ -80,10 +138,14 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 		s.qqs = make([]*quant.Query, nq)
 		heapK = opts.K * ix.rerankFactor(opts.RerankFactor)
 	}
+	s.settleAt = max(8*scanBatch, 8*heapK)
 	for qi := range s.heaps {
 		s.heaps[qi].h = topk.New(heapK)
 		if cb != nil {
 			s.qqs[qi] = cb.NewQuery(ix.cfg.Metric, queries.Row(qi))
+		}
+		if len(filters) > 0 {
+			s.heaps[qi].pending = ix.getPendingRows()
 		}
 	}
 
@@ -104,12 +166,19 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 	// Each worker keeps one pooled buffer for all its partitions, so the
 	// batch it rewrites stays in its core's cache.
 	bufs := make([]*scanBuffers, max(1, ix.cfg.Workers))
-	err := ix.fanOut(txn, len(work), opts.Cancel, func(w, i int) error {
+	worker := func(w int) *scanBuffers {
 		if bufs[w] == nil {
 			bufs[w] = ix.getScanBuffers()
+			bufs[w].lk.bind(ix, txn)
 		}
-		return s.scanPartition(bufs[w], work[i])
+		return bufs[w]
+	}
+	err := ix.fanOut(txn, len(work), opts.Cancel, func(w, i int) error {
+		return s.scanPartition(worker(w), work[i])
 	})
+	if err == nil && len(filters) > 0 {
+		err = s.settleAll(opts.Cancel, worker)
+	}
 	for _, b := range bufs {
 		if b != nil {
 			ix.putScanBuffers(b)
@@ -189,10 +258,10 @@ func (ix *Index) fanOut(txn btree.ReadTxn, n int, cancel <-chan struct{}, fn fun
 }
 
 // scanPartition scans one partition for the queries that probe it. Rows
-// are read in place from the leaf pages (ScanBorrowed) and filtered; each
-// survivor's payload and asset id bytes are copied into buf, and every
-// scanBatch rows one kernel call scores the batch against every query of
-// the partition. An asset id string is made only for a row a heap accepts.
+// are read in place from the leaf pages (ScanBorrowed); each row's payload
+// and asset id bytes are copied into buf, and every scanBatch rows flush
+// scores the batch against every query of the partition. An asset id
+// string is made only for a row a heap accepts.
 func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 	quantized := s.qqs != nil && w.part != DeltaPartition
 	qm, dists := &vec.Matrix{Data: s.queries.Row(w.queries[0]), Rows: 1, Dim: s.queries.Dim}, buf.dists
@@ -207,45 +276,36 @@ func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 			}
 		}
 	}
-	var filtered, bytes int64
+	var bytes int64
 	err := s.ix.vectors.ScanBorrowed(s.txn, []reldb.Value{reldb.I(w.part)}, func(key, val []byte) error {
 		r, err := readRowView(key, val)
 		if err != nil {
 			return err
 		}
-		if len(s.filters) > 0 {
-			ok, err := s.ix.evalFilters(s.txn, r.vid, nil, s.filters, s.ms)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				filtered++
-				return nil
-			}
-		}
 		bytes += int64(len(r.payload))
 		buf.add(r, quantized)
 		if len(buf.vids) == scanBatch {
-			s.flush(buf, w.queries, qm, dists, quantized)
+			return s.flush(buf, w.queries, qm, dists, quantized)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.flush(buf, w.queries, qm, dists, quantized)
 	}
-	s.flush(buf, w.queries, qm, dists, quantized)
-	s.counts.filtered.Add(filtered)
 	s.counts.bytes.Add(bytes)
-	return nil
+	return err
 }
 
 // flush scores the gathered batch against the partition's queries qs
 // (their float32 rows in qm), one row of dists per query, and offers each
-// distance to that query's heap.
-func (s *scanRun) flush(buf *scanBuffers, qs []int, qm *vec.Matrix, dists []float32, quantized bool) {
+// distance to that query's heap. Without filters a row the heap accepts is
+// pushed. With filters it joins the query's pending rows instead, to be
+// settled once the scan is over, or by this worker now if the query holds
+// settleAt of them.
+func (s *scanRun) flush(buf *scanBuffers, qs []int, qm *vec.Matrix, dists []float32, quantized bool) error {
 	n := len(buf.vids)
 	if n == 0 {
-		return
+		return nil
 	}
 	dists = dists[:len(qs)*n]
 	if quantized {
@@ -256,17 +316,96 @@ func (s *scanRun) flush(buf *scanBuffers, qs []int, qm *vec.Matrix, dists []floa
 		rows := &vec.Matrix{Data: buf.batch.Data[:n*qm.Dim], Rows: n, Dim: qm.Dim}
 		vec.DistancesManyToMany(s.ix.cfg.Metric, qm, rows, nil, nil, dists)
 	}
-	for i, qi := range qs {
-		qh := &s.heaps[qi]
-		qh.mu.Lock()
-		for j, d := range dists[i*n : (i+1)*n] {
-			if qh.h.Accepts(d) {
-				qh.h.Push(topk.Result{AssetID: buf.assetID(j), VectorID: buf.vids[j], Distance: d})
-			}
-		}
-		qh.mu.Unlock()
-	}
 	s.counts.scanned.Add(int64(n))
 	s.counts.pairs.Add(int64(len(qs) * n))
+	for i, qi := range qs {
+		qh := &s.heaps[qi]
+		var full *pendingRows
+		qh.mu.Lock()
+		for j, d := range dists[i*n : (i+1)*n] {
+			switch {
+			case !qh.h.Accepts(d):
+			case qh.pending == nil:
+				qh.h.Push(topk.Result{AssetID: buf.assetID(j), VectorID: buf.vids[j], Distance: d})
+			default:
+				qh.pending.add(buf.vids[j], d, buf.asset(j))
+			}
+		}
+		if qh.pending != nil && len(qh.pending.rows) >= s.settleAt {
+			full, qh.pending = qh.pending, s.ix.getPendingRows()
+		}
+		qh.mu.Unlock()
+		if full != nil {
+			full.sort()
+			err := s.settle(qh, full, full.order, &buf.lk)
+			s.ix.putPendingRows(full)
+			if err != nil {
+				return err
+			}
+		}
+	}
 	buf.reset()
+	return nil
+}
+
+// settle evaluates the filters of the rows of p that order lists, by
+// ascending distance, in that order, reading through lk, and pushes each
+// row that passes to qh's heap. It stops at the first row the heap no
+// longer accepts: no later row is nearer and a heap's threshold only
+// tightens, so the heap could retain none of them. Filtering every row and
+// pushing the survivors would therefore retain the same set, while only
+// the rows ranked ahead of the heap's final threshold are evaluated. The
+// heap is locked only around each check and push, so the workers settling
+// one query do not wait on each other's lookups.
+func (s *scanRun) settle(qh *queryHeap, p *pendingRows, order []uint64, lk *lookups) error {
+	var filtered int64
+	defer func() { s.counts.filtered.Add(filtered) }()
+	for _, key := range order {
+		r := p.rows[uint32(key)]
+		qh.mu.Lock()
+		ok := qh.h.Accepts(r.dist)
+		qh.mu.Unlock()
+		if !ok {
+			return nil
+		}
+		pass, err := s.ix.evalFilters(lk, r.vid, nil, s.filters, s.ms)
+		if err != nil {
+			return err
+		}
+		if !pass {
+			filtered++
+			continue
+		}
+		res := topk.Result{AssetID: string(p.assets[r.start:r.end]), VectorID: r.vid, Distance: r.dist}
+		qh.mu.Lock()
+		qh.h.Push(res)
+		qh.mu.Unlock()
+	}
+	return nil
+}
+
+// settleAll settles every query's remaining pending rows once the scan is
+// over: each query's rows are sorted, then handed out to the workers in
+// chunks of settleChunk in distance order, so the rows the heaps need are
+// evaluated in parallel and the rest are skipped.
+func (s *scanRun) settleAll(cancel <-chan struct{}, worker func(w int) *scanBuffers) error {
+	type chunk struct{ qi, lo, hi int }
+	var chunks []chunk
+	for qi := range s.heaps {
+		p := s.heaps[qi].pending
+		p.sort()
+		for lo := 0; lo < len(p.order); lo += settleChunk {
+			chunks = append(chunks, chunk{qi, lo, min(lo+settleChunk, len(p.order))})
+		}
+	}
+	err := s.ix.fanOut(s.txn, len(chunks), cancel, func(w, i int) error {
+		c := chunks[i]
+		qh := &s.heaps[c.qi]
+		return s.settle(qh, qh.pending, qh.pending.order[c.lo:c.hi], &worker(w).lk)
+	})
+	for qi := range s.heaps {
+		s.ix.putPendingRows(s.heaps[qi].pending)
+		s.heaps[qi].pending = nil
+	}
+	return err
 }

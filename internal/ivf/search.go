@@ -26,8 +26,8 @@ const (
 	// the qualifying vectors: 100% recall, latency proportional to the
 	// qualifying set.
 	PlanPreFilter
-	// PlanPostFilter runs the IVF scan with the filter applied to each
-	// candidate during the partition scan.
+	// PlanPostFilter runs the IVF scan and applies the filter to the
+	// candidates the scan would keep.
 	PlanPostFilter
 )
 
@@ -90,12 +90,19 @@ type PlanInfo struct {
 	FilterSelectivity float64 // F̂_filters, when filters were present
 	IVFSelectivity    float64 // F̂_IVF = n·p/|R|
 	PartitionsScanned int
-	VectorsScanned    int64 // vectors whose distance was computed
-	RowsFiltered      int64 // candidates rejected by predicates pre-distance
+	// VectorsScanned counts the vectors whose distance was computed. A
+	// post-filter scan scores every row of the probed partitions, so it
+	// counts rows that fail the filters too; a pre-filter plan scores only
+	// the qualifying vectors.
+	VectorsScanned int64
+	// RowsFiltered counts rows whose filters were evaluated and failed. A
+	// post-filter scan evaluates them only on the rows its top-K heap would
+	// take, so rows too far from the query are never evaluated or counted.
+	RowsFiltered int64
 	// BytesScanned is the vector payload volume the query read: one byte
-	// per dimension on quantized partition scans, four otherwise, plus
-	// the exact vectors fetched by the rerank phase — the I/O metric the
-	// SQ8 path reduces.
+	// per dimension on quantized partition scans, four otherwise, for
+	// every row scored, plus the exact vectors fetched by the rerank phase
+	// — the I/O metric the SQ8 path reduces.
 	BytesScanned int64
 	// Reranked counts quantized candidates recomputed at full precision
 	// against the raw store.
@@ -295,10 +302,12 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 	heap := topk.New(opts.K)
 	x := make([]float32, ix.cfg.Dim)
 	ms := compileMatchers(opts.Filters)
+	var lk lookups
+	lk.bind(ix, txn)
 	err := ix.rawvecs.Scan(txn, nil, func(row reldb.Row) error {
 		vid := row[0].Int
 		if len(opts.Filters) > 0 {
-			ok, ferr := ix.evalFilters(txn, vid, nil, opts.Filters, ms)
+			ok, ferr := ix.evalFilters(&lk, vid, nil, opts.Filters, ms)
 			if ferr != nil {
 				return ferr
 			}
@@ -317,8 +326,8 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 		return nil, err
 	}
 	res := heap.Results()
-	for i := range res {
-		asset, err := ix.assetOf(txn, res[i].VectorID)
+	for _, i := range vidOrder(len(res), func(i int) int64 { return res[i].VectorID }) {
+		asset, err := lk.assetOf(res[i].VectorID)
 		if err != nil {
 			return nil, err
 		}
@@ -333,16 +342,20 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 // searches — against the raw store and returns the top k, along with the
 // raw bytes it read (counted into the caller's BytesScanned so the
 // reported I/O stays honest). Every candidate must belong to this index
-// (its raw store holds the vid). Only valid on a quantized index.
+// (its raw store holds the vid). Only valid on a quantized index. The
+// exact vectors are read in vid order.
 func (ix *Index) RerankCandidates(txn btree.ReadTxn, q []float32, cands []topk.Result, k int) ([]topk.Result, int64, error) {
 	if ix.rawvecs == nil {
 		return nil, 0, fmt.Errorf("ivf: RerankCandidates on an unquantized index")
 	}
 	heap := topk.New(k)
 	x := make([]float32, ix.cfg.Dim)
+	var lk lookups
+	lk.bind(ix, txn)
 	var bytesRead int64
-	for _, c := range cands {
-		n, err := ix.readRawVector(txn, c.VectorID, x)
+	for _, i := range vidOrder(len(cands), func(i int) int64 { return cands[i].VectorID }) {
+		c := cands[i]
+		n, err := lk.readRawVector(c.VectorID, x)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -361,19 +374,19 @@ func (ix *Index) ForEachAsset(txn btree.ReadTxn, fn func(asset string) error) er
 	})
 }
 
-// evalFilters applies the CNF filter set to the vector identified by vid.
-// MATCH predicates on full-text attributes are answered by direct posting
-// probes; row is vid's vids row when the caller already holds it, and nil
-// otherwise, in which case filterColumns decodes only the columns the
-// comparison predicates read. ms carries the search's compiled MATCH
-// queries (nil is allowed and falls back to one-shot tokenization);
+// evalFilters applies the CNF filter set to the vector identified by vid,
+// reading through lk. MATCH predicates on full-text attributes are answered
+// by direct posting probes; row is vid's vids row when the caller already
+// holds it, and nil otherwise, in which case filterColumns decodes only the
+// columns the comparison predicates read. ms carries the search's compiled
+// MATCH queries (nil is allowed and falls back to one-shot tokenization);
 // callers evaluating many rows must compile once with compileMatchers.
-func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, row reldb.Row, filters []stats.Filter, ms *matchSet) (bool, error) {
+func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []stats.Filter, ms *matchSet) (bool, error) {
 	rowMissing := false
 	if row == nil {
 		var buf [filterRowCols]reldb.Value
 		var err error
-		if row, rowMissing, err = ix.filterColumns(txn, vid, filters, buf[:]); err != nil {
+		if row, rowMissing, err = ix.filterColumns(lk, vid, filters, buf[:]); err != nil {
 			return false, err
 		}
 	}
@@ -385,7 +398,7 @@ func (ix *Index) evalFilters(txn btree.ReadTxn, vid int64, row reldb.Row, filter
 				return false, fmt.Errorf("%w: %q", ErrNoFilter, pred.Column)
 			}
 			if f := ix.ftsProbe(pred); f != nil {
-				hit, err := f.ContainsAllTokens(txn, vid, ms.tokens(pred.Value.Str))
+				hit, err := f.ContainsAllTokens(lk.postingsOf(f), vid, ms.tokens(pred.Value.Str))
 				if err != nil {
 					return false, err
 				}
@@ -423,13 +436,13 @@ func (ix *Index) ftsProbe(pred reldb.Predicate) *fts.Index {
 	return ix.ftsIndexes[pred.Column]
 }
 
-// filterColumns reads vid's vids row in place and decodes the columns that
-// filters evaluate on the row, leaving the others NULL; the row is nil when
-// no predicate reads one. It decodes before returning because the borrowed
-// bytes last only until the next call on txn, and a full-text probe is
-// such a call. missing reports a vid without a vids row. The row uses dst
-// when it fits.
-func (ix *Index) filterColumns(txn btree.ReadTxn, vid int64, filters []stats.Filter, dst reldb.Row) (row reldb.Row, missing bool, err error) {
+// filterColumns reads vid's vids row in place through lk and decodes the
+// columns that filters evaluate on the row, leaving the others NULL; the
+// row is nil when no predicate reads one. It decodes before returning
+// because the borrowed bytes last only until the next call on the
+// transaction, and a full-text probe is such a call. missing reports a vid
+// without a vids row. The row uses dst when it fits.
+func (ix *Index) filterColumns(lk *lookups, vid int64, filters []stats.Filter, dst reldb.Row) (row reldb.Row, missing bool, err error) {
 	var needBuf [filterRowCols]int
 	need, last := needBuf[:0], 0
 	for _, group := range filters {
@@ -443,7 +456,7 @@ func (ix *Index) filterColumns(txn btree.ReadTxn, vid int64, filters []stats.Fil
 	if last == 0 {
 		return nil, false, nil
 	}
-	b, err := ix.vids.GetBorrowed(txn, reldb.I(vid))
+	b, err := lk.vids.GetBorrowed(reldb.I(vid))
 	if errors.Is(err, reldb.ErrNotFound) {
 		return nil, true, nil
 	}
@@ -521,7 +534,7 @@ func (ix *Index) estimateFilterSelectivity(txn btree.ReadTxn, ts *stats.TableSta
 // qualifying vectors — 100% recall over the filtered set (paper §3.5).
 // The driver is the most selective index-supported filter group; remaining
 // groups are verified against the vids row, which also supplies the asset
-// id.
+// id. The qualifying vids are read in ascending order.
 func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, ts *stats.TableStats, info *PlanInfo) ([]topk.Result, error) {
 	driver, rest, err := ix.chooseDriver(txn, ts, opts.Filters)
 	if err != nil {
@@ -530,12 +543,14 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 	heap := topk.New(opts.K)
 	x := make([]float32, ix.cfg.Dim)
 	ms := compileMatchers(opts.Filters)
+	var lk lookups
+	lk.bind(ix, txn)
 
 	// process verifies the filter groups in verify (if any) against vid's
 	// vids row, fetches the vector and offers it to the heap.
 	process := func(vid int64, row reldb.Row, verify []stats.Filter) error {
 		if len(verify) > 0 {
-			ok, err := ix.evalFilters(txn, vid, row, verify, ms)
+			ok, err := ix.evalFilters(&lk, vid, row, verify, ms)
 			if err != nil {
 				return err
 			}
@@ -547,7 +562,7 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 		// Pre-filter plans promise 100% recall over the filtered set, so
 		// a quantized index reads exact vectors from the raw store.
 		asset := row[1].Str
-		n, err := ix.readExactVector(txn, vid, asset, x)
+		n, err := lk.readExactVector(vid, asset, x)
 		if err != nil {
 			return err
 		}
@@ -568,23 +583,26 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 		return heap.Results(), nil
 	}
 
-	seen := make(map[int64]struct{})
+	var vids []int64
 	err = ix.driveGroup(txn, *driver, func(vid int64) error {
-		if _, dup := seen[vid]; dup {
-			return nil
-		}
-		seen[vid] = struct{}{}
-		row, err := ix.vids.Get(txn, reldb.I(vid))
-		if errors.Is(err, reldb.ErrNotFound) {
-			return nil // index entry without a vector (shouldn't happen)
-		}
-		if err != nil {
-			return err
-		}
-		return process(vid, row, rest)
+		vids = append(vids, vid)
+		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	slices.Sort(vids)
+	for _, vid := range slices.Compact(vids) {
+		row, err := lk.vids.Get(reldb.I(vid))
+		if errors.Is(err, reldb.ErrNotFound) {
+			continue // index entry without a vector (shouldn't happen)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := process(vid, row, rest); err != nil {
+			return nil, err
+		}
 	}
 	return heap.Results(), nil
 }

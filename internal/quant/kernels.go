@@ -22,11 +22,18 @@ import (
 //
 // SQ8 scans evaluate the polynomial directly with 8-wide unrolled,
 // multi-accumulator loops; explicit bounds hints before each loop let the
-// compiler elide the per-element bounds checks, and the eight independent
+// compiler elide the per-element bounds checks, and the independent
 // accumulators keep the floating-point units saturated instead of chaining
-// every add through one register. The hot L2 path additionally processes
-// four rows per coefficient load (polyAcc4), amortizing the lin/quad
-// traffic the way a SIMD kernel would broadcast them.
+// every add through one register. Large SQ8 L2 scans read the per-byte
+// terms from a table instead (sq8LUT).
+//
+// A row's distance does not depend on the batch it is scored in:
+// DistancesMany's out[i] equals Distance of code i bit for bit. The L2
+// kernels (polyAcc, lutAcc and the two-row lutAcc2) all add the same
+// rounded per-dimension terms (l2Term, which the tables store) in the same
+// order, so scoring a row alone, in a small batch or in a large one gives
+// one value, and a scan's results do not depend on which rows share its
+// batches.
 //
 // SQ4 scans never unpack nibbles: NewQuery bakes the polynomial into a
 // 256-entry lookup table per code byte, where entry b already sums the
@@ -119,8 +126,7 @@ func (cb *Codebook) NewQuery(metric vec.Metric, q []float32) *Query {
 			l, q := qq.lin[d], qq.quad[d]
 			row := qq.sq8LUT[d*256 : (d+1)*256]
 			for c := 0; c < 256; c++ {
-				x := float32(c)
-				row[c] = x * (q*x - l)
+				row[c] = l2Term(float32(c), q, l)
 			}
 		}
 	}
@@ -135,7 +141,7 @@ func (qq *Query) buildLUTs(dim int) {
 	switch qq.metric {
 	case vec.L2:
 		qq.lut = buildNibbleLUT(dim, func(d int, c float32) float32 {
-			return c * (qq.quad[d]*c - qq.lin[d])
+			return l2Term(c, qq.quad[d], qq.lin[d])
 		})
 	case vec.Dot:
 		qq.lut = buildNibbleLUT(dim, func(d int, c float32) float32 {
@@ -213,9 +219,10 @@ func (qq *Query) finishCosine(dot, nv2 float32) float32 {
 }
 
 // DistancesMany computes distances from the query to n consecutive codes
-// packed in codes (n * CodeSize bytes), writing into out[:n]. The hot L2
-// paths run blocked multi-row kernels; other metrics fall back to the
-// single-row kernel per code.
+// packed in codes (n * CodeSize bytes), writing into out[:n]; out[i] equals
+// Distance of code i exactly. The hot L2 paths run table kernels two rows
+// at a time; other metrics, and small SQ8 L2 batches, run the single-row
+// kernel per code.
 func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 	cs := qq.codeSize
 	if qq.metric == vec.L2 && !qq.sq4 {
@@ -238,17 +245,7 @@ func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 			}
 			return
 		}
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			base := i * cs
-			r0, r1, r2, r3 := polyAcc4(codes[base:base+4*cs], cs, qq.lin, qq.quad)
-			c := qq.constant
-			out[i] = c + r0
-			out[i+1] = c + r1
-			out[i+2] = c + r2
-			out[i+3] = c + r3
-		}
-		for ; i < n; i++ {
+		for i := 0; i < n; i++ {
 			out[i] = qq.constant + polyAcc(codes[i*cs:(i+1)*cs], qq.lin, qq.quad)
 		}
 		return
@@ -271,10 +268,19 @@ func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 	}
 }
 
-// polyAcc accumulates Σ c*(quad*c - lin) over the code bytes, the shared
-// inner loop of the SQ8 L2 kernel. Eight independent accumulators with
-// up-front bounds hints let the compiler drop per-element checks and keep
-// the whole reduction in registers.
+// l2Term is one dimension's L2 term c*(quad*c - lin), rounded as the
+// SQ8/SQ4 tables store it. The explicit conversions keep a compiler from
+// fusing the operations differently here and in the tables.
+func l2Term(c, quad, lin float32) float32 {
+	return float32(c * float32(quad*c-lin))
+}
+
+// polyAcc accumulates Σ c*(quad*c - lin) over the code bytes, the SQ8 L2
+// kernel of Distance and of small batches. It adds the terms lutAcc2 reads
+// from the table in lutAcc2's order — four accumulators, dimension d of
+// each 8-byte block into accumulator d mod 4, tail bytes into the first —
+// so it returns lutAcc2's value exactly. The up-front bounds hints let the
+// compiler drop per-element checks.
 func polyAcc(code []byte, lin, quad []float32) float32 {
 	n := len(code)
 	if n == 0 {
@@ -282,81 +288,23 @@ func polyAcc(code []byte, lin, quad []float32) float32 {
 	}
 	_ = lin[n-1]  // bounds hint: len(lin) >= n
 	_ = quad[n-1] // bounds hint: len(quad) >= n
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		c0 := float32(code[i])
-		c1 := float32(code[i+1])
-		c2 := float32(code[i+2])
-		c3 := float32(code[i+3])
-		c4 := float32(code[i+4])
-		c5 := float32(code[i+5])
-		c6 := float32(code[i+6])
-		c7 := float32(code[i+7])
-		s0 += c0 * (quad[i]*c0 - lin[i])
-		s1 += c1 * (quad[i+1]*c1 - lin[i+1])
-		s2 += c2 * (quad[i+2]*c2 - lin[i+2])
-		s3 += c3 * (quad[i+3]*c3 - lin[i+3])
-		s4 += c4 * (quad[i+4]*c4 - lin[i+4])
-		s5 += c5 * (quad[i+5]*c5 - lin[i+5])
-		s6 += c6 * (quad[i+6]*c6 - lin[i+6])
-		s7 += c7 * (quad[i+7]*c7 - lin[i+7])
+		l, q, c := lin[i:i+8:i+8], quad[i:i+8:i+8], code[i:i+8:i+8]
+		s0 += l2Term(float32(c[0]), q[0], l[0])
+		s1 += l2Term(float32(c[1]), q[1], l[1])
+		s2 += l2Term(float32(c[2]), q[2], l[2])
+		s3 += l2Term(float32(c[3]), q[3], l[3])
+		s0 += l2Term(float32(c[4]), q[4], l[4])
+		s1 += l2Term(float32(c[5]), q[5], l[5])
+		s2 += l2Term(float32(c[6]), q[6], l[6])
+		s3 += l2Term(float32(c[7]), q[7], l[7])
 	}
 	for ; i < n; i++ {
-		c := float32(code[i])
-		s0 += c * (quad[i]*c - lin[i])
+		s0 += l2Term(float32(code[i]), quad[i], lin[i])
 	}
-	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-}
-
-// polyAcc4 runs the L2 polynomial over four consecutive codes at once,
-// loading each lin/quad coefficient a single time and applying it to all
-// four rows — the scalar analog of broadcasting coefficients across SIMD
-// lanes. codes holds the four codes back to back with stride cs.
-func polyAcc4(codes []byte, cs int, lin, quad []float32) (r0, r1, r2, r3 float32) {
-	if cs == 0 {
-		return
-	}
-	a := codes[0:cs:cs]
-	b := codes[cs : 2*cs : 2*cs]
-	c := codes[2*cs : 3*cs : 3*cs]
-	e := codes[3*cs : 4*cs : 4*cs]
-	_ = lin[cs-1]
-	_ = quad[cs-1]
-	var a0, a1, b0, b1, c0, c1, e0, e1 float32
-	i := 0
-	for ; i+2 <= cs; i += 2 {
-		l0, q0 := lin[i], quad[i]
-		l1, q1 := lin[i+1], quad[i+1]
-		xa0 := float32(a[i])
-		xb0 := float32(b[i])
-		xc0 := float32(c[i])
-		xe0 := float32(e[i])
-		a0 += xa0 * (q0*xa0 - l0)
-		b0 += xb0 * (q0*xb0 - l0)
-		c0 += xc0 * (q0*xc0 - l0)
-		e0 += xe0 * (q0*xe0 - l0)
-		xa1 := float32(a[i+1])
-		xb1 := float32(b[i+1])
-		xc1 := float32(c[i+1])
-		xe1 := float32(e[i+1])
-		a1 += xa1 * (q1*xa1 - l1)
-		b1 += xb1 * (q1*xb1 - l1)
-		c1 += xc1 * (q1*xc1 - l1)
-		e1 += xe1 * (q1*xe1 - l1)
-	}
-	for ; i < cs; i++ {
-		l, q := lin[i], quad[i]
-		xa := float32(a[i])
-		xb := float32(b[i])
-		xc := float32(c[i])
-		xe := float32(e[i])
-		a0 += xa * (q*xa - l)
-		b0 += xb * (q*xb - l)
-		c0 += xc * (q*xc - l)
-		e0 += xe * (q*xe - l)
-	}
-	return a0 + a1, b0 + b1, c0 + c1, e0 + e1
+	return (s0 + s1) + (s2 + s3)
 }
 
 // polyAccPos accumulates Σ c*(quad*c + lin): the squared-norm polynomial,
@@ -435,7 +383,9 @@ func lutAcc(code []byte, lut []float32) float32 {
 		panic("quant: lut too small for code")
 	}
 	base := unsafe.Pointer(unsafe.SliceData(lut))
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	// Four accumulators in lutAcc2's order, so a row's sum is the same
+	// whichever kernel scores it.
+	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		w := binary.LittleEndian.Uint64(code[i : i+8])
@@ -447,15 +397,15 @@ func lutAcc(code []byte, lut []float32) float32 {
 		s1 += *(*float32)(unsafe.Add(p, 1*1024+(w>>6)&0x3fc))
 		s2 += *(*float32)(unsafe.Add(p, 2*1024+(w>>14)&0x3fc))
 		s3 += *(*float32)(unsafe.Add(p, 3*1024+(w>>22)&0x3fc))
-		s4 += *(*float32)(unsafe.Add(p, 4*1024+(w>>30)&0x3fc))
-		s5 += *(*float32)(unsafe.Add(p, 5*1024+(w>>38)&0x3fc))
-		s6 += *(*float32)(unsafe.Add(p, 6*1024+(w>>46)&0x3fc))
-		s7 += *(*float32)(unsafe.Add(p, 7*1024+(w>>54)&0x3fc))
+		s0 += *(*float32)(unsafe.Add(p, 4*1024+(w>>30)&0x3fc))
+		s1 += *(*float32)(unsafe.Add(p, 5*1024+(w>>38)&0x3fc))
+		s2 += *(*float32)(unsafe.Add(p, 6*1024+(w>>46)&0x3fc))
+		s3 += *(*float32)(unsafe.Add(p, 7*1024+(w>>54)&0x3fc))
 	}
 	for ; i < n; i++ {
 		s0 += lut[i*256+int(code[i])]
 	}
-	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+	return (s0 + s1) + (s2 + s3)
 }
 
 // lutAcc2 is lutAcc over two equal-length code rows at once: the rows'

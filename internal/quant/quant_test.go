@@ -145,10 +145,49 @@ func TestDistancesMany(t *testing.T) {
 	qq.DistancesMany(packed, n, out)
 	for i, v := range vectors {
 		want := qq.Distance(cb.Encode(nil, v))
-		// The blocked multi-row kernel accumulates in a different order
-		// than the single-row kernel, so allow float rounding slack.
+		// TestDistancesManyEqualsDistance asserts bit equality; this
+		// checks the batch against the single-row kernel to rounding.
 		if diff := math.Abs(float64(out[i] - want)); diff > 1e-4*(1+math.Abs(float64(want))) {
 			t.Fatalf("row %d: %v != %v", i, out[i], want)
+		}
+	}
+}
+
+// TestDistancesManyEqualsDistance: a row's distance does not depend on the
+// batch that scores it. DistancesMany's out[i] equals Distance of code i
+// bit for bit for both kinds and every metric, in batches small enough for
+// the SQ8 polynomial kernel and large enough for the table kernels, at odd
+// and even batch sizes, and at dimensions with and without a tail past the
+// kernels' 8-byte blocks. A scan that scores different rows together (a
+// post-filter scan scores every row, the filter-first order scored only
+// the rows that passed) must rank the same rows the same way.
+func TestDistancesManyEqualsDistance(t *testing.T) {
+	for _, kind := range []Type{SQ8, SQ4} {
+		for _, dim := range []int{5, 16, 37, 128} {
+			vectors := randVectors(int64(31+dim), 70, dim, 3)
+			cb := trainOnKind(kind, 0, vectors)
+			q := randVectors(int64(32+dim), 1, dim, 3)[0]
+			var packed []byte
+			for _, v := range vectors {
+				packed = cb.Encode(packed, v)
+			}
+			cs := cb.CodeSize()
+			for _, metric := range []vec.Metric{vec.L2, vec.Dot, vec.Cosine} {
+				qq := cb.NewQuery(metric, q)
+				for _, n := range []int{1, 2, 3, 4, 5, 31, 32, 33, 70} {
+					for _, start := range []int{0, 70 - n} {
+						out := make([]float32, n)
+						qq.DistancesMany(packed[start*cs:(start+n)*cs], n, out)
+						for i := range out {
+							r := start + i
+							want := qq.Distance(packed[r*cs : (r+1)*cs])
+							if math.Float32bits(out[i]) != math.Float32bits(want) {
+								t.Fatalf("%v dim %d %v: row %d in a batch of %d scored %v, alone %v", kind, dim, metric, r, n, out[i], want)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

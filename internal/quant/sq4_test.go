@@ -115,9 +115,8 @@ func TestSQ4DistancesManyMatchesDistance(t *testing.T) {
 		qq.DistancesMany(packed, n, out)
 		for i, v := range vectors {
 			want := qq.Distance(cb.Encode(nil, v))
-			// The batch path interleaves rows with a different accumulator
-			// grouping than the single-row kernel, so agreement is to
-			// rounding, not bit-exact.
+			// TestDistancesManyEqualsDistance asserts bit equality; this
+			// checks the batch against the single-row kernel to rounding.
 			tol := 1e-5 * (1 + math.Abs(float64(want)))
 			if diff := math.Abs(float64(out[i] - want)); diff > tol {
 				t.Fatalf("%v row %d: %v != %v", metric, i, out[i], want)

@@ -81,6 +81,58 @@ func (t *Table) GetBorrowed(txn btree.ReadTxn, keyVals ...Value) ([]byte, error)
 	return t.getRaw(txn, EncodeKey(kb[:0], keyVals...))
 }
 
+// Seeker is a table's point lookup that keeps the B-tree path of its last
+// lookup (see btree.Seeker), so rows read in ascending key order are found
+// mostly within the leaf it already holds. A Seeker is bound to one
+// transaction with Reset, is valid for that transaction's lifetime, and is
+// owned by one goroutine. Its results follow Table.Get and GetBorrowed.
+type Seeker struct {
+	t  *Table
+	bs btree.Seeker
+}
+
+// Reset binds s to table t at txn and drops the kept path. Reset(nil, nil)
+// releases every page s holds.
+func (s *Seeker) Reset(t *Table, txn btree.ReadTxn) {
+	s.t = t
+	if t == nil {
+		s.bs.Reset(nil, nil)
+		return
+	}
+	s.bs.Reset(t.tree, txn)
+}
+
+// Get is Table.Get through the seeker.
+func (s *Seeker) Get(keyVals ...Value) (Row, error) {
+	if err := s.t.checkKey(keyVals); err != nil {
+		return nil, err
+	}
+	key := EncodeKey(nil, keyVals...)
+	val, err := s.get(key)
+	if err != nil {
+		return nil, err
+	}
+	return s.t.decodeFull(key, val)
+}
+
+// GetBorrowed is Table.GetBorrowed through the seeker; the bytes last
+// until the next call on the seeker's transaction.
+func (s *Seeker) GetBorrowed(keyVals ...Value) ([]byte, error) {
+	if err := s.t.checkKey(keyVals); err != nil {
+		return nil, err
+	}
+	var kb [32]byte
+	return s.get(EncodeKey(kb[:0], keyVals...))
+}
+
+func (s *Seeker) get(key []byte) ([]byte, error) {
+	val, err := s.bs.Get(key)
+	if errors.Is(err, btree.ErrNotFound) {
+		return nil, ErrNotFound
+	}
+	return val, err
+}
+
 // checkKey rejects a key with the wrong number of columns.
 func (t *Table) checkKey(keyVals []Value) error {
 	if s := t.meta.schema; len(keyVals) != len(s.Key) {
@@ -89,12 +141,11 @@ func (t *Table) checkKey(keyVals []Value) error {
 	return nil
 }
 
+// getRaw is a Seeker's one-shot lookup.
 func (t *Table) getRaw(txn btree.ReadTxn, key []byte) ([]byte, error) {
-	val, err := t.tree.Get(txn, key)
-	if errors.Is(err, btree.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return val, err
+	var s Seeker
+	s.Reset(t, txn)
+	return s.get(key)
 }
 
 func (t *Table) getByEncodedKey(txn btree.ReadTxn, key []byte) (Row, error) {
@@ -172,13 +223,7 @@ func (t *Table) ScanBorrowed(txn btree.ReadTxn, prefix []Value, fn func(key, val
 	if len(prefix) > 0 {
 		pfx = EncodeKey(nil, prefix...)
 	}
-	var c *btree.Cursor
-	var err error
-	if len(pfx) == 0 {
-		c, err = t.tree.First(txn)
-	} else {
-		c, err = t.tree.Seek(txn, pfx)
-	}
+	c, err := t.tree.Seek(txn, pfx) // a nil prefix starts at the first key
 	if err != nil {
 		return err
 	}
@@ -214,13 +259,7 @@ func (t *Table) ScanKeys(txn btree.ReadTxn, prefix []Value, fn func(Row) error) 
 	if len(prefix) > 0 {
 		pfx = EncodeKey(nil, prefix...)
 	}
-	var c *btree.Cursor
-	var err error
-	if len(pfx) == 0 {
-		c, err = t.tree.First(txn)
-	} else {
-		c, err = t.tree.Seek(txn, pfx)
-	}
+	c, err := t.tree.Seek(txn, pfx) // a nil prefix starts at the first key
 	if err != nil {
 		return err
 	}
@@ -410,13 +449,7 @@ func (ix *Index) ScanRange(txn btree.ReadTxn, lo, hi Value, loInclusive, hiInclu
 }
 
 func (ix *Index) scanFrom(txn btree.ReadTxn, start, prefix []byte, fn func(idxVals, pk Row) error) error {
-	var c *btree.Cursor
-	var err error
-	if len(start) == 0 {
-		c, err = ix.tree.First(txn)
-	} else {
-		c, err = ix.tree.Seek(txn, start)
-	}
+	c, err := ix.tree.Seek(txn, start) // a nil start is the first key
 	if err != nil {
 		return err
 	}
