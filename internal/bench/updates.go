@@ -103,7 +103,7 @@ func Updates(cfg Config) error {
 	// returns amortized per-query latency and mean recall@K.
 	measure := func(db *micronn.DB, corpusSize, nprobe int) (time.Duration, float64, error) {
 		// Ground truth over the inserted prefix.
-		sub := &vec.Matrix{Data: ds.Train.Data[:corpusSize*spec.Dim], Rows: corpusSize, Dim: spec.Dim}
+		sub := ds.Train.Slice(0, corpusSize)
 		gt := workload.GroundTruth(spec.Metric, sub, queries, cfg.K)
 		start := time.Now()
 		resp, err := db.BatchSearch(micronn.BatchSearchRequest{Vectors: qVecs, K: cfg.K, NProbe: nprobe})

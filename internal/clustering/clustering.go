@@ -7,6 +7,15 @@
 // fixed-size random batches through a Source, so training memory is
 // O(batch + k·dim) regardless of collection size — the property Figure 8
 // measures.
+//
+// Assignment is batched. Algorithm 1 freezes the per-center counts for the
+// whole assignment phase (lines 7-8), so a batch's distances to every
+// centroid can be computed before any row is assigned: assignRows rows at a
+// time through one vec.DistancesManyToMany call, with the batch's and the
+// centroids' squared norms computed once per iteration. The distance
+// scratch is assignRows×K floats, never batch×K. The full-batch baseline
+// scores its rows the same way, and the k-means++ seeding scores each
+// picked centroid against its sample through the same call.
 package clustering
 
 import (
@@ -152,22 +161,20 @@ func MiniBatchKMeans(cfg Config, src Source) (*Result, error) {
 	counts := make([]int, cfg.K) // v: per-center counts (line 3)
 	batch := vec.NewMatrix(cfg.BatchSize, dim)
 	assign := make([]int, cfg.BatchSize) // d: cached assignments (line 4)
-	dists := make([]float32, cfg.K)
-	centNorms := make([]float32, 0, cfg.K)
+	sc := scorer{metric: cfg.Metric}
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		idx := samplePositions(rng, n, cfg.BatchSize)
 		if err := src.Read(idx, batch); err != nil {
 			return nil, err
 		}
-		centNorms = centroids.Norms(centNorms[:0])
 
 		// Assignment phase (lines 7-8): nearest centroid under the
 		// balance penalty, with counts frozen for the whole batch.
-		for i := 0; i < cfg.BatchSize; i++ {
-			vec.DistancesOneToMany(cfg.Metric, batch.Row(i), centroids, l2Norms(cfg.Metric, centNorms), dists)
+		sc.setRows(batch)
+		sc.score(centroids, func(i int, dists []float32) {
 			assign[i] = nearestBalanced(dists, counts, cfg)
-		}
+		})
 
 		// Update phase (lines 9-13): per-center learning rate 1/v[c].
 		for i := 0; i < cfg.BatchSize; i++ {
@@ -185,13 +192,53 @@ func MiniBatchKMeans(cfg Config, src Source) (*Result, error) {
 	return &Result{Centroids: centroids, Counts: counts}, nil
 }
 
-// l2Norms passes precomputed norms only for the L2 metric, where the
-// norm-based kernel applies.
-func l2Norms(m vec.Metric, norms []float32) []float32 {
-	if m == vec.L2 {
-		return norms
+// assignRows is the row chunk of a scorer: the rows whose distances to
+// every centroid one DistancesManyToMany call computes.
+const assignRows = 96
+
+// scorer computes the distances from the rows of a matrix to every
+// centroid, assignRows rows per DistancesManyToMany call, reusing its
+// scratch. setRows binds the rows (and, for L2, computes their squared
+// norms once); score may then run against any number of centroid sets.
+type scorer struct {
+	metric                     vec.Metric
+	x                          *vec.Matrix
+	dists, rowNorms, centNorms []float32
+}
+
+// setRows binds the matrix whose rows score reads.
+func (s *scorer) setRows(x *vec.Matrix) {
+	s.x = x
+	if s.metric == vec.L2 {
+		s.rowNorms = x.Norms(s.rowNorms[:0])
 	}
-	return nil
+}
+
+// score calls fn(i, dists) for every row i in order, where dists[c] is the
+// metric distance from the row to centroid c of cents. dists is scratch,
+// overwritten after fn returns.
+func (s *scorer) score(cents *vec.Matrix, fn func(i int, dists []float32)) {
+	x, k := s.x, cents.Rows
+	var cn []float32
+	if s.metric == vec.L2 {
+		s.centNorms = cents.Norms(s.centNorms[:0])
+		cn = s.centNorms
+	}
+	if need := min(assignRows, x.Rows) * k; cap(s.dists) < need {
+		s.dists = make([]float32, need)
+	}
+	for base := 0; base < x.Rows; base += assignRows {
+		end := min(base+assignRows, x.Rows)
+		dists := s.dists[:(end-base)*k]
+		var rn []float32
+		if cn != nil {
+			rn = s.rowNorms[base:end]
+		}
+		vec.DistancesManyToMany(s.metric, x.Slice(base, end), cents, rn, cn, dists)
+		for i := base; i < end; i++ {
+			fn(i, dists[(i-base)*k:(i-base+1)*k])
+		}
+	}
 }
 
 // nearestBalanced implements NEAREST(C, v, d, x): the centroid minimizing
@@ -254,9 +301,25 @@ func initCentroids(cfg Config, src Source, rng *rand.Rand) (*vec.Matrix, error) 
 	}
 	centroids := vec.NewMatrix(cfg.K, dim)
 	centroids.SetRow(0, sample.Row(rng.Intn(sampleSize)))
+	// Each pick scores the new centroid against the whole sample in one
+	// DistancesManyToMany call, the centroid as its single query: a
+	// one-column chunk would leave the tiles nothing to cover.
+	var sampleNorms, centNorm []float32
+	if cfg.Metric == vec.L2 {
+		sampleNorms = sample.Norms(make([]float32, 0, sampleSize))
+	}
+	dists := make([]float32, sampleSize)
+	distsTo := func(c int) []float32 {
+		cent := centroids.Slice(c, c+1)
+		if sampleNorms != nil {
+			centNorm = cent.Norms(centNorm[:0])
+		}
+		vec.DistancesManyToMany(cfg.Metric, cent, sample, centNorm, sampleNorms, dists)
+		return dists
+	}
 	minDist := make([]float64, sampleSize)
-	for i := 0; i < sampleSize; i++ {
-		minDist[i] = float64(vec.Distance(cfg.Metric, sample.Row(i), centroids.Row(0)))
+	for i, d := range distsTo(0) {
+		minDist[i] = float64(d)
 	}
 	for c := 1; c < cfg.K; c++ {
 		var total float64
@@ -278,9 +341,8 @@ func initCentroids(cfg Config, src Source, rng *rand.Rand) (*vec.Matrix, error) 
 			pick = rng.Intn(sampleSize)
 		}
 		centroids.SetRow(c, sample.Row(pick))
-		for i := 0; i < sampleSize; i++ {
-			d := float64(vec.Distance(cfg.Metric, sample.Row(i), centroids.Row(c)))
-			if d < minDist[i] {
+		for i, d := range distsTo(c) {
+			if d := float64(d); d < minDist[i] {
 				minDist[i] = d
 			}
 		}
@@ -343,20 +405,19 @@ func FullKMeans(cfg Config, data *vec.Matrix, maxIters int) (*Result, error) {
 	for i := range assign {
 		assign[i] = -1
 	}
-	dists := make([]float32, cfg.K)
 	sums := vec.NewMatrix(cfg.K, dim)
 	counts := make([]int, cfg.K)
+	sc := scorer{metric: cfg.Metric}
+	sc.setRows(data)
 
 	for iter := 0; iter < maxIters; iter++ {
 		changed := 0
-		for i := 0; i < n; i++ {
-			vec.DistancesOneToMany(cfg.Metric, data.Row(i), centroids, nil, dists)
-			c := argmin(dists)
-			if c != assign[i] {
+		sc.score(centroids, func(i int, dists []float32) {
+			if c := argmin(dists); c != assign[i] {
 				changed++
 				assign[i] = c
 			}
-		}
+		})
 		if changed == 0 {
 			break
 		}

@@ -1,8 +1,10 @@
 package ivf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,41 +52,51 @@ func (ix *Index) collectKeys(txn btree.ReadTxn, prefix []reldb.Value) ([]partVid
 
 // diskSource adapts the on-disk vector table to the clustering trainer:
 // batches are fetched by key through the buffer pool, so training memory
-// stays bounded by the mini-batch (Figure 8's property).
+// stays bounded by the mini-batch (Figure 8's property). keys is in
+// clustered-key order.
 type diskSource struct {
 	ix   *Index
 	txn  btree.ReadTxn
 	keys []partVid
 	dim  int
+	seek reldb.Seeker
 }
 
 func (s *diskSource) Len() int { return len(s.keys) }
 func (s *diskSource) Dim() int { return s.dim }
 
+// Read visits the requested rows in the key order of the table it reads,
+// through one path-keeping seeker, and decodes each borrowed row into its
+// requested slot of dst, so the rows the trainer sees are in request
+// order. The exact vectors are in the raw store, keyed by vid, when
+// quantization is on (partition rows then hold SQ8 codes), and in the
+// clustered rows, where position order is key order, otherwise.
 func (s *diskSource) Read(indices []int, dst *vec.Matrix) error {
-	for i, idx := range indices {
-		k := s.keys[idx]
-		blob, err := s.ix.rawBlobByKey(s.txn, k)
+	raw := s.ix.rawvecs != nil
+	var order []int
+	if raw {
+		s.seek.Reset(s.ix.rawvecs, s.txn)
+		order = keyOrder(len(indices), func(i int) int64 { return s.keys[indices[i]].vid })
+	} else {
+		s.seek.Reset(s.ix.vectors, s.txn)
+		order = keyOrder(len(indices), func(i int) int64 { return int64(indices[i]) })
+	}
+	defer s.seek.Reset(nil, nil)
+	for _, slot := range order {
+		k := s.keys[indices[slot]]
+		var blob []byte
+		var err error
+		if raw {
+			blob, err = borrowedRawBlob(&s.seek, k.vid)
+		} else {
+			_, blob, err = borrowedVectorRow(&s.seek, k)
+		}
 		if err != nil {
 			return fmt.Errorf("ivf: training read (%d,%d): %w", k.part, k.vid, err)
 		}
-		dst.AppendRowBlob(i, blob)
+		dst.AppendRowBlob(slot, blob)
 	}
 	return nil
-}
-
-// rawBlobByKey returns the exact float32 blob of a vector row: from the raw
-// store when quantization is on (partition rows then hold SQ8 codes), from
-// the clustered row itself otherwise.
-func (ix *Index) rawBlobByKey(txn btree.ReadTxn, k partVid) ([]byte, error) {
-	if ix.rawvecs != nil {
-		return ix.rawVector(txn, k.vid)
-	}
-	row, err := ix.vectors.Get(txn, reldb.I(k.part), reldb.I(k.vid))
-	if err != nil {
-		return nil, err
-	}
-	return row[3].Bts, nil
 }
 
 // trainCodebook streams every vector once through a range trainer and
@@ -190,46 +202,61 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	chunk := vec.NewMatrix(assignChunk, ix.cfg.Dim)
 	dists := make([]float32, assignChunk*k)
 	assetsInChunk := make([]string, assignChunk)
-	blobsInChunk := make([][]byte, assignChunk)
+	order := make([]int, 0, assignChunk)
+	var blob []byte
 	centNorms := res.Centroids.Norms(nil)
+	var vecSeek, rawSeek reldb.Seeker
+	defer vecSeek.Reset(nil, nil)
+	defer rawSeek.Reset(nil, nil)
 
 	for base := 0; base < len(keys); base += assignChunk {
-		end := base + assignChunk
-		if end > len(keys) {
-			end = len(keys)
+		ck := keys[base:min(base+assignChunk, len(keys))]
+		n := len(ck)
+		sub := chunk.Slice(0, n)
+		// Read the chunk in key order through seekers bound afresh, since
+		// the previous chunk's moves invalidated their kept paths. Nothing
+		// borrowed outlives the reads: asset ids are copied and vectors
+		// decoded into sub, from which the moved rows are encoded.
+		order = order[:0]
+		for i := range ck {
+			order = append(order, i)
 		}
-		n := end - base
-		sub := &vec.Matrix{Data: chunk.Data[:n*ix.cfg.Dim], Rows: n, Dim: ix.cfg.Dim}
-		for i := base; i < end; i++ {
-			row, err := ix.vectors.Get(wt, reldb.I(keys[i].part), reldb.I(keys[i].vid))
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ck[a].part, ck[b].part) })
+		vecSeek.Reset(ix.vectors, wt)
+		for _, i := range order {
+			asset, payload, err := borrowedVectorRow(&vecSeek, ck[i])
 			if err != nil {
 				return nil, err
 			}
-			assetsInChunk[i-base] = row[2].Str
-			if cb != nil {
-				// Partition rows hold stale codes (or delta float32);
-				// assignment needs the exact vector from the raw store.
-				raw, err := ix.rawVector(wt, keys[i].vid)
+			assetsInChunk[i] = string(asset)
+			if cb == nil {
+				sub.AppendRowBlob(i, payload)
+			}
+		}
+		if cb != nil {
+			// Partition rows hold stale codes (or delta float32);
+			// assignment needs the exact vector from the raw store, which
+			// is keyed by vid: the chunk's order.
+			rawSeek.Reset(ix.rawvecs, wt)
+			for i, key := range ck {
+				raw, err := borrowedRawBlob(&rawSeek, key.vid)
 				if err != nil {
 					return nil, err
 				}
-				sub.AppendRowBlob(i-base, raw)
-			} else {
-				sub.AppendRowBlob(i-base, row[3].Bts)
-				blobsInChunk[i-base] = row[3].Bts // decode copies; safe to retain
+				sub.AppendRowBlob(i, raw)
 			}
 		}
 		vec.DistancesManyToMany(ix.cfg.Metric, sub, res.Centroids, nil, l2Only(ix.cfg.Metric, centNorms), dists[:n*k])
-		for i := 0; i < n; i++ {
+		for i, old := range ck {
 			best := argminRange(dists[i*k : (i+1)*k])
 			newPart := firstPart + int64(best)
 			counts[best]++
 			ms.VectorsAssigned++
-			old := keys[base+i]
-			blob := blobsInChunk[i]
 			if cb != nil {
 				// Re-encode under the refreshed codebook.
-				blob = cb.Encode(make([]byte, 0, cb.CodeSize()), sub.Row(i))
+				blob = cb.Encode(blob[:0], sub.Row(i))
+			} else {
+				blob = vec.ToBlob(blob[:0], sub.Row(i))
 			}
 			if err := ix.moveRow(wt, old.part, newPart, partRow{vid: old.vid, asset: assetsInChunk[i], blob: blob}); err != nil {
 				return nil, err

@@ -106,7 +106,7 @@ func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, to
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), ix.cfg.Dim)
 	}
 	x := make([]float32, ix.cfg.Dim)
-	for _, i := range vidOrder(len(out), func(i int) int64 { return out[i].VectorID }) {
+	for _, i := range keyOrder(len(out), func(i int) int64 { return out[i].VectorID }) {
 		if _, err := lk.readExactVector(out[i].VectorID, out[i].AssetID, x); err != nil {
 			return nil, err
 		}

@@ -72,17 +72,34 @@ func (lk *lookups) assetOf(vid int64) (string, error) {
 	return string(asset), err
 }
 
+// borrowedRawBlob returns vid's exact float32 blob from a seeker over the
+// raw store, aliasing page memory.
+func borrowedRawBlob(seek *reldb.Seeker, vid int64) ([]byte, error) {
+	val, err := seek.GetBorrowed(reldb.I(vid))
+	if err != nil {
+		return nil, err
+	}
+	blob, _, err := reldb.RowBytes(val)
+	return blob, err
+}
+
+// borrowedVectorRow returns the asset id and payload of k's row from a
+// seeker over the vectors table, both aliasing page memory.
+func borrowedVectorRow(seek *reldb.Seeker, k partVid) (asset, payload []byte, err error) {
+	val, err := seek.GetBorrowed(reldb.I(k.part), reldb.I(k.vid))
+	if err != nil {
+		return nil, nil, err
+	}
+	return vectorValue(val)
+}
+
 // readRawVector decodes vid's exact float32 vector from the raw store into
 // x straight from the page, without building a row, and returns the blob's
 // byte length. Write paths that hold the blob across later writes keep the
 // copying rawVector instead: a write can rewrite the page under a borrowed
 // view.
 func (lk *lookups) readRawVector(vid int64, x []float32) (int, error) {
-	val, err := lk.rawvecs.GetBorrowed(reldb.I(vid))
-	if err != nil {
-		return 0, err
-	}
-	blob, _, err := reldb.RowBytes(val)
+	blob, err := borrowedRawBlob(&lk.rawvecs, vid)
 	if err != nil {
 		return 0, err
 	}
@@ -116,18 +133,18 @@ func (lk *lookups) readExactVector(vid int64, asset string, x []float32) (int, e
 	return len(blob), nil
 }
 
-// vidOrder returns the indexes of n items ordered by their vids, the order
-// in which lookups read the most from the leaves they hold.
-func vidOrder(n int, vid func(i int) int64) []int {
+// keyOrder returns the indexes of n items ordered by key(i): by vid, say,
+// the order in which lookups read the most from the leaves they hold.
+func keyOrder(n int, key func(i int) int64) []int {
 	type entry struct {
-		vid int64
+		key int64
 		i   int
 	}
 	es := make([]entry, n)
 	for i := range es {
-		es[i] = entry{vid(i), i}
+		es[i] = entry{key(i), i}
 	}
-	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.vid, b.vid) })
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	order := make([]int, n)
 	for k, e := range es {
 		order[k] = e.i

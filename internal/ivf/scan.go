@@ -264,7 +264,7 @@ func (ix *Index) fanOut(txn btree.ReadTxn, n int, cancel <-chan struct{}, fn fun
 // string is made only for a row a heap accepts.
 func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 	quantized := s.qqs != nil && w.part != DeltaPartition
-	qm, dists := &vec.Matrix{Data: s.queries.Row(w.queries[0]), Rows: 1, Dim: s.queries.Dim}, buf.dists
+	qm, dists := s.queries.Slice(w.queries[0], w.queries[0]+1), buf.dists
 	if len(w.queries) > 1 {
 		// A query group's scratch lives for this partition only, so the
 		// pool never holds batch-sized buffers.
@@ -313,7 +313,7 @@ func (s *scanRun) flush(buf *scanBuffers, qs []int, qm *vec.Matrix, dists []floa
 			s.qqs[qi].DistancesMany(buf.codes, n, dists[i*n:(i+1)*n])
 		}
 	} else {
-		rows := &vec.Matrix{Data: buf.batch.Data[:n*qm.Dim], Rows: n, Dim: qm.Dim}
+		rows := buf.batch.Slice(0, n)
 		vec.DistancesManyToMany(s.ix.cfg.Metric, qm, rows, nil, nil, dists)
 	}
 	s.counts.scanned.Add(int64(n))

@@ -326,7 +326,7 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 		return nil, err
 	}
 	res := heap.Results()
-	for _, i := range vidOrder(len(res), func(i int) int64 { return res[i].VectorID }) {
+	for _, i := range keyOrder(len(res), func(i int) int64 { return res[i].VectorID }) {
 		asset, err := lk.assetOf(res[i].VectorID)
 		if err != nil {
 			return nil, err
@@ -353,7 +353,7 @@ func (ix *Index) RerankCandidates(txn btree.ReadTxn, q []float32, cands []topk.R
 	var lk lookups
 	lk.bind(ix, txn)
 	var bytesRead int64
-	for _, i := range vidOrder(len(cands), func(i int) int64 { return cands[i].VectorID }) {
+	for _, i := range keyOrder(len(cands), func(i int) int64 { return cands[i].VectorID }) {
 		c := cands[i]
 		n, err := lk.readRawVector(c.VectorID, x)
 		if err != nil {

@@ -40,6 +40,23 @@ func dotAVX2(a, b []float32) float32
 //go:noescape
 func l2AVX2(a, b []float32) float32
 
+// l2Strip3x4AVX2 is the assembly tile kernel behind l2Strip.
+//
+//go:noescape
+func l2Strip3x4AVX2(x, c []float32, dim, ncols int, xn, cn, out []float32, ostride int)
+
+// hasL2Strip reports whether l2Strip may be called.
+var hasL2Strip = hasAVX2FMA
+
+// l2Strip writes the squared L2 distances from the three dim-element rows
+// of x to the ncols rows of c into out[i*ostride+j], by the norm expansion
+// over the squared norms xn and cn, clamped at 0. dim is a positive
+// multiple of 8 and ncols a positive multiple of 4.
+func l2Strip(x, c []float32, dim, ncols int, xn, cn, out []float32, ostride int) {
+	_ = out[2*ostride+ncols-1] // the kernel writes three rows of ncols
+	l2Strip3x4AVX2(x[:3*dim], c[:ncols*dim], dim, ncols, xn[:3], cn[:ncols], out, ostride)
+}
+
 func dot(a, b []float32) float32 {
 	if hasAVX2FMA {
 		return dotAVX2(a, b)

@@ -159,32 +159,185 @@ func TestDispatchUsesKernels(t *testing.T) {
 	}
 }
 
+// l2ExpansionRef returns the norm expansion ||x||^2 + ||c||^2 - 2 x.c in
+// float64 and the sum of the absolute values of its finite terms: the
+// scale the float32 expansion's rounding error grows with. Infinities and
+// NaNs reach the sum as they reach the float32 one, whatever the order of
+// addition, as long as no finite partial sum overflows float32.
+func l2ExpansionRef(x, c []float32) (sum, mag float64) {
+	var xx, cc, xc float64
+	for i := range x {
+		a, b := float64(x[i]), float64(c[i])
+		xx += a * a
+		cc += b * b
+		xc += a * b
+		for _, t := range [3]float64{a * a, b * b, 2 * a * b} {
+			if !math.IsInf(t, 0) && !math.IsNaN(t) {
+				mag += math.Abs(t)
+			}
+		}
+	}
+	return xx + cc - 2*xc, mag
+}
+
+// checkManyToMany compares DistancesManyToMany's L2 matrix for x against c
+// with the pairwise generic expansion and the float64 reference, under
+// kernelsAgree's tolerance, returning the first disagreement. The norms
+// are passed in, so a single row takes the expansion too.
+func checkManyToMany(x, c *Matrix) error {
+	out := make([]float32, x.Rows*c.Rows)
+	xn, cn := x.Norms(nil), c.Norms(nil)
+	DistancesManyToMany(L2, x, c, xn, cn, out)
+	for r := 0; r < x.Rows; r++ {
+		for j := 0; j < c.Rows; j++ {
+			want := xn[r] + cn[j] - 2*dotGeneric(x.Row(r), c.Row(j))
+			if want < 0 {
+				want = 0
+			}
+			got := out[r*c.Rows+j]
+			ref, mag := l2ExpansionRef(x.Row(r), c.Row(j))
+			if got < 0 || !kernelsAgree(got, want, ref, mag, 3*x.Dim) {
+				return fmt.Errorf("%dx%d dim %d [%d,%d]: tiled %v, pairwise generic %v, float64 reference %v (term magnitude %v)",
+					x.Rows, c.Rows, x.Dim, r, j, got, want, ref, mag)
+			}
+		}
+	}
+	return nil
+}
+
+// subMatrix returns a rows x dim matrix over buf starting off elements in,
+// so its rows start off any 32-byte boundary when off is odd.
+func subMatrix(buf []float32, off, rows, dim int) *Matrix {
+	return &Matrix{Data: buf[off : off+rows*dim], Rows: rows, Dim: dim}
+}
+
+func TestDistancesManyToManyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	dims := []int{128}
+	for d := 1; d <= 37; d++ {
+		dims = append(dims, d)
+	}
+	for _, dim := range dims {
+		xbuf := make([]float32, 7*dim+8)
+		cbuf := make([]float32, 9*dim+8)
+		// Every tile remainder: rows 1-7 leave 0, 1 or 2 rows after the
+		// 3-row tiles, columns 1-9 leave 0-3 after the 4-column ones.
+		for rows := 1; rows <= 7; rows++ {
+			for cols := 1; cols <= 9; cols++ {
+				for _, off := range []int{0, 1, 3} {
+					for i := range xbuf {
+						xbuf[i] = float32(rng.NormFloat64())
+					}
+					for i := range cbuf {
+						cbuf[i] = float32(rng.NormFloat64())
+					}
+					x, c := subMatrix(xbuf, off, rows, dim), subMatrix(cbuf, off, cols, dim)
+					if err := checkManyToMany(x, c); err != nil {
+						t.Fatalf("offset %d: %v", off, err)
+					}
+					// Every element must be read: a spike anywhere in
+					// either matrix moves its row's distances.
+					m := x
+					if rng.Intn(2) == 0 {
+						m = c
+					}
+					p := rng.Intn(len(m.Data))
+					m.Data[p] = 1e4
+					if err := checkManyToMany(x, c); err != nil {
+						t.Fatalf("offset %d, spike at element %d: %v", off, p, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDistancesManyToManyClampsCancellation scores rows against copies of
+// themselves, nudged by less than their magnitude's rounding error, where
+// the norm expansion cancels to values either side of 0: none may be
+// negative.
+func TestDistancesManyToManyClampsCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, dim := range []int{8, 13, 128} {
+		x, c := NewMatrix(6, dim), NewMatrix(8, dim)
+		for i := range x.Data {
+			x.Data[i] = 100 + float32(rng.NormFloat64())
+		}
+		for j := 0; j < c.Rows; j++ {
+			for i, v := range x.Row(j % x.Rows) {
+				c.Row(j)[i] = v + float32(rng.NormFloat64()*1e-6)
+			}
+		}
+		if err := checkManyToMany(x, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestDistancesManyToManySpecialValues(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	rng := rand.New(rand.NewSource(17))
+	for _, dim := range []int{3, 8, 13, 16, 128} {
+		for _, special := range [][]float32{{inf}, {-inf}, {nan}, {inf, -inf}, {inf, inf}, {nan, inf}} {
+			for trial := 0; trial < 8; trial++ {
+				rows, cols := 1+rng.Intn(7), 1+rng.Intn(9)
+				x, c := NewMatrix(rows, dim), NewMatrix(cols, dim)
+				for _, m := range []*Matrix{x, c} {
+					for i := range m.Data {
+						m.Data[i] = float32(rng.NormFloat64())
+					}
+				}
+				for _, v := range special {
+					m := x
+					if rng.Intn(2) == 0 {
+						m = c
+					}
+					m.Data[rng.Intn(len(m.Data))] = v
+				}
+				if trial == 0 {
+					c.Data[rng.Intn(len(c.Data))] = 0 // Inf*0 must give NaN on both paths
+				}
+				if err := checkManyToMany(x, c); err != nil {
+					t.Fatalf("specials %v: %v", special, err)
+				}
+			}
+		}
+	}
+}
+
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(ToBlob(nil, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}), uint8(1))
 	f.Add(ToBlob(nil, []float32{float32(math.Inf(1)), 0, 1, 2}), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
-		dotK, l2K, ok := acceleratedKernels()
-		if !ok {
-			t.Skip("no accelerated kernels on this CPU")
-		}
 		v := AppendFromBlob(nil, data)
 		o := int(off) % 4
 		if len(v) < o {
 			return
 		}
 		v = v[o:]
-		n := len(v) / 2
-		a, b := v[:n], v[n:2*n]
 		// Sums that can overflow float32 in some order of addition are
 		// order-dependent by nature; only inputs whose every partial sum
 		// stays finite are compared.
-		for _, isL2 := range []bool{false, true} {
-			if _, mag := kernelRef(isL2, a, b); mag > math.MaxFloat32/4 {
-				return
+		if _, mag := l2ExpansionRef(v, v); mag > math.MaxFloat32/16 {
+			return
+		}
+		// The tile: 1-7 rows of 8 elements (off picks how many) against
+		// up to 9 rows made of the rest of the input.
+		const dim = 8
+		if rows := min(1+int(off/4)%7, len(v)/dim-1); rows >= 1 {
+			cols := min((len(v)-rows*dim)/dim, 9)
+			x, c := subMatrix(v, 0, rows, dim), subMatrix(v, rows*dim, cols, dim)
+			if err := checkManyToMany(x, c); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := checkKernels(dotK, l2K, a, b); err != nil {
+		dotK, l2K, ok := acceleratedKernels()
+		if !ok {
+			return // the generic kernels are the only pairwise path
+		}
+		n := len(v) / 2
+		if err := checkKernels(dotK, l2K, v[:n], v[n:2*n]); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -294,4 +447,40 @@ func BenchmarkKernels(b *testing.B) {
 			FromBlob(m.Data, blob)
 		}
 	})
+}
+
+// BenchmarkDistancesManyToMany times the L2 many-to-many kernel at the
+// index build's shape (a 1024-row mini-batch against 320 centroids, with
+// cached norms, as k-means assigns) and at BatchSearch's (4 queries sharing
+// a 256-row partition, norms computed per call, as a scan batch is
+// scored). ns/pair is the time per distance.
+func BenchmarkDistancesManyToMany(b *testing.B) {
+	for _, sh := range []struct {
+		name        string
+		rows, cols  int
+		precomputed bool
+	}{
+		{"build-1024x320x128", 1024, 320, true},
+		{"batch-4x256x128", 4, 256, false},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			const dim = 128
+			rng := rand.New(rand.NewSource(18))
+			x, c := NewMatrix(sh.rows, dim), NewMatrix(sh.cols, dim)
+			for _, m := range []*Matrix{x, c} {
+				for i := range m.Data {
+					m.Data[i] = float32(rng.NormFloat64())
+				}
+			}
+			var xn, cn []float32
+			if sh.precomputed {
+				xn, cn = x.Norms(nil), c.Norms(nil)
+			}
+			out := make([]float32, sh.rows*sh.cols)
+			for b.Loop() {
+				DistancesManyToMany(L2, x, c, xn, cn, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.rows*sh.cols), "ns/pair")
+		})
+	}
 }

@@ -10,7 +10,8 @@
 // four 8-lane FMA accumulators; everywhere else they run generic Go loops
 // unrolled 8-wide with independent accumulators. The batch kernels expose
 // the same batch-oriented code path as the paper (vectors gathered into
-// row-major matrices, one kernel call per block).
+// row-major matrices, one kernel call per block); many-to-many L2 runs in
+// an assembly register tile where the CPU allows (batch.go).
 //
 // On little-endian hosts the blob layout is the in-memory layout of a
 // []float32, so the codec is a single copy; big-endian hosts decode per
