@@ -14,8 +14,9 @@
 // time through one vec.DistancesManyToMany call, with the batch's and the
 // centroids' squared norms computed once per iteration. The distance
 // scratch is assignRows×K floats, never batch×K. The full-batch baseline
-// scores its rows the same way, and the k-means++ seeding scores each
-// picked centroid against its sample through the same call.
+// scores its rows the same way. The k-means++ seeding scores one picked
+// centroid at a time, a single query the tile cannot share, so it keeps
+// exact per-pair distances.
 package clustering
 
 import (
@@ -301,20 +302,12 @@ func initCentroids(cfg Config, src Source, rng *rand.Rand) (*vec.Matrix, error) 
 	}
 	centroids := vec.NewMatrix(cfg.K, dim)
 	centroids.SetRow(0, sample.Row(rng.Intn(sampleSize)))
-	// Each pick scores the new centroid against the whole sample in one
-	// DistancesManyToMany call, the centroid as its single query: a
-	// one-column chunk would leave the tiles nothing to cover.
-	var sampleNorms, centNorm []float32
-	if cfg.Metric == vec.L2 {
-		sampleNorms = sample.Norms(make([]float32, 0, sampleSize))
-	}
+	// Each pick is a single query against the whole sample, which the
+	// many-to-many tile has nothing to share with: one DistancesOneToMany
+	// call without norms scores it pair by pair, exactly as Distance does.
 	dists := make([]float32, sampleSize)
 	distsTo := func(c int) []float32 {
-		cent := centroids.Slice(c, c+1)
-		if sampleNorms != nil {
-			centNorm = cent.Norms(centNorm[:0])
-		}
-		vec.DistancesManyToMany(cfg.Metric, cent, sample, centNorm, sampleNorms, dists)
+		vec.DistancesOneToMany(cfg.Metric, centroids.Row(c), sample, nil, dists)
 		return dists
 	}
 	minDist := make([]float64, sampleSize)
