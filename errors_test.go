@@ -6,6 +6,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"micronn/internal/ivf"
 )
 
 func openErrTestDB(t *testing.T) *DB {
@@ -399,6 +401,46 @@ func TestHugeKRejected(t *testing.T) {
 					t.Fatalf("HybridSearch K=%d: %v, %v; want %d results", big, hresp, err, n)
 				}
 			})
+		}
+	}
+}
+
+// TestUnknownFilterColumnFails: a filter on an undeclared attribute fails
+// with ivf.ErrNoFilter under every plan whatever the store holds: nothing,
+// only a delta, or a built index, on a single store and on two shards.
+func TestUnknownFilterColumnFails(t *testing.T) {
+	const dim = 4
+	plans := []struct {
+		name  string
+		plan  PlanType
+		exact bool
+	}{{"auto", PlanAuto, false}, {"pre", PlanPreFilter, false}, {"post", PlanPostFilter, false}, {"exact", PlanAuto, true}}
+	for _, shards := range []int{1, 2} {
+		st := openStoreTest(t, shards, Options{Dim: dim, TargetPartitionSize: 10, Seed: 1,
+			Attributes: []AttributeDef{{Name: "n", Type: AttrInt, Indexed: true}}})
+		vecs := randomVecs(5, 50, dim)
+		items := make([]Item, len(vecs))
+		for i, v := range vecs {
+			items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v, Attributes: map[string]any{"n": int64(i)}}
+		}
+		stages := []struct {
+			name string
+			run  func() error
+		}{
+			{"empty", func() error { return nil }},
+			{"delta", func() error { return st.UpsertBatch(items) }},
+			{"rebuilt", func() error { _, err := st.Rebuild(); return err }},
+		}
+		for _, stage := range stages {
+			if err := stage.run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans {
+				_, err := st.Search(SearchRequest{Vector: vecs[0], K: 3, Filters: []Filter{Eq("nope", 1)}, Plan: p.plan, Exact: p.exact, NoCache: true})
+				if !errors.Is(err, ivf.ErrNoFilter) {
+					t.Errorf("%d shards, %s store, %s plan: %v, want ErrNoFilter", shards, stage.name, p.name, err)
+				}
+			}
 		}
 	}
 }

@@ -89,7 +89,7 @@ func (s *diskSource) Read(indices []int, dst *vec.Matrix) error {
 		if raw {
 			blob, err = borrowedRawBlob(&s.seek, k.vid)
 		} else {
-			_, blob, err = borrowedVectorRow(&s.seek, k)
+			_, blob, _, err = borrowedVectorRow(&s.seek, k)
 		}
 		if err != nil {
 			return fmt.Errorf("ivf: training read (%d,%d): %w", k.part, k.vid, err)
@@ -202,6 +202,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	chunk := vec.NewMatrix(assignChunk, ix.cfg.Dim)
 	dists := make([]float32, assignChunk*k)
 	assetsInChunk := make([]string, assignChunk)
+	copiesInChunk := make([][]reldb.Value, assignChunk)
 	order := make([]int, 0, assignChunk)
 	var blob []byte
 	centNorms := res.Centroids.Norms(nil)
@@ -215,8 +216,9 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		sub := chunk.Slice(0, n)
 		// Read the chunk in key order through seekers bound afresh, since
 		// the previous chunk's moves invalidated their kept paths. Nothing
-		// borrowed outlives the reads: asset ids are copied and vectors
-		// decoded into sub, from which the moved rows are encoded.
+		// borrowed outlives the reads: asset ids are copied, attribute
+		// copies decoded, and vectors decoded into sub, from which the
+		// moved rows are encoded.
 		order = order[:0]
 		for i := range ck {
 			order = append(order, i)
@@ -224,11 +226,16 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ck[a].part, ck[b].part) })
 		vecSeek.Reset(ix.vectors, wt)
 		for _, i := range order {
-			asset, payload, err := borrowedVectorRow(&vecSeek, ck[i])
+			asset, payload, copies, err := borrowedVectorRow(&vecSeek, ck[i])
 			if err != nil {
 				return nil, err
 			}
 			assetsInChunk[i] = string(asset)
+			if len(ix.copies) > 0 {
+				if copiesInChunk[i], err = reldb.DecodeRow(copies, len(ix.copies)); err != nil {
+					return nil, err
+				}
+			}
 			if cb == nil {
 				sub.AppendRowBlob(i, payload)
 			}
@@ -258,7 +265,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 			} else {
 				blob = vec.ToBlob(blob[:0], sub.Row(i))
 			}
-			if err := ix.moveRow(wt, old.part, newPart, partRow{vid: old.vid, asset: assetsInChunk[i], blob: blob}); err != nil {
+			if err := ix.moveRow(wt, old.part, newPart, partRow{vid: old.vid, asset: assetsInChunk[i], blob: blob, copies: copiesInChunk[i]}); err != nil {
 				return nil, err
 			}
 			ms.RowChanges += 3
@@ -362,7 +369,7 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		if cb != nil {
 			blob = cb.Encode(make([]byte, 0, cb.CodeSize()), x)
 		}
-		if err := ix.moveRow(wt, key.part, newPart, partRow{vid: key.vid, asset: asset, blob: blob}); err != nil {
+		if err := ix.moveRow(wt, key.part, newPart, partRow{vid: key.vid, asset: asset, blob: blob, copies: row[4:]}); err != nil {
 			return nil, err
 		}
 		ms.RowChanges += 3

@@ -8,18 +8,25 @@
 //
 // Each vector lives in four tables:
 //
-//   - vectors (part, vid) -> (asset, payload): the rows a partition scan
-//     reads, clustered by partition. The payload is the float32 vector, or
-//     its SQ8/SQ4 code outside the delta of a quantized index. Upsert and
-//     Delete write it, and every row move (Rebuild, FlushDelta, split,
-//     merge) rewrites it.
+//   - vectors (part, vid) -> (asset, payload, s₁…sₘ): the rows a partition
+//     scan reads, clustered by partition. The payload is the float32
+//     vector, or its SQ8/SQ4 code outside the delta of a quantized index.
+//     s₁…sₘ copy the vector's int64 and float64 attributes in schema order
+//     (text and blob attributes, unbounded in size, are not copied), so a
+//     scan decides comparison filters on them without reading vids; an
+//     index without such attributes writes (asset, payload) alone. Upsert
+//     writes the copies from the attribute values it stores in vids, and
+//     Delete removes the row; every row move (Rebuild, FlushDelta, split,
+//     merge) rewrites the row with its copies as read. An upsert allocates
+//     a new vid, so a copy never goes stale.
 //   - assets asset -> (part, vid): the upsert key, and with the vectors key
 //     the only record of a vector's partition. Upsert and Delete write it,
 //     and every row move rewrites it.
-//   - vids vid -> (asset, attr₁…attrₙ): one write-once row per vector with
-//     what filters and result survivors need. The secondary attribute
-//     indexes and the optimizer statistics are built on it. Only Upsert and
-//     Delete write it.
+//   - vids vid -> (asset, attr₁…attrₙ): one write-once row per vector, the
+//     home of every attribute: Get, the pre-filter plan, filters the scan
+//     cannot decide on a vectors row and result survivors read it. The
+//     secondary attribute indexes and the optimizer statistics are built
+//     on it. Only Upsert and Delete write it.
 //   - rawvecs vid -> float32 vector, on a quantized index only: the exact
 //     vectors for rerank, Get and codebook training. Only Upsert and Delete
 //     write it.
@@ -73,8 +80,8 @@ const metaCodebook = "codebook"
 // formatVersion is the on-disk format this package reads and writes. Create
 // stores it under the meta key metaFormat, and Open refuses any store that
 // lacks it or holds another value. Bump it with every change to a table's
-// layout.
-const formatVersion = 1
+// layout. Format 2 added the attribute copies to vectors rows.
+const formatVersion = 2
 
 // metaFormat is the meta-table key holding the decimal formatVersion.
 const metaFormat = "format"
@@ -208,6 +215,11 @@ type Index struct {
 	attrIndexes map[string]*reldb.Index // attribute name -> secondary index
 	ftsIndexes  map[string]*fts.Index   // attribute name -> fts index
 	attrPos     map[string]int          // attribute name -> position in vids row
+	// copies lists the positions in cfg.Attributes of the attributes a
+	// vectors row copies, in row order; copyPos maps each one's name to
+	// its place among the row's copies.
+	copies  []int
+	copyPos map[string]int
 
 	// derived is the derived state of the newest generation loaded so far
 	// (see load).
@@ -340,29 +352,32 @@ type rowView struct {
 	asset, payload []byte
 }
 
-// readRowView parses a borrowed (part, vid) -> (asset, payload) row. It
-// fails wherever decoding the row with Table.Scan would.
-func readRowView(key, val []byte) (r rowView, err error) {
+// readRowView parses a borrowed (part, vid) -> (asset, payload, copies)
+// row, returning the encoded attribute copies beside the view, aliasing
+// the page too (a view that held them would be copied whole per row). It
+// fails wherever decoding the row's key, asset and payload with Table.Scan
+// would; the copies are decoded by whoever reads them.
+func readRowView(key, val []byte) (r rowView, copies []byte, err error) {
 	_, rest, err := reldb.KeyInt(key)
 	if err != nil {
-		return r, err
+		return r, nil, err
 	}
 	if r.vid, _, err = reldb.KeyInt(rest); err != nil {
-		return r, err
+		return r, nil, err
 	}
-	r.asset, r.payload, err = vectorValue(val)
-	return r, err
+	r.asset, r.payload, copies, err = vectorValue(val)
+	return r, copies, err
 }
 
-// vectorValue splits a borrowed vectors-table value into its asset id and
-// payload, both aliasing val.
-func vectorValue(val []byte) (asset, payload []byte, err error) {
+// vectorValue splits a borrowed vectors-table value into its asset id,
+// payload and encoded attribute copies, all aliasing val.
+func vectorValue(val []byte) (asset, payload, copies []byte, err error) {
 	asset, rest, err := reldb.RowBytes(val)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	payload, _, err = reldb.RowBytes(rest)
-	return asset, payload, err
+	payload, copies, err = reldb.RowBytes(rest)
+	return asset, payload, copies, err
 }
 
 // centroidSet is the decoded centroid table: partition ids, centroid
@@ -393,6 +408,7 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 	cfg.fillDefaults()
 
 	vidCols := []reldb.Column{{Name: "asset", Type: reldb.TypeText}}
+	vectorCols := []reldb.Column{{Name: "asset", Type: reldb.TypeText}, {Name: "blob", Type: reldb.TypeBlob}}
 	for _, a := range cfg.Attributes {
 		if a.FullText && a.Type != reldb.TypeText {
 			return nil, fmt.Errorf("ivf: attribute %s: FullText requires TypeText", a.Name)
@@ -401,6 +417,9 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 			return nil, fmt.Errorf("ivf: attribute name %q is reserved", a.Name)
 		}
 		vidCols = append(vidCols, reldb.Column{Name: a.Name, Type: a.Type})
+		if copied(a) {
+			vectorCols = append(vectorCols, reldb.Column{Name: a.Name, Type: a.Type})
+		}
 	}
 
 	schemas := []*reldb.Schema{
@@ -410,10 +429,7 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, cfg Config) (*Index, error) {
 				{Name: "part", Type: reldb.TypeInt64},
 				{Name: "vid", Type: reldb.TypeInt64},
 			},
-			Cols: []reldb.Column{
-				{Name: "asset", Type: reldb.TypeText},
-				{Name: "blob", Type: reldb.TypeBlob},
-			},
+			Cols: vectorCols,
 		},
 		{
 			Name: tblCentroids,
@@ -525,6 +541,7 @@ func open(db *reldb.DB, cfg Config) (*Index, error) {
 		attrIndexes: make(map[string]*reldb.Index),
 		ftsIndexes:  make(map[string]*fts.Index),
 		attrPos:     make(map[string]int),
+		copyPos:     make(map[string]int),
 	}
 	var err error
 	if ix.vectors, err = db.Table(tblVectors); err != nil {
@@ -549,6 +566,10 @@ func open(db *reldb.DB, cfg Config) (*Index, error) {
 	}
 	for i, a := range cfg.Attributes {
 		ix.attrPos[a.Name] = vidsAttrBase + i
+		if copied(a) {
+			ix.copyPos[a.Name] = len(ix.copies)
+			ix.copies = append(ix.copies, i)
+		}
 		if a.Indexed {
 			idx, err := db.Index("attr_" + a.Name)
 			if err != nil {
@@ -565,6 +586,13 @@ func open(db *reldb.DB, cfg Config) (*Index, error) {
 		}
 	}
 	return ix, nil
+}
+
+// copied reports whether vectors rows carry a copy of attribute a: int64
+// and float64 attributes are copied, text and blob ones, unbounded in
+// size, are not.
+func copied(a AttributeDef) bool {
+	return a.Type == reldb.TypeInt64 || a.Type == reldb.TypeFloat64
 }
 
 // Config returns the index configuration.
@@ -671,20 +699,6 @@ func (ix *Index) Upsert(wt *storage.WriteTxn, asset string, vector []float32, at
 	st.NextVID++
 	blob := vec.ToBlob(make([]byte, 0, vec.BlobSize(ix.cfg.Dim)), vector)
 
-	if err := ix.vectors.Put(wt, reldb.Row{reldb.I(DeltaPartition), reldb.I(vid), reldb.S(asset), reldb.B(blob)}); err != nil {
-		return err
-	}
-	if ix.rawvecs != nil {
-		// Quantized indexes keep the exact vector in the raw store for
-		// reranking, point lookups and codebook retraining.
-		if err := ix.rawvecs.Put(wt, reldb.Row{reldb.I(vid), reldb.B(blob)}); err != nil {
-			return err
-		}
-	}
-	if err := ix.assets.Put(wt, reldb.Row{reldb.S(asset), reldb.I(DeltaPartition), reldb.I(vid)}); err != nil {
-		return err
-	}
-
 	vidRow := make(reldb.Row, vidsAttrBase+len(ix.cfg.Attributes))
 	vidRow[0], vidRow[1] = reldb.I(vid), reldb.S(asset)
 	for i, a := range ix.cfg.Attributes {
@@ -699,6 +713,24 @@ func (ix *Index) Upsert(wt *storage.WriteTxn, asset string, vector []float32, at
 			return fmt.Errorf("ivf: undeclared attribute %q", name)
 		}
 	}
+	vecRow := reldb.Row{reldb.I(DeltaPartition), reldb.I(vid), reldb.S(asset), reldb.B(blob)}
+	for _, i := range ix.copies {
+		vecRow = append(vecRow, vidRow[vidsAttrBase+i])
+	}
+	if err := ix.vectors.Put(wt, vecRow); err != nil {
+		return err
+	}
+	if ix.rawvecs != nil {
+		// Quantized indexes keep the exact vector in the raw store for
+		// reranking, point lookups and codebook retraining.
+		if err := ix.rawvecs.Put(wt, reldb.Row{reldb.I(vid), reldb.B(blob)}); err != nil {
+			return err
+		}
+	}
+	if err := ix.assets.Put(wt, reldb.Row{reldb.S(asset), reldb.I(DeltaPartition), reldb.I(vid)}); err != nil {
+		return err
+	}
+
 	if err := ix.vids.Put(wt, vidRow); err != nil {
 		return err
 	}

@@ -22,6 +22,8 @@ type lookups struct {
 	vids     reldb.Seeker
 	rawvecs  reldb.Seeker // bound on a quantized index only
 	postings map[*fts.Index]*reldb.Seeker
+	// vidsReads counts the vids rows filterColumns has read.
+	vidsReads int64
 }
 
 // bind points lk at ix's tables at txn and drops every kept path.
@@ -83,12 +85,13 @@ func borrowedRawBlob(seek *reldb.Seeker, vid int64) ([]byte, error) {
 	return blob, err
 }
 
-// borrowedVectorRow returns the asset id and payload of k's row from a
-// seeker over the vectors table, both aliasing page memory.
-func borrowedVectorRow(seek *reldb.Seeker, k partVid) (asset, payload []byte, err error) {
+// borrowedVectorRow returns the asset id, payload and encoded attribute
+// copies of k's row from a seeker over the vectors table, all aliasing page
+// memory.
+func borrowedVectorRow(seek *reldb.Seeker, k partVid) (asset, payload, copies []byte, err error) {
 	val, err := seek.GetBorrowed(reldb.I(k.part), reldb.I(k.vid))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	return vectorValue(val)
 }
@@ -125,7 +128,7 @@ func (lk *lookups) readExactVector(vid int64, asset string, x []float32) (int, e
 	if err != nil {
 		return 0, err
 	}
-	_, blob, err := vectorValue(val)
+	_, blob, _, err := vectorValue(val)
 	if err != nil {
 		return 0, err
 	}

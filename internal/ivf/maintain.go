@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"micronn/internal/btree"
@@ -178,13 +179,14 @@ func (ix *Index) MaintainStep(wt *storage.WriteTxn, pol MaintenancePolicy) (*Mai
 	return plan, ms, nil
 }
 
-// partRow is one vector row buffered for a split or merge. blob holds the
-// partition row's payload (SQ8 code or float32 vector) copied out of
-// transaction-owned memory.
+// partRow is one vector row buffered for a move. blob holds the partition
+// row's payload (SQ8 code or float32 vector) copied out of
+// transaction-owned memory, copies the row's attribute copies as read.
 type partRow struct {
-	vid   int64
-	asset string
-	blob  []byte
+	vid    int64
+	asset  string
+	blob   []byte
+	copies []reldb.Value
 }
 
 // collectPartition buffers the rows of one partition. Partitions are
@@ -194,9 +196,10 @@ func (ix *Index) collectPartition(txn btree.ReadTxn, part int64) ([]partRow, err
 	var rows []partRow
 	err := ix.vectors.Scan(txn, []reldb.Value{reldb.I(part)}, func(row reldb.Row) error {
 		rows = append(rows, partRow{
-			vid:   row[1].Int,
-			asset: row[2].Str,
-			blob:  append([]byte(nil), row[3].Bts...),
+			vid:    row[1].Int,
+			asset:  row[2].Str,
+			blob:   append([]byte(nil), row[3].Bts...),
+			copies: row[4:],
 		})
 		return nil
 	})
@@ -228,12 +231,15 @@ func (ix *Index) exactVectors(txn btree.ReadTxn, rows []partRow) (*vec.Matrix, e
 // code re-encoded under its fresh codebook and FlushDelta the delta row's
 // encoding under the current one; splits and merges move the payload
 // byte-identical, which on a quantized index stays a valid code because
-// they never change the codebook. Callers spill at their own cadence.
+// they never change the codebook. Every mover passes the attribute copies
+// of the row it read, so they move with it unchanged and no move reads
+// vids. Callers spill at their own cadence.
 func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error {
 	if err := ix.vectors.Delete(wt, reldb.I(src), reldb.I(r.vid)); err != nil {
 		return err
 	}
-	if err := ix.vectors.Put(wt, reldb.Row{reldb.I(dst), reldb.I(r.vid), reldb.S(r.asset), reldb.B(r.blob)}); err != nil {
+	row := reldb.Row{reldb.I(dst), reldb.I(r.vid), reldb.S(r.asset), reldb.B(r.blob)}
+	if err := ix.vectors.Put(wt, append(row, r.copies...)); err != nil {
 		return err
 	}
 	return ix.assets.Put(wt, reldb.Row{reldb.S(r.asset), reldb.I(dst), reldb.I(r.vid)})
@@ -441,7 +447,7 @@ func (ix *Index) ApplySplit(wt *storage.WriteTxn, plan *SplitPlan) (*Maintenance
 func (ix *Index) checkSplitPlan(txn btree.ReadTxn, plan *SplitPlan) error {
 	i := 0
 	err := ix.vectors.ScanBorrowed(txn, []reldb.Value{reldb.I(plan.part)}, func(key, val []byte) error {
-		r, err := readRowView(key, val)
+		r, _, err := readRowView(key, val)
 		if err != nil {
 			return err
 		}
@@ -577,6 +583,15 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 	return ms, nil
 }
 
+// sameValue reports whether a and b are the same value: the same type and
+// payload, a float64 compared bit for bit.
+func sameValue(a, b reldb.Value) bool {
+	if a.Type == reldb.TypeFloat64 && b.Type == reldb.TypeFloat64 {
+		return math.Float64bits(a.Flt) == math.Float64bits(b.Flt)
+	}
+	return a.Type == b.Type && reldb.Compare(a, b) == 0
+}
+
 // PartitionSizeBounds returns the smallest and largest IVF partition sizes
 // from the centroid table's transactional counts (0, 0 when the index has
 // no partitions). The delta-store is excluded.
@@ -603,7 +618,8 @@ func (ix *Index) PartitionSizeBounds(txn btree.ReadTxn) (min, max int64, err err
 // CheckInvariants verifies the index's structural invariants at txn's
 // snapshot: every vector row has exactly one vids row and one assets row
 // that agree with it on the asset id and vice versa, attribute values have
-// their declared types, per-partition counts and state counters match the
+// their declared types, each vector row's attribute copies equal its vids
+// row's values, per-partition counts and state counters match the
 // actual rows, every non-delta row's partition has a centroid, every
 // centroid id is below NextPartID, the centroid count matches
 // NumPartitions, each full-text index records a length for exactly #docs
@@ -617,8 +633,9 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	cb := d.cb
 
 	type loc struct {
-		part  int64
-		asset string
+		part   int64
+		asset  string
+		copies []reldb.Value
 	}
 	seen := make(map[int64]loc)
 	partSizes := make(map[int64]int64)
@@ -633,7 +650,7 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		if _, dup := seen[vid]; dup {
 			return fmt.Errorf("ivf: invariant: vid %d stored in two partitions", vid)
 		}
-		seen[vid] = loc{part, asset}
+		seen[vid] = loc{part, asset, row[4:]}
 		partSizes[part]++
 		total++
 		if part == DeltaPartition {
@@ -665,12 +682,18 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	err = ix.vids.Scan(txn, nil, func(row reldb.Row) error {
 		vidRows++
 		vid, asset := row[0].Int, row[1].Str
-		if l, ok := seen[vid]; !ok || l.asset != asset {
+		l, ok := seen[vid]
+		if !ok || l.asset != asset {
 			return fmt.Errorf("ivf: invariant: vid row %d -> %q does not match vector rows", vid, asset)
 		}
 		for i, a := range ix.cfg.Attributes {
 			if v := row[vidsAttrBase+i]; !v.IsNull() && v.Type != a.Type {
 				return fmt.Errorf("ivf: invariant: vid %d attribute %s holds %v, declared %v", vid, a.Name, v.Type, a.Type)
+			}
+		}
+		for j, i := range ix.copies {
+			if v, c := row[vidsAttrBase+i], l.copies[j]; !sameValue(v, c) {
+				return fmt.Errorf("ivf: invariant: vid %d copies attribute %s as %v, its vids row holds %v", vid, ix.cfg.Attributes[i].Name, c, v)
 			}
 		}
 		return nil

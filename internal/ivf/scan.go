@@ -2,6 +2,7 @@ package ivf
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -32,13 +33,93 @@ type partWork struct {
 }
 
 // scanCounts are the counters of one engine run. Workers add to them once
-// per kernel batch or partition.
+// per kernel batch, partition or settled run of rows.
 type scanCounts struct {
-	scanned  atomic.Int64 // vector rows whose distances were computed: every row scanned
+	scanned  atomic.Int64 // vector rows whose distances were computed: every row read that passed the scanned filter groups
 	pairs    atomic.Int64 // query-row distance computations
-	filtered atomic.Int64 // rows whose filters were evaluated and failed
+	filtered atomic.Int64 // rows whose filters were evaluated and failed, in the scan or when settled
 	bytes    atomic.Int64 // vector payload read by scans and the rerank
 	reranked atomic.Int64 // candidates recomputed at full precision
+	lookups  atomic.Int64 // vids rows read to settle deferred filter groups
+}
+
+// scanFilter is a search's filter set split for the scan engine. A group
+// whose predicates are all comparisons other than MATCH on attributes that
+// vectors rows copy is decided on each scanned row from its copies, before
+// the row is scored: a row that fails it is neither scored nor queued, and
+// no vids row is read for it. The other groups are deferred: a row that
+// passes the scanned groups is scored, and if a heap would keep it, it
+// waits to be settled against its vids row (see settle). Immutable once
+// built, hence safe to share across scan workers.
+type scanFilter struct {
+	groups   [][]copyPred // decided on the scanned row
+	width    int          // copies a row decodes: one past the last one groups read
+	deferred []stats.Filter
+}
+
+// copyPred is a comparison on the attribute copy at position col of a
+// vectors row.
+type copyPred struct {
+	col  int
+	pred reldb.Predicate
+}
+
+// splitFilters validates filters and splits them for the scan engine (see
+// scanFilter); it returns nil for a search without filters. Every
+// predicate must name a declared attribute, or the search fails with
+// ErrNoFilter whatever plan runs and whatever rows the store holds.
+func (ix *Index) splitFilters(filters []stats.Filter) (*scanFilter, error) {
+	if len(filters) == 0 {
+		return nil, nil
+	}
+	f := &scanFilter{}
+	for _, group := range filters {
+		preds := make([]copyPred, 0, len(group.AnyOf))
+		for _, pred := range group.AnyOf {
+			if _, ok := ix.attrPos[pred.Column]; !ok {
+				return nil, fmt.Errorf("%w: %q", ErrNoFilter, pred.Column)
+			}
+			if col, ok := ix.copyPos[pred.Column]; ok && pred.Op != reldb.OpMatch {
+				preds = append(preds, copyPred{col: col, pred: pred})
+			}
+		}
+		if len(preds) < len(group.AnyOf) {
+			f.deferred = append(f.deferred, group) // deferred whole
+			continue
+		}
+		f.groups = append(f.groups, preds)
+		for _, p := range preds {
+			f.width = max(f.width, p.col+1)
+		}
+	}
+	return f, nil
+}
+
+// pass reports whether the row whose encoded attribute copies are b passes
+// every scanned group.
+func (f *scanFilter) pass(b []byte) (bool, error) {
+	var buf [filterRowCols]reldb.Value
+	vals := buf[:0]
+	for range f.width {
+		v, rest, err := reldb.DecodeRowValue(b)
+		if err != nil {
+			return false, err
+		}
+		vals, b = append(vals, v), rest
+	}
+	for _, group := range f.groups {
+		matched := false
+		for i := range group {
+			if group[i].pred.Eval(vals[group[i].col], nil) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // queryHeap is one query's top-K, shared by every worker that scans a
@@ -106,8 +187,9 @@ type scanRun struct {
 	txn     btree.ReadTxn
 	queries *vec.Matrix
 	qqs     []*quant.Query // per-query asymmetric-distance state on a quantized index
-	filters []stats.Filter
-	ms      *matchSet // compiled MATCH queries, nil without MATCH filters
+	decide  *scanFilter    // decides its groups on each scanned row; nil when it has none
+	filters []stats.Filter // the deferred groups, settled after scoring
+	ms      *matchSet      // compiled MATCH queries, nil without deferred MATCH filters
 	heaps   []queryHeap
 	counts  *scanCounts
 	// settleAt is the pending row count at which a worker settles a
@@ -117,21 +199,25 @@ type scanRun struct {
 }
 
 // scan runs the engine at txn: each partition in work is scanned once for
-// all the queries listed with it. Every row is scored first; filters
-// (Search's post-filter and exact-plan predicates; nil for batches) are
-// then evaluated in ascending distance order, and only until the heap
-// rejects the next row (see settle). cb is the index's codebook, nil when
-// partitions hold float32 vectors. On a
-// quantized index the scans keep RerankFactor*K approximate candidates per
-// query, which are then reranked against the exact vectors in the raw
-// store unless opts.CandidatesOnly asks for the candidates themselves.
-// opts.NProbe is not read: work is the probe sets already grouped. Results
-// keep query order.
-func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix, work []partWork, filters []stats.Filter, opts BatchOptions, counts *scanCounts) ([][]topk.Result, error) {
+// all the queries listed with it. f holds Search's post-filter and
+// exact-plan predicates, split by splitFilters (nil for batches). A row
+// that fails a group f decides on the scanned row is skipped; every other
+// row is scored, and f's deferred groups are then evaluated in ascending
+// distance order, and only until the heap rejects the next row (see
+// settle). cb is the index's codebook, nil when partitions hold float32
+// vectors. On a quantized index the scans keep RerankFactor*K approximate
+// candidates per query, which are then reranked against the exact vectors
+// in the raw store unless opts.CandidatesOnly asks for the candidates
+// themselves. opts.NProbe is not read: work is the probe sets already
+// grouped. Results keep query order.
+func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix, work []partWork, f *scanFilter, opts BatchOptions, counts *scanCounts) ([][]topk.Result, error) {
 	nq := queries.Rows
-	s := &scanRun{
-		ix: ix, txn: txn, queries: queries, filters: filters,
-		ms: compileMatchers(filters), heaps: make([]queryHeap, nq), counts: counts,
+	s := &scanRun{ix: ix, txn: txn, queries: queries, heaps: make([]queryHeap, nq), counts: counts}
+	if f != nil {
+		if len(f.groups) > 0 {
+			s.decide = f
+		}
+		s.filters, s.ms = f.deferred, compileMatchers(f.deferred)
 	}
 	heapK := opts.K
 	if cb != nil {
@@ -144,7 +230,7 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 		if cb != nil {
 			s.qqs[qi] = cb.NewQuery(ix.cfg.Metric, queries.Row(qi))
 		}
-		if len(filters) > 0 {
+		if len(s.filters) > 0 {
 			s.heaps[qi].pending = ix.getPendingRows()
 		}
 	}
@@ -176,7 +262,7 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 	err := ix.fanOut(txn, len(work), opts.Cancel, func(w, i int) error {
 		return s.scanPartition(worker(w), work[i])
 	})
-	if err == nil && len(filters) > 0 {
+	if err == nil && len(s.filters) > 0 {
 		err = s.settleAll(opts.Cancel, worker)
 	}
 	for _, b := range bufs {
@@ -258,9 +344,10 @@ func (ix *Index) fanOut(txn btree.ReadTxn, n int, cancel <-chan struct{}, fn fun
 }
 
 // scanPartition scans one partition for the queries that probe it. Rows
-// are read in place from the leaf pages (ScanBorrowed); each row's payload
-// and asset id bytes are copied into buf, and every scanBatch rows flush
-// scores the batch against every query of the partition. An asset id
+// are read in place from the leaf pages (ScanBorrowed); a row that fails
+// the groups the run decides on scanned rows is skipped, every other row's
+// payload and asset id bytes are copied into buf, and every scanBatch rows
+// flush scores the batch against every query of the partition. An asset id
 // string is made only for a row a heap accepts.
 func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 	quantized := s.qqs != nil && w.part != DeltaPartition
@@ -276,13 +363,23 @@ func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 			}
 		}
 	}
-	var bytes int64
+	var bytes, rejected int64
 	err := s.ix.vectors.ScanBorrowed(s.txn, []reldb.Value{reldb.I(w.part)}, func(key, val []byte) error {
-		r, err := readRowView(key, val)
+		r, copies, err := readRowView(key, val)
 		if err != nil {
 			return err
 		}
 		bytes += int64(len(r.payload))
+		if s.decide != nil {
+			ok, err := s.decide.pass(copies)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				rejected++
+				return nil
+			}
+		}
 		buf.add(r, quantized)
 		if len(buf.vids) == scanBatch {
 			return s.flush(buf, w.queries, qm, dists, quantized)
@@ -293,6 +390,7 @@ func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 		err = s.flush(buf, w.queries, qm, dists, quantized)
 	}
 	s.counts.bytes.Add(bytes)
+	s.counts.filtered.Add(rejected)
 	return err
 }
 
@@ -359,7 +457,11 @@ func (s *scanRun) flush(buf *scanBuffers, qs []int, qm *vec.Matrix, dists []floa
 // one query do not wait on each other's lookups.
 func (s *scanRun) settle(qh *queryHeap, p *pendingRows, order []uint64, lk *lookups) error {
 	var filtered int64
-	defer func() { s.counts.filtered.Add(filtered) }()
+	reads := lk.vidsReads
+	defer func() {
+		s.counts.filtered.Add(filtered)
+		s.counts.lookups.Add(lk.vidsReads - reads)
+	}()
 	for _, key := range order {
 		r := p.rows[uint32(key)]
 		qh.mu.Lock()

@@ -91,18 +91,22 @@ type PlanInfo struct {
 	IVFSelectivity    float64 // F̂_IVF = n·p/|R|
 	PartitionsScanned int
 	// VectorsScanned counts the vectors whose distance was computed. A
-	// post-filter scan scores every row of the probed partitions, so it
-	// counts rows that fail the filters too; a pre-filter plan scores only
-	// the qualifying vectors.
+	// post-filter scan decides comparison filter groups on the attribute
+	// copies of each row it reads and scores only the rows that pass them,
+	// so it counts rows that fail other groups (MATCH, or a comparison on
+	// a text or blob attribute) too; a pre-filter plan scores only the
+	// qualifying vectors.
 	VectorsScanned int64
 	// RowsFiltered counts rows whose filters were evaluated and failed. A
-	// post-filter scan evaluates them only on the rows its top-K heap would
-	// take, so rows too far from the query are never evaluated or counted.
+	// post-filter scan counts every row that fails a group decided in the
+	// scan, and evaluates the other groups only on the rows its top-K heap
+	// would take, so rows too far from the query that pass the decided
+	// groups are never evaluated for the others or counted.
 	RowsFiltered int64
 	// BytesScanned is the vector payload volume the query read: one byte
 	// per dimension on quantized partition scans, four otherwise, for
-	// every row scored, plus the exact vectors fetched by the rerank phase
-	// — the I/O metric the SQ8 path reduces.
+	// every row read, plus the exact vectors fetched by the rerank phase —
+	// the I/O metric the SQ8 path reduces.
 	BytesScanned int64
 	// Reranked counts quantized candidates recomputed at full precision
 	// against the raw store.
@@ -127,6 +131,10 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 	}
 	if opts.NProbe <= 0 {
 		opts.NProbe = 8
+	}
+	sf, err := ix.splitFilters(opts.Filters)
+	if err != nil {
+		return nil, nil, err
 	}
 	info := &PlanInfo{Plan: PlanPostFilter}
 
@@ -166,7 +174,7 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 		work[i] = partWork{part: p, queries: one}
 	}
 	var c scanCounts
-	out, err := ix.scan(txn, d.cb, &vec.Matrix{Data: q, Rows: 1, Dim: len(q)}, work, opts.Filters, BatchOptions{
+	out, err := ix.scan(txn, d.cb, &vec.Matrix{Data: q, Rows: 1, Dim: len(q)}, work, sf, BatchOptions{
 		K: opts.K, RerankFactor: opts.RerankFactor, CandidatesOnly: opts.CandidatesOnly, Cancel: opts.Cancel,
 	}, &c)
 	if err != nil {
@@ -423,8 +431,9 @@ func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []st
 	return true, nil
 }
 
-// filterRowCols is the vids row width evalFilters decodes into stack
-// memory; a wider row is allocated.
+// filterRowCols is the vids row width evalFilters, and the number of
+// attribute copies scanFilter.pass, decodes into stack memory; a wider row
+// is allocated.
 const filterRowCols = 8
 
 // ftsProbe returns the full-text index that answers pred, a MATCH on a
@@ -456,6 +465,7 @@ func (ix *Index) filterColumns(lk *lookups, vid int64, filters []stats.Filter, d
 	if last == 0 {
 		return nil, false, nil
 	}
+	lk.vidsReads++
 	b, err := lk.vids.GetBorrowed(reldb.I(vid))
 	if errors.Is(err, reldb.ErrNotFound) {
 		return nil, true, nil
