@@ -2,8 +2,9 @@
 // and figures are the internal/bench registry's experiments
 // (`micronn-bench -list`), the end-to-end workloads are perfbench's, and
 // the kernel, heap and codec costs are package microbenchmarks. Four
-// benchmarks remain here, each reporting its timings as custom metrics
-// (correctness verdicts are ordinary tests):
+// benchmarks time the store, and two the result cache's policies, each
+// reporting its timings as custom metrics (correctness verdicts are
+// ordinary tests):
 //   - ExactKNN: brute-force search, which no workload runs.
 //   - BackendSearch: hot and cold search on the file, mmap and memory
 //     backends; the workloads run only the file backend.
@@ -11,10 +12,15 @@
 //     under sustained upserts; the workloads run one shard count.
 //   - GroupCommitIngest: 8 concurrent writers against one; the workloads
 //     drive a single client.
+//   - ResultCacheCoalescing and ResultCacheAdmission: single-flight
+//     coalescing under concurrent clients and the filter-heavy admission
+//     doorkeeper under one-off queries; the workloads run one client and
+//     no filters through the cache.
 package micronn_test
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -479,6 +485,191 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 	b.ReportMetric(stormTail/float64(b.N), fmt.Sprintf("storm-p%d-ms", tailPct))
 	b.ReportMetric(recall/float64(b.N), "recall@10")
 	b.ReportMetric(writeAmp/float64(b.N), "write-amp-rows/row")
+}
+
+// cacheBenchItems returns n clustered random vectors of dimension dim, each
+// with an int attribute n, as items with ids prefix0, prefix1, ...
+func cacheBenchItems(rng *rand.Rand, prefix string, n, dim int) []micronn.Item {
+	items := make([]micronn.Item, n)
+	for i := range items {
+		v := make([]float32, dim)
+		c := float32(rng.Intn(16))
+		for d := range v {
+			v[d] = c + float32(rng.NormFloat64())
+		}
+		items[i] = micronn.Item{ID: fmt.Sprintf("%s%d", prefix, i), Vector: v, Attributes: map[string]any{"n": int64(i % 1000)}}
+	}
+	return items
+}
+
+// buildCacheBenchStore loads n vectors of dimension 64 into a cached store
+// (a DB, or a ShardedDB when shards > 0) and builds its index.
+func buildCacheBenchStore(b *testing.B, rng *rand.Rand, n, shards int) micronn.Store {
+	b.Helper()
+	opts := micronn.Options{Dim: 64, Seed: 1, Shards: shards, ResultCache: micronn.ResultCacheOptions{Enabled: true},
+		Attributes: []micronn.AttributeDef{{Name: "n", Type: micronn.AttrInt}}}
+	var st micronn.Store
+	var err error
+	if shards > 0 {
+		st, err = micronn.OpenSharded(filepath.Join(b.TempDir(), "cache.d"), opts)
+	} else {
+		st, err = micronn.Open(filepath.Join(b.TempDir(), "cache.mnn"), opts)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := cacheBenchItems(rng, "v", n, 64)
+	for lo := 0; lo < n; lo += 2000 {
+		if err := st.UpsertBatch(items[lo:min(lo+2000, n)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+// runCacheClients runs clients goroutines that each call search rounds
+// times while write, when non-nil, runs every interval until they finish,
+// and returns the result cache's hit ratio over the searches.
+func runCacheClients(b *testing.B, st micronn.Store, clients, rounds int, interval time.Duration, write func(i int) error, search func(c, i int) error) float64 {
+	b.Helper()
+	st0, err := st.Stats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	stop, werr := make(chan struct{}), make(chan error, 1)
+	if write == nil {
+		werr <- nil
+	} else {
+		go func() {
+			tick := time.NewTicker(interval)
+			defer tick.Stop()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					werr <- nil
+					return
+				case <-tick.C:
+				}
+				if err := write(i); err != nil {
+					werr <- err
+					return
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				if err := search(c, i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-werr; err != nil {
+		b.Fatal(err)
+	}
+	st1, err := st.Stats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	hits := st1.Cache.Hits - st0.Cache.Hits
+	total := hits + st1.Cache.Misses - st0.Cache.Misses + st1.Cache.Invalidations - st0.Cache.Invalidations
+	if total == 0 {
+		return 0
+	}
+	return float64(hits) / float64(total)
+}
+
+// BenchmarkResultCacheCoalescing times single-flight coalescing: 4 clients
+// send 20 hot queries (Zipf s=1.1) to a cached 2-shard store of 20k 64-dim
+// vectors (2k under -short) while an upsert commits every 5 ms, so each
+// write makes concurrent repeats of a query miss together, and all but one
+// join the leader's flight, revalidating its generations against their
+// own. It reports searches/s and the cache hit ratio; ROADMAP item 10
+// records its A/B against single-flight switched off.
+func BenchmarkResultCacheCoalescing(b *testing.B) {
+	n, rounds := 20000, 500
+	if testing.Short() {
+		n, rounds = 2000, 50
+	}
+	rng := rand.New(rand.NewSource(1))
+	st := buildCacheBenchStore(b, rng, n, 2)
+	defer st.Close()
+	hot := cacheBenchItems(rng, "q", 20, 64)
+	const clients = 4
+	zipfs := make([]*rand.Zipf, clients)
+	for c := range zipfs {
+		zipfs[c] = rand.NewZipf(rand.New(rand.NewSource(int64(c+2))), 1.1, 1, uint64(len(hot)-1))
+	}
+	fresh := cacheBenchItems(rng, "w", 4096, 64)
+	var ratio float64
+	b.ResetTimer()
+	start := time.Now()
+	for range b.N {
+		ratio += runCacheClients(b, st, clients, rounds, 5*time.Millisecond, func(i int) error {
+			it := fresh[i%len(fresh)]
+			it.ID = fmt.Sprintf("w%d", i)
+			return st.Upsert(it)
+		}, func(c, _ int) error {
+			_, err := st.Search(micronn.SearchRequest{Vector: hot[zipfs[c].Uint64()].Vector, K: 10})
+			return err
+		})
+	}
+	b.ReportMetric(float64(b.N*clients*rounds)/time.Since(start).Seconds(), "searches/s")
+	b.ReportMetric(ratio/float64(b.N), "hit-ratio")
+}
+
+// BenchmarkResultCacheAdmission times the filter-heavy admission
+// doorkeeper: 2 clients on a cached store of 20k 64-dim vectors (2k under
+// -short) send 70% repeats drawn by Zipf (s=1.1) from 2,000 queries and 30%
+// one-off queries with two filters, which the doorkeeper keeps out of the
+// LRU until they recur. It reports searches/s and the cache hit ratio;
+// ROADMAP item 10 records its A/B against the doorkeeper switched off.
+func BenchmarkResultCacheAdmission(b *testing.B) {
+	n, rounds := 20000, 2000
+	if testing.Short() {
+		n, rounds = 2000, 100
+	}
+	rng := rand.New(rand.NewSource(1))
+	st := buildCacheBenchStore(b, rng, n, 0)
+	defer st.Close()
+	pool := cacheBenchItems(rng, "q", 2000, 64)
+	oneOff := cacheBenchItems(rng, "o", 4096, 64)
+	const clients = 2
+	rngs := make([]*rand.Rand, clients)
+	zipfs := make([]*rand.Zipf, clients)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewSource(int64(c + 2)))
+		zipfs[c] = rand.NewZipf(rngs[c], 1.1, 1, uint64(len(pool)-1))
+	}
+	var ratio float64
+	b.ResetTimer()
+	start := time.Now()
+	for iter := range b.N {
+		ratio += runCacheClients(b, st, clients, rounds, 0, nil, func(c, i int) error {
+			req := micronn.SearchRequest{Vector: pool[zipfs[c].Uint64()].Vector, K: 10}
+			if rngs[c].Intn(10) < 3 {
+				// Unique filter bounds make every one-off a new cache key.
+				lo := int64((iter*clients+c)*rounds + i)
+				req = micronn.SearchRequest{Vector: oneOff[int(lo)%len(oneOff)].Vector, K: 10,
+					Filters: []micronn.Filter{micronn.Ge("n", lo%1000), micronn.Lt("n", 1000+lo)}}
+			}
+			_, err := st.Search(req)
+			return err
+		})
+	}
+	b.ReportMetric(float64(b.N*clients*rounds)/time.Since(start).Seconds(), "searches/s")
+	b.ReportMetric(ratio/float64(b.N), "hit-ratio")
 }
 
 // TestTailMs: the reported tail always has at least ten samples above it.

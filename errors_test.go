@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"micronn/internal/ivf"
@@ -405,9 +406,12 @@ func TestHugeKRejected(t *testing.T) {
 	}
 }
 
-// TestUnknownFilterColumnFails: a filter on an undeclared attribute fails
-// with ivf.ErrNoFilter under every plan whatever the store holds: nothing,
-// only a delta, or a built index, on a single store and on two shards.
+// TestUnknownFilterColumnFails: a filter on an undeclared attribute, and a
+// MATCH on a text attribute without FullText, fail with ivf.ErrNoFilter
+// under every plan whatever the store holds: nothing, only a delta, a
+// built index, or a built and analyzed one, on a single store and on two
+// shards. A MATCH without tokens constrains nothing: every plan returns
+// exactly the unfiltered response.
 func TestUnknownFilterColumnFails(t *testing.T) {
 	const dim = 4
 	plans := []struct {
@@ -415,13 +419,28 @@ func TestUnknownFilterColumnFails(t *testing.T) {
 		plan  PlanType
 		exact bool
 	}{{"auto", PlanAuto, false}, {"pre", PlanPreFilter, false}, {"post", PlanPostFilter, false}, {"exact", PlanAuto, true}}
+	filters := []struct {
+		name    string
+		filter  Filter
+		wantErr error // nil: the unfiltered response
+	}{
+		{"unknown column", Eq("nope", 1), ivf.ErrNoFilter},
+		{"MATCH without FullText", Match("title", "word"), ivf.ErrNoFilter},
+		{"MATCH without tokens", Match("tags", "!!"), nil},
+		{"empty MATCH", Match("tags", ""), nil},
+	}
 	for _, shards := range []int{1, 2} {
 		st := openStoreTest(t, shards, Options{Dim: dim, TargetPartitionSize: 10, Seed: 1,
-			Attributes: []AttributeDef{{Name: "n", Type: AttrInt, Indexed: true}}})
+			Attributes: []AttributeDef{
+				{Name: "n", Type: AttrInt, Indexed: true},
+				{Name: "title", Type: AttrText},
+				{Name: "tags", Type: AttrText, FullText: true},
+			}})
 		vecs := randomVecs(5, 50, dim)
 		items := make([]Item, len(vecs))
 		for i, v := range vecs {
-			items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v, Attributes: map[string]any{"n": int64(i)}}
+			items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v, Attributes: map[string]any{
+				"n": int64(i), "title": "word", "tags": fmt.Sprintf("t%d common", i%5)}}
 		}
 		stages := []struct {
 			name string
@@ -430,15 +449,32 @@ func TestUnknownFilterColumnFails(t *testing.T) {
 			{"empty", func() error { return nil }},
 			{"delta", func() error { return st.UpsertBatch(items) }},
 			{"rebuilt", func() error { _, err := st.Rebuild(); return err }},
+			{"rebuilt and analyzed", st.Analyze},
 		}
 		for _, stage := range stages {
 			if err := stage.run(); err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range plans {
-				_, err := st.Search(SearchRequest{Vector: vecs[0], K: 3, Filters: []Filter{Eq("nope", 1)}, Plan: p.plan, Exact: p.exact, NoCache: true})
-				if !errors.Is(err, ivf.ErrNoFilter) {
-					t.Errorf("%d shards, %s store, %s plan: %v, want ErrNoFilter", shards, stage.name, p.name, err)
+				req := SearchRequest{Vector: vecs[0], K: 10, Plan: p.plan, Exact: p.exact, NoCache: true}
+				unfiltered, err := st.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range filters {
+					req.Filters = []Filter{f.filter}
+					resp, err := st.Search(req)
+					where := fmt.Sprintf("%d shards, %s store, %s plan, %s", shards, stage.name, p.name, f.name)
+					switch {
+					case f.wantErr != nil:
+						if !errors.Is(err, f.wantErr) {
+							t.Errorf("%s: %v, want %v", where, err, f.wantErr)
+						}
+					case err != nil:
+						t.Errorf("%s: %v", where, err)
+					case !reflect.DeepEqual(resp.Results, unfiltered.Results):
+						t.Errorf("%s: %v, want the unfiltered %v", where, resp.Results, unfiltered.Results)
+					}
 				}
 			}
 		}

@@ -81,8 +81,8 @@ type ScoredDoc struct {
 // index (global stats on a sharded store). Tokens must be the sorted unique
 // token set of the query (see token.Unique); iterating them in that fixed
 // order keeps float accumulation — and therefore ranking — deterministic.
-// Each token's postings ascend by doc id, so document lengths are read
-// through one seeker over the length table.
+// Each posting carries its document's length, so scoring reads nothing but
+// the query tokens' postings.
 func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1, b float64) ([]ScoredDoc, error) {
 	if len(tokens) == 0 || gs.TotalDocs <= 0 {
 		return nil, nil
@@ -95,8 +95,6 @@ func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1,
 	}
 	avgLen := float64(gs.TotalLen) / float64(gs.TotalDocs)
 
-	var lens reldb.Seeker
-	lens.Reset(ix.doclen, txn)
 	scores := make(map[int64]float64)
 	for _, tok := range tokens {
 		df := gs.DocFreq[tok]
@@ -105,17 +103,19 @@ func (ix *Index) BM25Score(txn btree.ReadTxn, tokens []string, gs BM25Stats, k1,
 		}
 		n := float64(gs.TotalDocs)
 		idf := math.Log(1 + (n-float64(df)+0.5)/(float64(df)+0.5))
-		err := ix.postings.ScanKeys(txn, []reldb.Value{reldb.S(tok)}, func(key reldb.Row) error {
-			id := key[1].Int
+		pfx := len(reldb.EncodeKey(nil, reldb.S(tok)))
+		err := ix.postings.ScanBorrowed(txn, []reldb.Value{reldb.S(tok)}, func(key, val []byte) error {
+			id, _, err := reldb.KeyInt(key[pfx:])
+			if err != nil {
+				return err
+			}
 			norm := 1.0
 			if avgLen > 0 {
-				dl, err := docLen(&lens, id)
+				dl, _, err := reldb.DecodeRowValue(val)
 				if err != nil {
 					return err
 				}
-				if dl > 0 {
-					norm = 1 - b + b*float64(dl)/avgLen
-				}
+				norm = 1 - b + b*float64(dl.Int)/avgLen
 			}
 			scores[id] += idf * (k1 + 1) / (1 + k1*norm)
 			return nil

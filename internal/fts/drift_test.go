@@ -1,9 +1,11 @@
 package fts
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,43 +14,15 @@ import (
 	"micronn/internal/storage"
 )
 
-// driftOracle is a naive reference model of the index's statistics: the
-// exact token set of every live document. Every statistic the index
-// maintains incrementally is recomputable from it.
-type driftOracle map[int64]map[string]bool
-
-func (o driftOracle) add(id int64, text string) {
-	toks := Tokenize(text)
-	if len(toks) == 0 {
-		return
-	}
-	set := o[id]
-	if set == nil {
-		set = make(map[string]bool)
-		o[id] = set
-	}
-	for _, t := range toks {
-		set[t] = true
-	}
-}
-
-func (o driftOracle) remove(id int64, text string) {
-	set := o[id]
-	if set == nil {
-		return
-	}
-	for _, t := range Tokenize(text) {
-		delete(set, t)
-	}
-	if len(set) == 0 {
-		delete(o, id)
-	}
-}
+// driftOracle is a naive reference model of the index: the text of every
+// live document. Every statistic the index maintains incrementally, and
+// every document's length, is recomputable from it.
+type driftOracle map[int64]string
 
 func (o driftOracle) docFreq(tok string) int64 {
 	var n int64
-	for _, set := range o {
-		if set[tok] {
+	for _, text := range o {
+		if slices.Contains(UniqueTokens(text), tok) {
 			n++
 		}
 	}
@@ -57,15 +31,16 @@ func (o driftOracle) docFreq(tok string) int64 {
 
 func (o driftOracle) totalLen() int64 {
 	var n int64
-	for _, set := range o {
-		n += int64(len(set))
+	for _, text := range o {
+		n += int64(len(UniqueTokens(text)))
 	}
 	return n
 }
 
 // checkAgainstOracle compares every statistic the index maintains against
 // the oracle's recomputation: document count, summed unique-token length,
-// per-token document frequency and per-document length.
+// per-token document frequency, and through Check the length each posting
+// carries.
 func checkAgainstOracle(t *testing.T, db *reldb.DB, ix *Index, o driftOracle, vocab []string, label string) {
 	t.Helper()
 	err := db.Store().View(func(rt *storage.ReadTxn) error {
@@ -92,14 +67,18 @@ func checkAgainstOracle(t *testing.T, db *reldb.DB, ix *Index, o driftOracle, vo
 				t.Errorf("%s: DocFreq(%q) = %d, want %d", label, tok, df, want)
 			}
 		}
-		for id, set := range o {
-			dl, err := ix.DocLen(rt, id)
-			if err != nil {
-				return err
+		docs, err := ix.Check(rt)
+		if err != nil {
+			t.Errorf("%s: Check: %v", label, err)
+		}
+		for id, text := range o {
+			if want := int64(len(UniqueTokens(text))); docs[id] != want {
+				t.Errorf("%s: doc %d has %d postings, want %d", label, id, docs[id], want)
 			}
-			if want := int64(len(set)); dl != want {
-				t.Errorf("%s: DocLen(%d) = %d, want %d", label, id, dl, want)
-			}
+			delete(docs, id)
+		}
+		for id := range docs {
+			t.Errorf("%s: doc %d has postings, want none", label, id)
 		}
 		return nil
 	})
@@ -108,58 +87,65 @@ func checkAgainstOracle(t *testing.T, db *reldb.DB, ix *Index, o driftOracle, vo
 	}
 }
 
-// TestStatDriftRoundTripZero is the regression test for the historical
-// drift bug: Add bumped #docs and every token count unconditionally, so
-// re-adding an already-indexed document (the Upsert path does exactly this)
-// inflated the statistics and a later Remove left them permanently skewed.
-// An Add/re-Add/Remove round-trip must land on exactly zero.
+// TestStatDriftRoundTripZero: an id re-added after its removal, and a
+// removal the index cannot account for, leave no drift. Each Add/Remove
+// round trip lands on exactly zero, and a Remove whose postings are missing
+// (a removed doc, an id never added, a token the doc lacks) fails with an
+// error wrapping reldb.ErrNotFound and, its transaction rolled back,
+// changes nothing.
 func TestStatDriftRoundTripZero(t *testing.T) {
 	cases := []struct {
-		name       string
-		adds       []string
-		removeText string
+		name  string
+		texts []string // added and removed in turn under one id
 	}{
-		{"identical-readd", []string{"cat yarn", "cat yarn"}, "cat yarn"},
-		{"overlapping-readd", []string{"cat yarn", "yarn dog"}, "cat yarn dog"},
-		{"triple-readd", []string{"cat", "cat", "cat"}, "cat"},
-		{"subset-readd", []string{"cat yarn dog", "yarn"}, "dog cat yarn"},
+		{"identical-readd", []string{"cat yarn", "cat yarn"}},
+		{"overlapping-readd", []string{"cat yarn", "yarn dog"}},
+		{"triple-readd", []string{"cat", "cat", "cat"}},
+		{"subset-readd", []string{"cat yarn dog", "yarn"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			db, ix := testIndex(t)
-			err := db.Store().Update(func(wt *storage.WriteTxn) error {
-				for _, text := range c.adds {
-					if err := ix.Add(wt, 7, text); err != nil {
-						return err
-					}
+			vocab := UniqueTokens(strings.Join(c.texts, " "))
+			update := func(fn func(wt *storage.WriteTxn) error) error { return db.Store().Update(fn) }
+			for i, text := range c.texts {
+				if err := update(func(wt *storage.WriteTxn) error { return ix.Add(wt, 7, text) }); err != nil {
+					t.Fatal(err)
 				}
-				return ix.Remove(wt, 7, c.removeText)
-			})
-			if err != nil {
-				t.Fatal(err)
+				checkAgainstOracle(t, db, ix, driftOracle{7: text}, vocab, fmt.Sprintf("%s/add %d", c.name, i))
+				if err := update(func(wt *storage.WriteTxn) error { return ix.Remove(wt, 7, text) }); err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstOracle(t, db, ix, driftOracle{}, vocab, fmt.Sprintf("%s/remove %d", c.name, i))
 			}
-			vocab := UniqueTokens(strings.Join(c.adds, " "))
-			checkAgainstOracle(t, db, ix, driftOracle{}, vocab, c.name)
-			// Removing an already-removed (or never-added) doc must be a
-			// no-op, not an underflow.
-			err = db.Store().Update(func(wt *storage.WriteTxn) error {
-				if err := ix.Remove(wt, 7, c.removeText); err != nil {
-					return err
+			for _, r := range []struct {
+				id   int64
+				text string
+			}{{7, c.texts[0]}, {99, "cat"}} {
+				err := update(func(wt *storage.WriteTxn) error { return ix.Remove(wt, r.id, r.text) })
+				if !errors.Is(err, reldb.ErrNotFound) {
+					t.Errorf("Remove(%d, %q) of an unindexed doc = %v, want ErrNotFound", r.id, r.text, err)
 				}
-				return ix.Remove(wt, 99, "cat")
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 			checkAgainstOracle(t, db, ix, driftOracle{}, vocab, c.name+"/re-remove")
+			err := update(func(wt *storage.WriteTxn) error {
+				if err := ix.Add(wt, 7, c.texts[0]); err != nil {
+					return err
+				}
+				return ix.Remove(wt, 7, c.texts[0]+" absent")
+			})
+			if !errors.Is(err, reldb.ErrNotFound) {
+				t.Errorf("Remove with a token the doc lacks = %v, want ErrNotFound", err)
+			}
+			checkAgainstOracle(t, db, ix, driftOracle{}, vocab, c.name+"/rolled back")
 		})
 	}
 }
 
-// TestStatDriftRandomized drives a long randomized Add/re-Add/partial-Remove/
-// full-Remove sequence against the naive oracle and checks every statistic,
-// both live and after closing and reopening the store (the statistics are
-// persistent state, so drift would survive restarts).
+// TestStatDriftRandomized drives a long randomized sequence of Adds of
+// fresh ids and Removes of live ones against the naive oracle and checks
+// every statistic, both live and after closing and reopening the store (the
+// statistics are persistent state, so drift would survive restarts).
 func TestStatDriftRandomized(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "drift.db")
@@ -186,42 +172,33 @@ func TestStatDriftRandomized(t *testing.T) {
 		vocab[i] = fmt.Sprintf("tok%02d", i)
 	}
 	randText := func() string {
-		n := 1 + rng.Intn(5)
+		n := rng.Intn(6) // no tokens at all now and then
 		toks := make([]string, n)
 		for i := range toks {
 			toks[i] = vocab[rng.Intn(len(vocab))]
 		}
 		return strings.Join(toks, " ")
 	}
-	fullText := func(o driftOracle, id int64) string {
-		set := o[id]
-		toks := make([]string, 0, len(set))
-		for tok := range set {
-			toks = append(toks, tok)
-		}
-		sort.Strings(toks)
-		return strings.Join(toks, " ")
-	}
 
+	// Each id is added once and removed with its text, as ivf does: every
+	// Upsert takes a fresh vid.
 	oracle := driftOracle{}
-	const docs = 30
+	var next int64
 	for step := 0; step < 600; step++ {
-		id := int64(rng.Intn(docs))
 		err := s.Update(func(wt *storage.WriteTxn) error {
-			switch op := rng.Intn(4); op {
-			case 0, 1: // add (often a re-add over existing tokens)
-				text := randText()
-				oracle.add(id, text)
+			if len(oracle) == 0 || rng.Intn(5) < 3 {
+				id, text := next, randText()
+				next++
+				oracle[id] = text
 				return ix.Add(wt, id, text)
-			case 2: // full remove, mirroring the Upsert/Delete cleanup path
-				text := fullText(oracle, id)
-				oracle.remove(id, text)
-				return ix.Remove(wt, id, text)
-			default: // partial remove of arbitrary tokens
-				text := randText()
-				oracle.remove(id, text)
-				return ix.Remove(wt, id, text)
 			}
+			id := rng.Int63n(next)
+			text, ok := oracle[id]
+			if !ok {
+				return nil // already removed
+			}
+			delete(oracle, id)
+			return ix.Remove(wt, id, text)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -249,26 +226,20 @@ func TestStatDriftRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An index without its doc-length table does not open.
+	// An index without its stats table does not open.
 	err = s2.Update(func(wt *storage.WriteTxn) error {
-		pName, sName := tableNames("bare")
-		if err := db2.CreateTable(wt, &reldb.Schema{
+		pName, _ := tableNames("bare")
+		return db2.CreateTable(wt, &reldb.Schema{
 			Name: pName,
 			Key:  []reldb.Column{{Name: "token", Type: reldb.TypeText}, {Name: "doc", Type: reldb.TypeInt64}},
-		}); err != nil {
-			return err
-		}
-		return db2.CreateTable(wt, &reldb.Schema{
-			Name: sName,
-			Key:  []reldb.Column{{Name: "token", Type: reldb.TypeText}},
-			Cols: []reldb.Column{{Name: "count", Type: reldb.TypeInt64}},
+			Cols: []reldb.Column{{Name: "len", Type: reldb.TypeInt64}},
 		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(db2, "bare"); err == nil {
-		t.Fatal("Open succeeded without the doc-length table")
+		t.Fatal("Open succeeded without the stats table")
 	}
 	checkAgainstOracle(t, db2, ix2, oracle, vocab, "reopened")
 
@@ -280,8 +251,7 @@ func TestStatDriftRandomized(t *testing.T) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	err = s2.Update(func(wt *storage.WriteTxn) error {
 		for _, id := range ids {
-			text := fullText(oracle, id)
-			if err := ix2.Remove(wt, id, text); err != nil {
+			if err := ix2.Remove(wt, id, oracle[id]); err != nil {
 				return err
 			}
 		}

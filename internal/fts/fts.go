@@ -1,13 +1,23 @@
 // Package fts implements the full-text MATCH support MicroNN gets from
 // SQLite's FTS5 in the paper (§3.5): an inverted token index over a text
-// attribute, document-frequency statistics for selectivity estimation, and
-// conjunctive MATCH evaluation. The Big-ANN filtered-search benchmark
-// (Figure 7) stores each vector's tag bag as a whitespace-separated string
-// indexed through this package.
+// attribute, document-frequency statistics for selectivity estimation and
+// BM25, and conjunctive MATCH evaluation by posting probes. The Big-ANN
+// filtered-search benchmark (Figure 7) stores each vector's tag bag as a
+// whitespace-separated string indexed through this package.
+//
+// An index is two tables. postings maps (token, doc) to the document's
+// unique-token count, so BM25 reads every length from the posting it scans.
+// stats maps each token to its document frequency, plus the reserved keys
+// #docs (the document count) and #len (the summed document lengths).
+//
+// The contract: add a document id once, and remove it with the text it was
+// added with. Add trusts it and reads no posting; Remove fails with an
+// error wrapping reldb.ErrNotFound when a posting it expects is missing.
 package fts
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 
@@ -21,41 +31,22 @@ import (
 // Tokens are lowercase alphanumeric runs, so "#docs" can never collide.
 const docCountKey = "#docs"
 
-// tokenLenKey is the reserved stats key holding the summed token length of
-// every indexed document (Σ doclen), maintained alongside the per-doc
-// length table so the BM25 average document length is O(1). Same
-// no-collision argument as docCountKey.
+// tokenLenKey is the reserved stats key holding the summed unique-token
+// length of every indexed document, so the BM25 average document length is
+// O(1). Same no-collision argument as docCountKey.
 const tokenLenKey = "#len"
-
-// Tokenize lowercases s and splits it into maximal letter/digit runs. It is
-// the shared tokenizer from internal/token, re-exported so existing callers
-// keep one import.
-func Tokenize(s string) []string { return token.Tokenize(s) }
 
 // UniqueTokens returns the deduplicated, sorted token set of s.
 func UniqueTokens(s string) []string { return token.Unique(s) }
 
-// Match reports whether doc contains every token of query (the conjunctive
-// MATCH semantics used by hybrid post-filtering).
-func Match(doc, query string) bool { return token.Match(doc, query) }
-
 // Index is an inverted token index over int64 document ids.
 type Index struct {
-	postings *reldb.Table // (token TEXT, doc INTEGER) -> ()
+	postings *reldb.Table // (token TEXT, doc INTEGER) -> (len INTEGER)
 	stats    *reldb.Table // (token TEXT) -> (count INTEGER)
-	// doclen records each indexed document's unique-token count. It doubles
-	// as the doc-existence record: a document is "in the index" exactly when
-	// it has a doclen row, which is what makes the #docs stat drift-free
-	// under duplicate Add and spurious Remove.
-	doclen *reldb.Table // (doc INTEGER) -> (len INTEGER)
 }
 
 func tableNames(name string) (postings, stats string) {
 	return "__fts_" + name + "_postings", "__fts_" + name + "_stats"
-}
-
-func doclenTableName(name string) string {
-	return "__fts_" + name + "_doclen"
 }
 
 // Create creates the index's tables inside wt.
@@ -67,6 +58,7 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, name string) (*Index, error) {
 			{Name: "token", Type: reldb.TypeText},
 			{Name: "doc", Type: reldb.TypeInt64},
 		},
+		Cols: []reldb.Column{{Name: "len", Type: reldb.TypeInt64}},
 	})
 	if err != nil {
 		return nil, err
@@ -79,19 +71,11 @@ func Create(db *reldb.DB, wt *storage.WriteTxn, name string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = db.CreateTable(wt, &reldb.Schema{
-		Name: doclenTableName(name),
-		Key:  []reldb.Column{{Name: "doc", Type: reldb.TypeInt64}},
-		Cols: []reldb.Column{{Name: "len", Type: reldb.TypeInt64}},
-	})
-	if err != nil {
-		return nil, err
-	}
 	return Open(db, name)
 }
 
-// Open returns a handle to an existing index. It fails unless all three of
-// the index's tables exist.
+// Open returns a handle to an existing index. It fails unless both of the
+// index's tables exist.
 func Open(db *reldb.DB, name string) (*Index, error) {
 	pName, sName := tableNames(name)
 	postings, err := db.Table(pName)
@@ -102,17 +86,7 @@ func Open(db *reldb.DB, name string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	doclen, err := db.Table(doclenTableName(name))
-	if err != nil {
-		return nil, err
-	}
-	return &Index{postings: postings, stats: stats, doclen: doclen}, nil
-}
-
-// Exists reports whether the named index exists in db.
-func Exists(db *reldb.DB, name string) bool {
-	pName, _ := tableNames(name)
-	return db.HasTable(pName)
+	return &Index{postings: postings, stats: stats}, nil
 }
 
 func (ix *Index) bumpStat(wt *storage.WriteTxn, token string, delta int64) error {
@@ -136,86 +110,44 @@ func (ix *Index) bumpStat(wt *storage.WriteTxn, token string, delta int64) error
 	return ix.stats.Put(wt, reldb.Row{reldb.S(token), reldb.I(cur)})
 }
 
-// Add indexes doc's text under id. Re-adding an id is cumulative (the doc's
-// token set becomes the union) and drift-free: a posting already present
-// bumps nothing, and #docs only moves when the doc had no doclen row yet.
+// Add indexes text under document id, which must not be indexed already:
+// one posting per unique token, each carrying the unique-token count, which
+// #len gains, and one more document in #docs.
 func (ix *Index) Add(wt *storage.WriteTxn, id int64, text string) error {
-	var added int64
-	for _, tok := range UniqueTokens(text) {
-		_, err := ix.postings.Get(wt, reldb.S(tok), reldb.I(id))
-		if err == nil {
-			continue // posting already present: stats already count it
-		}
-		if !errors.Is(err, reldb.ErrNotFound) {
-			return err
-		}
-		if err := ix.postings.Put(wt, reldb.Row{reldb.S(tok), reldb.I(id)}); err != nil {
-			return err
-		}
-		if err := ix.bumpStat(wt, tok, 1); err != nil {
-			return err
-		}
-		added++
-	}
-	row, err := ix.doclen.Get(wt, reldb.I(id))
-	switch {
-	case errors.Is(err, reldb.ErrNotFound):
-		if err := ix.doclen.Put(wt, reldb.Row{reldb.I(id), reldb.I(added)}); err != nil {
-			return err
-		}
-		if err := ix.bumpStat(wt, docCountKey, 1); err != nil {
-			return err
-		}
-	case err != nil:
-		return err
-	case added > 0:
-		if err := ix.doclen.Put(wt, reldb.Row{reldb.I(id), reldb.I(row[1].Int + added)}); err != nil {
-			return err
-		}
-	}
-	if added > 0 {
-		return ix.bumpStat(wt, tokenLenKey, added)
-	}
-	return nil
+	return ix.update(wt, id, text, 1)
 }
 
-// Remove un-indexes the document (text must be the text supplied to Add).
-// Removing tokens the doc never had, or an id that was never added, is a
-// no-op on the statistics.
+// Remove un-indexes document id, whose text must be the text it was added
+// with. A posting that text implies but the index lacks fails the removal
+// with an error wrapping reldb.ErrNotFound.
 func (ix *Index) Remove(wt *storage.WriteTxn, id int64, text string) error {
-	var removed int64
-	for _, tok := range UniqueTokens(text) {
-		err := ix.postings.Delete(wt, reldb.S(tok), reldb.I(id))
-		if errors.Is(err, reldb.ErrNotFound) {
-			continue
+	return ix.update(wt, id, text, -1)
+}
+
+// update adds (sign 1) or removes (sign -1) document id's postings and its
+// share of the statistics.
+func (ix *Index) update(wt *storage.WriteTxn, id int64, text string, sign int64) error {
+	toks := UniqueTokens(text)
+	n := int64(len(toks))
+	for _, tok := range toks {
+		if sign > 0 {
+			if err := ix.postings.Put(wt, reldb.Row{reldb.S(tok), reldb.I(id), reldb.I(n)}); err != nil {
+				return err
+			}
+		} else if err := ix.postings.Delete(wt, reldb.S(tok), reldb.I(id)); err != nil {
+			return fmt.Errorf("fts: remove doc %d: posting %q: %w", id, tok, err)
 		}
-		if err != nil {
+		if err := ix.bumpStat(wt, tok, sign); err != nil {
 			return err
 		}
-		if err := ix.bumpStat(wt, tok, -1); err != nil {
-			return err
-		}
-		removed++
 	}
-	row, err := ix.doclen.Get(wt, reldb.I(id))
-	if errors.Is(err, reldb.ErrNotFound) {
-		return nil // never added (or already removed): nothing to account
-	}
-	if err != nil {
+	if err := ix.bumpStat(wt, docCountKey, sign); err != nil {
 		return err
 	}
-	if removed > 0 {
-		if err := ix.bumpStat(wt, tokenLenKey, -removed); err != nil {
-			return err
-		}
+	if n > 0 {
+		return ix.bumpStat(wt, tokenLenKey, sign*n)
 	}
-	if rest := row[1].Int - removed; rest > 0 {
-		return ix.doclen.Put(wt, reldb.Row{reldb.I(id), reldb.I(rest)})
-	}
-	if err := ix.doclen.Delete(wt, reldb.I(id)); err != nil {
-		return err
-	}
-	return ix.bumpStat(wt, docCountKey, -1)
+	return nil
 }
 
 // DocFreq returns the number of documents containing token.
@@ -241,38 +173,13 @@ func (ix *Index) TotalTokens(txn btree.ReadTxn) (int64, error) {
 	return ix.DocFreq(txn, tokenLenKey)
 }
 
-// ScanDocs streams the id of every indexed document (every document with a
-// length row) in ascending order.
-func (ix *Index) ScanDocs(txn btree.ReadTxn, fn func(id int64) error) error {
-	return ix.doclen.ScanKeys(txn, nil, func(key reldb.Row) error { return fn(key[0].Int) })
-}
-
-// DocLen returns document id's unique-token count, 0 if unknown.
-func (ix *Index) DocLen(txn btree.ReadTxn, id int64) (int64, error) {
-	var s reldb.Seeker
-	s.Reset(ix.doclen, txn)
-	return docLen(&s, id)
-}
-
-// docLen is DocLen through a seeker over the length table.
-func docLen(s *reldb.Seeker, id int64) (int64, error) {
-	val, err := s.GetBorrowed(reldb.I(id))
-	if errors.Is(err, reldb.ErrNotFound) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	n, _, err := reldb.DecodeRowValue(val)
-	return n.Int, err
-}
-
 // MatchScan streams, in ascending id order, the documents containing every
-// token of query. It drives the scan from the rarest token's posting list
-// and probes the others, so cost is proportional to the best selectivity.
-// An empty query matches nothing (callers treat it as no constraint).
-func (ix *Index) MatchScan(txn btree.ReadTxn, query string, fn func(id int64) error) error {
-	tokens := UniqueTokens(query)
+// one of tokens, a query's unique tokens (see UniqueTokens). It drives the
+// scan from the rarest token's posting list and probes the others, so cost
+// is proportional to the best selectivity. No tokens match nothing, so a
+// planner must not drive from them: a MATCH without tokens constrains
+// nothing.
+func (ix *Index) MatchScan(txn btree.ReadTxn, tokens []string, fn func(id int64) error) error {
 	if len(tokens) == 0 {
 		return nil
 	}
@@ -321,10 +228,10 @@ func (ix *Index) MatchScan(txn btree.ReadTxn, query string, fn func(id int64) er
 func (ix *Index) BindPostings(s *reldb.Seeker, txn btree.ReadTxn) { s.Reset(ix.postings, txn) }
 
 // ContainsAllTokens reports whether document id carries every one of
-// tokens, a pre-tokenized query (see token.NewMatcher), answered by posting
-// probes through postings, a seeker bound with BindPostings: cheaper than
-// refetching and re-tokenizing the document text when post-filtering.
-// Probing ids in ascending order keeps the seeker in the leaves it holds.
+// tokens, a query's unique tokens (see UniqueTokens), answered by posting
+// probes through postings, a seeker bound with BindPostings. No tokens
+// constrain nothing. Probing ids in ascending order keeps the seeker in the
+// leaves it holds.
 func (ix *Index) ContainsAllTokens(postings *reldb.Seeker, id int64, tokens []string) (bool, error) {
 	for _, tok := range tokens {
 		_, err := postings.GetBorrowed(reldb.S(tok), reldb.I(id))
@@ -338,12 +245,58 @@ func (ix *Index) ContainsAllTokens(postings *reldb.Seeker, id int64, tokens []st
 	return true, nil
 }
 
-// MatchCount counts the documents matching query.
-func (ix *Index) MatchCount(txn btree.ReadTxn, query string) (int64, error) {
-	var n int64
-	err := ix.MatchScan(txn, query, func(int64) error {
-		n++
+// Check verifies the statistics against the postings: each posting's
+// length is its document's posting count, each token's document frequency
+// its posting count, and #len the number of postings. It returns each
+// document's posting count; #docs, which also counts documents without
+// tokens, is the caller's to check.
+func (ix *Index) Check(txn btree.ReadTxn) (map[int64]int64, error) {
+	docs := make(map[int64]int64)
+	lens := make(map[int64]int64)
+	dfs := make(map[string]int64)
+	var total int64
+	err := ix.postings.Scan(txn, nil, func(row reldb.Row) error {
+		tok, id, n := row[0].Str, row[1].Int, row[2].Int
+		if l, ok := lens[id]; ok && l != n {
+			return fmt.Errorf("fts: invariant: doc %d postings carry lengths %d and %d", id, l, n)
+		}
+		lens[id] = n
+		docs[id]++
+		dfs[tok]++
+		total++
 		return nil
 	})
-	return n, err
+	if err != nil {
+		return nil, err
+	}
+	for id, n := range docs {
+		if lens[id] != n {
+			return nil, fmt.Errorf("fts: invariant: doc %d postings carry length %d, it has %d postings", id, lens[id], n)
+		}
+	}
+	err = ix.stats.Scan(txn, nil, func(row reldb.Row) error {
+		tok, n := row[0].Str, row[1].Int
+		if tok == docCountKey || tok == tokenLenKey {
+			return nil
+		}
+		if n != dfs[tok] {
+			return fmt.Errorf("fts: invariant: token %q document frequency %d, %d postings", tok, n, dfs[tok])
+		}
+		delete(dfs, tok)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for tok, n := range dfs {
+		return nil, fmt.Errorf("fts: invariant: token %q has %d postings and no document frequency", tok, n)
+	}
+	n, err := ix.TotalTokens(txn)
+	if err != nil {
+		return nil, err
+	}
+	if n != total {
+		return nil, fmt.Errorf("fts: invariant: #len %d, %d postings", n, total)
+	}
+	return docs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"micronn/internal/btree"
 	"micronn/internal/reldb"
 	"micronn/internal/storage"
 )
@@ -34,6 +35,19 @@ func testIndex(t *testing.T) (*reldb.DB, *Index) {
 	return db, ix
 }
 
+// matchCount counts the documents MatchScan finds for query.
+func matchCount(rt btree.ReadTxn, ix *Index, query string) (int64, error) {
+	var n int64
+	err := ix.MatchScan(rt, UniqueTokens(query), func(int64) error {
+		n++
+		return nil
+	})
+	return n, err
+}
+
+// TestTokenize: Add indexes exactly the tokens of the shared tokenizer, one
+// posting each, lowercased, split at every rune that is not a letter or
+// digit.
 func TestTokenize(t *testing.T) {
 	cases := map[string][]string{
 		"Hello World":        {"hello", "world"},
@@ -44,8 +58,28 @@ func TestTokenize(t *testing.T) {
 		"ÜNïcode Wörds":      {"ünïcode", "wörds"},
 	}
 	for in, want := range cases {
-		if got := Tokenize(in); !reflect.DeepEqual(got, want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", in, got, want)
+		db, ix := testIndex(t)
+		err := db.Store().Update(func(wt *storage.WriteTxn) error { return ix.Add(wt, 1, in) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = db.Store().View(func(rt *storage.ReadTxn) error {
+			docs, err := ix.Check(rt)
+			if err != nil {
+				return err
+			}
+			if docs[1] != int64(len(want)) {
+				t.Errorf("Add(%q): %d postings, want %v", in, docs[1], want)
+			}
+			for _, tok := range want {
+				if df, err := ix.DocFreq(rt, tok); err != nil || df != 1 {
+					t.Errorf("Add(%q): DocFreq(%q) = %d, %v, want 1", in, tok, df, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -61,6 +95,9 @@ func TestUniqueTokens(t *testing.T) {
 	}
 }
 
+// TestMatch: ContainsAllTokens answers MATCH by posting probes, with the
+// conjunctive, case-insensitive semantics, and a query without tokens
+// constrains nothing.
 func TestMatch(t *testing.T) {
 	cases := []struct {
 		doc, query string
@@ -73,10 +110,34 @@ func TestMatch(t *testing.T) {
 		{"", "cat", false},
 		{"Cat", "CAT", true}, // case-insensitive
 	}
-	for _, c := range cases {
-		if got := Match(c.doc, c.query); got != c.want {
-			t.Errorf("Match(%q, %q) = %v, want %v", c.doc, c.query, got, c.want)
+	db, ix := testIndex(t)
+	err := db.Store().Update(func(wt *storage.WriteTxn) error {
+		for i, c := range cases {
+			if err := ix.Add(wt, int64(i), c.doc); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.Store().View(func(rt *storage.ReadTxn) error {
+		var s reldb.Seeker
+		ix.BindPostings(&s, rt)
+		for i, c := range cases {
+			got, err := ix.ContainsAllTokens(&s, int64(i), UniqueTokens(c.query))
+			if err != nil {
+				return err
+			}
+			if got != c.want {
+				t.Errorf("MATCH %q on %q = %v, want %v", c.query, c.doc, got, c.want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -114,7 +175,7 @@ func TestAddAndMatchScan(t *testing.T) {
 	err = db.Store().View(func(rt *storage.ReadTxn) error {
 		for _, c := range queryCases {
 			var got []int64
-			err := ix.MatchScan(rt, c.query, func(id int64) error {
+			err := ix.MatchScan(rt, UniqueTokens(c.query), func(id int64) error {
 				got = append(got, id)
 				return nil
 			})
@@ -175,7 +236,7 @@ func TestRemove(t *testing.T) {
 		if df != 0 {
 			t.Errorf("DocFreq(yarn) = %d, want 0", df)
 		}
-		n, err := ix.MatchCount(rt, "cat")
+		n, err := matchCount(rt, ix, "cat")
 		if err != nil {
 			return err
 		}
@@ -217,7 +278,7 @@ func TestMatchScanUsesRarestToken(t *testing.T) {
 	}
 	err = db.Store().View(func(rt *storage.ReadTxn) error {
 		var got []int64
-		err := ix.MatchScan(rt, "common rare", func(id int64) error {
+		err := ix.MatchScan(rt, UniqueTokens("common rare"), func(id int64) error {
 			got = append(got, id)
 			return nil
 		})
@@ -243,18 +304,15 @@ func TestOpenExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Exists(db, "tags") {
-		t.Error("Exists(tags) = false")
-	}
-	if Exists(db, "other") {
-		t.Error("Exists(other) = true")
+	if _, err := Open(db, "other"); err == nil {
+		t.Error("Open(other) found an index never created")
 	}
 	ix2, err := Open(db, "tags")
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = db.Store().View(func(rt *storage.ReadTxn) error {
-		n, err := ix2.MatchCount(rt, "persisted")
+		n, err := matchCount(rt, ix2, "persisted")
 		if err != nil {
 			return err
 		}
@@ -304,7 +362,7 @@ func BenchmarkMatchScan(b *testing.B) {
 	defer rt.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.MatchCount(rt, "tag13 common"); err != nil {
+		if _, err := matchCount(rt, ix, "tag13 common"); err != nil {
 			b.Fatal(err)
 		}
 	}

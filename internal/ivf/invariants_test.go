@@ -13,9 +13,9 @@ import (
 )
 
 // TestCheckInvariantsCatchesCorruption applies one corruption per check
-// that the vid-keyed row makes possible to a small built index, with an
-// int and a full-text attribute, and asserts that CheckInvariants reports
-// it. The uncorrupted index passes.
+// that the vid-keyed row and the full-text postings make possible to a
+// small built index, with an int and a full-text attribute, and asserts
+// that CheckInvariants reports it. The uncorrupted index passes.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -70,18 +70,32 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			return e.ix.putState(wt, st)
 		}},
 		{"doc length for a dead vid", "has no vector row", func(e *testEnv, wt *storage.WriteTxn) error {
-			doclen, err := e.db.Table(doclenTable)
-			if err != nil {
-				return err
-			}
-			return doclen.Put(wt, reldb.Row{reldb.I(1 << 40), reldb.I(1)})
+			// Postings, df and #len stay consistent with each other.
+			return e.ix.ftsIndexes["tags"].Add(wt, 1<<40, "common")
 		}},
 		{"doc lengths disagree with #docs", "#docs", func(e *testEnv, wt *storage.WriteTxn) error {
-			doclen, err := e.db.Table(doclenTable)
+			st, err := e.db.Table(ftsStatsTable)
 			if err != nil {
 				return err
 			}
-			return doclen.Delete(wt, reldb.I(3))
+			row, err := st.Get(wt, reldb.S("#docs"))
+			if err != nil {
+				return err
+			}
+			row[1] = reldb.I(row[1].Int + 1)
+			return st.Put(wt, row)
+		}},
+		{"posting with a wrong doc length", "length", func(e *testEnv, wt *storage.WriteTxn) error {
+			postings, err := e.db.Table(ftsPostingsTable)
+			if err != nil {
+				return err
+			}
+			row, err := postings.Get(wt, reldb.S("common"), reldb.I(3))
+			if err != nil {
+				return err
+			}
+			row[2] = reldb.I(row[2].Int + 1)
+			return postings.Put(wt, row)
 		}},
 	}
 	for _, c := range cases {
@@ -98,9 +112,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}
 }
 
-// doclenTable is the doc-length table of newInvariantEnv's full-text
-// attribute.
-const doclenTable = "__fts_attr_tags_doclen"
+// The tables of newInvariantEnv's full-text attribute.
+const (
+	ftsPostingsTable = "__fts_attr_tags_postings"
+	ftsStatsTable    = "__fts_attr_tags_stats"
+)
 
 // newInvariantEnv builds a 60-vector index with an int attribute n and a
 // full-text attribute tags and checks that it passes CheckInvariants.

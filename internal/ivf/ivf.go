@@ -32,10 +32,20 @@
 //     write it.
 //
 // Beside them, centroids holds one row per partition (centroid and row
-// count), each FullText attribute has its full-text index tables (written
-// by Upsert and Delete), and meta holds the configuration, the
-// transactional state, the codebook and the format marker that Open checks
-// first.
+// count), and meta holds the configuration, the transactional state, the
+// codebook and the format marker that Open checks first. Each FullText
+// attribute has two full-text tables (package fts), written by Upsert and
+// Delete for each vids row whose text is not NULL:
+//
+//   - postings (token, vid) -> (length): one row per unique token of the
+//     text, carrying the text's unique-token count for BM25. Every MATCH,
+//     under every plan, is answered from them: posting probes, or a scan
+//     of the rarest token's postings for a pre-filter plan.
+//   - stats token -> (document frequency), plus the document count and
+//     the summed lengths.
+//
+// A MATCH on an attribute without FullText fails with ErrNoFilter, and a
+// MATCH without tokens constrains nothing.
 package ivf
 
 import (
@@ -80,8 +90,10 @@ const metaCodebook = "codebook"
 // formatVersion is the on-disk format this package reads and writes. Create
 // stores it under the meta key metaFormat, and Open refuses any store that
 // lacks it or holds another value. Bump it with every change to a table's
-// layout. Format 2 added the attribute copies to vectors rows.
-const formatVersion = 2
+// layout. Format 2 added the attribute copies to vectors rows; format 3
+// put the document length in each full-text posting and dropped the
+// full-text length table.
+const formatVersion = 3
 
 // metaFormat is the meta-table key holding the decimal formatVersion.
 const metaFormat = "format"
@@ -108,8 +120,9 @@ type AttributeDef struct {
 	// Indexed builds a secondary B-tree index enabling pre-filter plans
 	// for =, <, >, <=, >= predicates on this attribute.
 	Indexed bool `json:"indexed"`
-	// FullText builds an inverted token index enabling MATCH predicates.
-	// Only valid for TypeText attributes.
+	// FullText builds an inverted token index enabling MATCH predicates,
+	// which no other attribute accepts. Only valid for TypeText
+	// attributes.
 	FullText bool `json:"full_text"`
 }
 

@@ -732,8 +732,11 @@ func TestEvalFiltersReadsOnlyPredicateColumns(t *testing.T) {
 		reldb.Predicate{Column: "tags", Op: reldb.OpMatch, Value: reldb.S("rare")},
 		reldb.Predicate{Column: "location", Op: reldb.OpEq, Value: reldb.S("NewYork")},
 	)
-	err := env.store.View(func(rt *storage.ReadTxn) error {
-		ms := compileMatchers(mixed)
+	sf, err := env.ix.splitFilters(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = env.store.View(func(rt *storage.ReadTxn) error {
 		var lk lookups
 		lk.bind(env.ix, rt)
 		var vid int64
@@ -747,7 +750,7 @@ func TestEvalFiltersReadsOnlyPredicateColumns(t *testing.T) {
 				t.Errorf("asset-%d: ts < 500 = %v, %v", i, got, err)
 			}
 			// asset-0 is the only NewYork asset tagged rare.
-			if got, err := env.ix.evalFilters(&lk, vid, nil, mixed, ms); err != nil || got != (i == 0) {
+			if got, err := env.ix.evalFilters(&lk, vid, nil, mixed, sf.tokens); err != nil || got != (i == 0) {
 				t.Errorf("asset-%d: tags MATCH rare AND location = NewYork: %v, %v", i, got, err)
 			}
 		}

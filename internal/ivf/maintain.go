@@ -679,6 +679,7 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	}
 	// The vid and asset mappings must mirror the vector rows exactly.
 	var vidRows int64
+	texts := make(map[string]int64) // non-NULL values of each FullText attribute
 	err = ix.vids.Scan(txn, nil, func(row reldb.Row) error {
 		vidRows++
 		vid, asset := row[0].Int, row[1].Str
@@ -687,8 +688,12 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 			return fmt.Errorf("ivf: invariant: vid row %d -> %q does not match vector rows", vid, asset)
 		}
 		for i, a := range ix.cfg.Attributes {
-			if v := row[vidsAttrBase+i]; !v.IsNull() && v.Type != a.Type {
+			v := row[vidsAttrBase+i]
+			if !v.IsNull() && v.Type != a.Type {
 				return fmt.Errorf("ivf: invariant: vid %d attribute %s holds %v, declared %v", vid, a.Name, v.Type, a.Type)
+			}
+			if a.FullText && !v.IsNull() {
+				texts[a.Name]++
 			}
 		}
 		for j, i := range ix.copies {
@@ -752,24 +757,24 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		}
 	}
 
+	// Full-text indexes: postings only for live vids, statistics that
+	// match the postings, one document per non-NULL text.
 	for name, f := range ix.ftsIndexes {
-		var docs int64
-		err = f.ScanDocs(txn, func(id int64) error {
-			docs++
-			if _, ok := seen[id]; !ok {
-				return fmt.Errorf("ivf: invariant: full-text index %s has a length for vid %d, which has no vector row", name, id)
-			}
-			return nil
-		})
+		docs, err := f.Check(txn)
 		if err != nil {
-			return err
+			return fmt.Errorf("ivf: full-text index %s: %w", name, err)
+		}
+		for id := range docs {
+			if _, ok := seen[id]; !ok {
+				return fmt.Errorf("ivf: invariant: full-text index %s has postings for vid %d, which has no vector row", name, id)
+			}
 		}
 		n, err := f.TotalDocs(txn)
 		if err != nil {
 			return err
 		}
-		if docs != n {
-			return fmt.Errorf("ivf: invariant: full-text index %s has %d length rows, #docs says %d", name, docs, n)
+		if n != texts[name] {
+			return fmt.Errorf("ivf: invariant: full-text index %s: #docs %d, %d vids rows hold a text", name, n, texts[name])
 		}
 	}
 

@@ -35,7 +35,10 @@ func filterEveryRow(t *testing.T, ix *Index, rt *storage.ReadTxn, q []float32, f
 		qq = d.cb.NewQuery(ix.cfg.Metric, q)
 	}
 	heap := topk.New(heapK)
-	ms := compileMatchers(filters)
+	sf, err := ix.splitFilters(filters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := make([]float32, ix.cfg.Dim)
 	parts := append([]int64{DeltaPartition}, d.cents.ids...)
 	if nprobe > 0 {
@@ -45,7 +48,7 @@ func filterEveryRow(t *testing.T, ix *Index, rt *storage.ReadTxn, q []float32, f
 		err := ix.ScanPartition(rt, part, func(vid int64, blob []byte) error {
 			var lk lookups
 			lk.bind(ix, rt)
-			ok, err := ix.evalFilters(&lk, vid, nil, filters, ms)
+			ok, err := ix.evalFilters(&lk, vid, nil, filters, sf.tokens)
 			if err != nil || !ok {
 				return err
 			}

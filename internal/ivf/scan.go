@@ -13,6 +13,7 @@ import (
 	"micronn/internal/reldb"
 	"micronn/internal/stats"
 	"micronn/internal/storage"
+	"micronn/internal/token"
 	"micronn/internal/topk"
 	"micronn/internal/vec"
 )
@@ -55,6 +56,9 @@ type scanFilter struct {
 	groups   [][]copyPred // decided on the scanned row
 	width    int          // copies a row decodes: one past the last one groups read
 	deferred []stats.Filter
+	// tokens holds the unique tokens of each MATCH query, which every
+	// plan answers by posting probes of the column's full-text index.
+	tokens map[string][]string
 }
 
 // copyPred is a comparison on the attribute copy at position col of a
@@ -66,21 +70,30 @@ type copyPred struct {
 
 // splitFilters validates filters and splits them for the scan engine (see
 // scanFilter); it returns nil for a search without filters. Every
-// predicate must name a declared attribute, or the search fails with
-// ErrNoFilter whatever plan runs and whatever rows the store holds.
+// predicate must name a declared attribute, and every MATCH a FullText
+// one, or the search fails with ErrNoFilter whatever plan runs and
+// whatever rows the store holds.
 func (ix *Index) splitFilters(filters []stats.Filter) (*scanFilter, error) {
 	if len(filters) == 0 {
 		return nil, nil
 	}
-	f := &scanFilter{}
+	f := &scanFilter{tokens: make(map[string][]string)}
 	for _, group := range filters {
 		preds := make([]copyPred, 0, len(group.AnyOf))
-		for _, pred := range group.AnyOf {
+		for i := range group.AnyOf {
+			pred := &group.AnyOf[i]
 			if _, ok := ix.attrPos[pred.Column]; !ok {
 				return nil, fmt.Errorf("%w: %q", ErrNoFilter, pred.Column)
 			}
-			if col, ok := ix.copyPos[pred.Column]; ok && pred.Op != reldb.OpMatch {
-				preds = append(preds, copyPred{col: col, pred: pred})
+			if pred.Op == reldb.OpMatch {
+				if _, ok := ix.ftsIndexes[pred.Column]; !ok {
+					return nil, fmt.Errorf("%w: MATCH on %q without full-text index", ErrNoFilter, pred.Column)
+				}
+				if _, ok := f.tokens[pred.Value.Str]; !ok {
+					f.tokens[pred.Value.Str] = token.Unique(pred.Value.Str)
+				}
+			} else if col, ok := ix.copyPos[pred.Column]; ok {
+				preds = append(preds, copyPred{col: col, pred: *pred})
 			}
 		}
 		if len(preds) < len(group.AnyOf) {
@@ -110,7 +123,7 @@ func (f *scanFilter) pass(b []byte) (bool, error) {
 	for _, group := range f.groups {
 		matched := false
 		for i := range group {
-			if group[i].pred.Eval(vals[group[i].col], nil) {
+			if group[i].pred.Eval(&vals[group[i].col]) {
 				matched = true
 				break
 			}
@@ -186,10 +199,10 @@ type scanRun struct {
 	ix      *Index
 	txn     btree.ReadTxn
 	queries *vec.Matrix
-	qqs     []*quant.Query // per-query asymmetric-distance state on a quantized index
-	decide  *scanFilter    // decides its groups on each scanned row; nil when it has none
-	filters []stats.Filter // the deferred groups, settled after scoring
-	ms      *matchSet      // compiled MATCH queries, nil without deferred MATCH filters
+	qqs     []*quant.Query      // per-query asymmetric-distance state on a quantized index
+	decide  *scanFilter         // decides its groups on each scanned row; nil when it has none
+	filters []stats.Filter      // the deferred groups, settled after scoring
+	tokens  map[string][]string // each MATCH query's unique tokens
 	heaps   []queryHeap
 	counts  *scanCounts
 	// settleAt is the pending row count at which a worker settles a
@@ -217,7 +230,7 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 		if len(f.groups) > 0 {
 			s.decide = f
 		}
-		s.filters, s.ms = f.deferred, compileMatchers(f.deferred)
+		s.filters, s.tokens = f.deferred, f.tokens
 	}
 	heapK := opts.K
 	if cb != nil {
@@ -470,7 +483,7 @@ func (s *scanRun) settle(qh *queryHeap, p *pendingRows, order []uint64, lk *look
 		if !ok {
 			return nil
 		}
-		pass, err := s.ix.evalFilters(lk, r.vid, nil, s.filters, s.ms)
+		pass, err := s.ix.evalFilters(lk, r.vid, nil, s.filters, s.tokens)
 		if err != nil {
 			return err
 		}

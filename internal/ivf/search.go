@@ -7,10 +7,8 @@ import (
 	"sort"
 
 	"micronn/internal/btree"
-	"micronn/internal/fts"
 	"micronn/internal/reldb"
 	"micronn/internal/stats"
-	"micronn/internal/token"
 	"micronn/internal/topk"
 	"micronn/internal/vec"
 )
@@ -153,7 +151,7 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 				return nil, nil, err
 			}
 			if info.Plan == PlanPreFilter {
-				res, err := ix.preFilterSearch(txn, q, opts, d.stats, info)
+				res, err := ix.preFilterSearch(txn, q, opts, sf, d.stats, info)
 				return res, info, err
 			}
 		}
@@ -163,7 +161,7 @@ func (ix *Index) Search(txn btree.ReadTxn, q []float32, opts SearchOptions) ([]t
 		// Exhaustive search on a quantized index: one sequential pass over
 		// the raw store instead of scanning lossy codes and chasing a
 		// random raw lookup per row.
-		res, err := ix.exactQuantScan(txn, q, opts, info, len(parts))
+		res, err := ix.exactQuantScan(txn, q, opts, sf, info, len(parts))
 		return res, info, err
 	}
 
@@ -243,79 +241,21 @@ func ivfSelectivity(nprobe, targetSize int, numVectors int64) float64 {
 	return f
 }
 
-// matchSet holds the MATCH queries of one search compiled once (query
-// tokenized, token set indexed), so row-loop filter evaluation never
-// re-tokenizes the query or rebuilds a per-document token set. Immutable
-// after compileMatchers, hence safe to share across scan workers.
-type matchSet struct {
-	byQuery map[string]*token.Matcher
-	eval    reldb.MatchFunc
-}
-
-// compileMatchers pre-tokenizes every MATCH predicate in filters. Returns
-// nil when there is nothing to compile.
-func compileMatchers(filters []stats.Filter) *matchSet {
-	var byQuery map[string]*token.Matcher
-	for _, group := range filters {
-		for _, pred := range group.AnyOf {
-			if pred.Op != reldb.OpMatch {
-				continue
-			}
-			if byQuery == nil {
-				byQuery = make(map[string]*token.Matcher)
-			}
-			if _, ok := byQuery[pred.Value.Str]; !ok {
-				byQuery[pred.Value.Str] = token.NewMatcher(pred.Value.Str)
-			}
-		}
-	}
-	if byQuery == nil {
-		return nil
-	}
-	ms := &matchSet{byQuery: byQuery}
-	ms.eval = func(doc, query string) bool {
-		if m, ok := ms.byQuery[query]; ok {
-			return m.Match(doc)
-		}
-		return token.Match(doc, query)
-	}
-	return ms
-}
-
-// matchFunc returns the MatchFunc Predicate.Eval should use: the compiled
-// one when available, the one-shot tokenizer otherwise.
-func (ms *matchSet) matchFunc() reldb.MatchFunc {
-	if ms == nil {
-		return token.Match
-	}
-	return ms.eval
-}
-
-// tokens returns query's pre-tokenized unique token set.
-func (ms *matchSet) tokens(query string) []string {
-	if ms != nil {
-		if m, ok := ms.byQuery[query]; ok {
-			return m.Tokens()
-		}
-	}
-	return token.Unique(query)
-}
-
 // exactQuantScan answers Exact queries on a quantized index at full
 // precision: the raw store holds every vector (delta included) keyed by
 // vid, so one sequential scan covers the collection. Asset ids are
 // resolved only for the K survivors, not per scanned row. BytesScanned
-// counts the float32 payload actually read.
-func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptions, info *PlanInfo, nparts int) ([]topk.Result, error) {
+// counts the float32 payload actually read. sf is opts.Filters split by
+// splitFilters.
+func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptions, sf *scanFilter, info *PlanInfo, nparts int) ([]topk.Result, error) {
 	heap := topk.New(opts.K)
 	x := make([]float32, ix.cfg.Dim)
-	ms := compileMatchers(opts.Filters)
 	var lk lookups
 	lk.bind(ix, txn)
 	err := ix.rawvecs.Scan(txn, nil, func(row reldb.Row) error {
 		vid := row[0].Int
 		if len(opts.Filters) > 0 {
-			ok, ferr := ix.evalFilters(&lk, vid, nil, opts.Filters, ms)
+			ok, ferr := ix.evalFilters(&lk, vid, nil, opts.Filters, sf.tokens)
 			if ferr != nil {
 				return ferr
 			}
@@ -383,13 +323,13 @@ func (ix *Index) ForEachAsset(txn btree.ReadTxn, fn func(asset string) error) er
 }
 
 // evalFilters applies the CNF filter set to the vector identified by vid,
-// reading through lk. MATCH predicates on full-text attributes are answered
-// by direct posting probes; row is vid's vids row when the caller already
+// reading through lk. MATCH predicates are answered by posting probes of
+// their column's full-text index, with the query's unique tokens from
+// tokens (see scanFilter); row is vid's vids row when the caller already
 // holds it, and nil otherwise, in which case filterColumns decodes only the
-// columns the comparison predicates read. ms carries the search's compiled
-// MATCH queries (nil is allowed and falls back to one-shot tokenization);
-// callers evaluating many rows must compile once with compileMatchers.
-func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []stats.Filter, ms *matchSet) (bool, error) {
+// columns the comparison predicates read. The filters must have passed
+// splitFilters.
+func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []stats.Filter, tokens map[string][]string) (bool, error) {
 	rowMissing := false
 	if row == nil {
 		var buf [filterRowCols]reldb.Value
@@ -398,15 +338,14 @@ func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []st
 			return false, err
 		}
 	}
-	for _, group := range filters {
+	for gi := range filters {
+		group := filters[gi].AnyOf
 		matched := false
-		for _, pred := range group.AnyOf {
-			pos, ok := ix.attrPos[pred.Column]
-			if !ok {
-				return false, fmt.Errorf("%w: %q", ErrNoFilter, pred.Column)
-			}
-			if f := ix.ftsProbe(pred); f != nil {
-				hit, err := f.ContainsAllTokens(lk.postingsOf(f), vid, ms.tokens(pred.Value.Str))
+		for i := range group {
+			pred := &group[i]
+			if pred.Op == reldb.OpMatch {
+				f := ix.ftsIndexes[pred.Column]
+				hit, err := f.ContainsAllTokens(lk.postingsOf(f), vid, tokens[pred.Value.Str])
 				if err != nil {
 					return false, err
 				}
@@ -419,7 +358,7 @@ func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []st
 			if rowMissing {
 				continue
 			}
-			if pred.Eval(row[pos], ms.matchFunc()) {
+			if pred.Eval(&row[ix.attrPos[pred.Column]]) {
 				matched = true
 				break
 			}
@@ -436,15 +375,6 @@ func (ix *Index) evalFilters(lk *lookups, vid int64, row reldb.Row, filters []st
 // is allocated.
 const filterRowCols = 8
 
-// ftsProbe returns the full-text index that answers pred, a MATCH on a
-// full-text attribute, and nil for a predicate evaluated on the row.
-func (ix *Index) ftsProbe(pred reldb.Predicate) *fts.Index {
-	if pred.Op != reldb.OpMatch {
-		return nil
-	}
-	return ix.ftsIndexes[pred.Column]
-}
-
 // filterColumns reads vid's vids row in place through lk and decodes the
 // columns that filters evaluate on the row, leaving the others NULL; the
 // row is nil when no predicate reads one. It decodes before returning
@@ -454,9 +384,10 @@ func (ix *Index) ftsProbe(pred reldb.Predicate) *fts.Index {
 func (ix *Index) filterColumns(lk *lookups, vid int64, filters []stats.Filter, dst reldb.Row) (row reldb.Row, missing bool, err error) {
 	var needBuf [filterRowCols]int
 	need, last := needBuf[:0], 0
-	for _, group := range filters {
-		for _, pred := range group.AnyOf {
-			if pos, ok := ix.attrPos[pred.Column]; ok && ix.ftsProbe(pred) == nil {
+	for gi := range filters {
+		for i := range filters[gi].AnyOf {
+			if pred := &filters[gi].AnyOf[i]; pred.Op != reldb.OpMatch {
+				pos := ix.attrPos[pred.Column]
 				need = append(need, pos)
 				last = max(last, pos)
 			}
@@ -523,10 +454,7 @@ func (ix *Index) estimateFilterSelectivity(txn btree.ReadTxn, ts *stats.TableSta
 		return 1, nil // never analyzed: assume non-selective
 	}
 	docFreq := func(column, token string) (int64, int64, error) {
-		f, ok := ix.ftsIndexes[column]
-		if !ok {
-			return 0, 0, fmt.Errorf("%w: MATCH on %q without full-text index", ErrNoFilter, column)
-		}
+		f := ix.ftsIndexes[column]
 		df, err := f.DocFreq(txn, token)
 		if err != nil {
 			return 0, 0, err
@@ -544,15 +472,15 @@ func (ix *Index) estimateFilterSelectivity(txn btree.ReadTxn, ts *stats.TableSta
 // qualifying vectors — 100% recall over the filtered set (paper §3.5).
 // The driver is the most selective index-supported filter group; remaining
 // groups are verified against the vids row, which also supplies the asset
-// id. The qualifying vids are read in ascending order.
-func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, ts *stats.TableStats, info *PlanInfo) ([]topk.Result, error) {
-	driver, rest, err := ix.chooseDriver(txn, ts, opts.Filters)
+// id. The qualifying vids are read in ascending order. sf is opts.Filters
+// split by splitFilters.
+func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOptions, sf *scanFilter, ts *stats.TableStats, info *PlanInfo) ([]topk.Result, error) {
+	driver, rest, err := ix.chooseDriver(txn, ts, opts.Filters, sf.tokens)
 	if err != nil {
 		return nil, err
 	}
 	heap := topk.New(opts.K)
 	x := make([]float32, ix.cfg.Dim)
-	ms := compileMatchers(opts.Filters)
 	var lk lookups
 	lk.bind(ix, txn)
 
@@ -560,7 +488,7 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 	// vids row, fetches the vector and offers it to the heap.
 	process := func(vid int64, row reldb.Row, verify []stats.Filter) error {
 		if len(verify) > 0 {
-			ok, err := ix.evalFilters(&lk, vid, row, verify, ms)
+			ok, err := ix.evalFilters(&lk, vid, row, verify, sf.tokens)
 			if err != nil {
 				return err
 			}
@@ -594,7 +522,7 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 	}
 
 	var vids []int64
-	err = ix.driveGroup(txn, *driver, func(vid int64) error {
+	err = ix.driveGroup(txn, *driver, sf.tokens, func(vid int64) error {
 		vids = append(vids, vid)
 		return nil
 	})
@@ -619,14 +547,15 @@ func (ix *Index) preFilterSearch(txn btree.ReadTxn, q []float32, opts SearchOpti
 
 // chooseDriver picks the filter group whose predicates can all be driven
 // from secondary/FTS indexes, preferring the most selective one. It returns
-// nil when no group qualifies.
-func (ix *Index) chooseDriver(txn btree.ReadTxn, ts *stats.TableStats, filters []stats.Filter) (*stats.Filter, []stats.Filter, error) {
+// nil when no group qualifies. tokens holds each MATCH query's unique
+// tokens.
+func (ix *Index) chooseDriver(txn btree.ReadTxn, ts *stats.TableStats, filters []stats.Filter, tokens map[string][]string) (*stats.Filter, []stats.Filter, error) {
 	best := -1
 	var bestSel float64
 	for i, group := range filters {
 		drivable := true
-		for _, pred := range group.AnyOf {
-			if !ix.predDrivable(pred) {
+		for j := range group.AnyOf {
+			if !ix.predDrivable(&group.AnyOf[j], tokens) {
 				drivable = false
 				break
 			}
@@ -651,11 +580,12 @@ func (ix *Index) chooseDriver(txn btree.ReadTxn, ts *stats.TableStats, filters [
 	return &filters[best], rest, nil
 }
 
-func (ix *Index) predDrivable(pred reldb.Predicate) bool {
+// predDrivable reports whether an index can enumerate the rows pred
+// selects. A MATCH without tokens constrains nothing, so it drives no plan.
+func (ix *Index) predDrivable(pred *reldb.Predicate, tokens map[string][]string) bool {
 	switch pred.Op {
 	case reldb.OpMatch:
-		_, ok := ix.ftsIndexes[pred.Column]
-		return ok
+		return len(tokens[pred.Value.Str]) > 0
 	case reldb.OpEq, reldb.OpLt, reldb.OpLe, reldb.OpGt, reldb.OpGe:
 		_, ok := ix.attrIndexes[pred.Column]
 		return ok
@@ -665,12 +595,13 @@ func (ix *Index) predDrivable(pred reldb.Predicate) bool {
 }
 
 // driveGroup streams the vids matching any predicate of the group from the
-// appropriate index structures.
-func (ix *Index) driveGroup(txn btree.ReadTxn, group stats.Filter, fn func(vid int64) error) error {
+// appropriate index structures. tokens holds each MATCH query's unique
+// tokens.
+func (ix *Index) driveGroup(txn btree.ReadTxn, group stats.Filter, tokens map[string][]string, fn func(vid int64) error) error {
 	for _, pred := range group.AnyOf {
 		if pred.Op == reldb.OpMatch {
 			f := ix.ftsIndexes[pred.Column]
-			if err := f.MatchScan(txn, pred.Value.Str, fn); err != nil {
+			if err := f.MatchScan(txn, tokens[pred.Value.Str], fn); err != nil {
 				return err
 			}
 			continue

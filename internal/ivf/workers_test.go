@@ -22,8 +22,7 @@ import (
 // misscored candidate that still survives the cut. Filtered searches cover
 // the rest of the state workers share: a selective predicate (pre-filter
 // plan), a broad one (post-filter plan, evaluated row by row in every
-// worker) and a MATCH predicate post-filtered through the compiled
-// matchSet.
+// worker) and a MATCH predicate post-filtered through posting probes.
 func TestSearchWorkersMatchSingleWorker(t *testing.T) {
 	const dim, n, k, nprobe, repeats = 32, 3000, 10, 16, 8
 	data := clusteredData(5, n, dim, 30)

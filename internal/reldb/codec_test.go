@@ -250,17 +250,13 @@ func TestPredicateEval(t *testing.T) {
 		{Predicate{"c", OpEq, I(5)}, S("5"), false}, // type mismatch
 	}
 	for _, c := range cases {
-		if got := c.pred.Eval(c.val, nil); got != c.want {
+		if got := c.pred.Eval(&c.val); got != c.want {
 			t.Errorf("%v on %v = %v, want %v", c.pred, c.val, got, c.want)
 		}
 	}
-	// MATCH delegates to the supplied function.
-	m := func(doc, q string) bool { return doc == "doc" && q == "q" }
-	p := Predicate{"c", OpMatch, S("q")}
-	if !p.Eval(S("doc"), m) {
-		t.Error("MATCH should delegate to MatchFunc")
-	}
-	if p.Eval(S("doc"), nil) {
-		t.Error("MATCH without MatchFunc must be false")
+	// MATCH is a full-text index's to answer: Eval never matches it.
+	p := Predicate{"c", OpMatch, S("doc")}
+	if v := S("doc"); p.Eval(&v) {
+		t.Error("Eval must not answer MATCH")
 	}
 }

@@ -20,8 +20,9 @@ const (
 	OpGt
 	// OpGe is greater-or-equal (>=).
 	OpGe
-	// OpMatch is full-text match over a tokenized text column: the row
-	// matches when it contains every token of the operand string.
+	// OpMatch is full-text match over a FullText text column: the row
+	// matches when it contains every token of the operand string. Only the
+	// column's full-text index answers it (see Predicate.Eval).
 	OpMatch
 )
 
@@ -59,26 +60,15 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("%s %s %s", p.Column, p.Op, p.Value)
 }
 
-// Eval applies the predicate to a single value. Null never matches
-// (SQL three-valued logic collapsed to false). MATCH is evaluated by
-// tokenizing the text value; the fts package supplies the tokenizer via
-// MatchFunc to avoid an import cycle.
-func (p Predicate) Eval(v Value, match MatchFunc) bool {
-	if v.IsNull() {
+// Eval applies the comparison to v. Null never matches (SQL three-valued
+// logic collapsed to false), nor does a value of another type, nor MATCH,
+// which only a full-text index answers. Both sides are taken by pointer:
+// the scan loops that call it copy no Value.
+func (p *Predicate) Eval(v *Value) bool {
+	if v.IsNull() || v.Type != p.Value.Type {
 		return false
 	}
-	switch p.Op {
-	case OpMatch:
-		if v.Type != TypeText || match == nil {
-			return false
-		}
-		return match(v.Str, p.Value.Str)
-	default:
-		if v.Type != p.Value.Type {
-			return false
-		}
-	}
-	c := Compare(v, p.Value)
+	c := Compare(*v, p.Value)
 	switch p.Op {
 	case OpEq:
 		return c == 0
@@ -96,6 +86,3 @@ func (p Predicate) Eval(v Value, match MatchFunc) bool {
 		return false
 	}
 }
-
-// MatchFunc reports whether document text matches a MATCH query string.
-type MatchFunc func(doc, query string) bool

@@ -1,9 +1,9 @@
 // Package token is the single tokenizer shared by every layer that needs
 // one: the fts inverted index, the stats selectivity estimator and the
-// MATCH post-filter all tokenize through here, so their notions of "token"
-// can never drift apart. It is a leaf package (no intra-repo imports), which
-// is what lets both internal/fts and internal/stats depend on it without a
-// cycle.
+// query-side MATCH and hybrid-search tokens all tokenize through here, so
+// their notions of "token" can never drift apart. It is a leaf package (no
+// intra-repo imports), which is what lets both internal/fts and
+// internal/stats depend on it without a cycle.
 //
 // A token is a maximal run of Unicode letters or digits, lowercased with
 // unicode.ToLower. Tokenization is therefore unicode-safe and idempotent
@@ -21,10 +21,9 @@ func isTokenRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// forEach streams the tokens of s in order. fn returning false stops the
-// iteration early. The per-token string is freshly allocated (tokens are
-// lowercased, so they cannot alias s), but no slice or set is built.
-func forEach(s string, fn func(tok string) bool) {
+// Tokenize lowercases s and splits it into maximal letter/digit runs.
+func Tokenize(s string) []string {
+	var tokens []string
 	var cur strings.Builder
 	for _, r := range s {
 		if isTokenRune(r) {
@@ -32,24 +31,13 @@ func forEach(s string, fn func(tok string) bool) {
 			continue
 		}
 		if cur.Len() > 0 {
-			if !fn(cur.String()) {
-				return
-			}
+			tokens = append(tokens, cur.String())
 			cur.Reset()
 		}
 	}
 	if cur.Len() > 0 {
-		fn(cur.String())
+		tokens = append(tokens, cur.String())
 	}
-}
-
-// Tokenize lowercases s and splits it into maximal letter/digit runs.
-func Tokenize(s string) []string {
-	var tokens []string
-	forEach(s, func(tok string) bool {
-		tokens = append(tokens, tok)
-		return true
-	})
 	return tokens
 }
 
@@ -67,74 +55,4 @@ func Unique(s string) []string {
 		}
 	}
 	return out
-}
-
-// Match reports whether doc contains every token of query (conjunctive
-// MATCH semantics). An empty query constrains nothing. One-shot convenience;
-// hot paths that evaluate one query against many documents should compile
-// the query once with NewMatcher instead.
-func Match(doc, query string) bool {
-	return NewMatcher(query).Match(doc)
-}
-
-// Matcher is a query compiled for repeated conjunctive matching. It holds
-// the query's unique token set so per-document evaluation tokenizes only
-// the document — no query re-tokenization, no doc-side set construction.
-type Matcher struct {
-	tokens []string       // sorted unique query tokens
-	index  map[string]int // token -> position in tokens
-}
-
-// NewMatcher compiles query into a reusable Matcher.
-func NewMatcher(query string) *Matcher {
-	toks := Unique(query)
-	m := &Matcher{tokens: toks}
-	if len(toks) > 0 {
-		m.index = make(map[string]int, len(toks))
-		for i, t := range toks {
-			m.index[t] = i
-		}
-	}
-	return m
-}
-
-// Tokens returns the compiled query's sorted unique token set. Callers must
-// not mutate the returned slice.
-func (m *Matcher) Tokens() []string { return m.tokens }
-
-// Match reports whether doc contains every compiled query token. It streams
-// doc's tokens once, marking which query tokens have been seen, and stops
-// as soon as all are found.
-func (m *Matcher) Match(doc string) bool {
-	need := len(m.tokens)
-	if need == 0 {
-		return true
-	}
-	var seenBits uint64
-	var seen []bool
-	if need > 64 {
-		seen = make([]bool, need)
-	}
-	found := 0
-	forEach(doc, func(tok string) bool {
-		i, ok := m.index[tok]
-		if !ok {
-			return true
-		}
-		if seen != nil {
-			if seen[i] {
-				return true
-			}
-			seen[i] = true
-		} else {
-			bit := uint64(1) << uint(i)
-			if seenBits&bit != 0 {
-				return true
-			}
-			seenBits |= bit
-		}
-		found++
-		return found < need
-	})
-	return found == need
 }

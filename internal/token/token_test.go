@@ -84,61 +84,8 @@ func TestUnique(t *testing.T) {
 	}
 }
 
-// TestMatcherAgreesWithMatch checks the compiled matcher against the
-// one-shot path and a naive set-containment oracle across the corpus.
-func TestMatcherAgreesWithMatch(t *testing.T) {
-	queries := append([]string{"hello", "hello world", "wörds ünïcode", "absent",
-		"123 abc123", "", "EMOJI tokens", "ß"}, crossCheckCorpus...)
-	for _, doc := range crossCheckCorpus {
-		docSet := make(map[string]bool)
-		for _, tok := range Tokenize(doc) {
-			docSet[tok] = true
-		}
-		for _, q := range queries {
-			want := true
-			for _, tok := range Unique(q) {
-				if !docSet[tok] {
-					want = false
-					break
-				}
-			}
-			if got := Match(doc, q); got != want {
-				t.Errorf("Match(%q, %q) = %v, want %v", doc, q, got, want)
-			}
-			if got := NewMatcher(q).Match(doc); got != want {
-				t.Errorf("NewMatcher(%q).Match(%q) = %v, want %v", q, doc, got, want)
-			}
-		}
-	}
-}
-
-// TestMatcherManyTokens exercises the >64-token fallback path (the seen
-// bitmap switches from a uint64 to a slice).
-func TestMatcherManyTokens(t *testing.T) {
-	var toks []string
-	for r := 'a'; r <= 'z'; r++ {
-		for r2 := 'a'; r2 <= 'z'; r2++ {
-			toks = append(toks, string(r)+string(r2))
-		}
-	}
-	toks = toks[:70]
-	query := strings.Join(toks, " ")
-	m := NewMatcher(query)
-	if !m.Match(query + " extra words") {
-		t.Error("70-token query should match a superset doc")
-	}
-	if m.Match(strings.Join(toks[:69], " ")) {
-		t.Error("70-token query must not match a 69-token subset doc")
-	}
-	// Duplicate doc tokens must not double-count toward the found total.
-	if m.Match(strings.Join(toks[:35], " ") + " " + strings.Join(toks[:35], " ")) {
-		t.Error("duplicated subset doc must not match")
-	}
-}
-
 // FuzzTokenize fuzzes the tokenizer invariants: agreement with the naive
-// reference, idempotence under lowercasing, Unique being a sorted set, and
-// Match agreeing with set containment.
+// reference, idempotence under lowercasing, and Unique being a sorted set.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range crossCheckCorpus {
 		f.Add(s)
@@ -167,39 +114,6 @@ func FuzzTokenize(f *testing.F) {
 		for i := 1; i < len(uniq); i++ {
 			if uniq[i] == uniq[i-1] {
 				t.Fatalf("Unique(%q) has duplicate %q", s, uniq[i])
-			}
-		}
-		if !Match(s, s) && len(got) > 0 {
-			t.Fatalf("Match(%q, itself) = false", s)
-		}
-		if !Match(s, "") {
-			t.Fatalf("Match(%q, empty) = false", s)
-		}
-	})
-}
-
-// BenchmarkMatchPerRow is the shape of the fixed MATCH post-filter bug: one
-// query evaluated against many rows. The compiled matcher tokenizes the
-// query once; the one-shot path re-tokenizes (and rebuilds its token map)
-// for every row.
-func BenchmarkMatchPerRow(b *testing.B) {
-	const query = "golden retriever playing fetch outdoors"
-	doc := "a golden retriever happily playing fetch with a frisbee outdoors in the park on a sunny afternoon"
-	b.Run("recompile-per-row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if !Match(doc, query) {
-				b.Fatal("should match")
-			}
-		}
-	})
-	b.Run("compiled-once", func(b *testing.B) {
-		m := NewMatcher(query)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !m.Match(doc) {
-				b.Fatal("should match")
 			}
 		}
 	})

@@ -10,7 +10,11 @@
 // few megabytes of RAM. Hybrid queries combine nearest-neighbour search
 // with relational attribute filters, chosen between pre- and post-filter
 // plans by a selectivity-based optimizer, and batches of queries execute
-// with multi-query optimization.
+// with multi-query optimization. A full-text MATCH filter is answered only
+// by a FullText attribute's inverted index, under every plan; a MATCH on
+// any other attribute fails the search as a filter on an undeclared
+// attribute does, and a MATCH whose query has no tokens constrains
+// nothing.
 //
 // # Quantization
 //
@@ -197,7 +201,8 @@
 // and fuses the rankings. The lexical leg BM25-scores the request's Text
 // against a FullText attribute's inverted index (disjunctive semantics:
 // any query token matches; postings store unique tokens, so term frequency
-// is binary and document length is the count of distinct indexed tokens).
+// is binary, and each posting carries its document's length, the count of
+// distinct indexed tokens).
 // The vector leg is the ordinary ANN search — the same NProbe / Exact /
 // RerankFactor / Filters knobs as SearchRequest. Both legs retrieve K
 // candidates; by default they fuse by reciprocal-rank fusion
@@ -354,7 +359,8 @@ func (t AttrType) colType() reldb.ColType {
 
 // AttributeDef declares a filterable attribute. Indexed attributes support
 // efficient pre-filter plans for comparison predicates; FullText (text
-// only) attributes support MATCH predicates through an inverted index.
+// only) attributes support MATCH predicates through an inverted index, and
+// no other attribute accepts MATCH.
 type AttributeDef struct {
 	Name     string
 	Type     AttrType
@@ -875,7 +881,9 @@ func Gt(col string, v any) Filter { return Filter{AnyOf: []reldb.Predicate{pred(
 func Ge(col string, v any) Filter { return Filter{AnyOf: []reldb.Predicate{pred(col, reldb.OpGe, v)}} }
 
 // Match builds a full-text filter: the attribute must contain every token
-// of query (requires a FullText attribute).
+// of query. col must be a FullText attribute, or the search fails as a
+// filter on an undeclared attribute does; a query without tokens
+// constrains nothing.
 func Match(col, query string) Filter {
 	return Filter{AnyOf: []reldb.Predicate{{Column: col, Op: reldb.OpMatch, Value: reldb.S(query)}}}
 }
