@@ -462,6 +462,14 @@ func cmdStats(path string) error {
 	} else {
 		fmt.Printf("quantization:     %s\n", st.Quantization)
 	}
+	if st.Quantization != micronn.QuantNone {
+		if st.ResidualRows > 0 {
+			fmt.Printf("codebook drift:   mean residual %.4g over %d vectors encoded since training\n",
+				st.ResidualSum/float64(st.ResidualRows), st.ResidualRows)
+		} else {
+			fmt.Printf("codebook drift:   no vectors encoded since training\n")
+		}
+	}
 	hitRatio := 0.0
 	if total := st.CacheHits + st.CacheMisses; total > 0 {
 		hitRatio = 100 * float64(st.CacheHits) / float64(total)

@@ -42,7 +42,8 @@ type BatchInfo struct {
 	// BytesScanned is the vector payload volume read by partition scans
 	// (SQ8 codes count one byte per dimension).
 	BytesScanned int64
-	// Reranked counts quantized candidates recomputed at full precision.
+	// Reranked counts the quantized candidates whose exact vectors the
+	// rerank read (see PlanInfo.Reranked).
 	Reranked int64
 	// CandidatesApprox marks a CandidatesOnly batch whose distances are
 	// approximate SQ8 distances; the caller owes the exact rerank.

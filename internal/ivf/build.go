@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -157,6 +158,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 			}
 		}
 		st.DeltaCount, st.NumPartitions = 0, 0
+		st.ResidualSum, st.ResidualRows = 0, 0
 		st.NextPartID = 1
 		st.Generation++
 		st.DataGen++
@@ -261,7 +263,7 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 			ms.VectorsAssigned++
 			if cb != nil {
 				// Re-encode under the refreshed codebook.
-				blob = cb.Encode(blob[:0], sub.Row(i))
+				blob, _ = cb.EncodeRow(blob[:0], sub.Row(i))
 			} else {
 				blob = vec.ToBlob(blob[:0], sub.Row(i))
 			}
@@ -290,6 +292,8 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	st.DeltaCount = 0
 	st.NumPartitions = int64(k)
 	st.NextPartID = firstPart + int64(k)
+	// The codebook was just trained: the drift gauge starts over.
+	st.ResidualSum, st.ResidualRows = 0, 0
 	st.Generation++
 	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
@@ -333,7 +337,8 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	// Quantized indexes encode flushed vectors with the codebook from the
 	// last full rebuild: no retraining on the streaming path. Out-of-range
 	// values clamp; the exact rerank absorbs the error until the next
-	// rebuild refreshes the codebook.
+	// rebuild refreshes the codebook, and each row's residual byte keeps its
+	// bound valid meanwhile. The residuals feed the drift gauge.
 	cb := d.cb
 	if ix.rawvecs != nil && cb == nil {
 		return nil, fmt.Errorf("ivf: quantized index has partitions but no codebook")
@@ -367,7 +372,12 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		asset := row[2].Str
 		blob := row[3].Bts
 		if cb != nil {
-			blob = cb.Encode(make([]byte, 0, cb.CodeSize()), x)
+			var r float64
+			blob, r = cb.EncodeRow(make([]byte, 0, cb.CodeSize()+1), x)
+			if !math.IsInf(r, 0) && !math.IsNaN(r) {
+				st.ResidualSum += r
+				st.ResidualRows++
+			}
 		}
 		if err := ix.moveRow(wt, key.part, newPart, partRow{vid: key.vid, asset: asset, blob: blob, copies: row[4:]}); err != nil {
 			return nil, err

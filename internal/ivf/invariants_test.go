@@ -13,9 +13,10 @@ import (
 )
 
 // TestCheckInvariantsCatchesCorruption applies one corruption per check
-// that the vid-keyed row and the full-text postings make possible to a
-// small built index, with an int and a full-text attribute, and asserts
-// that CheckInvariants reports it. The uncorrupted index passes.
+// that the vid-keyed row, the full-text postings and the residual byte
+// make possible to a small built SQ8 index, with an int and a full-text
+// attribute, and asserts that CheckInvariants reports it. The uncorrupted
+// index passes.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -59,6 +60,20 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 				return err
 			}
 			row[4] = reldb.I(row[4].Int + 1)
+			return e.ix.vectors.Put(wt, row)
+		}},
+		{"residual byte that is not its raw vector's", "residual byte", func(e *testEnv, wt *storage.WriteTxn) error {
+			a, err := e.ix.assets.Get(wt, reldb.S("asset-3"))
+			if err != nil {
+				return err
+			}
+			row, err := e.ix.vectors.Get(wt, a[1], a[2])
+			if err != nil {
+				return err
+			}
+			payload := bytes.Clone(row[3].Bts)
+			payload[len(payload)-1] ^= 1
+			row[3] = reldb.B(payload)
 			return e.ix.vectors.Put(wt, row)
 		}},
 		{"centroid id at NextPartID", "NextPartID", func(e *testEnv, wt *storage.WriteTxn) error {
@@ -118,11 +133,11 @@ const (
 	ftsStatsTable    = "__fts_attr_tags_stats"
 )
 
-// newInvariantEnv builds a 60-vector index with an int attribute n and a
-// full-text attribute tags and checks that it passes CheckInvariants.
+// newInvariantEnv builds a 60-vector SQ8 index with an int attribute n and
+// a full-text attribute tags and checks that it passes CheckInvariants.
 func newInvariantEnv(t *testing.T) *testEnv {
 	t.Helper()
-	e := newEnv(t, Config{Dim: 4, TargetPartitionSize: 10, Seed: 1, Attributes: []AttributeDef{
+	e := newEnv(t, Config{Dim: 4, TargetPartitionSize: 10, Seed: 1, Quantization: quant.SQ8, Attributes: []AttributeDef{
 		{Name: "n", Type: reldb.TypeInt64},
 		{Name: "tags", Type: reldb.TypeText, FullText: true},
 	}})
@@ -137,8 +152,11 @@ func newInvariantEnv(t *testing.T) *testEnv {
 // TestVectorRowBytes: a vectors row's value is the asset id and payload
 // followed by copies of the int64 and float64 attributes in schema order,
 // so an index without such attributes writes exactly (asset, payload). The
-// rows Upsert writes into the delta and the rows Rebuild, FlushDelta, a
-// split and a merge move are checked against the values vids holds.
+// payload is the float32 vector in the delta and, in a partition of this
+// SQ8 index, the code and residual byte of the exact vector under the
+// codebook. The rows Upsert writes into the delta and the rows Rebuild,
+// FlushDelta, a split and a merge move are checked against the values vids
+// and rawvecs hold.
 func TestVectorRowBytes(t *testing.T) {
 	text := AttributeDef{Name: "tags", Type: reldb.TypeText, FullText: true}
 	for _, c := range []struct {
@@ -180,7 +198,19 @@ func TestVectorRowBytes(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						want := reldb.EncodeRow(nil, reldb.Row{vidRow[1], reldb.B(r.payload)})
+						raw, err := e.ix.rawvecs.Get(rt, reldb.I(r.vid))
+						if err != nil {
+							return err
+						}
+						payload := raw[1].Bts
+						if part, _, _ := reldb.KeyInt(key); part != DeltaPartition {
+							_, d, err := e.ix.load(rt)
+							if err != nil {
+								return err
+							}
+							payload, _ = d.cb.EncodeRow(nil, vec.FromBlob(make([]float32, 4), payload))
+						}
+						want := reldb.EncodeRow(nil, reldb.Row{vidRow[1], reldb.B(payload)})
 						for i, a := range c.attrs {
 							if a.Type == reldb.TypeInt64 || a.Type == reldb.TypeFloat64 {
 								want = reldb.AppendRowValue(want, vidRow[vidsAttrBase+i])

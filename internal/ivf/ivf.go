@@ -10,11 +10,16 @@
 //
 //   - vectors (part, vid) -> (asset, payload, s₁…sₘ): the rows a partition
 //     scan reads, clustered by partition. The payload is the float32
-//     vector, or its SQ8/SQ4 code outside the delta of a quantized index.
-//     s₁…sₘ copy the vector's int64 and float64 attributes in schema order
-//     (text and blob attributes, unbounded in size, are not copied), so a
-//     scan decides comparison filters on them without reading vids; an
-//     index without such attributes writes (asset, payload) alone. Upsert
+//     vector, or, outside the delta of a quantized index, its SQ8/SQ4 code
+//     followed by one residual byte that bounds the distance between the
+//     exact vector and its decoded code (quant.EncodeRow). The scan scores
+//     the code and hands the bound to the rerank, which skips the
+//     candidates it rules out. Rebuild and FlushDelta encode the payload;
+//     splits and merges move it byte for byte. s₁…sₘ copy the vector's
+//     int64 and float64 attributes in schema order (text and blob
+//     attributes, unbounded in size, are not copied), so a scan decides
+//     comparison filters on them without reading vids; an index without
+//     such attributes writes (asset, payload) alone. Upsert
 //     writes the copies from the attribute values it stores in vids, and
 //     Delete removes the row; every row move (Rebuild, FlushDelta, split,
 //     merge) rewrites the row with its copies as read. An upsert allocates
@@ -92,8 +97,9 @@ const metaCodebook = "codebook"
 // lacks it or holds another value. Bump it with every change to a table's
 // layout. Format 2 added the attribute copies to vectors rows; format 3
 // put the document length in each full-text posting and dropped the
-// full-text length table.
-const formatVersion = 3
+// full-text length table; format 4 appended the residual byte to the
+// payload of quantized vectors rows.
+const formatVersion = 4
 
 // metaFormat is the meta-table key holding the decimal formatVersion.
 const metaFormat = "format"
@@ -148,7 +154,8 @@ type Config struct {
 	// option). With quant.SQ8 a per-dimension affine codebook is trained
 	// at every Rebuild, partition rows store one byte per dimension, and
 	// searches rerank the top RerankFactor*K approximate candidates
-	// against exact float32 vectors from the raw store. quant.SQ4 packs
+	// against exact float32 vectors from the raw store, reading, on L2,
+	// only those their residual bounds do not rule out. quant.SQ4 packs
 	// two 4-bit codes per byte, halving scanned bytes again. The
 	// delta-store always keeps float32 vectors, so streaming inserts need
 	// no retraining.
@@ -211,6 +218,12 @@ type state struct {
 	// snapshot proves the visible data is identical, so a cached response
 	// may be served verbatim.
 	DataGen int64 `json:"data_gen,omitempty"`
+	// ResidualSum and ResidualRows gauge codebook drift: the summed
+	// residuals ‖x − x̂‖₂ of the rows FlushDelta encoded since the last
+	// codebook training (Rebuild resets both), and their number. Rows
+	// whose residual is not finite are left out.
+	ResidualSum  float64 `json:"residual_sum,omitempty"`
+	ResidualRows int64   `json:"residual_rows,omitempty"`
 }
 
 // Index is the disk-resident IVF index.
@@ -269,7 +282,8 @@ func (ix *Index) getProbeScratch(n int) *probeScratch {
 // scanBuffers is the scratch of one partition scan: one batch of
 // rows copied out of borrowed leaf pages. codes holds the gathered SQ8/SQ4
 // codes when the scanned partition is quantized, batch the float32 rows
-// otherwise. assets holds the batch's asset ids back to back and
+// otherwise; resid holds each row's residual bound (see topk.Result).
+// assets holds the batch's asset ids back to back and
 // assetEnds[i] ends row i's; ids caches the strings made from them, so
 // only rows a heap accepts cost an allocation. dists holds a single
 // query's distances for the batch. lk is the worker's filter lookups, bound
@@ -278,6 +292,7 @@ func (ix *Index) getProbeScratch(n int) *probeScratch {
 type scanBuffers struct {
 	batch     *vec.Matrix
 	codes     []byte
+	resid     []float32
 	vids      []int64
 	assets    []byte
 	assetEnds []int
@@ -293,6 +308,7 @@ func (ix *Index) getScanBuffers() *scanBuffers {
 	return &scanBuffers{
 		batch:     vec.NewMatrix(scanBatch, ix.cfg.Dim),
 		codes:     make([]byte, 0, scanBatch*ix.cfg.Dim),
+		resid:     make([]float32, 0, scanBatch),
 		vids:      make([]int64, 0, scanBatch),
 		assetEnds: make([]int, 0, scanBatch),
 		ids:       make([]string, scanBatch),
@@ -307,13 +323,16 @@ func (ix *Index) putScanBuffers(b *scanBuffers) {
 }
 
 // add copies one borrowed row into the batch, so nothing references page
-// memory once the scan callback returns.
-func (b *scanBuffers) add(r rowView, quantized bool) {
+// memory once the scan callback returns. r's payload is a code when
+// quantized, with its residual bound in resid, and a float32 vector
+// otherwise.
+func (b *scanBuffers) add(r rowView, quantized bool, resid float32) {
 	if quantized {
 		b.codes = append(b.codes, r.payload...)
 	} else {
 		b.batch.AppendRowBlob(len(b.vids), r.payload)
 	}
+	b.resid = append(b.resid, resid)
 	b.vids = append(b.vids, r.vid)
 	b.assets = append(b.assets, r.asset...)
 	b.assetEnds = append(b.assetEnds, len(b.assets))
@@ -352,6 +371,7 @@ func (ix *Index) putPendingRows(p *pendingRows) {
 func (b *scanBuffers) reset() {
 	clear(b.ids[:len(b.vids)])
 	b.codes = b.codes[:0]
+	b.resid = b.resid[:0]
 	b.vids = b.vids[:0]
 	b.assets = b.assets[:0]
 	b.assetEnds = b.assetEnds[:0]
@@ -656,6 +676,11 @@ type Stats struct {
 	// DataGen is the data-generation counter backing the result cache
 	// (see state.DataGen).
 	DataGen int64
+	// ResidualSum and ResidualRows are the codebook drift gauge (see
+	// state.ResidualSum): their quotient is the mean residual of the rows
+	// encoded since the codebook was trained.
+	ResidualSum  float64
+	ResidualRows int64
 }
 
 // Stats reads the monitor counters at the transaction's snapshot.
@@ -670,6 +695,8 @@ func (ix *Index) Stats(txn btree.ReadTxn) (Stats, error) {
 		NumPartitions: st.NumPartitions,
 		Generation:    st.Generation,
 		DataGen:       st.DataGen,
+		ResidualSum:   st.ResidualSum,
+		ResidualRows:  st.ResidualRows,
 	}
 	if st.NumPartitions > 0 {
 		s.AvgPartitionSize = float64(st.NumVectors-st.DeltaCount) / float64(st.NumPartitions)

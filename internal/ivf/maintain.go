@@ -228,12 +228,12 @@ func (ix *Index) exactVectors(txn btree.ReadTxn, rows []partRow) (*vec.Matrix, e
 // moveRow rewrites r's vector row from partition src to dst with payload
 // r.blob and points the asset's mapping at dst: three row writes, the one
 // row move of Rebuild, FlushDelta, splits and merges. Rebuild passes the
-// code re-encoded under its fresh codebook and FlushDelta the delta row's
-// encoding under the current one; splits and merges move the payload
-// byte-identical, which on a quantized index stays a valid code because
-// they never change the codebook. Every mover passes the attribute copies
-// of the row it read, so they move with it unchanged and no move reads
-// vids. Callers spill at their own cadence.
+// code and residual byte re-encoded under its fresh codebook and FlushDelta
+// the delta row's encoding under the current one; splits and merges move
+// the payload byte-identical, which on a quantized index stays a valid
+// code and residual byte because they never change the codebook. Every
+// mover passes the attribute copies of the row it read, so they move with
+// it unchanged and no move reads vids. Callers spill at their own cadence.
 func (ix *Index) moveRow(wt *storage.WriteTxn, src, dst int64, r partRow) error {
 	if err := ix.vectors.Delete(wt, reldb.I(src), reldb.I(r.vid)); err != nil {
 		return err
@@ -624,7 +624,9 @@ func (ix *Index) PartitionSizeBounds(txn btree.ReadTxn) (min, max int64, err err
 // centroid id is below NextPartID, the centroid count matches
 // NumPartitions, each full-text index records a length for exactly #docs
 // live vids, and a quantized index has a raw vector per row plus an intact
-// codebook. O(N); used by the crash-recovery battery and tests.
+// codebook, and stores in each partition row the residual byte that
+// encoding the row's raw vector under that codebook gives. O(N); used by
+// the crash-recovery battery and tests.
 func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 	st, d, err := ix.load(txn)
 	if err != nil {
@@ -636,6 +638,7 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		part   int64
 		asset  string
 		copies []reldb.Value
+		resid  int // a quantized row's residual byte, -1 on other rows
 	}
 	seen := make(map[int64]loc)
 	partSizes := make(map[int64]int64)
@@ -650,7 +653,7 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		if _, dup := seen[vid]; dup {
 			return fmt.Errorf("ivf: invariant: vid %d stored in two partitions", vid)
 		}
-		seen[vid] = loc{part, asset, row[4:]}
+		l := loc{part: part, asset: asset, copies: row[4:], resid: -1}
 		partSizes[part]++
 		total++
 		if part == DeltaPartition {
@@ -658,11 +661,13 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 		}
 		want := wantBlobLen
 		if cb != nil && part != DeltaPartition {
-			want = cb.CodeSize()
+			want = cb.CodeSize() + 1
+			l.resid = int(row[3].Bts[len(row[3].Bts)-1])
 		}
 		if len(row[3].Bts) != want {
 			return fmt.Errorf("ivf: invariant: vid %d payload %d bytes, want %d", vid, len(row[3].Bts), want)
 		}
+		seen[vid] = l
 		if vid >= st.NextVID {
 			return fmt.Errorf("ivf: invariant: vid %d >= NextVID %d", vid, st.NextVID)
 		}
@@ -780,13 +785,25 @@ func (ix *Index) CheckInvariants(txn btree.ReadTxn) error {
 
 	if ix.rawvecs != nil {
 		var rawRows int64
+		x := make([]float32, ix.cfg.Dim)
+		var enc []byte
 		err = ix.rawvecs.Scan(txn, nil, func(row reldb.Row) error {
 			rawRows++
-			if _, ok := seen[row[0].Int]; !ok {
+			l, ok := seen[row[0].Int]
+			if !ok {
 				return fmt.Errorf("ivf: invariant: raw vector %d has no vector row", row[0].Int)
 			}
 			if len(row[1].Bts) != wantBlobLen {
 				return fmt.Errorf("ivf: invariant: raw vector %d blob %d bytes, want %d", row[0].Int, len(row[1].Bts), wantBlobLen)
+			}
+			if l.resid < 0 {
+				return nil
+			}
+			// The residual byte is the rerank's bound: one that is too
+			// small would let it skip a row of the true top K.
+			enc, _ = cb.EncodeRow(enc[:0], vec.FromBlob(x, row[1].Bts))
+			if b := int(enc[len(enc)-1]); l.resid != b {
+				return fmt.Errorf("ivf: invariant: vid %d residual byte %d, its raw vector's residual gives %d", row[0].Int, l.resid, b)
 			}
 			return nil
 		})

@@ -3,6 +3,7 @@ package ivf
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,9 +20,10 @@ import (
 // probed partition (every partition when nprobe is 0, as an Exact search on
 // an unquantized index does) with ScanPartition, evaluates the filters on
 // every row (through fresh lookups, so every read is a one-shot descent),
-// scores the rows that pass one at a time, keeps the best K·RerankFactor on
-// a quantized index (K otherwise) in one heap, and reranks them unless
-// candidatesOnly.
+// scores the rows that pass one at a time, with the residual bound decoded
+// from a quantized row's payload (+Inf for a delta row of a quantized
+// index), keeps the best K·RerankFactor on a quantized index (K otherwise)
+// in one heap, and reranks them unless candidatesOnly.
 func filterEveryRow(t *testing.T, ix *Index, rt *storage.ReadTxn, q []float32, filters []stats.Filter, k, nprobe int, candidatesOnly bool) []topk.Result {
 	t.Helper()
 	_, d, err := ix.load(rt)
@@ -52,18 +54,24 @@ func filterEveryRow(t *testing.T, ix *Index, rt *storage.ReadTxn, q []float32, f
 			if err != nil || !ok {
 				return err
 			}
-			var dist float32
-			if qq != nil && part != DeltaPartition {
-				dist = qq.Distance(blob)
-			} else {
-				vec.FromBlob(x, blob)
-				dist = vec.Distance(ix.cfg.Metric, q, x)
-			}
 			row, err := ix.vectors.Get(rt, reldb.I(part), reldb.I(vid))
 			if err != nil {
 				return err
 			}
-			heap.Push(topk.Result{AssetID: row[2].Str, VectorID: vid, Distance: dist})
+			var dist, resid float32
+			switch {
+			case qq != nil && part != DeltaPartition:
+				dist = qq.Distance(blob)
+				payload := row[3].Bts
+				resid = quant.ResidualBound(payload[len(payload)-1], d.cb.ResidualUnit())
+			case qq != nil:
+				resid = float32(math.Inf(1))
+				fallthrough
+			default:
+				vec.FromBlob(x, blob)
+				dist = vec.Distance(ix.cfg.Metric, q, x)
+			}
+			heap.Push(topk.Result{AssetID: row[2].Str, VectorID: vid, Distance: dist, Residual: resid})
 			return nil
 		})
 		if err != nil {

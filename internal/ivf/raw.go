@@ -24,16 +24,28 @@ func (ix *Index) PartitionIDs(txn btree.ReadTxn) ([]int64, error) {
 }
 
 // ScanPartition streams the (vid, vector blob) pairs of one partition in
-// clustered order — a single contiguous B+tree range scan.
+// clustered order — a single contiguous B+tree range scan. The blob is the
+// float32 vector, or the SQ8/SQ4 code of a quantized partition row without
+// its residual byte.
 func (ix *Index) ScanPartition(txn btree.ReadTxn, part int64, fn func(vid int64, blob []byte) error) error {
 	return ix.vectors.Scan(txn, []reldb.Value{reldb.I(part)}, func(row reldb.Row) error {
-		return fn(row[1].Int, row[3].Bts)
+		return fn(row[1].Int, ix.vectorBlob(part, row[3].Bts))
 	})
+}
+
+// vectorBlob returns the vector blob of a partition row's payload: the
+// payload without its residual byte on a quantized partition, the payload
+// itself otherwise.
+func (ix *Index) vectorBlob(part int64, payload []byte) []byte {
+	if ix.rawvecs != nil && part != DeltaPartition && len(payload) > 0 {
+		return payload[:len(payload)-1]
+	}
+	return payload
 }
 
 // FetchVector resolves a vector by vid through the vid and asset mappings
 // — the random-access path an unclustered layout would force for every
-// row.
+// row. It returns the blob ScanPartition would.
 func (ix *Index) FetchVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
 	var lk lookups
 	lk.bind(ix, txn)
@@ -52,5 +64,5 @@ func (ix *Index) FetchVector(txn btree.ReadTxn, vid int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return row[3].Bts, nil
+	return ix.vectorBlob(part, row[3].Bts), nil
 }

@@ -40,7 +40,8 @@ type scanCounts struct {
 	pairs    atomic.Int64 // query-row distance computations
 	filtered atomic.Int64 // rows whose filters were evaluated and failed, in the scan or when settled
 	bytes    atomic.Int64 // vector payload read by scans and the rerank
-	reranked atomic.Int64 // candidates recomputed at full precision
+	cands    atomic.Int64 // approximate candidates handed to the rerank
+	reranked atomic.Int64 // candidates whose exact vectors the rerank read
 	lookups  atomic.Int64 // vids rows read to settle deferred filter groups
 }
 
@@ -158,13 +159,14 @@ type pendingRows struct {
 type pendingRow struct {
 	vid        int64
 	dist       float32
-	start, end int32 // the row's asset id is assets[start:end]
+	resid      float32 // the row's residual bound (see topk.Result)
+	start, end int32   // the row's asset id is assets[start:end]
 }
 
-func (p *pendingRows) add(vid int64, dist float32, asset []byte) {
+func (p *pendingRows) add(vid int64, dist, resid float32, asset []byte) {
 	start := int32(len(p.assets))
 	p.assets = append(p.assets, asset...)
-	p.rows = append(p.rows, pendingRow{vid: vid, dist: dist, start: start, end: int32(len(p.assets))})
+	p.rows = append(p.rows, pendingRow{vid: vid, dist: dist, resid: resid, start: start, end: int32(len(p.assets))})
 }
 
 // sort fills order with the rows by ascending distance, NaN last (a full
@@ -200,6 +202,8 @@ type scanRun struct {
 	txn     btree.ReadTxn
 	queries *vec.Matrix
 	qqs     []*quant.Query      // per-query asymmetric-distance state on a quantized index
+	unit    float32             // the codebook's residual unit on a quantized index
+	rowSize int                 // a quantized row's payload: code and residual byte
 	decide  *scanFilter         // decides its groups on each scanned row; nil when it has none
 	filters []stats.Filter      // the deferred groups, settled after scoring
 	tokens  map[string][]string // each MATCH query's unique tokens
@@ -235,6 +239,7 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 	heapK := opts.K
 	if cb != nil {
 		s.qqs = make([]*quant.Query, nq)
+		s.unit, s.rowSize = cb.ResidualUnit(), cb.CodeSize()+1
 		heapK = opts.K * ix.rerankFactor(opts.RerankFactor)
 	}
 	s.settleAt = max(8*scanBatch, 8*heapK)
@@ -299,11 +304,12 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 	// lookups fan out over the same worker budget as the scans.
 	err = ix.fanOut(txn, nq, opts.Cancel, func(_, qi int) error {
 		cands := s.heaps[qi].h.Results()
-		res, n, err := ix.RerankCandidates(txn, queries.Row(qi), cands, opts.K)
+		res, n, err := ix.rerank(txn, cb, queries.Row(qi), cands, opts.K)
 		if err != nil {
 			return err
 		}
-		counts.reranked.Add(int64(len(cands)))
+		counts.cands.Add(int64(len(cands)))
+		counts.reranked.Add(n / int64(vec.BlobSize(ix.cfg.Dim)))
 		counts.bytes.Add(n)
 		out[qi] = res
 		return nil
@@ -361,9 +367,16 @@ func (ix *Index) fanOut(txn btree.ReadTxn, n int, cancel <-chan struct{}, fn fun
 // the groups the run decides on scanned rows is skipped, every other row's
 // payload and asset id bytes are copied into buf, and every scanBatch rows
 // flush scores the batch against every query of the partition. An asset id
-// string is made only for a row a heap accepts.
+// string is made only for a row a heap accepts. A quantized row's payload
+// is its code and residual byte: the code is scored and the byte decoded
+// into the row's residual bound. The delta's float32 rows on a quantized
+// index get no bound (+Inf), and rows of an unquantized index none at all.
 func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 	quantized := s.qqs != nil && w.part != DeltaPartition
+	var resid float32
+	if s.qqs != nil && !quantized {
+		resid = float32(math.Inf(1))
+	}
 	qm, dists := s.queries.Slice(w.queries[0], w.queries[0]+1), buf.dists
 	if len(w.queries) > 1 {
 		// A query group's scratch lives for this partition only, so the
@@ -393,7 +406,15 @@ func (s *scanRun) scanPartition(buf *scanBuffers, w partWork) error {
 				return nil
 			}
 		}
-		buf.add(r, quantized)
+		if quantized {
+			n := s.rowSize - 1
+			if len(r.payload) != s.rowSize {
+				return fmt.Errorf("ivf: vid %d payload %d bytes, want %d", r.vid, len(r.payload), s.rowSize)
+			}
+			resid = quant.ResidualBound(r.payload[n], s.unit)
+			r.payload = r.payload[:n]
+		}
+		buf.add(r, quantized, resid)
 		if len(buf.vids) == scanBatch {
 			return s.flush(buf, w.queries, qm, dists, quantized)
 		}
@@ -437,9 +458,9 @@ func (s *scanRun) flush(buf *scanBuffers, qs []int, qm *vec.Matrix, dists []floa
 			switch {
 			case !qh.h.Accepts(d):
 			case qh.pending == nil:
-				qh.h.Push(topk.Result{AssetID: buf.assetID(j), VectorID: buf.vids[j], Distance: d})
+				qh.h.Push(topk.Result{AssetID: buf.assetID(j), VectorID: buf.vids[j], Distance: d, Residual: buf.resid[j]})
 			default:
-				qh.pending.add(buf.vids[j], d, buf.asset(j))
+				qh.pending.add(buf.vids[j], d, buf.resid[j], buf.asset(j))
 			}
 		}
 		if qh.pending != nil && len(qh.pending.rows) >= s.settleAt {
@@ -491,7 +512,7 @@ func (s *scanRun) settle(qh *queryHeap, p *pendingRows, order []uint64, lk *look
 			filtered++
 			continue
 		}
-		res := topk.Result{AssetID: string(p.assets[r.start:r.end]), VectorID: r.vid, Distance: r.dist}
+		res := topk.Result{AssetID: string(p.assets[r.start:r.end]), VectorID: r.vid, Distance: r.dist, Residual: r.resid}
 		qh.mu.Lock()
 		qh.h.Push(res)
 		qh.mu.Unlock()

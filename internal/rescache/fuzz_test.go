@@ -3,10 +3,13 @@ package rescache
 import (
 	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"micronn/internal/reldb"
 	"micronn/internal/stats"
+	"micronn/internal/token"
 )
 
 // fuzzReader consumes fuzz input bytes as typed fields, yielding zeros when
@@ -167,15 +170,65 @@ func permuteFilters(req Request) Request {
 	return out
 }
 
+// matchOperands returns the first and the last text operand among req's
+// predicates ("" when there is none).
+func matchOperands(req Request) (first, last string) {
+	seen := false
+	for _, f := range req.Filters {
+		for _, p := range f.AnyOf {
+			if p.Value.Type == reldb.TypeText {
+				if !seen {
+					first, seen = p.Value.Str, true
+				}
+				last = p.Value.Str
+			}
+		}
+	}
+	return first, last
+}
+
+// matchRequest is a search whose one filter is a MATCH on text.
+func matchRequest(text string) Request {
+	return Request{Kind: KindSearch, K: 10, Vectors: [][]float32{{1}}, Filters: []stats.Filter{
+		{AnyOf: []reldb.Predicate{{Column: "tags", Op: reldb.OpMatch, Value: reldb.S(text)}}},
+	}}
+}
+
+// sameTokens rewrites text into another text with the same unique token
+// set: its tokens in reverse order, the first one repeated, ASCII letters
+// upper-cased, joined by punctuation.
+func sameTokens(text string) string {
+	toks := token.Tokenize(text)
+	var b strings.Builder
+	for i := len(toks) - 1; i >= 0; i-- {
+		for _, r := range toks[i] {
+			if r >= 'a' && r <= 'z' {
+				r -= 'a' - 'A'
+			}
+			b.WriteRune(r)
+		}
+		b.WriteString(" ,")
+	}
+	if len(toks) > 0 {
+		b.WriteString(toks[0])
+	}
+	return b.String()
+}
+
 // FuzzCacheKey asserts that key canonicalization is total and stable:
 // arbitrary request bytes never panic, hashing is deterministic, and the
 // semantically-neutral rewrites (filter permutation/duplication, NaN
-// payloads, zero signs) always collide to the same key.
+// payloads, zero signs) always collide to the same key. MATCH filters key
+// by their operand's unique token set: a MATCH on the first and one on the
+// last text operand of the request share a key exactly when the operands'
+// token sets are equal, and a rewrite of an operand that keeps its token
+// set keeps its key.
 func FuzzCacheKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("S\x0a\x08\x04\x00\x00\x01\x04\x00\x00\x80\x3f\x00\x00\x80\x7f"))
 	f.Add([]byte{0x42, 0xff, 0x80, 0x7f, 0x01, 0x01, 0x02, 0x03, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x00, 0x80})
 	f.Add([]byte("B\x01\x01\x01\x01\x00\x00\x03\x02\x03tag\x06\x01dog park"))
+	f.Add([]byte("S\x01\x01\x01\x01\x00\x00\x01\x02\x04tags\x06\x02\x06cat dog\x04tags\x06\x02\x06DOG,ca"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req := requestFromBytes(data)
 		k1 := KeyOf(req)
@@ -190,6 +243,14 @@ func FuzzCacheKey(f *testing.F) {
 		}
 		if ck := KeyOf(permuteFilters(canonNaNZero(req))); ck != k1 {
 			t.Fatalf("composed rewrites changed the key: %x vs %x", k1, ck)
+		}
+		a, b := matchOperands(req)
+		ka, kb := KeyOf(matchRequest(a)), KeyOf(matchRequest(b))
+		if same := slices.Equal(token.Unique(a), token.Unique(b)); (ka == kb) != same {
+			t.Fatalf("MATCH %q and %q: equal keys %v, equal token sets %v", a, b, ka == kb, same)
+		}
+		if kr := KeyOf(matchRequest(sameTokens(a))); kr != ka {
+			t.Fatalf("MATCH %q and %q have one token set but different keys", a, sameTokens(a))
 		}
 	})
 }

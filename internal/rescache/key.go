@@ -65,6 +65,9 @@ type Request struct {
 //     operands alike.
 //   - Negative zero equals positive zero in every comparison and distance,
 //     so -0 maps to +0.
+//   - A MATCH filter means its query's unique token set, so a MATCH on a
+//     text operand is encoded as that set: "cat dog", "dog cat" and
+//     "CAT dog" share one key.
 //
 // Vector order within a batch is significant (results come back in request
 // order) and is preserved.
@@ -183,13 +186,26 @@ func canonFilter(f stats.Filter) string {
 }
 
 // encodePredicate renders one predicate injectively: length-prefixed
-// column, operator byte, canonical value. Unknown operator or type bytes
-// encode as themselves — garbage stays distinct from real predicates and
-// never panics.
+// column, operator byte, canonical value. A MATCH on a text operand means
+// the operand's unique token set, so its value encodes as that set (sorted
+// and deduplicated by token.Unique, each token length-prefixed): texts
+// that differ only in token order, case, punctuation or repeats share one
+// key. Unknown operator or type bytes encode as themselves — garbage stays
+// distinct from real predicates and never panics.
 func encodePredicate(p reldb.Predicate) string {
 	b := appendUvarint(nil, uint64(len(p.Column)))
 	b = append(b, p.Column...)
 	b = append(b, byte(p.Op))
+	if p.Op == reldb.OpMatch && p.Value.Type == reldb.TypeText {
+		toks := token.Unique(p.Value.Str)
+		b = append(b, byte(reldb.TypeText))
+		b = appendUvarint(b, uint64(len(toks)))
+		for _, t := range toks {
+			b = appendUvarint(b, uint64(len(t)))
+			b = append(b, t...)
+		}
+		return string(b)
+	}
 	b = appendValue(b, p.Value)
 	return string(b)
 }

@@ -14,10 +14,16 @@ import "sort"
 
 // Result is a single search hit: the caller-supplied identifier of the
 // vector's asset, the internal vector id, and its distance from the query.
+// Residual is set on the approximate candidates of a quantized scan only:
+// the decoded residual bound of the row (quant.ResidualBound), +Inf for a
+// row without one, which the exact rerank turns into a lower bound on the
+// row's exact distance. It fills what would be padding, so a Result stays
+// 32 bytes on 64-bit platforms.
 type Result struct {
 	AssetID  string
 	VectorID int64
 	Distance float32
+	Residual float32
 }
 
 // Heap is a bounded max-heap of the K nearest results. The root is the

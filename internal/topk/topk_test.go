@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewPanicsOnNonPositiveK(t *testing.T) {
@@ -241,5 +242,16 @@ func BenchmarkPush(b *testing.B) {
 	h := New(100)
 	for i := 0; i < b.N; i++ {
 		h.Push(Result{VectorID: int64(i), Distance: dists[i%len(dists)]})
+	}
+}
+
+// TestResultSize: the residual bound fills the padding after Distance, so a
+// Result stays 32 bytes on 64-bit platforms; candidate lists do not grow.
+func TestResultSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 32-byte layout is a 64-bit platform's")
+	}
+	if n := unsafe.Sizeof(Result{}); n != 32 {
+		t.Fatalf("Result is %d bytes, want 32", n)
 	}
 }

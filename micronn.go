@@ -27,10 +27,14 @@
 // vector id. Searches scan the codes with asymmetric distance kernels, keep
 // the top RerankFactor*K candidates, and rerank them against the exact
 // vectors — SearchRequest.RerankFactor tunes that recall/latency knob per
-// query.
+// query. Each code is stored with a byte bounding its quantization error,
+// so on L2 the rerank reads only the candidates that error cannot rule out
+// of the top K (PlanInfo.Reranked counts them); the results are those of a
+// full rerank.
 // The delta-store keeps float32 vectors, so streaming upserts never
 // retrain the codebook; out-of-range inserts clamp until the next Rebuild
-// refreshes it. Exact searches, pre-filter plans and Get always use the
+// refreshes it, and Stats.ResidualSum/ResidualRows track how far the
+// vectors encoded since then sit from their codes. Exact searches, pre-filter plans and Get always use the
 // raw store, preserving their full-precision contracts.
 //
 // QuantSQ4 halves the scan footprint again: two 4-bit codes are packed per
@@ -1378,6 +1382,14 @@ type Stats struct {
 	// ClipPercentile is the codebook trainer's quantile clip (0 when the
 	// database is unquantized or trains on the full value range).
 	ClipPercentile float64
+	// ResidualSum and ResidualRows gauge codebook drift on a quantized
+	// database: ResidualRows vectors were encoded by delta flushes since the
+	// codebook was last trained (by Rebuild), and ResidualSum sums their
+	// residuals ‖x − x̂‖₂, the distance between each vector and its decoded
+	// code. A mean residual that grows as rows arrive shows the codebook
+	// going stale. Both sum across shards.
+	ResidualSum  float64
+	ResidualRows int64
 	// CacheBytes is current buffer-pool memory; CacheBudget the limit.
 	CacheBytes  int64
 	CacheBudget int64
@@ -1473,6 +1485,8 @@ func indexStats(ix *ivf.Index, rt *storage.ReadTxn) (Stats, error) {
 	out.DeltaCount = st.DeltaCount
 	out.NumPartitions = st.NumPartitions
 	out.AvgPartitionSize = st.AvgPartitionSize
+	out.ResidualSum = st.ResidualSum
+	out.ResidualRows = st.ResidualRows
 	out.SmallestPartition, out.LargestPartition, err = ix.PartitionSizeBounds(rt)
 	return out, err
 }

@@ -715,3 +715,42 @@ func TestCacheEnvOverride(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheMatchKeyIsTokenSet: a MATCH filter means its query's unique
+// token set, so MATCH queries that differ only in token order or case are
+// one query to the result cache: "cat dog", "dog cat" and "CAT dog" make
+// one miss and one entry, and the later two are hits.
+func TestCacheMatchKeyIsTokenSet(t *testing.T) {
+	const dim = 8
+	db, err := Open(filepath.Join(t.TempDir(), "match.mnn"), Options{
+		Dim: dim, Seed: 1, ResultCache: ResultCacheOptions{Enabled: true},
+		Attributes: []AttributeDef{{Name: "tags", Type: AttrText, FullText: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	vecs := randomVecs(3, 50, dim)
+	items := make([]Item, len(vecs))
+	for i, v := range vecs {
+		items[i] = Item{ID: fmt.Sprintf("m%02d", i), Vector: v, Attributes: map[string]any{"tags": []string{"cat", "dog", "cat dog", "bird"}[i%4]}}
+	}
+	if err := db.UpsertBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	var first []Result
+	for i, text := range []string{"cat dog", "dog cat", "CAT dog"} {
+		resp, err := db.Search(SearchRequest{Vector: vecs[0], K: 5, Filters: []Filter{Match("tags", text)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = resp.Results
+		} else {
+			sameResults(t, text, resp.Results, first)
+		}
+	}
+	if cs := db.ResultCacheStats(); cs.Misses != 1 || cs.Hits != 2 || cs.Entries != 1 {
+		t.Fatalf("three MATCH texts with one token set: %d misses, %d hits, %d entries; want 1, 2, 1", cs.Misses, cs.Hits, cs.Entries)
+	}
+}

@@ -551,8 +551,11 @@ func TestSQ8OptionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sresp.Plan.Reranked != 50 {
-		t.Errorf("snapshot Reranked = %d, want 50 (K=5 * RerankFactor=10)", sresp.Plan.Reranked)
+	if sresp.Plan.Candidates != 50 {
+		t.Errorf("snapshot Candidates = %d, want 50 (K=5 * RerankFactor=10)", sresp.Plan.Candidates)
+	}
+	if sresp.Plan.Reranked < 5 || sresp.Plan.Reranked > sresp.Plan.Candidates {
+		t.Errorf("snapshot Reranked = %d, want between K=5 and Candidates=%d", sresp.Plan.Reranked, sresp.Plan.Candidates)
 	}
 	bresp, err := db.BatchSearch(BatchSearchRequest{Vectors: vecs[:8], K: 5, NProbe: 6})
 	if err != nil {
@@ -601,8 +604,11 @@ func TestSQ8ReopenKeepsCodebook(t *testing.T) {
 	if len(resp.Results) == 0 || resp.Results[0].ID != "v13" {
 		t.Fatalf("post-reopen results = %+v", resp.Results)
 	}
-	if resp.Plan.Reranked != 8 {
-		t.Errorf("Reranked = %d, want 8 (reopen RerankFactor override)", resp.Plan.Reranked)
+	if resp.Plan.Candidates != 8 {
+		t.Errorf("Candidates = %d, want 8 (reopen RerankFactor override)", resp.Plan.Candidates)
+	}
+	if resp.Plan.Reranked < 1 || resp.Plan.Reranked > resp.Plan.Candidates {
+		t.Errorf("Reranked = %d, want between K=1 and Candidates=%d", resp.Plan.Reranked, resp.Plan.Candidates)
 	}
 }
 

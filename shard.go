@@ -477,7 +477,7 @@ func scatterOuts[O any](r *router, reuse []*O, scan func(i int, sh *DB, cancel <
 // searchMerge pools the per-shard candidates into the final response
 // through the one-query case of merge.
 func (r *router) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []searchOut) (*SearchResponse, error) {
-	res, reranked, rb, err := merge(r, rts, [][]float32{req.Vector}, req.K, req.RerankFactor, outs)
+	res, cands, rb, err := merge(r, rts, [][]float32{req.Vector}, req.K, req.RerankFactor, outs)
 	if err != nil {
 		return nil, err
 	}
@@ -488,9 +488,11 @@ func (r *router) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []s
 		agg.VectorsScanned += o.info.VectorsScanned
 		agg.RowsFiltered += o.info.RowsFiltered
 		agg.BytesScanned += o.info.BytesScanned
+		agg.Candidates += o.info.Candidates
 		agg.Reranked += o.info.Reranked
 	}
-	agg.Reranked += int(reranked)
+	agg.Candidates += int(cands)
+	agg.Reranked += int(r.rowsRead(rb))
 	agg.BytesScanned += rb
 	return &SearchResponse{Results: res[0], Plan: agg}, nil
 }
@@ -500,9 +502,15 @@ func (r *router) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []s
 // results; approximate candidates are pooled across shards, cut to the
 // single-store rerank budget K·RerankFactor, and each survivor is reranked
 // on the shard whose raw store holds its exact vector. The union is then
-// sorted and cut to K. merge never mutates outs: cached candidate sets
+// sorted and cut to K. Each shard returns only its own top K, so it may
+// stop reading once its residual bounds rule the rest out: the union still
+// holds the global top K, because a row the (distance, shard, vid) cut
+// keeps has fewer than K rows ahead of it overall, so fewer than K of its
+// own shard's, and a shard's K-th exact distance is never below the
+// global one. merge returns the candidates it handed to the shards and
+// the raw bytes they read. merge never mutates outs: cached candidate sets
 // flow through here on every partial reuse.
-func merge[I any](r *router, rts []*storage.ReadTxn, queries [][]float32, k, rerankFactor int, outs []shardOut[I]) (out [][]Result, reranked, bytesRead int64, err error) {
+func merge[I any](r *router, rts []*storage.ReadTxn, queries [][]float32, k, rerankFactor int, outs []shardOut[I]) (out [][]Result, handed, bytesRead int64, err error) {
 	nq := len(queries)
 	pools := make([][]shardCand, nq)
 	var groups [][][]topk.Result // [shard][query] candidates to rerank
@@ -542,12 +550,12 @@ func merge[I any](r *router, rts []*storage.ReadTxn, queries [][]float32, k, rer
 				if len(g) == 0 {
 					continue
 				}
-				exact, rb, err := sh.ix.RerankCandidates(rts[i], queries[qi], g, len(g))
+				exact, rb, err := sh.ix.RerankCandidates(rts[i], queries[qi], g, k)
 				if err != nil {
 					return err
 				}
 				mu.Lock()
-				reranked += int64(len(g))
+				handed += int64(len(g))
 				bytesRead += rb
 				for _, c := range exact {
 					pools[qi] = append(pools[qi], shardCand{Result: c, shard: i})
@@ -572,7 +580,13 @@ func merge[I any](r *router, rts []*storage.ReadTxn, queries [][]float32, k, rer
 			out[qi][i] = Result{ID: c.AssetID, Distance: c.Distance}
 		}
 	}
-	return out, reranked, bytesRead, nil
+	return out, handed, bytesRead, nil
+}
+
+// rowsRead converts the raw bytes a rerank read into the rows it read:
+// each is one float32 vector.
+func (r *router) rowsRead(bytes int64) int64 {
+	return bytes / int64(vec.BlobSize(r.shards[0].ix.Config().Dim))
 }
 
 // BatchSearch executes many queries with multi-query optimization: each
@@ -636,7 +650,7 @@ func (r *router) batchScatter(rts []*storage.ReadTxn, req BatchSearchRequest, qu
 // batchMerge pools the per-shard per-query candidates into the final
 // response through merge.
 func (r *router) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, outs []batchOut) (*BatchSearchResponse, error) {
-	res, reranked, rb, err := merge(r, rts, req.Vectors, req.K, req.RerankFactor, outs)
+	res, _, rb, err := merge(r, rts, req.Vectors, req.K, req.RerankFactor, outs)
 	if err != nil {
 		return nil, err
 	}
@@ -650,7 +664,7 @@ func (r *router) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, outs
 		agg.BytesScanned += o.info.BytesScanned
 		agg.Reranked += o.info.Reranked
 	}
-	agg.Reranked += reranked
+	agg.Reranked += r.rowsRead(rb)
 	agg.BytesScanned += rb
 	return &BatchSearchResponse{Results: res, Info: agg}, nil
 }
@@ -1022,9 +1036,9 @@ func (s *ShardedDB) Maintain() (*MaintenanceReport, error) {
 	return s.scatterReports((*DB).Maintain)
 }
 
-// AggregateStats folds per-shard stats into whole-database numbers: counts,
-// cache and file sizes sum; the partition-size bounds are the min/max over
-// shards. ShardedDB.Stats is
+// AggregateStats folds per-shard stats into whole-database numbers:
+// counts, cache and file sizes and the drift gauge's sums sum; the
+// partition-size bounds are the min/max over shards. ShardedDB.Stats is
 // AggregateStats over ShardStats; callers that already hold the per-shard
 // slice (e.g. to print a breakdown) can aggregate it without a second
 // scatter.
@@ -1034,6 +1048,8 @@ func AggregateStats(per []Stats) Stats {
 		out.NumVectors += st.NumVectors
 		out.DeltaCount += st.DeltaCount
 		out.NumPartitions += st.NumPartitions
+		out.ResidualSum += st.ResidualSum
+		out.ResidualRows += st.ResidualRows
 		if st.SmallestPartition > 0 && (out.SmallestPartition == 0 || st.SmallestPartition < out.SmallestPartition) {
 			out.SmallestPartition = st.SmallestPartition
 		}
