@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -503,11 +504,12 @@ func cacheBenchItems(rng *rand.Rand, prefix string, n, dim int) []micronn.Item {
 }
 
 // buildCacheBenchStore loads n vectors of dimension 64 into a cached store
-// (a DB, or a ShardedDB when shards > 0) and builds its index.
-func buildCacheBenchStore(b *testing.B, rng *rand.Rand, n, shards int) micronn.Store {
+// (a DB, or a ShardedDB when shards > 0) and builds its index; indexed
+// gives attribute n a secondary index.
+func buildCacheBenchStore(b *testing.B, rng *rand.Rand, n, shards int, indexed bool) micronn.Store {
 	b.Helper()
 	opts := micronn.Options{Dim: 64, Seed: 1, Shards: shards, ResultCache: micronn.ResultCacheOptions{Enabled: true},
-		Attributes: []micronn.AttributeDef{{Name: "n", Type: micronn.AttrInt}}}
+		Attributes: []micronn.AttributeDef{{Name: "n", Type: micronn.AttrInt, Indexed: indexed}}}
 	var st micronn.Store
 	var err error
 	if shards > 0 {
@@ -603,7 +605,7 @@ func BenchmarkResultCacheCoalescing(b *testing.B) {
 		n, rounds = 2000, 50
 	}
 	rng := rand.New(rand.NewSource(1))
-	st := buildCacheBenchStore(b, rng, n, 2)
+	st := buildCacheBenchStore(b, rng, n, 2, false)
 	defer st.Close()
 	hot := cacheBenchItems(rng, "q", 20, 64)
 	const clients = 4
@@ -641,7 +643,7 @@ func BenchmarkResultCacheAdmission(b *testing.B) {
 		n, rounds = 2000, 100
 	}
 	rng := rand.New(rand.NewSource(1))
-	st := buildCacheBenchStore(b, rng, n, 0)
+	st := buildCacheBenchStore(b, rng, n, 0, false)
 	defer st.Close()
 	pool := cacheBenchItems(rng, "q", 2000, 64)
 	oneOff := cacheBenchItems(rng, "o", 4096, 64)
@@ -670,6 +672,59 @@ func BenchmarkResultCacheAdmission(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*clients*rounds)/time.Since(start).Seconds(), "searches/s")
 	b.ReportMetric(ratio/float64(b.N), "hit-ratio")
+}
+
+// BenchmarkResultCacheNegative times cached empty responses: 2 clients
+// send selective two-filter queries, drawn by Zipf (s=1.1) from 2,000, to a
+// cached store of 20k 64-dim vectors (2k under -short) with an indexed
+// attribute while an upsert commits every 5 ms. Each query asks for one of
+// 32 attribute values that only the writer's 4 live items carry, so most
+// responses are empty, and every write invalidates every entry. It reports
+// searches/s, the cache hit ratio and the share of empty responses; ROADMAP
+// item 11 records its A/B against empty responses bypassing the doorkeeper.
+func BenchmarkResultCacheNegative(b *testing.B) {
+	n, rounds := 20000, 20000
+	if testing.Short() {
+		n, rounds = 2000, 200
+	}
+	rng := rand.New(rand.NewSource(1))
+	st := buildCacheBenchStore(b, rng, n, 0, true)
+	defer st.Close()
+	const values = 32
+	reqs := make([]micronn.SearchRequest, 2000)
+	for i, it := range cacheBenchItems(rng, "q", len(reqs), 64) {
+		v := int64(1000 + i%values)
+		reqs[i] = micronn.SearchRequest{Vector: it.Vector, K: 10,
+			Filters: []micronn.Filter{micronn.Ge("n", v), micronn.Lt("n", v+1)}}
+	}
+	fresh := cacheBenchItems(rng, "w", 4096, 64)
+	const clients = 2
+	zipfs := make([]*rand.Zipf, clients)
+	for c := range zipfs {
+		zipfs[c] = rand.NewZipf(rand.New(rand.NewSource(int64(c+2))), 1.1, 1, uint64(len(reqs)-1))
+	}
+	var ratio float64
+	var empty atomic.Int64
+	b.ResetTimer()
+	start := time.Now()
+	for range b.N {
+		ratio += runCacheClients(b, st, clients, rounds, 5*time.Millisecond, func(i int) error {
+			it := fresh[i%len(fresh)]
+			it.ID = fmt.Sprintf("w%d", i%4)
+			it.Attributes = map[string]any{"n": int64(1000 + (i*7)%values)}
+			return st.Upsert(it)
+		}, func(c, _ int) error {
+			resp, err := st.Search(reqs[zipfs[c].Uint64()])
+			if err == nil && len(resp.Results) == 0 {
+				empty.Add(1)
+			}
+			return err
+		})
+	}
+	searches := float64(b.N * clients * rounds)
+	b.ReportMetric(searches/time.Since(start).Seconds(), "searches/s")
+	b.ReportMetric(ratio/float64(b.N), "hit-ratio")
+	b.ReportMetric(float64(empty.Load())/searches, "empty-share")
 }
 
 // TestTailMs: the reported tail always has at least ten samples above it.

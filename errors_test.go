@@ -363,7 +363,12 @@ func TestHugeKRejected(t *testing.T) {
 				// MICRONN_TEST_QUANT may quantize the QuantNone store.
 				quantized := stats.Quantization != QuantNone
 				qv := vecs[0]
-				for _, k := range []int{1 << 40, 1 << 62, math.MaxInt} {
+				// K values past MaxInt32; a 32-bit int holds none of them.
+				for _, k64 := range []int64{1 << 40, 1 << 62, math.MaxInt64} {
+					if k64 > math.MaxInt {
+						continue
+					}
+					k := int(k64)
 					if _, err := st.Search(SearchRequest{Vector: qv, K: k}); !errors.Is(err, ErrBadRequest) {
 						t.Fatalf("Search K=%d: %v, want ErrBadRequest", k, err)
 					}

@@ -249,8 +249,6 @@ func (r *HybridResponse) cacheSize() int64 {
 	return n
 }
 
-func (r *HybridResponse) empty() bool { return len(r.Results) == 0 }
-
 // hybridCompute runs both legs across the shard set at the pinned
 // transactions. The lexical leg is two-phase: (1) every shard reports its
 // local df/N/length statistics, which the router sums into the global

@@ -18,10 +18,11 @@ import (
 // commit — writing into the WAL'd delta store. Callers receive their
 // group's commit error, so an Upsert that returned nil is on disk exactly
 // as a per-call transaction would have left it; what group commit changes
-// is cost: one gate acquisition, one WAL append/sync and one
-// data-generation bump are amortized over the whole group instead of paid
-// per point write. The delta is bounded by maintenance (Maintain's flush
-// past Options.FlushThreshold, or AutoMaintain), not by the committer.
+// is cost: one gate acquisition, one WAL append/sync and one commit,
+// which moves the result cache's horizon once, are amortized over the
+// whole group instead of paid per point write. The delta is bounded by
+// maintenance (Maintain's flush past Options.FlushThreshold, or
+// AutoMaintain), not by the committer.
 
 // ingestOp is one writer's enqueued unit of work: either an upsert batch
 // (items + pre-converted attributes, index-aligned) or a delete batch.

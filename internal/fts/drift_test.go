@@ -12,6 +12,7 @@ import (
 
 	"micronn/internal/reldb"
 	"micronn/internal/storage"
+	"micronn/internal/token"
 )
 
 // driftOracle is a naive reference model of the index: the text of every
@@ -22,7 +23,7 @@ type driftOracle map[int64]string
 func (o driftOracle) docFreq(tok string) int64 {
 	var n int64
 	for _, text := range o {
-		if slices.Contains(UniqueTokens(text), tok) {
+		if slices.Contains(token.Unique(text), tok) {
 			n++
 		}
 	}
@@ -32,7 +33,7 @@ func (o driftOracle) docFreq(tok string) int64 {
 func (o driftOracle) totalLen() int64 {
 	var n int64
 	for _, text := range o {
-		n += int64(len(UniqueTokens(text)))
+		n += int64(len(token.Unique(text)))
 	}
 	return n
 }
@@ -72,7 +73,7 @@ func checkAgainstOracle(t *testing.T, db *reldb.DB, ix *Index, o driftOracle, vo
 			t.Errorf("%s: Check: %v", label, err)
 		}
 		for id, text := range o {
-			if want := int64(len(UniqueTokens(text))); docs[id] != want {
+			if want := int64(len(token.Unique(text))); docs[id] != want {
 				t.Errorf("%s: doc %d has %d postings, want %d", label, id, docs[id], want)
 			}
 			delete(docs, id)
@@ -106,7 +107,7 @@ func TestStatDriftRoundTripZero(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			db, ix := testIndex(t)
-			vocab := UniqueTokens(strings.Join(c.texts, " "))
+			vocab := token.Unique(strings.Join(c.texts, " "))
 			update := func(fn func(wt *storage.WriteTxn) error) error { return db.Store().Update(fn) }
 			for i, text := range c.texts {
 				if err := update(func(wt *storage.WriteTxn) error { return ix.Add(wt, 7, text) }); err != nil {

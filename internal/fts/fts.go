@@ -36,9 +36,6 @@ const docCountKey = "#docs"
 // O(1). Same no-collision argument as docCountKey.
 const tokenLenKey = "#len"
 
-// UniqueTokens returns the deduplicated, sorted token set of s.
-func UniqueTokens(s string) []string { return token.Unique(s) }
-
 // Index is an inverted token index over int64 document ids.
 type Index struct {
 	postings *reldb.Table // (token TEXT, doc INTEGER) -> (len INTEGER)
@@ -127,7 +124,7 @@ func (ix *Index) Remove(wt *storage.WriteTxn, id int64, text string) error {
 // update adds (sign 1) or removes (sign -1) document id's postings and its
 // share of the statistics.
 func (ix *Index) update(wt *storage.WriteTxn, id int64, text string, sign int64) error {
-	toks := UniqueTokens(text)
+	toks := token.Unique(text)
 	n := int64(len(toks))
 	for _, tok := range toks {
 		if sign > 0 {
@@ -174,7 +171,7 @@ func (ix *Index) TotalTokens(txn btree.ReadTxn) (int64, error) {
 }
 
 // MatchScan streams, in ascending id order, the documents containing every
-// one of tokens, a query's unique tokens (see UniqueTokens). It drives the
+// one of tokens, a query's unique tokens (see token.Unique). It drives the
 // scan from the rarest token's posting list and probes the others, so cost
 // is proportional to the best selectivity. No tokens match nothing, so a
 // planner must not drive from them: a MATCH without tokens constrains
@@ -228,7 +225,7 @@ func (ix *Index) MatchScan(txn btree.ReadTxn, tokens []string, fn func(id int64)
 func (ix *Index) BindPostings(s *reldb.Seeker, txn btree.ReadTxn) { s.Reset(ix.postings, txn) }
 
 // ContainsAllTokens reports whether document id carries every one of
-// tokens, a query's unique tokens (see UniqueTokens), answered by posting
+// tokens, a query's unique tokens (see token.Unique), answered by posting
 // probes through postings, a seeker bound with BindPostings. No tokens
 // constrain nothing. Probing ids in ascending order keeps the seeker in the
 // leaves it holds.

@@ -9,6 +9,7 @@ import (
 	"micronn/internal/btree"
 	"micronn/internal/reldb"
 	"micronn/internal/storage"
+	"micronn/internal/token"
 )
 
 func testIndex(t *testing.T) (*reldb.DB, *Index) {
@@ -38,7 +39,7 @@ func testIndex(t *testing.T) (*reldb.DB, *Index) {
 // matchCount counts the documents MatchScan finds for query.
 func matchCount(rt btree.ReadTxn, ix *Index, query string) (int64, error) {
 	var n int64
-	err := ix.MatchScan(rt, UniqueTokens(query), func(int64) error {
+	err := ix.MatchScan(rt, token.Unique(query), func(int64) error {
 		n++
 		return nil
 	})
@@ -84,17 +85,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestUniqueTokens(t *testing.T) {
-	got := UniqueTokens("cat dog cat bird dog")
-	want := []string{"bird", "cat", "dog"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueTokens = %v, want %v", got, want)
-	}
-	if UniqueTokens("") != nil {
-		t.Error("UniqueTokens(empty) should be nil")
-	}
-}
-
 // TestMatch: ContainsAllTokens answers MATCH by posting probes, with the
 // conjunctive, case-insensitive semantics, and a query without tokens
 // constrains nothing.
@@ -126,7 +116,7 @@ func TestMatch(t *testing.T) {
 		var s reldb.Seeker
 		ix.BindPostings(&s, rt)
 		for i, c := range cases {
-			got, err := ix.ContainsAllTokens(&s, int64(i), UniqueTokens(c.query))
+			got, err := ix.ContainsAllTokens(&s, int64(i), token.Unique(c.query))
 			if err != nil {
 				return err
 			}
@@ -175,7 +165,7 @@ func TestAddAndMatchScan(t *testing.T) {
 	err = db.Store().View(func(rt *storage.ReadTxn) error {
 		for _, c := range queryCases {
 			var got []int64
-			err := ix.MatchScan(rt, UniqueTokens(c.query), func(id int64) error {
+			err := ix.MatchScan(rt, token.Unique(c.query), func(id int64) error {
 				got = append(got, id)
 				return nil
 			})
@@ -278,7 +268,7 @@ func TestMatchScanUsesRarestToken(t *testing.T) {
 	}
 	err = db.Store().View(func(rt *storage.ReadTxn) error {
 		var got []int64
-		err := ix.MatchScan(rt, UniqueTokens("common rare"), func(id int64) error {
+		err := ix.MatchScan(rt, token.Unique("common rare"), func(id int64) error {
 			got = append(got, id)
 			return nil
 		})

@@ -161,7 +161,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		st.ResidualSum, st.ResidualRows = 0, 0
 		st.NextPartID = 1
 		st.Generation++
-		st.DataGen++
 		if err := ix.putState(wt, st); err != nil {
 			return nil, err
 		}
@@ -295,7 +294,6 @@ func (ix *Index) Rebuild(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 	// The codebook was just trained: the drift gauge starts over.
 	st.ResidualSum, st.ResidualRows = 0, 0
 	st.Generation++
-	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return nil, err
 	}
@@ -408,7 +406,6 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 
 	st.DeltaCount = 0
 	st.Generation++
-	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return nil, err
 	}
@@ -436,10 +433,11 @@ func (ix *Index) freshCounts(txn btree.ReadTxn, ids []int64) ([]int64, error) {
 
 // AnalyzeAttributes refreshes the optimizer's statistics for the attribute
 // columns of the vids table. It bumps the generation, so searches load the
-// fresh statistics, and the data generation even though no rows change:
-// fresh statistics can flip the optimizer's pre/post-filter choice, and the
-// two plans may rank borderline candidates differently — a cached response
-// must not outlive the plan decision that produced it.
+// fresh statistics. No rows change, but its commit still moves the store's
+// commit horizon, and with it the result cache's generation: fresh
+// statistics can flip the optimizer's pre/post-filter choice, and the two
+// plans may rank borderline candidates differently — a cached response must
+// not outlive the plan decision that produced it.
 func (ix *Index) AnalyzeAttributes(wt *storage.WriteTxn) error {
 	if len(ix.cfg.Attributes) == 0 {
 		return nil
@@ -452,7 +450,6 @@ func (ix *Index) AnalyzeAttributes(wt *storage.WriteTxn) error {
 		return err
 	}
 	st.Generation++
-	st.DataGen++
 	return ix.putState(wt, st)
 }
 

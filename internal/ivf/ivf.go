@@ -144,8 +144,10 @@ type Config struct {
 	TargetPartitionSize int `json:"target_partition_size"`
 	// Attributes declares the filterable attributes.
 	Attributes []AttributeDef `json:"attributes"`
-	// Workers bounds scan parallelism (default GOMAXPROCS).
-	Workers int `json:"workers"`
+	// Workers bounds scan parallelism (default GOMAXPROCS). It is a
+	// setting of the open index, not persisted: Open starts from the
+	// default, and SetWorkers overrides it.
+	Workers int `json:"-"`
 	// ClusterBatchSize and BalancePenalty feed the mini-batch k-means
 	// trainer (zero values pick its defaults).
 	ClusterBatchSize int     `json:"cluster_batch_size"`
@@ -208,16 +210,6 @@ type state struct {
 	// codebook or optimizer statistics (rebuild, flush, split, merge,
 	// analyze); it keys the in-memory derived-state cache (see load).
 	Generation int64 `json:"generation"`
-	// DataGen increments inside every committed transaction that can
-	// change any query-visible data: upserts, deletes, flushes, splits,
-	// merges, rebuilds and attribute-statistics refreshes. It is strictly
-	// finer-grained than Generation (every Generation bump is also a
-	// DataGen bump, but point writes bump only DataGen, so the
-	// derived-state cache survives streaming updates). The micronn result
-	// cache records it per entry: an unchanged DataGen at a later read
-	// snapshot proves the visible data is identical, so a cached response
-	// may be served verbatim.
-	DataGen int64 `json:"data_gen,omitempty"`
 	// ResidualSum and ResidualRows gauge codebook drift: the summed
 	// residuals ‖x − x̂‖₂ of the rows FlushDelta encoded since the last
 	// codebook training (Rebuild resets both), and their number. Rows
@@ -631,6 +623,16 @@ func copied(a AttributeDef) bool {
 // Config returns the index configuration.
 func (ix *Index) Config() Config { return ix.cfg }
 
+// SetWorkers overrides the scan parallelism; n <= 0 keeps the default,
+// GOMAXPROCS. Like SetRerankFactor it is a setting of the open index, not
+// persisted. Call before serving queries; it is not synchronized with
+// searches.
+func (ix *Index) SetWorkers(n int) {
+	if n > 0 {
+		ix.cfg.Workers = n
+	}
+}
+
 // SetRerankFactor overrides the default rerank multiplier for quantized
 // searches. Unlike the persisted create-time configuration this is a pure
 // search-time setting, so reopening callers may apply their own default.
@@ -672,10 +674,6 @@ type Stats struct {
 	// AvgPartitionSize is vectors-per-partition over the IVF partitions
 	// (excluding the delta).
 	AvgPartitionSize float64
-	Generation       int64
-	// DataGen is the data-generation counter backing the result cache
-	// (see state.DataGen).
-	DataGen int64
 	// ResidualSum and ResidualRows are the codebook drift gauge (see
 	// state.ResidualSum): their quotient is the mean residual of the rows
 	// encoded since the codebook was trained.
@@ -693,8 +691,6 @@ func (ix *Index) Stats(txn btree.ReadTxn) (Stats, error) {
 		NumVectors:    st.NumVectors,
 		DeltaCount:    st.DeltaCount,
 		NumPartitions: st.NumPartitions,
-		Generation:    st.Generation,
-		DataGen:       st.DataGen,
 		ResidualSum:   st.ResidualSum,
 		ResidualRows:  st.ResidualRows,
 	}
@@ -702,21 +698,6 @@ func (ix *Index) Stats(txn btree.ReadTxn) (Stats, error) {
 		s.AvgPartitionSize = float64(st.NumVectors-st.DeltaCount) / float64(st.NumPartitions)
 	}
 	return s, nil
-}
-
-// DataGeneration returns the data-generation counter visible at txn's
-// snapshot. The counter increments inside every committed transaction that
-// can change query-visible data (upserts, deletes, flushes, splits,
-// merges, rebuilds, statistics refreshes) and is persisted in the meta
-// state row, transactionally with the changes it versions — two read
-// snapshots observing the same value observe identical data. The micronn
-// result cache is keyed on it.
-func (ix *Index) DataGeneration(txn btree.ReadTxn) (int64, error) {
-	st, err := ix.getState(txn)
-	if err != nil {
-		return 0, err
-	}
-	return st.DataGen, nil
 }
 
 // Upsert inserts or replaces the vector for asset (upsert semantics keyed
@@ -785,7 +766,6 @@ func (ix *Index) Upsert(wt *storage.WriteTxn, asset string, vector []float32, at
 
 	st.NumVectors++
 	st.DeltaCount++
-	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return err
 	}
@@ -805,7 +785,6 @@ func (ix *Index) Delete(wt *storage.WriteTxn, asset string) error {
 	if !removed {
 		return ErrNotFound
 	}
-	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return err
 	}

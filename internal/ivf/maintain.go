@@ -430,7 +430,6 @@ func (ix *Index) ApplySplit(wt *storage.WriteTxn, plan *SplitPlan) (*Maintenance
 	st.NumPartitions += int64(nonEmpty - 1)
 	st.NextPartID = next
 	st.Generation++
-	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return nil, err
 	}
@@ -574,7 +573,6 @@ func (ix *Index) MergePartitions(wt *storage.WriteTxn, parts ...int64) (*Mainten
 	}
 
 	st.Generation++
-	st.DataGen++
 	if err := ix.putState(wt, st); err != nil {
 		return nil, err
 	}

@@ -7,8 +7,7 @@ import (
 
 // TestAdmissionDoorkeeper covers the filter-heavy TTL doorkeeper: a
 // filter-heavy entry is stored only on its second sighting inside the
-// admission TTL, a sighting past the TTL starts the count over, and
-// negative entries bypass the doorkeeper entirely.
+// admission TTL, and a sighting past the TTL starts the count over.
 func TestAdmissionDoorkeeper(t *testing.T) {
 	c := New(8, 1<<20)
 	var now int64
@@ -17,8 +16,8 @@ func TestAdmissionDoorkeeper(t *testing.T) {
 	k := keyN(1)
 	heavy := PutPolicy{FilterHeavy: true}
 
-	c.PutWithPolicy(k, []int64{1}, "a", 100, heavy)
-	if _, _, out := c.Get(k, []int64{1}); out != Miss {
+	c.PutWithPolicy(k, []uint64{1}, "a", 100, heavy)
+	if _, _, out := c.Get(k, []uint64{1}); out != Miss {
 		t.Fatalf("first filter-heavy put must be deferred, got %v", out)
 	}
 	if st := c.Stats(); st.AdmissionDeferred != 1 || st.Entries != 0 {
@@ -27,24 +26,24 @@ func TestAdmissionDoorkeeper(t *testing.T) {
 
 	// Second sighting within the TTL: admitted.
 	now += int64(30 * time.Second)
-	c.PutWithPolicy(k, []int64{1}, "a", 100, heavy)
-	if v, _, out := c.Get(k, []int64{1}); out != Hit || v != "a" {
+	c.PutWithPolicy(k, []uint64{1}, "a", 100, heavy)
+	if v, _, out := c.Get(k, []uint64{1}); out != Hit || v != "a" {
 		t.Fatalf("second sighting not admitted: %v, %v", v, out)
 	}
 
 	// Once resident, refreshes skip the doorkeeper — a generation bump
 	// must not evict-and-defer.
-	c.PutWithPolicy(k, []int64{2}, "a2", 100, heavy)
-	if v, _, out := c.Get(k, []int64{2}); out != Hit || v != "a2" {
+	c.PutWithPolicy(k, []uint64{2}, "a2", 100, heavy)
+	if v, _, out := c.Get(k, []uint64{2}); out != Hit || v != "a2" {
 		t.Fatalf("refresh of resident entry deferred: %v, %v", v, out)
 	}
 
 	// A sighting whose predecessor fell outside the TTL starts over.
 	k2 := keyN(2)
-	c.PutWithPolicy(k2, []int64{1}, "b", 100, heavy)
+	c.PutWithPolicy(k2, []uint64{1}, "b", 100, heavy)
 	now += int64(2 * time.Minute)
-	c.PutWithPolicy(k2, []int64{1}, "b", 100, heavy)
-	if _, _, out := c.Get(k2, []int64{1}); out != Miss {
+	c.PutWithPolicy(k2, []uint64{1}, "b", 100, heavy)
+	if _, _, out := c.Get(k2, []uint64{1}); out != Miss {
 		t.Fatalf("expired sighting must not admit, got %v", out)
 	}
 	if st := c.Stats(); st.AdmissionDeferred != 3 {
@@ -52,25 +51,15 @@ func TestAdmissionDoorkeeper(t *testing.T) {
 	}
 	// ...and the re-registered sighting admits the next one.
 	now += int64(time.Second)
-	c.PutWithPolicy(k2, []int64{1}, "b", 100, heavy)
-	if v, _, out := c.Get(k2, []int64{1}); out != Hit || v != "b" {
+	c.PutWithPolicy(k2, []uint64{1}, "b", 100, heavy)
+	if v, _, out := c.Get(k2, []uint64{1}); out != Hit || v != "b" {
 		t.Fatalf("post-expiry second sighting not admitted: %v, %v", v, out)
-	}
-
-	// Negative responses bypass the doorkeeper even when filter-heavy.
-	k3 := keyN(3)
-	c.PutWithPolicy(k3, []int64{1}, "empty", 50, PutPolicy{FilterHeavy: true, Negative: true})
-	if v, _, out := c.Get(k3, []int64{1}); out != Hit || v != "empty" {
-		t.Fatalf("negative entry not cached immediately: %v, %v", v, out)
-	}
-	if st := c.Stats(); st.NegativePuts != 1 {
-		t.Fatalf("NegativePuts = %d, want 1", st.NegativePuts)
 	}
 
 	// Plain puts are untouched by the doorkeeper.
 	k4 := keyN(4)
-	c.PutWithPolicy(k4, []int64{1}, "plain", 50, PutPolicy{})
-	if _, _, out := c.Get(k4, []int64{1}); out != Hit {
+	c.PutWithPolicy(k4, []uint64{1}, "plain", 50, PutPolicy{})
+	if _, _, out := c.Get(k4, []uint64{1}); out != Hit {
 		t.Fatalf("plain policy put not cached, got %v", out)
 	}
 }
@@ -85,7 +74,7 @@ func TestAdmissionTrackerBound(t *testing.T) {
 
 	heavy := PutPolicy{FilterHeavy: true}
 	for i := 0; i < admissionMaxTracked+64; i++ {
-		c.PutWithPolicy(keyN(i), []int64{1}, i, 10, heavy)
+		c.PutWithPolicy(keyN(i), []uint64{1}, i, 10, heavy)
 	}
 	c.mu.Lock()
 	n := len(c.seen)
@@ -97,7 +86,7 @@ func TestAdmissionTrackerBound(t *testing.T) {
 	// After the TTL passes, a new wave prunes the stale sightings instead
 	// of resetting live ones.
 	now += int64(2 * time.Minute)
-	c.PutWithPolicy(keyN(0), []int64{1}, 0, 10, heavy)
+	c.PutWithPolicy(keyN(0), []uint64{1}, 0, 10, heavy)
 	c.mu.Lock()
 	n = len(c.seen)
 	c.mu.Unlock()

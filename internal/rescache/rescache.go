@@ -1,17 +1,17 @@
 // Package rescache implements MicroNN's generation-versioned query result
 // cache: a bounded LRU of search responses keyed by a canonicalized query
 // fingerprint (see KeyOf) and validated against monotonically increasing
-// data-generation counters.
+// generations.
 //
-// The contract is exact, not heuristic: every committed write transaction
-// that can change query-visible data bumps its store's generation (see
-// ivf.Index.DataGeneration), an entry records the generations of the
+// The contract is exact, not heuristic. A generation is a store's commit
+// horizon (storage.ReadTxn.Horizon): every commit on the open store handle
+// moves it, and nothing else does. An entry records the generations of the
 // store(s) it was computed against, and a lookup serves the entry only when
-// every recorded generation still matches the generation visible at the
-// caller's read snapshot. Matching generations mean the visible data is
-// identical, so the cached response is byte-identical to re-running the
-// query — the staleness oracle in micronn_cache_test.go holds the cache to
-// exactly that standard.
+// every recorded generation still matches the generation of the caller's
+// read snapshot. Matching generations mean the visible data is identical,
+// so the cached response is byte-identical to re-running the query — the
+// staleness oracle in micronn_cache_test.go holds the cache to exactly
+// that standard.
 //
 // Entries carry one generation per backing store: a single-store database
 // uses a one-element slice, a sharded database one generation per shard. A
@@ -19,10 +19,10 @@
 // entry (Outcome Stale) so the sharded router can reuse the candidate sets
 // of unchanged shards and re-scan only the shards whose generation moved.
 //
-// The cache is process-local and never persisted. That makes crash
-// semantics trivially safe: a post-crash reopen may reuse generation
-// numbers rolled back with the WAL, but no cache survives the process that
-// recorded them.
+// The cache is process-local and never persisted. That makes reopen and
+// crash semantics trivially safe: a reopened store, after a crash or not,
+// may reuse horizons, but no cache outlives the store handle whose horizons
+// it records.
 //
 // Memory is bounded by both an entry count and an approximate byte budget;
 // the least-recently-used entry is evicted first. Do provides singleflight
@@ -31,6 +31,7 @@ package rescache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"time"
 )
@@ -51,10 +52,6 @@ type Stats struct {
 	// stale entry (sharded databases only: shards whose generation had not
 	// moved contributed their cached candidates without being re-scanned).
 	SkippedScans uint64
-	// NegativePuts counts cached negative responses (zero results) — they
-	// bypass the admission doorkeeper because they are tiny and the scans
-	// they avoid tend to be the expensive, filter-heavy kind.
-	NegativePuts uint64
 	// AdmissionDeferred counts filter-heavy responses NOT cached because
 	// the doorkeeper had not seen their key recently: a filter-heavy key
 	// is admitted only on its second occurrence within the admission TTL,
@@ -81,7 +78,7 @@ const (
 // entry is one cached response.
 type entry struct {
 	key  Key
-	gens []int64
+	gens []uint64
 	val  any
 	size int64
 }
@@ -101,8 +98,7 @@ type Cache struct {
 	index      map[Key]*list.Element
 	bytes      int64
 
-	hits, misses, invalidations, evictions, skipped uint64
-	negPuts, admDeferred                            uint64
+	hits, misses, invalidations, evictions, skipped, admDeferred uint64
 
 	// Filter-heavy admission doorkeeper: first-sighting timestamps (unix
 	// nanos) keyed by fingerprint, consulted by PutWithPolicy. nowFn is
@@ -128,10 +124,6 @@ type PutPolicy struct {
 	// FilterHeavy marks a response to a query with a large filter set —
 	// subject to the second-occurrence doorkeeper.
 	FilterHeavy bool
-	// Negative marks an empty response (zero results). Negative responses
-	// bypass the doorkeeper: caching them is nearly free and the queries
-	// they answer are often repeated verbatim (UI polling an empty state).
-	Negative bool
 }
 
 // flight is one in-progress singleflight computation.
@@ -172,37 +164,23 @@ func (c *Cache) SetClock(now func() int64) {
 	c.mu.Unlock()
 }
 
-// GensEqual reports whether two generation vectors are element-wise equal
-// (also exposed for the caller-side singleflight revalidation protocol).
-func GensEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Get looks up key and validates the stored entry against gens, recording
 // the outcome in the stats. On Hit the cached value is returned; on Stale
 // the (outdated) value and its recorded generations are returned so the
 // caller may reuse the positions that still match. Callers must not mutate
 // the returned value or generation slice.
-func (c *Cache) Get(key Key, gens []int64) (any, []int64, Outcome) {
+func (c *Cache) Get(key Key, gens []uint64) (any, []uint64, Outcome) {
 	return c.lookup(key, gens, true)
 }
 
 // Lookup is Get without the stats accounting — used to re-validate inside
 // a singleflight computation whose caller already recorded the first
 // outcome.
-func (c *Cache) Lookup(key Key, gens []int64) (any, []int64, Outcome) {
+func (c *Cache) Lookup(key Key, gens []uint64) (any, []uint64, Outcome) {
 	return c.lookup(key, gens, false)
 }
 
-func (c *Cache) lookup(key Key, gens []int64, count bool) (any, []int64, Outcome) {
+func (c *Cache) lookup(key Key, gens []uint64, count bool) (any, []uint64, Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[key]
@@ -214,7 +192,7 @@ func (c *Cache) lookup(key Key, gens []int64, count bool) (any, []int64, Outcome
 	}
 	e := el.Value.(*entry)
 	c.lru.MoveToFront(el)
-	if GensEqual(e.gens, gens) {
+	if slices.Equal(e.gens, gens) {
 		if count {
 			c.hits++
 		}
@@ -231,7 +209,7 @@ func (c *Cache) lookup(key Key, gens []int64, count bool) (any, []int64, Outcome
 // the cache adds a fixed bookkeeping overhead. An existing entry under the
 // same key is replaced. Values too large for the whole byte budget are not
 // cached (and evict any previous entry under the key, which they supersede).
-func (c *Cache) Put(key Key, gens []int64, val any, size int64) {
+func (c *Cache) Put(key Key, gens []uint64, val any, size int64) {
 	if size < 0 {
 		size = 0
 	}
@@ -244,7 +222,7 @@ func (c *Cache) Put(key Key, gens []int64, val any, size int64) {
 		}
 		return
 	}
-	gcopy := append([]int64(nil), gens...)
+	gcopy := append([]uint64(nil), gens...)
 	if el, ok := c.index[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
@@ -259,21 +237,13 @@ func (c *Cache) Put(key Key, gens []int64, val any, size int64) {
 	}
 }
 
-// PutWithPolicy is Put gated by the admission policy: a filter-heavy,
-// non-negative response is cached only when its key was already seen within
-// the admission TTL (the doorkeeper's second-occurrence rule) or is
-// refreshing an existing entry. Negative responses always store — including
-// filter-heavy ones — and are validated on lookup exactly like any entry,
-// so a data-generation bump invalidates a cached empty result the same as
-// a populated one.
-func (c *Cache) PutWithPolicy(key Key, gens []int64, val any, size int64, pol PutPolicy) {
-	if pol.FilterHeavy && !pol.Negative && !c.admit(key) {
+// PutWithPolicy is Put gated by the admission policy: a filter-heavy
+// response is cached only when its key was already seen within the
+// admission TTL (the doorkeeper's second-occurrence rule) or is refreshing
+// an existing entry.
+func (c *Cache) PutWithPolicy(key Key, gens []uint64, val any, size int64, pol PutPolicy) {
+	if pol.FilterHeavy && !c.admit(key) {
 		return
-	}
-	if pol.Negative {
-		c.mu.Lock()
-		c.negPuts++
-		c.mu.Unlock()
 	}
 	c.Put(key, gens, val, size)
 }
@@ -348,7 +318,6 @@ func (c *Cache) Stats() Stats {
 		Invalidations:     c.invalidations,
 		Evictions:         c.evictions,
 		SkippedScans:      c.skipped,
-		NegativePuts:      c.negPuts,
 		AdmissionDeferred: c.admDeferred,
 		Entries:           c.lru.Len(),
 		Bytes:             c.bytes,

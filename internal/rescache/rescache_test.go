@@ -19,21 +19,21 @@ func keyN(n int) Key {
 func TestGetPutOutcomes(t *testing.T) {
 	c := New(8, 1<<20)
 	k := keyN(1)
-	if v, _, out := c.Get(k, []int64{3}); out != Miss || v != nil {
+	if v, _, out := c.Get(k, []uint64{3}); out != Miss || v != nil {
 		t.Fatalf("empty cache: got %v, %v; want Miss", v, out)
 	}
-	c.Put(k, []int64{3}, "resp-a", 100)
-	if v, _, out := c.Get(k, []int64{3}); out != Hit || v != "resp-a" {
+	c.Put(k, []uint64{3}, "resp-a", 100)
+	if v, _, out := c.Get(k, []uint64{3}); out != Hit || v != "resp-a" {
 		t.Fatalf("after Put: got %v, %v; want Hit resp-a", v, out)
 	}
 	// The data moved: same entry must come back Stale with its recorded
 	// generations, and count as an invalidation.
-	if v, gens, out := c.Get(k, []int64{4}); out != Stale || v != "resp-a" || gens[0] != 3 {
+	if v, gens, out := c.Get(k, []uint64{4}); out != Stale || v != "resp-a" || gens[0] != 3 {
 		t.Fatalf("stale lookup: got %v, %v, %v; want Stale resp-a [3]", v, gens, out)
 	}
 	// Mismatched generation-vector length (different shard count) is stale,
 	// never a false hit.
-	if _, _, out := c.Get(k, []int64{3, 3}); out != Stale {
+	if _, _, out := c.Get(k, []uint64{3, 3}); out != Stale {
 		t.Fatalf("length-mismatched gens: got %v; want Stale", out)
 	}
 	st := c.Stats()
@@ -41,8 +41,8 @@ func TestGetPutOutcomes(t *testing.T) {
 		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 2 invalidations", st)
 	}
 	// Replacing under the same key updates generations and value.
-	c.Put(k, []int64{4}, "resp-b", 100)
-	if v, _, out := c.Get(k, []int64{4}); out != Hit || v != "resp-b" {
+	c.Put(k, []uint64{4}, "resp-b", 100)
+	if v, _, out := c.Get(k, []uint64{4}); out != Hit || v != "resp-b" {
 		t.Fatalf("after replace: got %v, %v; want Hit resp-b", v, out)
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -53,24 +53,24 @@ func TestGetPutOutcomes(t *testing.T) {
 func TestLRUEntryBound(t *testing.T) {
 	c := New(3, 1<<20)
 	for i := 0; i < 4; i++ {
-		c.Put(keyN(i), []int64{1}, i, 10)
+		c.Put(keyN(i), []uint64{1}, i, 10)
 	}
 	// 0 is the least recently used: evicted.
-	if _, _, out := c.Get(keyN(0), []int64{1}); out != Miss {
+	if _, _, out := c.Get(keyN(0), []uint64{1}); out != Miss {
 		t.Fatalf("oldest entry should be evicted, got %v", out)
 	}
 	for i := 1; i < 4; i++ {
-		if _, _, out := c.Get(keyN(i), []int64{1}); out != Hit {
+		if _, _, out := c.Get(keyN(i), []uint64{1}); out != Hit {
 			t.Fatalf("entry %d should survive, got %v", i, out)
 		}
 	}
 	// Touching 1 makes 2 the eviction victim.
-	c.Get(keyN(1), []int64{1})
-	c.Put(keyN(9), []int64{1}, 9, 10)
-	if _, _, out := c.Get(keyN(1), []int64{1}); out != Hit {
+	c.Get(keyN(1), []uint64{1})
+	c.Put(keyN(9), []uint64{1}, 9, 10)
+	if _, _, out := c.Get(keyN(1), []uint64{1}); out != Hit {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, _, out := c.Get(keyN(2), []int64{1}); out != Miss {
+	if _, _, out := c.Get(keyN(2), []uint64{1}); out != Miss {
 		t.Fatal("LRU victim survived")
 	}
 	if st := c.Stats(); st.Evictions != 2 || st.Entries != 3 {
@@ -81,7 +81,7 @@ func TestLRUEntryBound(t *testing.T) {
 func TestByteBound(t *testing.T) {
 	c := New(1024, 4*(1000+entryOverhead))
 	for i := 0; i < 6; i++ {
-		c.Put(keyN(i), []int64{1}, i, 1000)
+		c.Put(keyN(i), []uint64{1}, i, 1000)
 	}
 	st := c.Stats()
 	if st.Entries != 4 {
@@ -93,17 +93,17 @@ func TestByteBound(t *testing.T) {
 	// An entry bigger than the whole budget is refused and drops any
 	// previous entry under its key (which it supersedes).
 	k := keyN(0)
-	c.Put(k, []int64{1}, "small", 10)
-	c.Put(k, []int64{1}, "huge", 1<<30)
-	if _, _, out := c.Get(k, []int64{1}); out != Miss {
+	c.Put(k, []uint64{1}, "small", 10)
+	c.Put(k, []uint64{1}, "huge", 1<<30)
+	if _, _, out := c.Get(k, []uint64{1}); out != Miss {
 		t.Fatalf("oversized Put must leave no entry, got %v", out)
 	}
 }
 
 func TestClearKeepsCounters(t *testing.T) {
 	c := New(8, 1<<20)
-	c.Put(keyN(1), []int64{1}, "v", 10)
-	c.Get(keyN(1), []int64{1})
+	c.Put(keyN(1), []uint64{1}, "v", 10)
+	c.Get(keyN(1), []uint64{1})
 	c.Clear()
 	st := c.Stats()
 	if st.Entries != 0 || st.Bytes != 0 {
@@ -112,7 +112,7 @@ func TestClearKeepsCounters(t *testing.T) {
 	if st.Hits != 1 {
 		t.Fatalf("Clear must keep cumulative counters, hits = %d", st.Hits)
 	}
-	if _, _, out := c.Get(keyN(1), []int64{1}); out != Miss {
+	if _, _, out := c.Get(keyN(1), []uint64{1}); out != Miss {
 		t.Fatal("entry survived Clear")
 	}
 }

@@ -67,9 +67,6 @@ type Options struct {
 	// commit leaves at least this many frames in the WAL. Defaults to
 	// 16384. Set negative to disable auto-checkpointing.
 	CheckpointFrames int
-	// DisableLock skips the advisory file lock (useful for read-only
-	// inspection tooling).
-	DisableLock bool
 	// Backend selects how the base page array is materialized: file
 	// (default), read-mmap, or memory. BackendDefault auto-detects the
 	// kind recorded in an existing store's header (falling back to file),
@@ -182,13 +179,11 @@ func Open(path string, opts Options) (*Store, error) {
 		s.backend = newMemBackend(opts.PageSize)
 		wf = &memFile{}
 	} else {
-		if !opts.DisableLock {
-			l, err := acquireFileLock(path + ".lock")
-			if err != nil {
-				return nil, err
-			}
-			s.lock = l
+		l, err := acquireFileLock(path + ".lock")
+		if err != nil {
+			return nil, err
 		}
+		s.lock = l
 		db, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			s.release()
@@ -518,6 +513,12 @@ func (s *Store) BeginRead() (*ReadTxn, error) {
 	s.readers[s.commitSeq]++
 	return &ReadTxn{s: s, seq: s.commitSeq}, nil
 }
+
+// Horizon returns the commit sequence the snapshot is pinned at. It grows by
+// one with every commit on this Store handle, and a checkpoint leaves it
+// alone, so two snapshots of one handle with the same horizon see
+// identical data.
+func (t *ReadTxn) Horizon() uint64 { return t.seq }
 
 // Get returns the content of pageNo as of the transaction's snapshot.
 // The buffer is shared: callers must not modify it.

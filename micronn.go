@@ -79,12 +79,12 @@
 // Reads never block: Search, BatchSearch, Get and Stats each run on a
 // page-store snapshot pinned at a committed state, so they observe a
 // consistent index no matter what writers are doing, and scatter their
-// partition scans across Options.Workers goroutines (on the mmap backend
-// the probed partitions' leaf pages are posted as an madvise readahead
-// hint before the scans fault through them). Writes are serialized by the
-// store's single-writer gate — a FIFO ticket queue, so commit order is
-// arrival order — but point writes (Upsert, Delete) hold it only for
-// their own short transaction.
+// partition scans across Options.Device.Workers goroutines (on the mmap
+// backend the probed partitions' leaf pages are posted as an madvise
+// readahead hint before the scans fault through them). Writes are
+// serialized by the store's single-writer gate — a FIFO ticket queue, so
+// commit order is arrival order — but point writes (Upsert, Delete) hold
+// it only for their own short transaction.
 //
 // A partition split runs k-means over the partition's rows, and holding
 // the writer gate for that computation would stall every concurrent
@@ -127,30 +127,34 @@
 // search keystroke after keystroke, the same RAG lookup across turns —
 // while the store keeps absorbing streaming updates. With
 // Options.ResultCache.Enabled, MicroNN serves such repeats from a bounded
-// LRU result cache whose invalidation is exact rather than heuristic:
-// every committed write transaction (upsert, delete, flush, split, merge,
-// rebuild, analyze) bumps a persistent per-store generation counter, each
-// cached response records the generation it was computed at, and an entry
-// is served only when the generation visible at the caller's read snapshot
-// still matches — in which case the visible data is identical and the
-// cached response is byte-identical to re-running the query. Entries are
-// keyed by a canonicalized fingerprint of the whole request (vector,
-// K/NProbe/RerankFactor, plan, and the filter set normalized so that
-// filter order, duplicates, NaN payloads and signed zeros cannot split
-// semantically equal queries), concurrent identical misses are deduplicated
-// by a singleflight so the scan runs once, and memory is bounded by
-// 1024 entries and ResultCacheOptions.MaxBytes (LRU eviction). One cache
+// LRU result cache whose invalidation is exact rather than heuristic. A
+// read snapshot is pinned at its store's commit horizon, a sequence number
+// that every commit on the open handle (upsert, delete, flush, split,
+// merge, rebuild, analyze) moves by one and nothing else moves; a
+// checkpoint leaves it alone. Each cached response records the horizon it
+// was computed at, and an entry is served only when the caller's snapshot
+// is pinned at the same horizon — in which case the visible data is
+// identical and the cached response is byte-identical to re-running the
+// query. Entries are keyed by a canonicalized fingerprint of the whole
+// request (vector, K/NProbe/RerankFactor, plan, and the filter set
+// normalized so that filter order, duplicates, NaN payloads and signed
+// zeros cannot split semantically equal queries), concurrent identical
+// misses are deduplicated by a singleflight so the scan runs once, and
+// memory is bounded by 1024 entries and ResultCacheOptions.MaxBytes (LRU
+// eviction). One cache
 // protocol serves every query kind and topology, with validation per
-// shard: a query whose generations all match is answered without touching
+// shard: a query whose horizons all match is answered without touching
 // any shard, and on a sharded database, when only some shards changed, the
 // cached per-shard candidates are reused and only the changed shards are
-// re-scanned. Snapshots consult the cache at their pinned generations but
+// re-scanned. Snapshots consult the cache at their pinned horizons but
 // never store into it, so an old horizon cannot displace entries live
 // traffic needs. SearchRequest.NoCache bypasses the cache per query;
 // Stats.Cache reports hits, misses, invalidations and bytes; DropCaches
 // clears cached results along with the other caches. The cache is
-// process-local and never persisted, so crash recovery cannot resurrect a
-// stale entry.
+// process-local and never outlives the handle whose horizons it records,
+// so neither a reopen nor crash recovery can resurrect a stale entry. A
+// commit that changes nothing (a DeleteBatch of an absent id) still moves
+// the horizon: it costs a miss, never a stale hit.
 //
 // # Sharding
 //
@@ -183,13 +187,13 @@
 // mutex and return after a group commit: a dedicated committer goroutine
 // batches every writer that accumulated while the previous transaction held
 // the single-writer gate into one storage transaction, so the gate wait,
-// the WAL append and the data-generation bump are paid once per group
-// instead of once per call. Each waiter receives its group's commit error —
-// a call that returned nil is durable exactly as a transaction of its own
-// would be — and a batch stays atomic within its group. Requests are
-// validated before they are enqueued (dimension, attribute names and value
-// types), so one caller's mistake fails only that caller, and a strict
-// Delete of an absent id fails only its caller, never its group.
+// the WAL append and the commit are paid once per group instead of once per
+// call. Each waiter receives its group's commit error — a call that
+// returned nil is durable exactly as a transaction of its own would be —
+// and a batch stays atomic within its group. Requests are validated before
+// they are enqueued (dimension, attribute names and value types), so one
+// caller's mistake fails only that caller, and a strict Delete of an
+// absent id fails only its caller, never its group.
 //
 // Searches scan the delta exhaustively beside the probed partitions; the
 // delta is bounded by maintenance, not by the committer: Maintain flushes
@@ -381,7 +385,9 @@ type DeviceProfile struct {
 	// pages; larger transactions spill to the WAL. 0 picks a default of
 	// a quarter of CacheBytes.
 	WriteBufferBytes int64
-	// Workers bounds query-time scan parallelism.
+	// Workers bounds query-time scan parallelism: 0 means GOMAXPROCS,
+	// divided by the shard count on a sharded database. It applies to
+	// each open and is not stored with the database.
 	Workers int
 }
 
@@ -502,11 +508,9 @@ func (o ResultCacheOptions) resolve() *rescache.Cache {
 }
 
 // filterHeavyFilters is the filter count at which a query is "filter-heavy"
-// for cache admission: its response is cached only on its second
-// occurrence within a minute, so one-off analytic queries cannot churn the
-// LRU. Negative responses (zero results) bypass this doorkeeper — they are
-// tiny, and generation validation still invalidates them the moment a
-// write commits.
+// for cache admission: its response, empty or not, is cached only on its
+// second occurrence within a minute, so one-off analytic queries cannot
+// churn the LRU.
 const filterHeavyFilters = 2
 
 // DB is an embedded MicroNN database. All methods are safe for concurrent
@@ -625,9 +629,10 @@ func Open(path string, opts Options) (*DB, error) {
 			store.CloseWithoutCheckpoint()
 			return nil, err
 		}
-		// RerankFactor is a search-time default, not part of the on-disk
-		// format: honor the caller's value on reopen too.
+		// RerankFactor and Workers are search-time settings, not part of
+		// the on-disk format: honor the caller's values on reopen too.
 		ix.SetRerankFactor(opts.RerankFactor)
+		ix.SetWorkers(device.Workers)
 	} else {
 		if opts.Dim <= 0 {
 			store.Close()
@@ -989,8 +994,6 @@ func (r *SearchResponse) cacheSize() int64 {
 	return n
 }
 
-func (r *SearchResponse) empty() bool { return len(r.Results) == 0 }
-
 // BatchSearchRequest parameterizes BatchSearch.
 type BatchSearchRequest struct {
 	// Vectors holds the query embeddings.
@@ -1045,16 +1048,6 @@ func (r *BatchSearchResponse) cacheSize() int64 {
 		}
 	}
 	return n
-}
-
-// empty reports a negative batch: every query came back empty.
-func (r *BatchSearchResponse) empty() bool {
-	for _, rs := range r.Results {
-		if len(rs) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // --- maintenance ---
@@ -1125,16 +1118,20 @@ func joinActions(action, names string) string {
 	return action
 }
 
-// absorb folds one executed step into the aggregate report.
-func (r *MaintenanceReport) absorb(plan *ivf.MaintenancePlan, ms *ivf.MaintenanceStats) {
-	r.Action = joinActions(r.Action, string(plan.Action))
-	r.Steps++
-	r.count(plan.Action)
-	r.Duration += ms.Duration
-	r.RowChanges += ms.RowChanges
-	r.VectorsAssigned += ms.VectorsAssigned
-	if ms.Partitions > 0 {
-		r.Partitions = ms.Partitions
+// absorb folds a later report, such as one step of a pass, into r.
+// Partitions is the later report's, when it has one.
+func (r *MaintenanceReport) absorb(o *MaintenanceReport) {
+	r.Action = joinActions(r.Action, o.Action)
+	r.Steps += o.Steps
+	r.Rebuilds += o.Rebuilds
+	r.Flushes += o.Flushes
+	r.Splits += o.Splits
+	r.Merges += o.Merges
+	r.Duration += o.Duration
+	r.RowChanges += o.RowChanges
+	r.VectorsAssigned += o.VectorsAssigned
+	if o.Partitions > 0 {
+		r.Partitions = o.Partitions
 	}
 }
 
@@ -1159,26 +1156,19 @@ type MaintenanceTotals struct {
 	Errors int64
 }
 
-// recordStep counts one committed maintenance step and accumulates its row
-// writes into the write-amplification counter. Steps are recorded as they
-// commit (not when the pass ends), so totals snapshots taken while a
-// background pass is mid-flight stay accurate.
-func (db *DB) recordStep(a ivf.MaintenanceAction, ms *ivf.MaintenanceStats) {
+// recordStep folds one committed maintenance step's report into the
+// totals: its kind and its row writes, the write-amplification counter.
+// Steps are recorded as they commit (not when the pass ends), so totals
+// snapshots taken while a background pass is mid-flight stay accurate.
+func (db *DB) recordStep(step *MaintenanceReport) {
 	db.maintMu.Lock()
 	defer db.maintMu.Unlock()
-	if ms != nil {
-		db.maintTotals.RowChanges += ms.RowChanges
-	}
-	switch a {
-	case ivf.ActionRebuild:
-		db.maintTotals.Rebuilds++
-	case ivf.ActionFlush:
-		db.maintTotals.Flushes++
-	case ivf.ActionSplit:
-		db.maintTotals.Splits++
-	case ivf.ActionMerge:
-		db.maintTotals.Merges++
-	}
+	t := &db.maintTotals
+	t.Rebuilds += int64(step.Rebuilds)
+	t.Flushes += int64(step.Flushes)
+	t.Splits += int64(step.Splits)
+	t.Merges += int64(step.Merges)
+	t.RowChanges += step.RowChanges
 }
 
 // recordStaleRetry counts one prepared split discarded as stale.
@@ -1226,7 +1216,7 @@ func (db *DB) Rebuild() (*MaintenanceReport, error) {
 		return nil, err
 	}
 	rep := report("rebuild", ms)
-	db.recordStep(ivf.ActionRebuild, ms)
+	db.recordStep(rep)
 	db.recordMaintenance(rep)
 	return rep, nil
 }
@@ -1246,7 +1236,7 @@ func (db *DB) FlushDelta() (*MaintenanceReport, error) {
 		return nil, err
 	}
 	rep := report("flush", ms)
-	db.recordStep(ivf.ActionFlush, ms)
+	db.recordStep(rep)
 	db.recordMaintenance(rep)
 	return rep, nil
 }
@@ -1335,8 +1325,9 @@ func (db *DB) Maintain() (*MaintenanceReport, error) {
 		if plan.Action == ivf.ActionNone {
 			break
 		}
-		db.recordStep(plan.Action, ms)
-		rep.absorb(plan, ms)
+		step := report(string(plan.Action), ms)
+		db.recordStep(step)
+		rep.absorb(step)
 	}
 	db.recordMaintenance(rep)
 	return rep, nil
@@ -1426,17 +1417,15 @@ type CacheStats struct {
 	Enabled bool
 	// Hits counts queries answered entirely from the cache; Misses
 	// queries with no usable entry; Invalidations queries that found an
-	// entry whose data generation had moved (the entry was recomputed).
+	// entry whose commit horizon had moved (the entry was recomputed).
 	Hits, Misses, Invalidations uint64
 	// Evictions counts entries displaced by the LRU bounds.
 	Evictions uint64
 	// SkippedShardScans counts per-shard scans avoided by partial reuse
 	// on a sharded database (shards whose generation had not moved).
 	SkippedShardScans uint64
-	// NegativePuts counts cached empty responses (negative caching);
 	// AdmissionDeferred counts filter-heavy responses the doorkeeper
 	// declined to cache on first sight (see filterHeavyFilters).
-	NegativePuts      uint64
 	AdmissionDeferred uint64
 	// Entries and Bytes describe the current contents.
 	Entries int
@@ -1466,7 +1455,6 @@ func cacheStatsOf(c *rescache.Cache) CacheStats {
 		Invalidations:     st.Invalidations,
 		Evictions:         st.Evictions,
 		SkippedShardScans: st.SkippedScans,
-		NegativePuts:      st.NegativePuts,
 		AdmissionDeferred: st.AdmissionDeferred,
 		Entries:           st.Entries,
 		Bytes:             st.Bytes,

@@ -3,12 +3,14 @@ package micronn
 // The result-cache proof battery.
 //
 //   - TestCacheStalenessOracle: seeded randomized interleavings of
-//     Search/BatchSearch/Upsert/Delete/Maintain/FlushDelta/Rebuild on
-//     single-store and sharded databases, float32 and SQ8. After every
-//     mutation, cached responses are compared against a cache-off oracle
-//     run of the same request at the same moment — byte-identical results
-//     required, every time. Failures log the schedule seed; re-run with
-//     MICRONN_CACHE_SEED=<seed>.
+//     Search/BatchSearch/Upsert/Delete/Maintain/FlushDelta/Analyze/Rebuild
+//     on single-store and sharded databases, float32, SQ8 and SQ4. After
+//     every mutation, cached responses are compared against a cache-off
+//     oracle run of the same request at the same moment — byte-identical
+//     results required, every time. Each schedule ends with a Checkpoint
+//     and a Maintain pass that finds nothing to do; neither commits, so a
+//     repeated query after them must be a hit. Failures log the schedule
+//     seed; re-run with MICRONN_CACHE_SEED=<seed>.
 //   - TestCacheRaceHammer: concurrent hot searches + writes + maintenance
 //     on a 4-shard cached database under -race.
 //   - TestShardedCachePartialReuse: a point write moves one shard's
@@ -113,6 +115,50 @@ func oracleBatchCheck(t *testing.T, db Store, tag string, req BatchSearchRequest
 	}
 }
 
+// quiescentHit checks that a Checkpoint, and a Maintain pass that finds
+// nothing to do, commit nothing: req, cached before them, is a hit after
+// them and still equals the oracle.
+func quiescentHit(t *testing.T, db Store, tag string, req SearchRequest) {
+	t.Helper()
+	for i := 0; ; i++ { // settle: the last pass planned nothing
+		rep, err := db.Maintain()
+		if err != nil {
+			t.Fatalf("%s: maintain: %v", tag, err)
+		}
+		if rep.Action == "none" {
+			break
+		}
+		if i == 10 {
+			t.Fatalf("%s: maintenance did not settle in %d passes (last %+v)", tag, i+1, rep)
+		}
+	}
+	if _, err := db.Search(req); err != nil {
+		t.Fatalf("%s: cached search: %v", tag, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("%s: checkpoint: %v", tag, err)
+	}
+	if rep, err := db.Maintain(); err != nil || rep.Action != "none" || rep.Steps != 0 {
+		t.Fatalf("%s: settled maintain: %+v, %v; want a pass with nothing to do", tag, rep, err)
+	}
+	before := cacheStatsOfStore(t, db)
+	got, err := db.Search(req)
+	if err != nil {
+		t.Fatalf("%s: cached repeat: %v", tag, err)
+	}
+	after := cacheStatsOfStore(t, db)
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Invalidations != before.Invalidations {
+		t.Fatalf("%s: repeat after checkpoint and idle maintain was not a hit: %+v -> %+v", tag, before, after)
+	}
+	oracle := req
+	oracle.NoCache = true
+	want, err := db.Search(oracle)
+	if err != nil {
+		t.Fatalf("%s: oracle search: %v", tag, err)
+	}
+	sameResults(t, tag+"/quiescent", got.Results, want.Results)
+}
+
 // runCacheOracle drives one configuration through `schedules` seeded
 // randomized interleavings.
 func runCacheOracle(t *testing.T, qt Quantization, shards int, baseSeed int64, schedules int) {
@@ -167,7 +213,7 @@ func runCacheOracle(t *testing.T, qt Quantization, shards int, baseSeed int64, s
 		steps := 6 + rng.Intn(6)
 		for step := 0; step < steps; step++ {
 			stag := fmt.Sprintf("%s step %d", tag, step)
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
 			case op < 4: // upsert batch: mix of fresh ids and overwrites
 				n := 1 + rng.Intn(5)
 				batch := make([]Item, n)
@@ -210,6 +256,10 @@ func runCacheOracle(t *testing.T, qt Quantization, shards int, baseSeed int64, s
 				if _, err := db.FlushDelta(); err != nil {
 					t.Fatalf("%s: flush: %v", stag, err)
 				}
+			case op < 10: // statistics only: may flip PlanAuto's choice
+				if err := db.Analyze(); err != nil {
+					t.Fatalf("%s: analyze: %v", stag, err)
+				}
 			default: // full rebuild (rare)
 				if _, err := db.Rebuild(); err != nil {
 					t.Fatalf("%s: rebuild: %v", stag, err)
@@ -239,6 +289,7 @@ func runCacheOracle(t *testing.T, qt Quantization, shards int, baseSeed int64, s
 				})
 			}
 		}
+		quiescentHit(t, db, tag, SearchRequest{Vector: queries[rng.Intn(3)], K: 8, NProbe: 6})
 	}
 
 	cs := cacheStatsOfStore(t, db)

@@ -322,11 +322,11 @@ func TestLSMHammer(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheRevalidatesOnDataGen is the regression test for negative
+// TestNegativeCacheRevalidatesOnCommit is the regression test for negative
 // caching: an empty (negative) response is cached and served on repeat, but
-// a data-generation bump — here, an upsert that makes the filter match —
-// must invalidate it, never serve the stale empty result.
-func TestNegativeCacheRevalidatesOnDataGen(t *testing.T) {
+// a commit — here, an upsert that makes the filter match — must invalidate
+// it, never serve the stale empty result.
+func TestNegativeCacheRevalidatesOnCommit(t *testing.T) {
 	db, err := Open("", Options{
 		Dim: 4, Backend: BackendMemory, Seed: 6,
 		Attributes:  []AttributeDef{{Name: "color", Type: AttrText, Indexed: true}},
@@ -361,9 +361,8 @@ func TestNegativeCacheRevalidatesOnDataGen(t *testing.T) {
 	if len(resp.Results) != 0 {
 		t.Fatalf("expected empty result, got %+v", resp.Results)
 	}
-	cs := db.ResultCacheStats()
-	if cs.NegativePuts == 0 {
-		t.Fatalf("NegativePuts = 0, want the empty response cached")
+	if cs := db.ResultCacheStats(); cs.Entries == 0 {
+		t.Fatalf("Entries = 0, want the empty response cached (stats %+v)", cs)
 	}
 
 	resp, err = db.Search(req)
@@ -377,7 +376,7 @@ func TestNegativeCacheRevalidatesOnDataGen(t *testing.T) {
 		t.Fatalf("Hits = 0 after identical repeat, want a negative cache hit (stats %+v)", got)
 	}
 
-	// The write makes the filter non-empty and bumps the data generation:
+	// The write makes the filter non-empty and moves the commit horizon:
 	// the cached negative entry must revalidate, not answer.
 	blue := lsmVec(rng, 4)
 	err = db.Upsert(Item{ID: "b1", Vector: blue, Attributes: map[string]any{"color": "blue"}})
@@ -392,13 +391,12 @@ func TestNegativeCacheRevalidatesOnDataGen(t *testing.T) {
 		t.Fatalf("post-bump search served stale negative entry: %+v", resp.Results)
 	}
 	if got := db.ResultCacheStats(); got.Invalidations == 0 {
-		t.Fatalf("Invalidations = 0 after data_gen bump, stats %+v", got)
+		t.Fatalf("Invalidations = 0 after a commit, stats %+v", got)
 	}
 }
 
 // TestFilterHeavyAdmission checks the TTL doorkeeper: a filter-heavy query
-// with results is cached only on its second occurrence, while negative
-// filter-heavy responses bypass the doorkeeper entirely.
+// is cached only on its second occurrence, whether or not it has results.
 func TestFilterHeavyAdmission(t *testing.T) {
 	db, err := Open("", Options{
 		Dim: 4, Backend: BackendMemory, Seed: 8,
@@ -454,14 +452,14 @@ func TestFilterHeavyAdmission(t *testing.T) {
 		t.Fatalf("third occurrence not served from cache, stats %+v", got)
 	}
 
-	// Filter-heavy but negative: cached immediately.
+	// Filter-heavy and negative: deferred like any filter-heavy response.
 	neg := SearchRequest{Vector: q, K: 5, Filters: []Filter{Eq("color", "blue"), Ge("size", int64(0))}}
 	before := db.ResultCacheStats()
 	if _, err := db.Search(neg); err != nil {
 		t.Fatal(err)
 	}
 	after := db.ResultCacheStats()
-	if after.NegativePuts == before.NegativePuts {
-		t.Fatalf("negative filter-heavy response not cached immediately: %+v -> %+v", before, after)
+	if after.AdmissionDeferred != before.AdmissionDeferred+1 || after.Entries != before.Entries {
+		t.Fatalf("negative filter-heavy response not deferred on first sight: %+v -> %+v", before, after)
 	}
 }

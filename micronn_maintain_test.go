@@ -208,7 +208,7 @@ func TestMaintenanceReportActionDistinct(t *testing.T) {
 	pass := func(steps ...ivf.MaintenanceAction) *MaintenanceReport {
 		rep := &MaintenanceReport{Action: "none"}
 		for _, a := range steps {
-			rep.absorb(&ivf.MaintenancePlan{Action: a}, &ivf.MaintenanceStats{})
+			rep.absorb(report(string(a), &ivf.MaintenanceStats{}))
 		}
 		return rep
 	}

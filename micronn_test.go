@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -452,6 +453,54 @@ func TestReopenKeepsEverything(t *testing.T) {
 	if len(resp.Results) == 0 || resp.Results[0].ID != "v7" {
 		t.Errorf("results = %+v", resp.Results)
 	}
+}
+
+// TestWorkersApplyOnReopen checks that Device.Workers is a setting of each
+// open, not of the store: a reopen with another value scans with that value,
+// and a reopen with 0 uses this process's GOMAXPROCS, divided by the shard
+// count on a sharded store.
+func TestWorkersApplyOnReopen(t *testing.T) {
+	skipIfEphemeralBackend(t)
+	device := func(w int) DeviceProfile { return DeviceProfile{CacheBytes: 8 << 20, Workers: w} }
+	procs := runtime.GOMAXPROCS(0)
+	t.Run("single", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "w.mnn")
+		for _, c := range []struct{ workers, want int }{{7, 7}, {1, 1}, {0, procs}, {3, 3}} {
+			db, err := Open(path, Options{Dim: 4, Device: device(c.workers)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := db.ix.Config().Workers
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Fatalf("opened with Workers %d: index scans with %d, want %d", c.workers, got, c.want)
+			}
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "w.d")
+		const shards = 2
+		for _, c := range []struct{ workers, want int }{{7, 7}, {1, 1}, {0, max(1, procs/shards)}} {
+			sdb, err := OpenSharded(dir, Options{Dim: 4, Shards: shards, Device: device(c.workers)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for i := 0; i < shards; i++ {
+				got = append(got, sdb.Shard(i).ix.Config().Workers)
+			}
+			if err := sdb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range got {
+				if g != c.want {
+					t.Fatalf("opened with Workers %d: shard %d scans with %d, want %d", c.workers, i, g, c.want)
+				}
+			}
+		}
+	})
 }
 
 func TestStatsFields(t *testing.T) {

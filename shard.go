@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,7 +65,7 @@ type router struct {
 	seed uint64
 
 	// cache is the result cache (nil when disabled). One cache serves the
-	// whole router; entries record one data generation per shard, and on
+	// whole router; entries record one commit horizon per shard, and on
 	// N > 1 shards the per-shard candidate sets too, so a lookup whose
 	// generations partially match reuses the unchanged shards' candidates
 	// and re-scans only the shards that moved.
@@ -167,17 +168,16 @@ func closeReads(rts []*storage.ReadTxn) {
 	}
 }
 
-// readGens reads each shard's data generation at its pinned snapshot.
-func (r *router) readGens(rts []*storage.ReadTxn) ([]int64, error) {
-	gens := make([]int64, len(r.shards))
-	for i, sh := range r.shards {
-		g, err := sh.ix.DataGeneration(rts[i])
-		if err != nil {
-			return nil, err
-		}
-		gens[i] = g
+// readGens returns each shard's commit horizon at its pinned snapshot: the
+// generations the result cache validates entries against. Within one store
+// handle every commit moves the horizon and nothing else does, so equal
+// horizons mean identical data.
+func readGens(rts []*storage.ReadTxn) []uint64 {
+	gens := make([]uint64, len(rts))
+	for i, rt := range rts {
+		gens[i] = rt.Horizon()
 	}
-	return gens, nil
+	return gens
 }
 
 // --- the result-cache protocol ---
@@ -189,8 +189,6 @@ type response[R any] interface {
 	clone() R
 	// cacheSize estimates the footprint for the cache's byte budget.
 	cacheSize() int64
-	// empty reports a negative response, cached past the doorkeeper.
-	empty() bool
 }
 
 // shardOutput is one shard's pre-merge contribution to a query.
@@ -205,7 +203,7 @@ type request[O shardOutput, R response[R]] struct {
 	filters int
 	noCache bool
 	// run scatters and merges at the pinned transactions. reuse, when
-	// non-nil, supplies cached outputs for shards whose data generation
+	// non-nil, supplies cached outputs for shards whose commit horizon
 	// has not moved; those shards are not scanned. Kinds without reusable
 	// per-shard outputs return nil outs.
 	run func(reuse []*O) (outs []O, resp R, err error)
@@ -223,7 +221,7 @@ type cacheEntry[O, R any] struct {
 // the generations its snapshot observed, so joiners can revalidate.
 type flightResult[R any] struct {
 	resp R
-	gens []int64
+	gens []uint64
 }
 
 // query runs q through the result-cache protocol at the pinned per-shard
@@ -252,14 +250,11 @@ func query[O shardOutput, R response[R]](r *router, rts []*storage.ReadTxn, live
 		_, resp, err := q.run(nil)
 		return resp, err
 	}
-	gens, err := r.readGens(rts)
-	if err != nil {
-		return zero, err
-	}
+	gens := readGens(rts)
 	key := q.key()
 	// resolve serves a looked-up entry or computes (and, live, stores) the
 	// response; it returns the shared value, which callers clone.
-	resolve := func(v any, stored []int64, out rescache.Outcome) (R, error) {
+	resolve := func(v any, stored []uint64, out rescache.Outcome) (R, error) {
 		if out == rescache.Hit {
 			return v.(*cacheEntry[O, R]).resp, nil
 		}
@@ -279,10 +274,7 @@ func query[O shardOutput, R response[R]](r *router, rts []*storage.ReadTxn, live
 				size += o.cacheSize()
 			}
 		}
-		r.cache.PutWithPolicy(key, gens, e, size, rescache.PutPolicy{
-			FilterHeavy: q.filters >= filterHeavyFilters,
-			Negative:    resp.empty(),
-		})
+		r.cache.PutWithPolicy(key, gens, e, size, rescache.PutPolicy{FilterHeavy: q.filters >= filterHeavyFilters})
 		return resp, nil
 	}
 	if v, stored, out := r.cache.Get(key, gens); out == rescache.Hit || !live {
@@ -304,7 +296,7 @@ func query[O shardOutput, R response[R]](r *router, rts []*storage.ReadTxn, live
 		return zero, err
 	}
 	fr := v.(flightResult[R])
-	if shared && !rescache.GensEqual(fr.gens, gens) {
+	if shared && !slices.Equal(fr.gens, gens) {
 		if fr.resp, err = lead(); err != nil {
 			return zero, err
 		}
@@ -316,7 +308,7 @@ func query[O shardOutput, R response[R]](r *router, rts []*storage.ReadTxn, live
 // generations: position i is reusable iff shard i's generation did not
 // move. Returns nil when nothing is reusable (or the shapes disagree, e.g.
 // a single-shard entry, which keeps no outputs).
-func reusableOuts[T any](outs []T, stored, gens []int64, c *rescache.Cache) []*T {
+func reusableOuts[T any](outs []T, stored, gens []uint64, c *rescache.Cache) []*T {
 	if len(stored) != len(gens) || len(outs) != len(gens) {
 		return nil
 	}
@@ -374,7 +366,7 @@ func (r *router) perShardProbe(nprobe int) int {
 // quantized database the pooled top RerankFactor*K are reranked exactly on
 // their owning shards before the final top-K cut. With the result cache
 // enabled a repeat of a semantically identical query is served from the
-// cache while the data generations hold — the response is then
+// cache while the shards' commit horizons hold — the response is then
 // byte-identical to re-running the search — and a repeat where only some
 // shards changed re-scans just those shards.
 func (r *router) Search(req SearchRequest) (*SearchResponse, error) {
@@ -596,7 +588,7 @@ func (r *router) rowsRead(bytes int64) int64 {
 // so the sharing is preserved within each shard, and the per-query
 // candidates merge exactly as in Search. Caching follows Search too: a
 // repeated identical batch (same vectors in the same order) is served
-// whole while the data generations hold.
+// whole while the commit horizons hold.
 func (r *router) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
 	rts, err := r.pin()
 	if err != nil {
@@ -989,16 +981,9 @@ func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
 		if rep == nil {
 			continue
 		}
-		out.Action = joinActions(out.Action, rep.Action)
-		out.Steps += rep.Steps
-		out.Rebuilds += rep.Rebuilds
-		out.Flushes += rep.Flushes
-		out.Splits += rep.Splits
-		out.Merges += rep.Merges
-		out.Duration += rep.Duration
-		out.RowChanges += rep.RowChanges
-		out.VectorsAssigned += rep.VectorsAssigned
-		out.Partitions += rep.Partitions
+		parts := out.Partitions
+		out.absorb(rep)
+		out.Partitions = parts + rep.Partitions // the shards' partitions add up
 	}
 	return out
 }
