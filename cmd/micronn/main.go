@@ -436,19 +436,8 @@ func cmdStats(path string) error {
 		return err
 	}
 	defer d.Close()
-	// On a sharded database collect the per-shard stats once and aggregate
-	// locally, so the totals and the breakdown describe the same pass.
-	var st micronn.Stats
-	var perShard []micronn.Stats
-	sd, sharded := d.(*micronn.ShardedDB)
-	if sharded {
-		if perShard, err = sd.ShardStats(); err != nil {
-			return err
-		}
-		st = micronn.AggregateStats(perShard)
-		// The result cache lives at the router, not in any shard.
-		st.Cache = sd.ResultCacheStats()
-	} else if st, err = d.Stats(); err != nil {
+	st, err := d.Stats()
+	if err != nil {
 		return err
 	}
 	fmt.Printf("vectors:          %d\n", st.NumVectors)
@@ -492,7 +481,14 @@ func cmdStats(path string) error {
 		st.GateWaits, float64(st.GateWaitNs)/1e6)
 	fmt.Printf("file size:        %.1f MiB (%.1f MiB free, WAL %.1f MiB)\n",
 		float64(st.FileBytes)/(1<<20), float64(st.FreeBytes)/(1<<20), float64(st.WALBytes)/(1<<20))
-	if sharded {
+	if sd, sharded := d.(*micronn.ShardedDB); sharded {
+		// The breakdown is a second pass over the shards. It reads the
+		// state the totals did: this process holds every shard's exclusive
+		// lock and runs no maintainer.
+		perShard, err := sd.ShardStats()
+		if err != nil {
+			return err
+		}
 		fmt.Printf("shards:           %d (hash seed %d)\n", sd.Shards(), sd.Manifest().HashSeed)
 		for i, s := range perShard {
 			fmt.Printf("  shard %03d:      %d vectors (%d delta), %d partitions, %.1f MiB\n",

@@ -10,7 +10,10 @@
 // filled heaps, such as the in-memory baseline's per-worker heaps.
 package topk
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Result is a single search hit: the caller-supplied identifier of the
 // vector's asset, the internal vector id, and its distance from the query.
@@ -164,11 +167,18 @@ func Merge(k int, heaps ...*Heap) []Result {
 	return all
 }
 
+// sortResults sorts by the total order (Distance with NaN last, VectorID),
+// so the output does not depend on the input's order.
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Distance != rs[j].Distance {
-			return rs[i].Distance < rs[j].Distance
-		}
-		return rs[i].VectorID < rs[j].VectorID
+	slices.SortFunc(rs, func(a, b Result) int {
+		return cmp.Or(CompareDistance(a.Distance, b.Distance), cmp.Compare(a.VectorID, b.VectorID))
 	})
+}
+
+// CompareDistance orders distances ascending with NaN after every number.
+func CompareDistance(a, b float32) int {
+	if a != a || b != b { // cmp.Compare puts NaN first: swap the operands
+		return cmp.Compare(b, a)
+	}
+	return cmp.Compare(a, b)
 }

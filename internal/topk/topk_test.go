@@ -255,3 +255,58 @@ func TestResultSize(t *testing.T) {
 		t.Fatalf("Result is %d bytes, want 32", n)
 	}
 }
+
+// TestSortTotalOrder feeds NaN and tied distances in every rotation of one
+// input to Results and Merge: both must return (Distance with NaN last,
+// VectorID) order whatever order the results arrived in.
+func TestSortTotalOrder(t *testing.T) {
+	nan := float32(math.NaN())
+	want := []Result{
+		{VectorID: 3, Distance: -1},
+		{VectorID: 2, Distance: 0.5},
+		{VectorID: 5, Distance: 0.5},
+		{VectorID: 9, Distance: 0.5},
+		{VectorID: 1, Distance: float32(math.Inf(1))},
+		{VectorID: 4, Distance: nan},
+		{VectorID: 7, Distance: nan},
+	}
+	same := func(got []Result) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.VectorID != w.VectorID || (g.Distance != w.Distance && !(g.Distance != g.Distance && w.Distance != w.Distance)) {
+				return false
+			}
+		}
+		return true
+	}
+	for rot := range want {
+		in := append(append([]Result{}, want[rot:]...), want[:rot]...)
+		h := New(len(in))
+		a, b := New(len(in)), New(len(in))
+		for i, r := range in {
+			h.Push(r)
+			if i%2 == 0 {
+				a.Push(r)
+			} else {
+				b.Push(r)
+			}
+		}
+		if got := h.Results(); !same(got) {
+			t.Errorf("rotation %d: Results = %v", rot, got)
+		}
+		if got := Merge(len(in), a, b); !same(got) {
+			t.Errorf("rotation %d: Merge = %v", rot, got)
+		}
+	}
+	for _, c := range []struct {
+		a, b float32
+		want int
+	}{{1, 2, -1}, {2, 1, 1}, {1, 1, 0}, {nan, 1, 1}, {1, nan, -1}, {nan, nan, 0}, {float32(math.Inf(1)), nan, -1}} {
+		if got := CompareDistance(c.a, c.b); got != c.want {
+			t.Errorf("CompareDistance(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -164,19 +164,19 @@
 // shard count and hash seed so every reopen routes identically (topology
 // mismatches fail fast). Point operations touch exactly one shard.
 //
-// Every query kind is written once, as a router pipeline over N >= 1
-// shards: normalize the request, fingerprint it for the cache, execute per
-// shard, merge. DB is the one-shard case — the scatter runs inline, ivf
+// Every Store method is written once, on a router over N >= 1 shards. A
+// query is a pipeline: normalize the request, fingerprint it for the
+// cache, execute per shard, merge. DB is the one-shard case — the scatter runs inline, ivf
 // returns final exact results and the merge has nothing to rerank — and a
 // Snapshot pins one read transaction per shard, so single-store, sharded
 // and snapshot reads share one code path. On N > 1 shards Search and
 // BatchSearch scatter to every shard in parallel, spread the NProbe budget
 // over the shard set, and merge the per-shard candidates — on a quantized
 // database the pooled top RerankFactor*K candidates are reranked exactly
-// on their owning shards, so recall matches a single store. Stats and
-// Maintain aggregate across shards; Close drains every shard's maintainer.
-// Batched writes commit one transaction per shard (atomic per shard, not
-// across shards).
+// on their owning shards, so recall matches a single store. Maintenance
+// and Stats run a per-shard step on every shard and fold the results;
+// Close drains every shard's maintainer. Batched writes commit one
+// transaction per shard (atomic per shard, not across shards).
 //
 //	sdb, err := micronn.OpenSharded("photos.d", micronn.Options{Dim: 128, Shards: 4})
 //
@@ -515,8 +515,9 @@ const filterHeavyFilters = 2
 
 // DB is an embedded MicroNN database. All methods are safe for concurrent
 // use: reads run against consistent snapshots, writes are serialized.
-// Queries, snapshots and Get come from the embedded router, of which a DB
-// is the one-shard case.
+// Every Store method comes from the embedded router, of which a DB is the
+// one-shard case; DB itself holds one store's internals and the per-shard
+// steps the router scatters (close, rewrite, maintain, stats).
 type DB struct {
 	// router lists this DB as its only shard and holds the result cache
 	// (nil when disabled), the closed flag and the HybridSearch counter.
@@ -538,6 +539,10 @@ type DB struct {
 
 	// ing is the group committer every write goes through.
 	ing *ingester
+
+	// closeOnce runs close once, whether Close reaches this store as a
+	// DB or as a shard of a ShardedDB.
+	closeOnce sync.Once
 
 	// Background maintainer lifecycle (nil channels when AutoMaintain is
 	// off). maintStop is closed exactly once by stopMaintainer; maintDone
@@ -687,28 +692,27 @@ func Open(path string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close drains the background maintainer, then checkpoints and closes the
-// database. After Close every other method returns ErrClosed; calling
-// Close again is a harmless no-op.
-func (db *DB) Close() error { return db.close(db.store.Close) }
-
-// close is Close with closeStore as the final step: Store.Close, or
-// Store.CloseWithoutCheckpoint to leave the files as Open found them.
-func (db *DB) close(closeStore func() error) error {
-	if db.closed.Swap(true) {
-		return nil
-	}
-	// Stop the group committer first: it drains queued writers with a
-	// final group commit (they get real answers, not ErrClosed) against a
-	// live store.
-	db.ing.shutdown()
-	db.stopMaintainer()
-	// A manual Maintain pass may still be in flight; it observes closed at
-	// its next step boundary and returns ErrClosed. Wait for it here so the
-	// store never disappears under a running maintenance step.
-	db.opMu.Lock()
-	defer db.opMu.Unlock()
-	return closeStore()
+// close is one shard's part of Close, with closeStore as the final step:
+// Store.Close, or Store.CloseWithoutCheckpoint to leave the files as Open
+// found them. It marks the shard closed too, so a maintenance pass on it
+// ends at its next step boundary. Only the first call acts.
+func (db *DB) close(closeStore func() error) (err error) {
+	db.closeOnce.Do(func() {
+		db.closed.Store(true)
+		// Stop the group committer first: it drains queued writers with a
+		// final group commit (they get real answers, not ErrClosed)
+		// against a live store.
+		db.ing.shutdown()
+		db.stopMaintainer()
+		// A manual Maintain pass may still be in flight; it observes
+		// closed at its next step boundary and returns ErrClosed. Wait for
+		// it here so the store never disappears under a running
+		// maintenance step.
+		db.opMu.Lock()
+		defer db.opMu.Unlock()
+		err = closeStore()
+	})
+	return err
 }
 
 // stopMaintainer stops the background maintainer and waits for its current
@@ -735,44 +739,13 @@ func (db *DB) maintainLoop(interval time.Duration) {
 		case <-db.maintStop:
 			return
 		case <-ticker.C:
-			if _, err := db.Maintain(); err != nil && !errors.Is(err, ErrClosed) {
+			if _, err := db.maintain(); err != nil && !errors.Is(err, ErrClosed) {
 				db.maintMu.Lock()
 				db.maintTotals.Errors++
 				db.maintMu.Unlock()
 			}
 		}
 	}
-}
-
-// Upsert inserts or replaces one item (keyed by Item.ID).
-func (db *DB) Upsert(item Item) error {
-	return db.UpsertBatch([]Item{item})
-}
-
-// UpsertBatch inserts or replaces items atomically. The batch rides a
-// group commit shared with concurrent writers (see the package
-// documentation's "Ingest path" section).
-func (db *DB) UpsertBatch(items []Item) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	return db.ing.upsert(items)
-}
-
-// Delete removes the item with the given id.
-func (db *DB) Delete(id string) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	return db.ing.delete([]string{id}, true)
-}
-
-// DeleteBatch removes several items atomically; absent ids are ignored.
-func (db *DB) DeleteBatch(ids []string) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	return db.ing.delete(ids, false)
 }
 
 // getItem fetches one item at txn's snapshot, translating the index's
@@ -1200,42 +1173,24 @@ func (db *DB) MaintenanceTotals() (MaintenanceTotals, *MaintenanceReport) {
 	return db.maintTotals, &rep
 }
 
-// Rebuild retrains the IVF quantizer and rewrites all partitions. Queries
-// proceed on consistent snapshots while it runs; writes queue behind it.
-func (db *DB) Rebuild() (*MaintenanceReport, error) {
+// rewrite runs one whole-index step on this shard — ivf's Rebuild or
+// FlushDelta, named by action — in one write transaction, and records it
+// as a pass. Queries proceed on consistent snapshots while it runs; writes
+// queue behind it.
+func (db *DB) rewrite(action ivf.MaintenanceAction, step func(*ivf.Index, *storage.WriteTxn) (*ivf.MaintenanceStats, error)) (*MaintenanceReport, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
 	var ms *ivf.MaintenanceStats
 	err := db.store.Update(func(wt *storage.WriteTxn) error {
-		var rerr error
-		ms, rerr = db.ix.Rebuild(wt)
-		return rerr
+		var err error
+		ms, err = step(db.ix, wt)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := report("rebuild", ms)
-	db.recordStep(rep)
-	db.recordMaintenance(rep)
-	return rep, nil
-}
-
-// FlushDelta incrementally merges the delta-store into the IVF partitions.
-func (db *DB) FlushDelta() (*MaintenanceReport, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	var ms *ivf.MaintenanceStats
-	err := db.store.Update(func(wt *storage.WriteTxn) error {
-		var ferr error
-		ms, ferr = db.ix.FlushDelta(wt)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := report("flush", ms)
+	rep := report(string(action), ms)
 	db.recordStep(rep)
 	db.recordMaintenance(rep)
 	return rep, nil
@@ -1259,22 +1214,8 @@ const maintainStepLimit = 256
 // before it splits inside the write transaction instead.
 const maxStalePlans = 3
 
-// Maintain runs the index monitor's policy (paper §3.6): an initial full
-// build if the index was never built, then incremental steps only — delta
-// flushes past FlushThreshold, splits of partitions over MaxPartitionSize,
-// merges of partitions under MinPartitionSize. Each step plans on a read
-// snapshot first, so a healthy index (every idle AutoMaintain tick) costs
-// writers nothing. A split — the common steady-state step — is also
-// prepared on that snapshot: the partition is collected and clustered
-// outside the writer gate, and only the short apply step takes it. The
-// apply re-reads the partition and discards the plan (counted in
-// StaleRetries) if a concurrent commit changed its rows; after
-// maxStalePlans discarded plans the pass splits inside one write
-// transaction instead, so a write storm cannot starve it. Other steps plan
-// again and act inside one short write transaction. The pass loops until
-// the planner reports a healthy index. Once built, Maintain never falls
-// back to a full rebuild: growth is absorbed one partition at a time.
-func (db *DB) Maintain() (*MaintenanceReport, error) {
+// maintain is one shard's Maintain pass (see router.Maintain).
+func (db *DB) maintain() (*MaintenanceReport, error) {
 	db.opMu.RLock()
 	defer db.opMu.RUnlock()
 	if err := db.checkOpen(); err != nil {
@@ -1462,7 +1403,7 @@ func cacheStatsOf(c *rescache.Cache) CacheStats {
 }
 
 // indexStats reads the index-derived statistics at rt's snapshot — the one
-// source for DB.Stats and Snapshot.Stats.
+// source for Stats and Snapshot.Stats.
 func indexStats(ix *ivf.Index, rt *storage.ReadTxn) (Stats, error) {
 	var out Stats
 	st, err := ix.Stats(rt)
@@ -1479,8 +1420,11 @@ func indexStats(ix *ivf.Index, rt *storage.ReadTxn) (Stats, error) {
 	return out, err
 }
 
-// Stats returns a consistent snapshot of operational statistics.
-func (db *DB) Stats() (Stats, error) {
+// stats returns this shard's operational statistics: the index at one
+// snapshot, the handle's maintenance and ingest counters, and its store's.
+// The router's result cache and HybridSearch count are not the shard's;
+// Stats overlays them.
+func (db *DB) stats() (Stats, error) {
 	var out Stats
 	if err := db.checkOpen(); err != nil {
 		return out, err
@@ -1501,8 +1445,9 @@ func (db *DB) Stats() (Stats, error) {
 	db.maintMu.Unlock()
 	out.Ingest = db.ing.counters()
 	cfg := db.ix.Config()
-	out.Quantization = cfg.Quantization
-	out.ClipPercentile = cfg.ClipPercentile
+	if out.Quantization = cfg.Quantization; out.Quantization != QuantNone {
+		out.ClipPercentile = cfg.ClipPercentile
+	}
 	ss := db.store.Stats()
 	out.Backend = ss.Backend.String()
 	out.GateWaits = ss.GateWaits
@@ -1516,7 +1461,5 @@ func (db *DB) Stats() (Stats, error) {
 	out.FileBytes = int64(ss.PageCount) * int64(db.store.PageSize())
 	out.FreeBytes = int64(ss.FreePages) * int64(db.store.PageSize())
 	out.PagesWritten = ss.PagesWritten
-	out.Cache = cacheStatsOf(db.cache)
-	out.HybridSearches = db.hybridSearches.Load()
 	return out, nil
 }

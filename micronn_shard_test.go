@@ -3,6 +3,7 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"micronn/internal/storage"
+	"micronn/internal/topk"
 )
 
 // shardTestDim keeps the sharded batteries cheap.
@@ -101,6 +103,106 @@ func recallAgainst(exact, got []Result) float64 {
 		}
 	}
 	return float64(hits) / float64(len(exact))
+}
+
+// TestOneShardEqualsDB runs one sequence of writes and maintenance on a DB
+// and on a 1-shard ShardedDB, float32 and SQ8, both with a clip percentile
+// set. Every MaintenanceReport must be equal except Duration, and Stats
+// after every operation equal except the writer gate's wait counters,
+// which depend on scheduling. An unquantized store reports ClipPercentile
+// 0, as the field's doc says.
+func TestOneShardEqualsDB(t *testing.T) {
+	for _, qt := range []Quantization{QuantNone, QuantSQ8} {
+		t.Run(qt.String(), func(t *testing.T) {
+			opts := Options{Dim: shardTestDim, TargetPartitionSize: 40, Seed: 3, Quantization: qt, ClipPercentile: 0.01}
+			single, err := Open(filepath.Join(t.TempDir(), "single.mnn"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer single.Close()
+			shOpts := opts
+			shOpts.Shards = 1
+			sharded := openShardedTest(t, filepath.Join(t.TempDir(), "sharded.d"), shOpts)
+
+			vecs := clusteredVecs(3, 400, shardTestDim, 8)
+			items := make([]Item, len(vecs))
+			for i, v := range vecs {
+				items[i] = Item{ID: fmt.Sprintf("v%04d", i), Vector: v}
+			}
+			write := func(f func(Store) error) func(Store) (*MaintenanceReport, error) {
+				return func(s Store) (*MaintenanceReport, error) { return nil, f(s) }
+			}
+			ops := []struct {
+				name string
+				run  func(Store) (*MaintenanceReport, error)
+			}{
+				{"UpsertBatch", write(func(s Store) error { return s.UpsertBatch(items[:250]) })},
+				{"Rebuild", Store.Rebuild},
+				{"UpsertBatch more", write(func(s Store) error { return s.UpsertBatch(items[250:]) })},
+				{"UpsertBatch empty", write(func(s Store) error { return s.UpsertBatch(nil) })},
+				{"Upsert", write(func(s Store) error { return s.Upsert(Item{ID: "v0001", Vector: vecs[2]}) })},
+				{"Delete", write(func(s Store) error { return s.Delete("v0007") })},
+				{"Delete absent", write(func(s Store) error { return s.Delete("absent") })},
+				{"DeleteBatch absent", write(func(s Store) error { return s.DeleteBatch([]string{"absent"}) })},
+				{"Maintain", Store.Maintain},
+				{"FlushDelta", Store.FlushDelta},
+				{"Maintain again", Store.Maintain},
+			}
+			for _, op := range ops {
+				rep1, err1 := op.run(single)
+				rep2, err2 := op.run(sharded)
+				if fmt.Sprint(err1) != fmt.Sprint(err2) {
+					t.Fatalf("%s: DB error %v, 1-shard error %v", op.name, err1, err2)
+				}
+				if (rep1 == nil) != (rep2 == nil) {
+					t.Fatalf("%s: DB report %v, 1-shard report %v", op.name, rep1, rep2)
+				}
+				if rep1 != nil {
+					r1, r2 := *rep1, *rep2
+					r1.Duration, r2.Duration = 0, 0
+					if r1 != r2 {
+						t.Fatalf("%s: reports differ:\nDB      %+v\n1-shard %+v", op.name, r1, r2)
+					}
+				}
+				st1, err := single.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st2, err := sharded.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st1.GateWaits, st1.GateWaitNs = 0, 0
+				st2.GateWaits, st2.GateWaitNs = 0, 0
+				if st1 != st2 {
+					t.Fatalf("%s: stats differ:\nDB      %+v\n1-shard %+v", op.name, st1, st2)
+				}
+				if st1.Quantization == QuantNone && st1.ClipPercentile != 0 {
+					t.Fatalf("%s: unquantized ClipPercentile = %v, want 0", op.name, st1.ClipPercentile)
+				}
+			}
+		})
+	}
+}
+
+// TestSortShardCands checks the merge's candidate order on NaN and tied
+// distances: (Distance with NaN last, shard, VectorID), whatever the input
+// order.
+func TestSortShardCands(t *testing.T) {
+	nan := float32(math.NaN())
+	cand := func(d float32, shard int, vid int64) shardCand {
+		return shardCand{Result: topk.Result{VectorID: vid, Distance: d}, shard: shard}
+	}
+	want := []shardCand{cand(0.5, 0, 9), cand(0.5, 1, 2), cand(0.5, 1, 4), cand(2, 0, 1), cand(nan, 0, 3), cand(nan, 2, 1)}
+	for rot := range want {
+		cs := append(append([]shardCand{}, want[rot:]...), want[:rot]...)
+		sortShardCands(cs)
+		for i, c := range cs {
+			if c.shard != want[i].shard || c.VectorID != want[i].VectorID {
+				t.Fatalf("rotation %d: got %v, want %v", rot, cs, want)
+			}
+		}
+	}
 }
 
 // TestShardedEquivalence is the equivalence property test: a randomized

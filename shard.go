@@ -1,12 +1,12 @@
 package micronn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,11 +17,12 @@ import (
 	"micronn/internal/vec"
 )
 
-// Store is the method set shared by DB and ShardedDB. Both embed the same
-// query router (a DB is its one-shard case), so queries, snapshots and the
-// result cache behave identically on either; code that should run against
-// a single store and a sharded one alike (the CLI, benchmarks, examples)
-// programs against this interface.
+// Store is the method set shared by DB and ShardedDB. Every method of it
+// is the embedded router's (a DB is its one-shard case), so writes,
+// queries, snapshots, maintenance, stats and the result cache behave
+// identically on either; code that should run against a single store and a
+// sharded one alike (the CLI, benchmarks, examples) programs against this
+// interface.
 type Store interface {
 	Close() error
 	Dim() int
@@ -49,16 +50,17 @@ var (
 	_ Store = (*ShardedDB)(nil)
 )
 
-// router is the query front end that DB and ShardedDB share: each query
-// kind is written once, as a pipeline over the router's N >= 1 shards —
-// normalize, cache key, per-shard execute, merge — behind one result-cache
-// protocol (query). A DB is the one-shard case: its router lists the DB
+// router is the front end that DB and ShardedDB share: it holds the whole
+// Store method set, each method written once over the router's N >= 1
+// shards. A query is a pipeline — normalize, cache key, per-shard execute,
+// merge — behind one result-cache protocol (query). A point write goes
+// straight to its shard's group committer; a batch is grouped by shard and
+// scattered. Maintenance and Stats scatter a per-shard step of DB's and
+// fold the results. A DB is the one-shard case: its router lists the DB
 // itself, the scatter runs inline without goroutines, ivf returns final
 // exact results (no CandidatesOnly), so the merge has nothing to rerank
 // and a single store does the same index work per query as a direct ivf
-// call. Both types embed a router, which supplies their query
-// methods, Snapshot, Get, and the whole-set operations that do not differ
-// between them.
+// call.
 type router struct {
 	shards []*DB
 	// seed is the id hash seed (the manifest's on a sharded database).
@@ -75,8 +77,9 @@ type router struct {
 	// afterwards instead of touching a closed store.
 	closed atomic.Bool
 
-	// hybridSearches counts HybridSearch calls through this router (shards
-	// under a sharded router are never bumped, so sums do not double-count).
+	// hybridSearches counts HybridSearch calls through this router. Hybrid
+	// queries run at the router, never on a shard, so Stats reports this
+	// count and a shard's own stats carry none.
 	hybridSearches atomic.Uint64
 }
 
@@ -342,14 +345,8 @@ type shardCand struct {
 }
 
 func sortShardCands(cs []shardCand) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Distance != cs[j].Distance {
-			return cs[i].Distance < cs[j].Distance
-		}
-		if cs[i].shard != cs[j].shard {
-			return cs[i].shard < cs[j].shard
-		}
-		return cs[i].VectorID < cs[j].VectorID
+	slices.SortFunc(cs, func(a, b shardCand) int {
+		return cmp.Or(topk.CompareDistance(a.Distance, b.Distance), cmp.Compare(a.shard, b.shard), cmp.Compare(a.VectorID, b.VectorID))
 	})
 }
 
@@ -717,6 +714,183 @@ func (r *router) DropCaches() {
 	})
 }
 
+// Close drains every shard's group committer and background maintainer,
+// then checkpoints and closes its store, shards in parallel. All shards
+// are closed even if some fail; the joined error is returned. After Close
+// every other method returns ErrClosed; calling Close again is a harmless
+// no-op.
+func (r *router) Close() error {
+	if r.closed.Swap(true) {
+		return nil
+	}
+	errs := make([]error, len(r.shards))
+	_ = r.scatter(func(i int, sh *DB) error {
+		errs[i] = sh.close(sh.store.Close)
+		return nil
+	})
+	return errors.Join(errs...)
+}
+
+// --- writes: route by hash ---
+
+// Upsert inserts or replaces one item (keyed by Item.ID) on its
+// hash-designated shard. The write rides a group commit shared with
+// concurrent writers (see the package documentation's "Ingest path"
+// section).
+func (r *router) Upsert(item Item) error {
+	if err := r.checkOpen(); err != nil {
+		return err
+	}
+	return r.shards[r.shardOf(item.ID)].ing.upsert([]Item{item})
+}
+
+// UpsertBatch inserts or replaces items with one group commit per shard
+// that holds any of them, in parallel. Atomicity is per shard: a failure
+// on one shard does not roll back sub-batches already committed on others.
+func (r *router) UpsertBatch(items []Item) error {
+	return writeByShard(r, items, func(item Item) string { return item.ID }, (*ingester).upsert)
+}
+
+// Delete removes the item with the given id from its hash-designated
+// shard; an absent id fails with ErrNotFound.
+func (r *router) Delete(id string) error {
+	if err := r.checkOpen(); err != nil {
+		return err
+	}
+	return r.shards[r.shardOf(id)].ing.delete([]string{id}, true)
+}
+
+// DeleteBatch removes several items with one group commit per shard, in
+// parallel; absent ids are ignored. Atomicity is per shard.
+func (r *router) DeleteBatch(ids []string) error {
+	return writeByShard(r, ids, func(id string) string { return id },
+		func(g *ingester, ids []string) error { return g.delete(ids, false) })
+}
+
+// writeByShard groups xs by the shard their ids route to (one shard takes
+// xs whole) and hands each non-empty group to its shard's group committer
+// through write, shards in parallel.
+func writeByShard[T any](r *router, xs []T, id func(T) string, write func(*ingester, []T) error) error {
+	if err := r.checkOpen(); err != nil {
+		return err
+	}
+	groups := [][]T{xs}
+	if len(r.shards) > 1 {
+		groups = make([][]T, len(r.shards))
+		for _, x := range xs {
+			i := r.shardOf(id(x))
+			groups[i] = append(groups[i], x)
+		}
+	}
+	return r.scatter(func(i int, sh *DB) error {
+		if len(groups[i]) == 0 {
+			return nil
+		}
+		return write(sh.ing, groups[i])
+	})
+}
+
+// --- maintenance and stats: one step per shard, folded ---
+
+// Rebuild retrains every shard's IVF quantizer (and codebook) and rewrites
+// all its partitions, shards in parallel. Queries proceed on consistent
+// snapshots while it runs; writes queue behind it.
+func (r *router) Rebuild() (*MaintenanceReport, error) {
+	return r.scatterReports(func(sh *DB) (*MaintenanceReport, error) {
+		return sh.rewrite(ivf.ActionRebuild, (*ivf.Index).Rebuild)
+	})
+}
+
+// FlushDelta incrementally merges every shard's delta-store into its IVF
+// partitions, shards in parallel.
+func (r *router) FlushDelta() (*MaintenanceReport, error) {
+	return r.scatterReports(func(sh *DB) (*MaintenanceReport, error) {
+		return sh.rewrite(ivf.ActionFlush, (*ivf.Index).FlushDelta)
+	})
+}
+
+// Maintain runs one pass of the index monitor's policy (paper §3.6) on
+// every shard, in parallel: an initial full build if the index was never
+// built, then incremental steps only — delta flushes past FlushThreshold,
+// splits of partitions over MaxPartitionSize, merges of partitions under
+// MinPartitionSize. Each step plans on a read snapshot first, so a healthy
+// index (every idle AutoMaintain tick) costs writers nothing. A split — the
+// common steady-state step — is also prepared on that snapshot: the
+// partition is collected and clustered outside the writer gate, and only
+// the short apply step takes it. The apply re-reads the partition and
+// discards the plan (counted in StaleRetries) if a concurrent commit
+// changed its rows; after maxStalePlans discarded plans the pass splits
+// inside one write transaction instead, so a write storm cannot starve it.
+// Other steps plan again and act inside one short write transaction. The
+// pass loops until the planner reports a healthy index. Once built,
+// Maintain never falls back to a full rebuild: growth is absorbed one
+// partition at a time.
+func (r *router) Maintain() (*MaintenanceReport, error) {
+	return r.scatterReports((*DB).maintain)
+}
+
+// scatterReports runs one maintenance step on every shard and merges the
+// per-shard reports.
+func (r *router) scatterReports(step func(*DB) (*MaintenanceReport, error)) (*MaintenanceReport, error) {
+	if err := r.checkOpen(); err != nil {
+		return nil, err
+	}
+	reps := make([]*MaintenanceReport, len(r.shards))
+	err := r.scatter(func(i int, sh *DB) error {
+		var err error
+		reps[i], err = step(sh)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return mergeReports(reps), nil
+}
+
+// mergeReports folds per-shard maintenance reports into one.
+func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
+	out := &MaintenanceReport{Action: "none"}
+	for _, rep := range reps {
+		if rep == nil {
+			continue
+		}
+		parts := out.Partitions
+		out.absorb(rep)
+		out.Partitions = parts + rep.Partitions // the shards' partitions add up
+	}
+	return out
+}
+
+// Stats returns operational statistics: AggregateStats over the shards'
+// own, with the router's result cache and HybridSearch count overlaid.
+func (r *router) Stats() (Stats, error) {
+	per, err := r.shardStats()
+	if err != nil {
+		return Stats{}, err
+	}
+	out := AggregateStats(per)
+	out.Cache = cacheStatsOf(r.cache)
+	out.HybridSearches = r.hybridSearches.Load()
+	return out, nil
+}
+
+// shardStats returns each shard's own stats, indexed by shard.
+func (r *router) shardStats() ([]Stats, error) {
+	if err := r.checkOpen(); err != nil {
+		return nil, err
+	}
+	per := make([]Stats, len(r.shards))
+	err := r.scatter(func(i int, sh *DB) error {
+		var err error
+		per[i], err = sh.stats()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return per, nil
+}
+
 // ShardedDB is a MicroNN database hash-partitioned across N fully
 // independent stores. Each shard is a complete single-store database — its
 // own page file, WAL, IVF index, SQ8 codebook and background maintainer —
@@ -735,8 +909,10 @@ func (r *router) DropCaches() {
 // owning shards — recall therefore matches the single-store rerank contract
 // rather than compounding per-shard approximations.
 //
-// Queries run through the same router pipeline as a single DB (a DB is its
-// one-shard case), so caching and snapshot semantics are identical.
+// Every Store method runs through the same router as on a single DB (a DB
+// is its one-shard case), so writes, queries, caching, snapshots,
+// maintenance and stats behave identically; ShardedDB adds only the
+// topology (Shards, Shard, Manifest, ShardStats, CheckInvariants).
 //
 // Cross-shard guarantees are deliberately weaker than within a shard:
 // UpsertBatch/DeleteBatch commit one transaction per shard (atomic per
@@ -744,9 +920,8 @@ func (r *router) DropCaches() {
 // horizon (consistent per shard, concurrent cross-shard writes may straddle
 // the horizons). All methods are safe for concurrent use.
 type ShardedDB struct {
-	// router serves the queries, with one result cache whose entries
-	// validate per shard, and counts router-level HybridSearch calls
-	// (Stats overlays them on the aggregated shard stats).
+	// router serves every Store method, with one result cache whose
+	// entries validate per shard.
 	router
 	dir      string
 	manifest storage.Manifest
@@ -907,126 +1082,10 @@ func (s *ShardedDB) Shard(i int) *DB { return s.shards[i] }
 // Manifest returns the pinned topology.
 func (s *ShardedDB) Manifest() storage.Manifest { return s.manifest }
 
-// Close drains every shard's background maintainer in parallel, then
-// checkpoints and closes each shard. All shards are closed even if some
-// fail; the joined error is returned.
-func (s *ShardedDB) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DB) {
-			defer wg.Done()
-			errs[i] = sh.Close()
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// --- point operations: route by hash ---
-
-// Upsert inserts or replaces one item on its hash-designated shard.
-func (s *ShardedDB) Upsert(item Item) error {
-	return s.shards[s.shardOf(item.ID)].Upsert(item)
-}
-
-// UpsertBatch groups the items by shard and commits one transaction per
-// shard, in parallel. Atomicity is per shard: a failure on one shard does
-// not roll back sub-batches already committed on others.
-func (s *ShardedDB) UpsertBatch(items []Item) error {
-	groups := make([][]Item, len(s.shards))
-	for _, item := range items {
-		i := s.shardOf(item.ID)
-		groups[i] = append(groups[i], item)
-	}
-	return s.scatter(func(i int, sh *DB) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		return sh.UpsertBatch(groups[i])
-	})
-}
-
-// Delete removes the item from its hash-designated shard.
-func (s *ShardedDB) Delete(id string) error {
-	return s.shards[s.shardOf(id)].Delete(id)
-}
-
-// DeleteBatch groups ids by shard and commits one transaction per shard, in
-// parallel; absent ids are ignored. Atomicity is per shard.
-func (s *ShardedDB) DeleteBatch(ids []string) error {
-	groups := make([][]string, len(s.shards))
-	for _, id := range ids {
-		i := s.shardOf(id)
-		groups[i] = append(groups[i], id)
-	}
-	return s.scatter(func(i int, sh *DB) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		return sh.DeleteBatch(groups[i])
-	})
-}
-
-// --- maintenance and stats: aggregate over the shard set ---
-
-// mergeReports folds per-shard maintenance reports into one.
-func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
-	out := &MaintenanceReport{Action: "none"}
-	for _, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		parts := out.Partitions
-		out.absorb(rep)
-		out.Partitions = parts + rep.Partitions // the shards' partitions add up
-	}
-	return out
-}
-
-// scatterReports runs one maintenance step on every shard in parallel and
-// merges the per-shard reports.
-func (s *ShardedDB) scatterReports(step func(*DB) (*MaintenanceReport, error)) (*MaintenanceReport, error) {
-	reps := make([]*MaintenanceReport, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := step(sh)
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeReports(reps), nil
-}
-
-// Rebuild retrains every shard's IVF index in parallel and merges the
-// reports.
-func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) {
-	return s.scatterReports((*DB).Rebuild)
-}
-
-// FlushDelta flushes every shard's delta-store in parallel.
-func (s *ShardedDB) FlushDelta() (*MaintenanceReport, error) {
-	return s.scatterReports((*DB).FlushDelta)
-}
-
-// Maintain runs the incremental maintenance policy on every shard in
-// parallel (each step in its own short per-shard write transaction) and
-// merges the reports.
-func (s *ShardedDB) Maintain() (*MaintenanceReport, error) {
-	return s.scatterReports((*DB).Maintain)
-}
-
 // AggregateStats folds per-shard stats into whole-database numbers:
 // counts, cache and file sizes and the drift gauge's sums sum; the
-// partition-size bounds are the min/max over shards. ShardedDB.Stats is
-// AggregateStats over ShardStats; callers that already hold the per-shard
-// slice (e.g. to print a breakdown) can aggregate it without a second
-// scatter.
+// partition-size bounds are the min/max over shards. Stats is
+// AggregateStats over the shards' own stats plus the router's counters.
 func AggregateStats(per []Stats) Stats {
 	var out Stats
 	for _, st := range per {
@@ -1059,16 +1118,10 @@ func AggregateStats(per []Stats) Stats {
 		if st.LastMaintainAction != "" {
 			out.LastMaintainAction = st.LastMaintainAction
 		}
-		if st.Backend != "" {
-			// All shards run one engine (the manifest pins any explicit
-			// choice), so the last one stands for the database.
-			out.Backend = st.Backend
-		}
-		if st.Quantization != QuantNone {
-			// Like Backend: every shard shares one quantization config.
-			out.Quantization = st.Quantization
-			out.ClipPercentile = st.ClipPercentile
-		}
+		// All shards run one engine (the manifest pins any explicit
+		// choice) and share one quantization config, so the last one
+		// stands for the database.
+		out.Backend, out.Quantization, out.ClipPercentile = st.Backend, st.Quantization, st.ClipPercentile
 		out.CacheBytes += st.CacheBytes
 		out.CacheBudget += st.CacheBudget
 		out.CacheHits += st.CacheHits
@@ -1086,35 +1139,10 @@ func AggregateStats(per []Stats) Stats {
 	return out
 }
 
-// ShardStats returns each shard's stats, indexed by shard.
-func (s *ShardedDB) ShardStats() ([]Stats, error) {
-	per := make([]Stats, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		st, err := sh.Stats()
-		per[i] = st
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return per, nil
-}
-
-// Stats aggregates operational statistics over the shard set. The result
-// cache lives at the router, not in the shards, so its stats are overlaid
-// after aggregation (per-shard Stats.Cache is always zero).
-func (s *ShardedDB) Stats() (Stats, error) {
-	per, err := s.ShardStats()
-	if err != nil {
-		return Stats{}, err
-	}
-	out := AggregateStats(per)
-	out.Cache = cacheStatsOf(s.cache)
-	// Hybrid queries run at the router, never on individual shards, so the
-	// per-shard sum is zero and this overlay is the whole count.
-	out.HybridSearches += s.hybridSearches.Load()
-	return out, nil
-}
+// ShardStats returns each shard's stats, indexed by shard. The result
+// cache and the HybridSearch count are the router's, so they read zero
+// here; Stats reports them.
+func (s *ShardedDB) ShardStats() ([]Stats, error) { return s.shardStats() }
 
 // CheckInvariants runs the whole sharded invariant battery: the manifest
 // must match the directory topology, every shard must pass the single-store

@@ -67,7 +67,7 @@ func (s *Snapshot) Get(id string) (*Item, error) {
 }
 
 // Stats returns the index counters as of the pinned horizons, aggregated
-// like ShardedDB.Stats, so AvgPartitionSize excludes delta rows.
+// like Stats, so AvgPartitionSize excludes delta rows.
 func (s *Snapshot) Stats() (Stats, error) {
 	per := make([]Stats, len(s.rts))
 	for i, sh := range s.r.shards {
