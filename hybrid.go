@@ -1,8 +1,9 @@
 package micronn
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"micronn/internal/fts"
 	"micronn/internal/ivf"
@@ -162,11 +163,8 @@ func fuseHybrid(req HybridRequest, vec []Result, lex []ivf.LexicalDoc) []HybridR
 			c.Score += 1 / float64(req.FusionK+c.TextRank)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].ID < cands[j].ID
+	slices.SortFunc(cands, func(a, b HybridResult) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
 	})
 	if len(cands) > req.K {
 		cands = cands[:req.K]
@@ -317,10 +315,7 @@ func mergeLexical(per [][]ivf.LexicalDoc, k int) []ivf.LexicalDoc {
 // id (asset ids are globally unique, so this is a total order — vids are
 // not comparable across topologies and must not be used here).
 func sortLexical(docs []ivf.LexicalDoc) {
-	sort.Slice(docs, func(i, j int) bool {
-		if docs[i].Score != docs[j].Score {
-			return docs[i].Score > docs[j].Score
-		}
-		return docs[i].AssetID < docs[j].AssetID
+	slices.SortFunc(docs, func(a, b ivf.LexicalDoc) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.AssetID, b.AssetID))
 	})
 }

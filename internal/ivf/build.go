@@ -329,6 +329,7 @@ func (ix *Index) FlushDelta(wt *storage.WriteTxn) (*MaintenanceStats, error) {
 		return nil, err
 	}
 	if len(deltaKeys) == 0 {
+		ms.Partitions = int(st.NumPartitions)
 		ms.Duration = time.Since(start)
 		return ms, nil
 	}

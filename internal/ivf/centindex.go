@@ -107,26 +107,14 @@ func (ix *Index) probeSetCoarse(cs *centroidSet, q []float32, nprobe int) []int6
 		return nil // degenerate clustering; use the exact path
 	}
 	// Rank the candidates exactly.
-	type scored struct {
-		idx  int32
-		dist float32
-	}
-	scoredCand := make([]scored, len(cand))
+	dists := make([]float32, len(cand))
 	for i, c := range cand {
-		scoredCand[i] = scored{idx: c, dist: vec.Distance(ix.cfg.Metric, q, cs.mat.Row(int(c)))}
+		dists[i] = vec.Distance(ix.cfg.Metric, q, cs.mat.Row(int(c)))
 	}
-	// Partial selection of the nprobe best.
 	parts := make([]int64, 0, nprobe+1)
 	parts = append(parts, DeltaPartition)
-	for picked := 0; picked < nprobe && picked < len(scoredCand); picked++ {
-		best := picked
-		for j := picked + 1; j < len(scoredCand); j++ {
-			if scoredCand[j].dist < scoredCand[best].dist {
-				best = j
-			}
-		}
-		scoredCand[picked], scoredCand[best] = scoredCand[best], scoredCand[picked]
-		parts = append(parts, cs.ids[scoredCand[picked].idx])
+	for _, i := range nearest(dists, nprobe, nil) {
+		parts = append(parts, cs.ids[cand[i]])
 	}
 	return parts
 }

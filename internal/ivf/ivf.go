@@ -253,20 +253,23 @@ type Index struct {
 	probePool   sync.Pool
 }
 
-// probeScratch is the centroid-distance scratch used by probeSet.
+// probeScratch is probeSet's scratch: the distances to n centroids and
+// the nearest nprobe of them.
 type probeScratch struct {
 	dists []float32
 	order []int
 }
 
-func (ix *Index) getProbeScratch(n int) *probeScratch {
+func (ix *Index) getProbeScratch(n, nprobe int) *probeScratch {
 	ps, ok := ix.probePool.Get().(*probeScratch)
 	if !ok {
 		ps = &probeScratch{}
 	}
 	if cap(ps.dists) < n {
 		ps.dists = make([]float32, n)
-		ps.order = make([]int, n)
+	}
+	if cap(ps.order) < nprobe {
+		ps.order = make([]int, nprobe)
 	}
 	return ps
 }

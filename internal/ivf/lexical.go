@@ -1,9 +1,10 @@
 package ivf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"micronn/internal/btree"
 	"micronn/internal/fts"
@@ -34,7 +35,7 @@ func (ix *Index) FullTextColumns() []string {
 	for c := range ix.ftsIndexes {
 		cols = append(cols, c)
 	}
-	sort.Strings(cols)
+	slices.Sort(cols)
 	return cols
 }
 
@@ -93,11 +94,8 @@ func (ix *Index) LexicalSearch(txn btree.ReadTxn, column string, q []float32, to
 		}
 		out = append(out, LexicalDoc{AssetID: asset, VectorID: sd.Doc, Score: sd.Score})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].AssetID < out[j].AssetID
+	slices.SortFunc(out, func(a, b LexicalDoc) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.AssetID, b.AssetID))
 	})
 	if len(out) > k {
 		out = out[:k]

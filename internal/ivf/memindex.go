@@ -2,7 +2,6 @@ package ivf
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"micronn/internal/clustering"
@@ -113,12 +112,7 @@ func (m *MemIndex) Search(q []float32, k, nprobe int) ([]topk.Result, error) {
 	}
 	cd := make([]float32, m.centroids.Rows)
 	vec.DistancesOneToMany(m.metric, q, m.centroids, l2Only(m.metric, m.centNorms), cd)
-	order := make([]int, len(cd))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return cd[order[a]] < cd[order[b]] })
-	probe := order[:nprobe]
+	probe := nearest(cd, nprobe, nil)
 
 	workers := m.workers
 	if workers > len(probe) {

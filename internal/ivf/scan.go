@@ -301,9 +301,10 @@ func (ix *Index) scan(txn btree.ReadTxn, cb *quant.Codebook, queries *vec.Matrix
 	}
 	// Exact rerank of each query's approximate candidates (the paper's
 	// refine step). Queries are independent, so the random raw-store
-	// lookups fan out over the same worker budget as the scans.
+	// lookups fan out over the same worker budget as the scans. The
+	// rerank orders the candidates itself, so they go to it unsorted.
 	err = ix.fanOut(txn, nq, opts.Cancel, func(_, qi int) error {
-		cands := s.heaps[qi].h.Results()
+		cands := s.heaps[qi].h.Drain()
 		res, n, err := ix.rerank(txn, cb, queries.Row(qi), cands, opts.K)
 		if err != nil {
 			return err

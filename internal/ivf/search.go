@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"micronn/internal/btree"
 	"micronn/internal/quant"
@@ -226,21 +224,44 @@ func (ix *Index) probeSet(cs *centroidSet, q []float32, nprobe int) []int64 {
 	if parts := ix.probeSetCoarse(cs, q, nprobe); parts != nil {
 		return parts
 	}
-	ps := ix.getProbeScratch(cs.mat.Rows)
+	ps := ix.getProbeScratch(cs.mat.Rows, nprobe)
 	defer ix.probePool.Put(ps)
 	dists := ps.dists[:cs.mat.Rows]
 	vec.DistancesOneToMany(ix.cfg.Metric, q, cs.mat, l2Only(ix.cfg.Metric, cs.norms), dists)
-	order := ps.order[:cs.mat.Rows]
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
 	parts := make([]int64, 0, nprobe+1)
 	parts = append(parts, DeltaPartition)
-	for _, i := range order[:nprobe] {
+	for _, i := range nearest(dists, nprobe, ps.order[:0]) {
 		parts = append(parts, cs.ids[i])
 	}
 	return parts
+}
+
+// nearest returns the indexes of the n smallest distances in dists,
+// smallest first, under the total order (distance with NaN last, then
+// index): the first n indexes of a full sort, found by partial selection.
+// best holds the n best indexes seen so far, in order; an index enters it
+// only if it beats the last, which on a query's centroid distances few do.
+// The result reuses buf's storage.
+func nearest(dists []float32, n int, buf []int) []int {
+	n = max(0, min(n, len(dists)))
+	best := buf[:0]
+	for i, d := range dists {
+		// Indexes arrive in ascending order, so i ranks before a kept
+		// index only at a strictly smaller distance.
+		p := len(best)
+		for p > 0 && topk.CompareDistance(d, dists[best[p-1]]) < 0 {
+			p--
+		}
+		if p == n {
+			continue
+		}
+		if len(best) < n {
+			best = append(best, 0)
+		}
+		copy(best[p+1:], best[p:len(best)-1])
+		best[p] = i
+	}
+	return best
 }
 
 // ivfSelectivity implements F̂_IVF = n·p/|R| (paper Eq. 2).
@@ -301,14 +322,15 @@ func (ix *Index) exactQuantScan(txn btree.ReadTxn, q []float32, opts SearchOptio
 
 // RerankCandidates recomputes exact distances for cands — the approximate
 // candidates of a quantized scan, or the pooled output of CandidatesOnly
-// searches, with their residual bounds — against the raw store and
-// returns the top k, along with the raw bytes it read (counted into the
-// caller's BytesScanned so the reported I/O stays honest; each row read is
-// one float32 vector). Every candidate must belong to this index (its raw
-// store holds the vid) and carry the Residual its scan gave it: a zero
-// Residual claims an exact code. Only valid on a quantized index. On an L2
-// index it reads only the candidates that quantization error cannot rule
-// out (see rerank); the result is the top k of a full rerank either way.
+// searches, with their residual bounds, in any order — against the raw
+// store and returns the top k, along with the raw bytes it read (counted
+// into the caller's BytesScanned so the reported I/O stays honest; each
+// row read is one float32 vector). Every candidate must belong to this
+// index (its raw store holds the vid) and carry the Residual its scan gave
+// it: a zero Residual claims an exact code. Only valid on a quantized
+// index. On an L2 index it reads only the candidates that quantization
+// error cannot rule out (see rerank); the result is the top k of a full
+// rerank either way.
 func (ix *Index) RerankCandidates(txn btree.ReadTxn, q []float32, cands []topk.Result, k int) ([]topk.Result, int64, error) {
 	if ix.rawvecs == nil {
 		return nil, 0, fmt.Errorf("ivf: RerankCandidates on an unquantized index")
@@ -341,8 +363,10 @@ const rerankChunk = 32
 // later candidate. A tied candidate is still read, so the (Distance,
 // VectorID) tie-break holds. The bound is not monotone in the approximate
 // distance (residuals differ per row), which is why the order is the
-// bound's. On Dot and Cosine, or without a codebook, every candidate is
-// read, in vid order.
+// bound's. Equal bounds are ordered by (approximate distance, VectorID),
+// so the rows read depend on the candidate set alone, not on the order it
+// arrives in, which varies with the scan's worker count. On Dot and
+// Cosine, or without a codebook, every candidate is read, in vid order.
 func (ix *Index) rerank(txn btree.ReadTxn, cb *quant.Codebook, q []float32, cands []topk.Result, k int) ([]topk.Result, int64, error) {
 	heap := topk.New(k)
 	x := make([]float32, ix.cfg.Dim)
@@ -366,31 +390,41 @@ func (ix *Index) rerank(txn btree.ReadTxn, cb *quant.Codebook, q []float32, cand
 		}
 		return heap.Results(), bytesRead, nil
 	}
-	// keys holds each candidate's bound bits above its index: a bound is
-	// never negative, so its bits sort as the bounds do.
-	b := cb.NewBound(q)
-	keys := make([]uint64, len(cands))
-	for i, c := range cands {
-		keys[i] = uint64(math.Float32bits(b.Lower(c.Distance, c.Residual)))<<32 | uint64(i)
+	// keys holds each candidate's bound beside its index. A bound is never
+	// NaN, so only its ties reach the candidates.
+	type boundKey struct {
+		bound float32
+		i     int32
 	}
-	slices.Sort(keys)
-	ruledOut := func(key uint64) bool {
+	b := cb.NewBound(q)
+	keys := make([]boundKey, len(cands))
+	for i, c := range cands {
+		keys[i] = boundKey{b.Lower(c.Distance, c.Residual), int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y boundKey) int {
+		if x.bound != y.bound {
+			return cmp.Compare(x.bound, y.bound)
+		}
+		cx, cy := &cands[x.i], &cands[y.i]
+		return cmp.Or(topk.CompareDistance(cx.Distance, cy.Distance), cmp.Compare(cx.VectorID, cy.VectorID))
+	})
+	ruledOut := func(key boundKey) bool {
 		worst, full := heap.WorstDistance()
-		return full && math.Float32frombits(uint32(key>>32)) > worst
+		return full && key.bound > worst
 	}
 	for start, end := 0, min(k, len(keys)); start < len(keys); start, end = end, min(end+rerankChunk, len(keys)) {
 		if ruledOut(keys[start]) {
 			break
 		}
 		chunk := keys[start:end]
-		slices.SortFunc(chunk, func(a, b uint64) int {
-			return cmp.Compare(cands[uint32(a)].VectorID, cands[uint32(b)].VectorID)
+		slices.SortFunc(chunk, func(x, y boundKey) int {
+			return cmp.Compare(cands[x.i].VectorID, cands[y.i].VectorID)
 		})
 		for _, key := range chunk {
 			if ruledOut(key) {
 				continue
 			}
-			if err := read(cands[uint32(key)]); err != nil {
+			if err := read(cands[key.i]); err != nil {
 				return nil, 0, err
 			}
 		}

@@ -20,20 +20,20 @@ import (
 //
 // The constant terms are computed once per query.
 //
-// SQ8 scans evaluate the polynomial directly with 8-wide unrolled,
-// multi-accumulator loops; explicit bounds hints before each loop let the
-// compiler elide the per-element bounds checks, and the independent
-// accumulators keep the floating-point units saturated instead of chaining
-// every add through one register. Large SQ8 L2 scans read the per-byte
-// terms from a table instead (sq8LUT).
+// SQ8 scans evaluate the polynomial directly, with no per-query table:
+// polyAcc's 8-byte blocks add each dimension's term into one of four
+// accumulators, and on amd64 with AVX2 an assembly kernel (sq8L2x4AVX2)
+// runs the same arithmetic over four rows at a time, sharing each block's
+// coefficient loads. A dim×256 table would cost more to build than a scan
+// of a few hundred rows costs without it.
 //
 // A row's distance does not depend on the batch it is scored in:
-// DistancesMany's out[i] equals Distance of code i bit for bit. The L2
-// kernels (polyAcc, lutAcc and the two-row lutAcc2) all add the same
-// rounded per-dimension terms (l2Term, which the tables store) in the same
-// order, so scoring a row alone, in a small batch or in a large one gives
-// one value, and a scan's results do not depend on which rows share its
-// batches.
+// DistancesMany's out[i] equals Distance of code i bit for bit. The two
+// L2 kernels of each kind (polyAcc and the assembly kernel for SQ8, lutAcc
+// and the two-row lutAcc2 for SQ4) add the same rounded terms (l2Term) in
+// the same order, so scoring a row alone, in a small batch or in a large
+// one gives one value, and a scan's results do not depend on which rows
+// share its batches.
 //
 // SQ4 scans never unpack nibbles: NewQuery bakes the polynomial into a
 // 256-entry lookup table per code byte, where entry b already sums the
@@ -43,8 +43,9 @@ import (
 
 // Query is the per-query state for asymmetric distance computation against
 // quantized codes. Build one with Codebook.NewQuery and reuse it for a
-// whole scan. A Query is immutable after construction — every table is
-// built by NewQuery — so the scan workers of one search may share it.
+// whole scan. A Query is immutable after construction — NewQuery computes
+// every coefficient and SQ4 table — so the scan workers of one search may
+// share it. An SQ8 L2 query holds only its 2·dim coefficients.
 type Query struct {
 	metric vec.Metric
 
@@ -70,11 +71,6 @@ type Query struct {
 	// (both nibbles folded in); normLut is the cosine squared-norm analog.
 	lut     []float32
 	normLut []float32
-
-	// sq8LUT is the SQ8 L2 scan table — dim rows of 256 entries where
-	// sq8LUT[d*256+c] = c*(quad[d]*c - lin[d]), built by NewQuery.
-	// DistancesMany reads it for large scans.
-	sq8LUT []float32
 }
 
 // CodeSize returns the byte stride of the codes this query scans.
@@ -120,15 +116,6 @@ func (cb *Codebook) NewQuery(metric vec.Metric, q []float32) *Query {
 	}
 	if qq.sq4 {
 		qq.buildLUTs(dim)
-	} else if metric == vec.L2 {
-		qq.sq8LUT = make([]float32, dim*256)
-		for d := 0; d < dim; d++ {
-			l, q := qq.lin[d], qq.quad[d]
-			row := qq.sq8LUT[d*256 : (d+1)*256]
-			for c := 0; c < 256; c++ {
-				row[c] = l2Term(float32(c), q, l)
-			}
-		}
 	}
 	return qq
 }
@@ -220,38 +207,21 @@ func (qq *Query) finishCosine(dot, nv2 float32) float32 {
 
 // DistancesMany computes distances from the query to n consecutive codes
 // packed in codes (n * CodeSize bytes), writing into out[:n]; out[i] equals
-// Distance of code i exactly. The hot L2 paths run table kernels two rows
-// at a time; other metrics, and small SQ8 L2 batches, run the single-row
-// kernel per code.
+// Distance of code i exactly. SQ8 L2 runs the assembly kernel four rows at
+// a time where it can (sq8L2Rows) and polyAcc on the rows left; SQ4 L2
+// runs the table kernel two rows at a time; other metrics run the
+// single-row kernel per code.
 func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 	cs := qq.codeSize
 	if qq.metric == vec.L2 && !qq.sq4 {
-		// From this row count one table load per byte beats re-evaluating
-		// the polynomial; small scans stay on the blocked polynomial
-		// kernel.
-		const lutThreshold = 32
-		if n >= lutThreshold {
-			// Rows are independent, so interleaving two per pass doubles
-			// the in-flight table loads and hides their latency (the
-			// dim*256 table outgrows L1 at typical dims).
-			i := 0
-			for ; i+2 <= n; i += 2 {
-				r0, r1 := lutAcc2(codes[i*cs:(i+1)*cs], codes[(i+1)*cs:(i+2)*cs], qq.sq8LUT)
-				out[i] = qq.constant + r0
-				out[i+1] = qq.constant + r1
-			}
-			if i < n {
-				out[i] = qq.constant + lutAcc(codes[i*cs:(i+1)*cs], qq.sq8LUT)
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
+		for i := sq8L2Rows(codes, cs, n, qq.lin, qq.quad, qq.constant, out); i < n; i++ {
 			out[i] = qq.constant + polyAcc(codes[i*cs:(i+1)*cs], qq.lin, qq.quad)
 		}
 		return
 	}
 	if qq.sq4 && qq.metric == vec.L2 {
-		// Same two-row interleave as the SQ8 table scan.
+		// Rows are independent, so interleaving two per pass doubles the
+		// in-flight table loads and hides their latency.
 		i := 0
 		for ; i+2 <= n; i += 2 {
 			r0, r1 := lutAcc2(codes[i*cs:(i+1)*cs], codes[(i+1)*cs:(i+2)*cs], qq.lut)
@@ -268,19 +238,20 @@ func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 	}
 }
 
-// l2Term is one dimension's L2 term c*(quad*c - lin), rounded as the
-// SQ8/SQ4 tables store it. The explicit conversions keep a compiler from
-// fusing the operations differently here and in the tables.
+// l2Term is one dimension's L2 term c*(quad*c - lin), every operation
+// rounded to float32, as the SQ4 tables store it and the SQ8 assembly
+// kernel computes it. The explicit conversions keep a compiler from fusing
+// the operations into an FMA.
 func l2Term(c, quad, lin float32) float32 {
-	return float32(c * float32(quad*c-lin))
+	return float32(c * float32(float32(quad*c)-lin))
 }
 
 // polyAcc accumulates Σ c*(quad*c - lin) over the code bytes, the SQ8 L2
-// kernel of Distance and of small batches. It adds the terms lutAcc2 reads
-// from the table in lutAcc2's order — four accumulators, dimension d of
-// each 8-byte block into accumulator d mod 4, tail bytes into the first —
-// so it returns lutAcc2's value exactly. The up-front bounds hints let the
-// compiler drop per-element checks.
+// kernel. It adds the terms in a fixed order — four accumulators,
+// dimension d of each 8-byte block into accumulator d mod 4, tail bytes
+// into the first — which the assembly kernel shares, so the two return one
+// value for a row. The up-front bounds hints let the compiler drop
+// per-element checks.
 func polyAcc(code []byte, lin, quad []float32) float32 {
 	n := len(code)
 	if n == 0 {

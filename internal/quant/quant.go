@@ -6,7 +6,10 @@
 // while data vectors remain encoded — so scan-time precision loss stays
 // small, and the search layer reranks the top candidates against exact
 // float32 vectors to recover full-precision ordering ("Quantization for
-// Vector Search under Streaming Updates", PAPERS.md).
+// Vector Search under Streaming Updates", PAPERS.md). An SQ8 L2 query
+// scores codes straight from 2·dim per-query coefficients, with no lookup
+// table to build (an AVX2 kernel scores four rows at a time on amd64); SQ4
+// queries read per-byte nibble tables (kernels.go).
 //
 // The codebook is trained at index-build time and persisted beside the
 // centroid table; the delta-store keeps raw float32 vectors so streaming

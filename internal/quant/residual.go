@@ -108,7 +108,7 @@ const tinyPerOp = 0x1p-149
 // where the constant Σ t_d² carries at most (dim+3)·u·A of rounding error
 // (A = Σ t_d²) and each l2Term_d = c·(Δ²c − 2tΔ) at most 4u times
 // b_d = M²Δ_d² + 2M|t_d|Δ_d (the coefficients' own rounding included), and
-// the four-accumulator table sums, the SQ4 nibble folding and the final
+// the four-accumulator sums, the SQ4 nibble folding and the final
 // add add at most (dim/4+12)·u·Σ b_d. So the approximate distance is within
 // (dim+16)·u·(A+B) of ‖q − x̂‖² (B = Σ b_d), and slack = ε·(A+B) with
 // ε = (dim+8)·2⁻²³ = (2·dim+16)·u covers it. The exact kernel sums dim

@@ -138,9 +138,17 @@ func (h *Heap) siftDown(i int) {
 // ascending distance (ties broken by VectorID for determinism). The heap is
 // empty afterwards.
 func (h *Heap) Results() []Result {
+	out := h.Drain()
+	sortResults(out)
+	return out
+}
+
+// Drain empties the heap and returns the retained candidates unsorted, in
+// an order that depends on the order they were pushed in. It suits a
+// caller that orders them by a key of its own.
+func (h *Heap) Drain() []Result {
 	out := h.items
 	h.items = nil
-	sortResults(out)
 	return out
 }
 

@@ -4,6 +4,11 @@ package vec
 // YMM registers across context switches, so the assembly kernels may run.
 var hasAVX2FMA = detectAVX2FMA()
 
+// HasAVX2FMA reports whether this CPU runs AVX2 and FMA code with the YMM
+// registers saved by the OS: the feature check other packages' assembly
+// kernels share, so the CPU is probed once.
+func HasAVX2FMA() bool { return hasAVX2FMA }
+
 func detectAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

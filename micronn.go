@@ -1191,6 +1191,10 @@ func (db *DB) rewrite(action ivf.MaintenanceAction, step func(*ivf.Index, *stora
 		return nil, err
 	}
 	rep := report(string(action), ms)
+	if action == ivf.ActionFlush && ms.VectorsAssigned == 0 {
+		// The delta-store was empty: no step ran.
+		rep = &MaintenanceReport{Action: "none", Duration: ms.Duration, Partitions: ms.Partitions}
+	}
 	db.recordStep(rep)
 	db.recordMaintenance(rep)
 	return rep, nil

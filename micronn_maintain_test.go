@@ -232,3 +232,57 @@ func TestMaintenanceReportActionDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushDeltaEmpty: FlushDelta on an empty delta-store does no work, so
+// it reports the index's partition count, no step and no flush, and leaves
+// the maintenance totals' Flushes alone, on a single store and on two
+// shards. A flush of a non-empty delta counts one flush per shard that had
+// rows to flush.
+func TestFlushDeltaEmpty(t *testing.T) {
+	const dim = 8
+	items := make([]Item, 400)
+	for i, v := range randomVecs(5, len(items), dim) {
+		items[i] = Item{ID: fmt.Sprintf("v%d", i), Vector: v}
+	}
+	opts := Options{Dim: dim, TargetPartitionSize: 40, Seed: 2}
+	single := openTest(t, opts)
+	shOpts := opts
+	shOpts.Shards = 2
+	sharded := openShardedTest(t, filepath.Join(t.TempDir(), "sharded.d"), shOpts)
+	for name, s := range map[string]Store{"single": single, "2 shards": sharded} {
+		if err := s.UpsertBatch(items[:300]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.FlushDelta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Partitions != int(st.NumPartitions) || rep.Steps != 0 || rep.Flushes != 0 || rep.Action != "none" {
+			t.Errorf("%s: empty FlushDelta reported %+v, want Action none, no steps and %d partitions", name, rep, st.NumPartitions)
+		}
+		after, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Maintenance.Flushes != st.Maintenance.Flushes {
+			t.Errorf("%s: empty FlushDelta moved Stats.Maintenance.Flushes from %d to %d", name, st.Maintenance.Flushes, after.Maintenance.Flushes)
+		}
+
+		if err := s.UpsertBatch(items[300:]); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err = s.FlushDelta(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Flushes == 0 || rep.Action != "flush" || rep.VectorsAssigned != 100 {
+			t.Errorf("%s: FlushDelta of 100 rows reported %+v", name, rep)
+		}
+	}
+}
